@@ -9,7 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecrpq_automata::Alphabet;
-use ecrpq_core::{engine, EvalOptions, PreparedQuery};
+use ecrpq_bench::product_answers_with_stats;
+use ecrpq_core::{EvalOptions, PreparedQuery};
 use ecrpq_query::NodeVar;
 use ecrpq_reductions::ine_to_ecrpq_big_component;
 use ecrpq_structure::TwoLevelGraph;
@@ -42,16 +43,13 @@ fn bench(c: &mut Criterion) {
     q.set_free(&all_vars);
     let prepared = PreparedQuery::build(&q).unwrap();
     // sanity: every thread count must produce the same answer set
-    let baseline = engine::answers_product(&db, &prepared, &EvalOptions::sequential());
+    let run = |opts: &EvalOptions| product_answers_with_stats(&db, &prepared, opts).0;
+    let baseline = run(&EvalOptions::sequential());
     for threads in [1usize, 2, 4, 8] {
         let opts = EvalOptions::with_threads(threads);
-        assert_eq!(
-            engine::answers_product(&db, &prepared, &opts),
-            baseline,
-            "answers diverge at {threads} threads"
-        );
+        assert_eq!(run(&opts), baseline, "answers diverge at {threads} threads");
         group.bench_with_input(BenchmarkId::new("threads", threads), &opts, |b, opts| {
-            b.iter(|| engine::answers_product(&db, &prepared, opts))
+            b.iter(|| run(opts))
         });
     }
     group.finish();

@@ -8,7 +8,9 @@
 //! compares the product-search data layouts (legacy scan vs flat CSR/dense
 //! tables vs flat + semijoin pruning) on the E14 workload.
 
-use ecrpq_bench::{fmt_duration, loglog_slope, time_median, Table};
+use ecrpq_bench::{
+    complete, fmt_duration, loglog_slope, product_answers_with_stats, time_median, Table,
+};
 use ecrpq_core::cq_eval::{eval_cq, eval_cq_treedec};
 use ecrpq_core::crpq::eval_crpq;
 use ecrpq_core::product::eval_product_with_stats;
@@ -191,7 +193,7 @@ fn e19_bitparallel() {
 }
 
 fn e18_observability() {
-    use ecrpq_core::{CollectingTracer, NoopTracer};
+    use ecrpq_core::CollectingTracer;
     println!("## E18 — Observability: per-phase time split and tracer overhead");
     println!();
     println!("Part A runs one workload per complexity regime under the collecting");
@@ -201,8 +203,8 @@ fn e18_observability() {
     println!("lives in the product BFS (direct strategy). Part B measures the");
     println!("cost of the tracer");
     println!("itself on the E15 flat-layout instance: `NoopTracer` is a");
-    println!("monomorphized no-op, so its ns/config must match the untraced");
-    println!("baseline; `CollectingTracer` pays relaxed atomic increments.");
+    println!("monomorphized no-op and serves as the baseline;");
+    println!("`CollectingTracer` pays relaxed atomic increments.");
     println!();
     // Part A — phase split per regime, driven by the declarative spec.
     run_harness("experiments/e18.toml");
@@ -218,37 +220,28 @@ fn e18_observability() {
     q.set_free(&all_vars);
     let prepared = PreparedQuery::build(&q).expect("valid");
     let opts = EvalOptions::sequential();
-    let (base_answers, stats) = engine::answers_product_with_stats(&db, &prepared, &opts);
+    let run = |mode: &str| match mode {
+        "noop" => product_answers_with_stats(&db, &prepared, &opts),
+        _ => {
+            let tracer = CollectingTracer::new();
+            complete(engine::answers_product_governed_traced(
+                &db, &prepared, &opts, &tracer,
+            ))
+        }
+    };
+    let (base_answers, stats) = run("noop");
     let configs = stats.configurations.max(1);
     let mut t = Table::new(&["tracer", "answers", "time", "ns/config", "overhead"]);
     let mut base_ns = 0.0f64;
-    for mode in ["untraced", "noop", "collecting"] {
-        let answers = match mode {
-            "untraced" => engine::answers_product_with_stats(&db, &prepared, &opts).0,
-            "noop" => {
-                engine::answers_product_with_stats_traced(&db, &prepared, &opts, &NoopTracer).0
-            }
-            _ => {
-                let tracer = CollectingTracer::new();
-                engine::answers_product_with_stats_traced(&db, &prepared, &opts, &tracer).0
-            }
-        };
+    for mode in ["noop", "collecting"] {
         assert_eq!(
-            answers, base_answers,
+            run(mode).0,
+            base_answers,
             "tracer {mode} changed the answer set"
         );
-        let d = time_median(5, || match mode {
-            "untraced" => engine::answers_product_with_stats(&db, &prepared, &opts).0,
-            "noop" => {
-                engine::answers_product_with_stats_traced(&db, &prepared, &opts, &NoopTracer).0
-            }
-            _ => {
-                let tracer = CollectingTracer::new();
-                engine::answers_product_with_stats_traced(&db, &prepared, &opts, &tracer).0
-            }
-        });
+        let d = time_median(5, || run(mode));
         let ns = d.as_nanos() as f64 / configs as f64;
-        if mode == "untraced" {
+        if mode == "noop" {
             base_ns = ns;
         }
         t.row(&[
@@ -358,10 +351,9 @@ fn e14_thread_scaling(threads: usize) {
         .collect();
     q.set_free(&all_vars);
     let prepared = PreparedQuery::build(&q).expect("valid");
-    let baseline = engine::answers_product(&db, &prepared, &EvalOptions::sequential());
-    let base_time = time_median(3, || {
-        engine::answers_product(&db, &prepared, &EvalOptions::sequential())
-    });
+    let run = |opts: &EvalOptions| product_answers_with_stats(&db, &prepared, opts);
+    let baseline = run(&EvalOptions::sequential()).0;
+    let base_time = time_median(3, || run(&EvalOptions::sequential()));
     let mut t = Table::new(&["threads", "answers", "time", "speedup", "configs/s"]);
     let mut counts: Vec<usize> = vec![1];
     let mut n = 2;
@@ -374,9 +366,9 @@ fn e14_thread_scaling(threads: usize) {
     }
     for &n in &counts {
         let opts = EvalOptions::with_threads(n);
-        let (answers, stats) = engine::answers_product_with_stats(&db, &prepared, &opts);
+        let (answers, stats) = run(&opts);
         assert_eq!(answers, baseline, "parallel answers diverge at {n} threads");
-        let d = time_median(3, || engine::answers_product(&db, &prepared, &opts));
+        let d = time_median(3, || run(&opts));
         t.row(&[
             n.to_string(),
             answers.len().to_string(),

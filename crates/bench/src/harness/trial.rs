@@ -13,10 +13,10 @@
 
 use super::json::Json;
 use super::spec::{Spec, SpecValue, TrialParams};
-use crate::time_median;
+use crate::{complete, product_answers_with_stats, time_median};
 use ecrpq_core::{
-    answers_product_with_stats_layout, answers_traced, engine, planner, EvalOptions, Layout, Phase,
-    PreparedQuery, PreparedTables, QueryService, ResourceBudget, Strategy,
+    answers_product_with_stats_layout, answers_traced, engine, planner, EvalOptions, Layout,
+    NoopTracer, Phase, PreparedQuery, PreparedTables, QueryService, ResourceBudget, Strategy,
 };
 use ecrpq_query::Ecrpq;
 use ecrpq_workloads::registry;
@@ -119,14 +119,21 @@ fn trial_bitparallel(spec: &Spec, params: &TrialParams) -> Result<Json, String> 
     let tables = PreparedTables::build(&db, &prepared, layout);
     let prepare_ms = start.elapsed().as_secs_f64() * 1e3;
     let opts = EvalOptions::with_threads(threads).with_layout(layout);
-    let (answers, stats) = engine::answers_product_prepared(&db, &prepared, &tables, &opts);
+    let run = || {
+        complete(engine::answers_product_governed_prepared_traced(
+            &db,
+            &prepared,
+            &tables,
+            &opts,
+            &NoopTracer,
+        ))
+    };
+    let (answers, stats) = run();
     assert_eq!(
         answers, expected,
         "{layout_name} at {threads} threads diverged from the planted answers"
     );
-    let d = time_median(spec.reps, || {
-        engine::answers_product_prepared(&db, &prepared, &tables, &opts)
-    });
+    let d = time_median(spec.reps, run);
     let rate = stats.configurations as f64 / d.as_secs_f64().max(1e-9);
     Ok(Json::Obj(vec![
         ("layout".into(), Json::str(layout_name)),
@@ -155,6 +162,8 @@ fn trial_yannakakis(spec: &Spec, params: &TrialParams) -> Result<Json, String> {
     let db = generated.db;
     db.freeze();
     let opts = EvalOptions::sequential().with_layout(Layout::Flat);
+    // the join tree and the compiled query come from one plan, so the
+    // tree's atom indices name the atoms being run
     let plan = planner::plan(&db, &q);
     if spec
         .workload
@@ -168,17 +177,26 @@ fn trial_yannakakis(spec: &Spec, params: &TrialParams) -> Result<Json, String> {
         );
     }
     let tree = plan.join_tree.as_ref().ok_or("plan carries no join tree")?;
-    // lint:allow(unwrap): generated workload queries are well-formed by construction
-    let prepared = PreparedQuery::build(&q).expect("valid");
-    let (flat_answers, flat_stats) = engine::answers_product_with_stats(&db, &prepared, &opts);
-    let (yan_answers, yan_stats) =
-        engine::answers_yannakakis_with_stats(&db, &prepared, tree, &opts);
+    let prepared = plan
+        .prepared
+        .as_ref()
+        .ok_or("plan carries no compiled query")?;
+    let flat = || product_answers_with_stats(&db, prepared, &opts);
+    let yannakakis = || {
+        complete(engine::answers_yannakakis_governed_traced(
+            &db,
+            prepared,
+            tree,
+            &opts,
+            &NoopTracer,
+        ))
+    };
+    let (flat_answers, flat_stats) = flat();
+    let (yan_answers, yan_stats) = yannakakis();
     assert_eq!(flat_answers, expected, "flat product answers at k={k}");
     assert_eq!(yan_answers, expected, "yannakakis answers at k={k}");
-    let flat_d = time_median(spec.reps, || engine::answers_product(&db, &prepared, &opts));
-    let yan_d = time_median(spec.reps, || {
-        engine::answers_yannakakis_with_stats(&db, &prepared, tree, &opts)
-    });
+    let flat_d = time_median(spec.reps, flat);
+    let yan_d = time_median(spec.reps, yannakakis);
     Ok(Json::Obj(vec![
         ("answers".into(), Json::int(k)),
         ("flat_ms".into(), num(flat_d.as_secs_f64() * 1e3)),
@@ -508,10 +526,8 @@ fn trial_budget(spec: &Spec, params: &TrialParams) -> Result<Json, String> {
     db.freeze();
     // lint:allow(unwrap): generated workload queries are well-formed by construction
     let prepared = PreparedQuery::build(&q).expect("valid");
-    let unbudgeted = engine::answers_product_governed(&db, &prepared, &EvalOptions::sequential());
-    assert!(unbudgeted.termination.is_complete());
-    let full = unbudgeted.answers;
-    let total_work = unbudgeted.stats.configurations.max(1);
+    let (full, stats) = product_answers_with_stats(&db, &prepared, &EvalOptions::sequential());
+    let total_work = stats.configurations.max(1);
     let (opts, cap) = if let Some(ms) = budget
         .strip_prefix("deadline")
         .and_then(|s| s.strip_suffix("ms"))
@@ -536,7 +552,7 @@ fn trial_budget(spec: &Spec, params: &TrialParams) -> Result<Json, String> {
         )
     };
     let start = std::time::Instant::now();
-    let o = engine::answers_product_governed(&db, &prepared, &opts);
+    let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
     let d = start.elapsed();
     assert!(o.answers.is_subset(&full), "partial answers must be sound");
     if o.termination.is_complete() && cap > 0 {

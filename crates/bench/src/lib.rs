@@ -9,9 +9,35 @@
 //! formatting, and log–log slope fitting (used to check polynomial-degree
 //! predictions, e.g. the `O(|D|^{2·cc_vertex})` bound of Lemma 4.3).
 
+use ecrpq_core::product::ProductStats;
+use ecrpq_core::{engine, EvalOptions, NoopTracer, Outcome, PreparedQuery};
+use ecrpq_graph::{GraphDb, NodeId};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 pub mod harness;
+
+/// The result and counters of a governed engine run that must have
+/// completed: every experiment that runs unbudgeted asserts it.
+pub fn complete<A>(o: Outcome<A>) -> (A, ProductStats) {
+    assert!(o.termination.is_complete(), "an unbudgeted run completes");
+    (o.answers, o.stats)
+}
+
+/// Unbudgeted product-search answers and merged counters, through the
+/// governed engine entry point.
+pub fn product_answers_with_stats(
+    db: &GraphDb,
+    prepared: &PreparedQuery,
+    opts: &EvalOptions,
+) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
+    complete(engine::answers_product_governed_traced(
+        db,
+        prepared,
+        opts,
+        &NoopTracer,
+    ))
+}
 
 /// Times `f`, returning the median of `runs` executions.
 pub fn time_median<T>(runs: usize, mut f: impl FnMut() -> T) -> Duration {

@@ -2,7 +2,8 @@
 //!
 //! Multi-threaded front-ends for the two evaluator families:
 //!
-//! * the **product** evaluator ([`eval_product`], [`answers_product`]) —
+//! * the **product** evaluator ([`eval_product_governed`],
+//!   [`answers_product_governed_traced`]) —
 //!   the top-level backtracking search is partitioned by the domain of the
 //!   first node variable it assigns: the domain is cut into
 //!   `threads × 4` chunks, and `std::thread::scope` workers pull chunks
@@ -13,7 +14,8 @@
 //!   enumeration domains, reachability closure — built once up front (the
 //!   build also freezes the database's CSR index, so no worker pays for
 //!   it);
-//! * the **CQ** evaluators ([`answers_cq`], [`answers_cq_treedec`]) — the
+//! * the **CQ** evaluators ([`answers_cq_governed_traced`],
+//!   [`answers_cq_treedec_governed_traced`]) — the
 //!   backtracking join is partitioned by stride over the first atom's
 //!   candidate tuples, and tree-decomposition bag population fans out
 //!   bag-per-worker before the (sequential) semijoin passes.
@@ -26,12 +28,20 @@
 //! the same number of times in total; only the memo-hit split shifts with
 //! the partitioning). Boolean search additionally propagates a stop flag
 //! so sibling workers abandon their chunks after the first success.
+//!
+//! Every entry point is governed: it constructs a fresh `Governor` from
+//! [`EvalOptions::budget`] and takes a [`Tracer`] where it enumerates.
+//! An unbudgeted run passes [`ResourceBudget::unlimited`], which installs
+//! no governor at all — the run pays nothing for budget checks and always
+//! ends [`Termination::Complete`] — and an untraced run passes
+//! [`crate::trace::NoopTracer`]. The `_prepared_` variants run over
+//! [`PreparedTables`] built once and reused.
 
 use crate::cq_eval;
 use crate::enumerate::AnswerIter;
 use crate::governor::{Governor, Outcome, ResourceBudget, Termination};
 use crate::prepare::PreparedQuery;
-use crate::product::{self, Evaluator, Layout, ProductStats, SharedTables};
+use crate::product::{Evaluator, Layout, ProductStats, SharedTables};
 use crate::trace::{NoopTracer, Tracer};
 use ecrpq_analyze::JoinTree;
 use ecrpq_graph::{GraphDb, NodeId};
@@ -52,8 +62,10 @@ pub struct EvalOptions {
     /// [`std::thread::available_parallelism`]"; `1` runs the sequential
     /// evaluators unchanged.
     pub threads: usize,
-    /// Resource budget for the `*_governed` entry points (unlimited by
-    /// default). The ungoverned entry points ignore it.
+    /// Resource budget every engine entry point runs under (unlimited by
+    /// default). The planner's `evaluate`/`answers` pass it unlimited;
+    /// its `*_governed` entry points and the query service substitute
+    /// the regime default when it is unlimited.
     pub budget: ResourceBudget,
     /// Product-evaluator data layout ([`Layout::Flat`] by default). The CQ
     /// entry points ignore it. [`Layout::BitParallel`] additionally
@@ -171,315 +183,235 @@ fn product_workers(db: &GraphDb, query: &PreparedQuery, opts: &EvalOptions) -> u
     t.min(db.num_nodes())
 }
 
-/// Parallel Boolean product evaluation. Identical in outcome to
-/// [`crate::product::eval_product`]; with `threads > 1` the domain of the
-/// first assigned node variable is searched by concurrent workers, and the
-/// first success cancels the rest.
-pub fn eval_product(db: &GraphDb, query: &PreparedQuery, opts: &EvalOptions) -> bool {
-    eval_product_with_stats(db, query, opts).0
-}
-
-/// As [`eval_product`], returning the merged worker counters. Because the
-/// stop flag truncates sibling searches, Boolean counters are a lower
-/// bound on the sequential run's only when the query is satisfiable; for
-/// unsatisfiable queries every chunk is exhausted and
-/// `checks + cache_hits` matches the sequential total exactly.
-pub fn eval_product_with_stats(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    opts: &EvalOptions,
-) -> (bool, ProductStats) {
-    let workers = product_workers(db, query, opts);
-    if workers <= 1 {
-        return product::eval_product_with_stats_layout(db, query, opts.layout);
+/// How many workers a CQ backtracking run should use: bounded by the first
+/// atom's relation size (the stride partition is over its tuples).
+fn cq_workers(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> usize {
+    let t = opts.effective_threads();
+    if t <= 1 || q.atoms.is_empty() {
+        return 1;
     }
-    let tables = SharedTables::build_with_layout(db, query, opts.layout);
-    let ranges = product_chunk_ranges(db.num_nodes(), workers, opts.layout);
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let mut found = false;
-    let mut stats = ProductStats::default();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, stop, tables, ranges) = (&next, &stop, &tables, &ranges);
-                s.spawn(move || {
-                    let mut e = Evaluator::with_tables(db, query, tables);
-                    e.set_stop(stop);
-                    let mut hit = false;
-                    while !stop.load(Ordering::Relaxed) {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(r) = ranges.get(i) else { break };
-                        e.set_first_var_range(r.clone());
-                        if e.boolean() {
-                            hit = true;
-                            stop.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    (hit, e.stats)
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(unwrap): propagate worker panics instead of losing them
-            let (hit, s) = h.join().expect("product worker panicked");
-            found |= hit;
-            stats.merge(&s);
-        }
-    });
-    (found, stats)
+    let max_rel = q
+        .atoms
+        .iter()
+        .map(|a| db.relation(&a.relation).map_or(0, |r| r.tuples.len()))
+        .max()
+        .unwrap_or(0);
+    t.min(max_rel.max(1))
 }
 
-/// Parallel answer enumeration for the product evaluator. Returns exactly
-/// the set [`crate::product::answers_product`] returns — workers enumerate
-/// disjoint slices of the first variable's domain and the per-worker
-/// `BTreeSet`s are merged by union.
-pub fn answers_product(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    opts: &EvalOptions,
-) -> BTreeSet<Vec<NodeId>> {
-    answers_product_with_stats(db, query, opts).0
-}
-
-/// As [`answers_product`], returning the merged worker counters.
-/// Enumeration never stops early, so the merged `checks + cache_hits`
-/// equals the sequential total, as does `assignments`.
-pub fn answers_product_with_stats(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    opts: &EvalOptions,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    answers_product_with_stats_traced(db, query, opts, &NoopTracer)
-}
-
-/// As [`answers_product_with_stats`], reporting per-phase counters and
-/// wall-times to `tracer`. Worker counter blocks are forked (registered)
-/// in spawn order, *before* the workers start, so a collecting tracer's
-/// fold is deterministic at one thread and lossless at any thread count.
-/// With [`crate::trace::NoopTracer`] this is exactly the untraced run.
-pub fn answers_product_with_stats_traced<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    if opts.budget.max_answers.is_some() {
-        // an answer cap on the otherwise-ungoverned entry points routes
-        // through the streaming enumerator, so enumeration terminates
-        // exactly at the cap instead of materializing everything first
-        return answers_product_capped(db, query, opts, tracer);
-    }
-    let workers = product_workers(db, query, opts);
-    let tables = SharedTables::build_traced(db, query, opts.layout, None, tracer);
-    materialized_answers_over(db, query, &tables, opts.layout, workers, tracer)
-}
-
-/// The parallel region of the materialized product enumeration, over
-/// tables that already exist: sequential [`Evaluator`] at one worker,
-/// chunk-stealing worker pool otherwise. Extracted so the serial
-/// `SharedTables` build (semijoin sweep, closure, dense tables) sits
-/// *outside* the region callers time or amortize — prepared-plan callers
-/// pay it once, not per run.
-fn materialized_answers_over<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tables: &SharedTables,
-    layout: Layout,
+/// Runs `work(i, tracer_i)` for every worker index `i` on scoped threads
+/// and returns the results in index order. Each worker's tracer is forked
+/// *before* its thread spawns, so a collecting tracer registers worker
+/// blocks in a deterministic order.
+fn on_workers<T: Tracer, R: Send>(
     workers: usize,
     tracer: &T,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    if workers <= 1 {
-        let mut e = Evaluator::with_tables_traced(db, query, tables, tracer.fork_worker());
-        let answers = e.answers();
-        return (answers, e.stats);
-    }
-    let ranges = product_chunk_ranges(db.num_nodes(), workers, layout);
-    let next = AtomicUsize::new(0);
-    let mut out: BTreeSet<Vec<NodeId>> = BTreeSet::new();
-    let mut stats = ProductStats::default();
+    work: impl Fn(usize, T) -> R + Sync,
+) -> Vec<R> {
     std::thread::scope(|s| {
+        let work = &work;
         let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, ranges) = (&next, &ranges);
-                // fork before spawn: deterministic registration order
+            .map(|i| {
                 let worker_tracer = tracer.fork_worker();
-                s.spawn(move || {
-                    let mut e = Evaluator::with_tables_traced(db, query, tables, worker_tracer);
-                    let mut mine: BTreeSet<Vec<NodeId>> = BTreeSet::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(r) = ranges.get(i) else { break };
-                        e.set_first_var_range(r.clone());
-                        e.answers_into(&mut mine);
-                    }
-                    (mine, e.stats)
-                })
+                s.spawn(move || work(i, worker_tracer))
             })
             .collect();
-        for h in handles {
+        handles
+            .into_iter()
             // lint:allow(unwrap): propagate worker panics instead of losing them
-            let (mine, s) = h.join().expect("product worker panicked");
-            if out.is_empty() {
-                out = mine;
-            } else {
-                out.extend(mine);
-            }
-            stats.merge(&s);
+            .map(|h| h.join().expect("engine worker panicked"))
+            .collect()
+    })
+}
+
+/// Unions per-worker answer sets and merges their counters. Workers cover
+/// disjoint slices of the search, so the union of complete runs is
+/// bit-identical to the sequential set.
+fn merge_workers<K: Ord>(parts: Vec<(BTreeSet<K>, ProductStats)>) -> (BTreeSet<K>, ProductStats) {
+    let mut out = BTreeSet::new();
+    let mut stats = ProductStats::default();
+    for (mine, s) in parts {
+        if out.is_empty() {
+            out = mine;
+        } else {
+            out.extend(mine);
         }
-    });
+        stats.merge(&s);
+    }
     (out, stats)
 }
 
-/// The `max_answers`-capped ungoverned product path: a governor carrying
-/// *only* the answer cap drives the streaming enumerator, so the search
-/// stops exactly when the cap-th distinct tuple has been claimed — no
-/// further configuration is explored. The other budget axes stay ignored,
-/// as documented on [`EvalOptions::budget`] for the ungoverned family.
-fn answers_product_capped<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    let cap =
-        ResourceBudget::unlimited().with_max_answers(opts.budget.max_answers.unwrap_or(u64::MAX));
-    let governor = Governor::new(&cap);
-    let tables = SharedTables::build_traced(db, query, opts.layout, Some(&governor), tracer);
-    let workers = product_workers(db, query, opts);
-    stream_answers(db, query, &tables, Some(&governor), workers, tracer)
+/// The governor of one run: none when the budget is unlimited, because an
+/// unlimited governor can never trip and its check-ins would only cost
+/// time in the hot loops.
+fn run_governor(budget: &ResourceBudget) -> Option<Governor> {
+    (!budget.is_unlimited()).then(|| Governor::new(budget))
 }
 
-/// Drains streaming [`AnswerIter`]s over pre-built tables: one full-range
-/// iterator sequentially, or one per worker over a *static* partition of
-/// the first assigned variable's range. Per-worker dedup is local (free
-/// tuples cycled by different workers' odometers can coincide), so the
-/// per-worker sets are merged by union; without a governor the union is
-/// bit-identical to the sequential materialized set.
-fn stream_answers<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tables: &SharedTables,
+/// Whether the run's governor (if any) has stopped it.
+fn stopped(governor: Option<&Governor>) -> bool {
+    governor.is_some_and(Governor::stopped)
+}
+
+/// The outcome of a governed run: `stats` with the governor's checkpoint
+/// count folded in, and the governor's termination (`Complete` without
+/// one).
+fn governed_outcome<A>(
+    answers: A,
+    mut stats: ProductStats,
     governor: Option<&Governor>,
-    workers: usize,
-    tracer: &T,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    if workers <= 1 {
-        let mut out = BTreeSet::new();
-        let mut it =
-            AnswerIter::with_parts(db, query, tables, governor, None, tracer.fork_worker());
-        it.drain_into(&mut out);
-        return (out, *it.stats());
+) -> Outcome<A> {
+    stats.budget_checks = governor.map_or(0, Governor::checkpoints_run);
+    Outcome {
+        answers,
+        stats,
+        termination: governor.map_or(Termination::Complete, Governor::termination),
+        metrics: None,
     }
-    let ranges = chunk_ranges(db.num_nodes(), workers);
-    let mut out: BTreeSet<Vec<NodeId>> = BTreeSet::new();
-    let mut stats = ProductStats::default();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|r| {
-                let r = r.clone();
-                // fork before spawn: deterministic registration order
-                let worker_tracer = tracer.fork_worker();
-                s.spawn(move || {
-                    let mut it =
-                        AnswerIter::with_parts(db, query, tables, governor, Some(r), worker_tracer);
-                    let mut mine: BTreeSet<Vec<NodeId>> = BTreeSet::new();
-                    it.drain_into(&mut mine);
-                    (mine, *it.stats())
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(unwrap): propagate worker panics instead of losing them
-            let (mine, s) = h.join().expect("streaming worker panicked");
-            if out.is_empty() {
-                out = mine;
-            } else {
-                out.extend(mine);
-            }
-            stats.merge(&s);
-        }
-    });
-    (out, stats)
+}
+
+/// [`governed_outcome`] for Boolean evaluation: a `true` answer was
+/// verified on a concrete assignment, so it is complete whatever tripped.
+fn boolean_outcome(found: bool, stats: ProductStats, governor: Option<&Governor>) -> Outcome<bool> {
+    let mut outcome = governed_outcome(found, stats, governor);
+    if found {
+        outcome.termination = Termination::Complete;
+    }
+    outcome
 }
 
 // ---------------------------------------------------------------------------
-// Yannakakis strategy entry points
+// Product family: direct product search and the Yannakakis strategy
 // ---------------------------------------------------------------------------
+
+/// Boolean product evaluation. With `threads > 1` the domain of the first
+/// assigned node variable is searched by concurrent workers, and the
+/// first success cancels the rest; because the stop flag truncates
+/// sibling searches, the merged counters of a satisfiable run are a lower
+/// bound on the sequential run's.
+///
+/// Identical to the sequential [`crate::product::eval_product`] while the
+/// budget in `opts.budget` holds; when a limit is hit the search stops
+/// cooperatively and the [`Outcome::termination`] field reports which
+/// resource ran out. A `true` answer is always definitive (a concrete
+/// satisfying assignment was verified); a `false` answer under a
+/// non-[`Termination::Complete`] termination only means "not proven
+/// satisfiable within budget".
+pub fn eval_product_governed(
+    db: &GraphDb,
+    query: &PreparedQuery,
+    opts: &EvalOptions,
+) -> Outcome<bool> {
+    let governor = run_governor(&opts.budget);
+    let governor = governor.as_ref();
+    let tables = SharedTables::build_governed(db, query, opts.layout, governor);
+    let workers = product_workers(db, query, opts);
+    eval_over(db, query, &tables, opts.layout, workers, governor)
+}
 
 /// Boolean evaluation under the Yannakakis preparation: the two semijoin
 /// passes over `tree` make every domain globally consistent before the
 /// (sequential — Boolean search exits on first success anyway) product
-/// search runs over them.
-pub fn eval_yannakakis_with_stats(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tree: &JoinTree,
-) -> (bool, ProductStats) {
-    let tables =
-        SharedTables::build_traced_with(db, query, Layout::Flat, None, &NoopTracer, Some(tree));
-    let mut e = Evaluator::with_tables(db, query, &tables);
-    let found = e.boolean();
-    (found, e.stats)
-}
-
-/// Resource-governed [`eval_yannakakis_with_stats`]: preparation and
-/// search check in with one governor, and a budget tripped mid-pass keeps
-/// the domains sound (over-approximate), so `true` is always definitive.
+/// search runs over them. Preparation and search check in with one
+/// governor, and a budget tripped mid-pass keeps the domains sound
+/// (over-approximate), so `true` is always definitive.
 pub fn eval_yannakakis_governed(
     db: &GraphDb,
     query: &PreparedQuery,
     tree: &JoinTree,
     opts: &EvalOptions,
 ) -> Outcome<bool> {
-    let governor = Governor::new(&opts.budget);
-    let tables = SharedTables::build_traced_with(
-        db,
-        query,
-        Layout::Flat,
-        Some(&governor),
-        &NoopTracer,
-        Some(tree),
-    );
-    let mut e = Evaluator::with_tables(db, query, &tables);
-    e.set_governor(&governor);
-    let found = e.boolean();
-    e.flush_budget();
-    let mut stats = e.stats;
-    stats.budget_checks = governor.checkpoints_run();
-    let termination = if found {
-        Termination::Complete
-    } else {
-        governor.termination()
-    };
-    Outcome {
-        answers: found,
-        stats,
-        termination,
-        metrics: None,
+    let governor = run_governor(&opts.budget);
+    let governor = governor.as_ref();
+    let tables =
+        SharedTables::build_traced_with(db, query, Layout::Flat, governor, &NoopTracer, Some(tree));
+    eval_over(db, query, &tables, Layout::Flat, 1, governor)
+}
+
+/// The Boolean product search over built tables: one evaluator, or a
+/// chunk-stealing worker pool sharing a stop flag.
+fn eval_over(
+    db: &GraphDb,
+    query: &PreparedQuery,
+    tables: &SharedTables,
+    layout: Layout,
+    workers: usize,
+    governor: Option<&Governor>,
+) -> Outcome<bool> {
+    if workers <= 1 {
+        let mut e = Evaluator::with_tables(db, query, tables);
+        if let Some(g) = governor {
+            e.set_governor(g);
+        }
+        let found = e.boolean();
+        e.flush_budget();
+        return boolean_outcome(found, e.stats, governor);
     }
+    let ranges = product_chunk_ranges(db.num_nodes(), workers, layout);
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let parts = on_workers(workers, &NoopTracer, |_, _| {
+        let mut e = Evaluator::with_tables(db, query, tables);
+        e.set_stop(&stop);
+        if let Some(g) = governor {
+            e.set_governor(g);
+        }
+        let mut hit = false;
+        while !stop.load(Ordering::Relaxed) && !stopped(governor) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(r) = ranges.get(i) else { break };
+            e.set_first_var_range(r.clone());
+            if e.boolean() {
+                hit = true;
+                stop.store(true, Ordering::Relaxed);
+                break;
+            }
+        }
+        e.flush_budget();
+        (hit, e.stats)
+    });
+    let mut stats = ProductStats::default();
+    for (_, s) in &parts {
+        stats.merge(s);
+    }
+    boolean_outcome(parts.iter().any(|&(hit, _)| hit), stats, governor)
+}
+
+/// Answer enumeration for the product evaluator: workers enumerate
+/// disjoint slices of the first variable's domain and the per-worker
+/// sets are merged by union. Enumeration never stops early, so the merged
+/// `checks + cache_hits` and `assignments` equal the sequential totals.
+///
+/// The returned set is always a **subset** of the unbudgeted answer set
+/// (budget truncation can only lose answers, never invent them), and when
+/// [`Outcome::termination`] is [`Termination::Complete`] it is
+/// bit-identical to [`crate::product::answers_product`]. Per-phase
+/// counters go to `tracer`, with worker counter blocks forked
+/// (registered) in spawn order, *before* the workers start, so a
+/// collecting tracer's fold is deterministic at one thread and lossless
+/// at any thread count. The returned [`Outcome::metrics`] stays `None` —
+/// fold the collecting tracer you passed in (its `metrics()`) to read the
+/// phase split.
+pub fn answers_product_governed_traced<T: Tracer>(
+    db: &GraphDb,
+    query: &PreparedQuery,
+    opts: &EvalOptions,
+    tracer: &T,
+) -> Outcome<BTreeSet<Vec<NodeId>>> {
+    let governor = run_governor(&opts.budget);
+    let governor = governor.as_ref();
+    let tables = SharedTables::build_traced(db, query, opts.layout, governor, tracer);
+    let workers = product_workers(db, query, opts);
+    governed_answers_over(db, query, &tables, opts.layout, workers, governor, tracer)
 }
 
 /// Answer enumeration under the Yannakakis strategy: semijoin program
 /// over the join tree, then streaming enumeration over the globally
-/// consistent domains. Parallel runs use a static first-variable
-/// partition (one contiguous range per worker); the union of the
-/// per-worker streams is bit-identical to the sequential set.
-pub fn answers_yannakakis_with_stats(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tree: &JoinTree,
-    opts: &EvalOptions,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    answers_yannakakis_inner(db, query, tree, opts, None, &NoopTracer)
-}
-
-/// Resource-governed [`answers_yannakakis_with_stats`] with tracing. The
-/// returned set is a subset of the ungoverned answers, bit-identical when
-/// [`Outcome::termination`] is [`Termination::Complete`]; `max_answers`
-/// stops the streaming enumeration exactly at the cap.
+/// consistent domains, both under one governor. Parallel runs use a
+/// static first-variable partition (one contiguous range per worker).
+/// The returned set is a subset of the unbudgeted answers, bit-identical
+/// when [`Outcome::termination`] is [`Termination::Complete`];
+/// `max_answers` stops the streaming enumeration exactly at the cap.
 pub fn answers_yannakakis_governed_traced<T: Tracer>(
     db: &GraphDb,
     query: &PreparedQuery,
@@ -487,32 +419,82 @@ pub fn answers_yannakakis_governed_traced<T: Tracer>(
     opts: &EvalOptions,
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    let governor = Governor::new(&opts.budget);
-    let (answers, mut stats) =
-        answers_yannakakis_inner(db, query, tree, opts, Some(&governor), tracer);
-    stats.budget_checks = governor.checkpoints_run();
-    Outcome {
-        answers,
-        stats,
-        termination: governor.termination(),
-        metrics: None,
-    }
-}
-
-/// Shared Yannakakis enumeration body: build the tables with the
-/// tree-driven semijoin program, then stream.
-fn answers_yannakakis_inner<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tree: &JoinTree,
-    opts: &EvalOptions,
-    governor: Option<&Governor>,
-    tracer: &T,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
+    let governor = run_governor(&opts.budget);
+    let governor = governor.as_ref();
     let tables =
         SharedTables::build_traced_with(db, query, Layout::Flat, governor, tracer, Some(tree));
     let workers = product_workers(db, query, opts);
     stream_answers(db, query, &tables, governor, workers, tracer)
+}
+
+/// The parallel region of the governed product enumeration over tables
+/// that already exist. The governor is *borrowed*, never stored: callers
+/// construct a fresh one per execution (its deadline `Instant` and stop
+/// flag are single-run state), which is what lets prepared-plan caches
+/// reuse the tables underneath without inheriting a tripped budget.
+fn governed_answers_over<T: Tracer>(
+    db: &GraphDb,
+    query: &PreparedQuery,
+    tables: &SharedTables,
+    layout: Layout,
+    workers: usize,
+    governor: Option<&Governor>,
+    tracer: &T,
+) -> Outcome<BTreeSet<Vec<NodeId>>> {
+    if workers <= 1 {
+        // single full-range streaming iterator: same visit order, memo
+        // and claim discipline as the chunked evaluators, but a tripped
+        // answer cap stops the search at the cap instead of after it
+        return stream_answers(db, query, tables, governor, 1, tracer);
+    }
+    let ranges = product_chunk_ranges(db.num_nodes(), workers, layout);
+    let next = AtomicUsize::new(0);
+    let (answers, stats) = merge_workers(on_workers(workers, tracer, |_, worker_tracer| {
+        let mut e = Evaluator::with_tables_traced(db, query, tables, worker_tracer);
+        if let Some(g) = governor {
+            e.set_governor(g);
+        }
+        let mut mine = BTreeSet::new();
+        while !stopped(governor) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(r) = ranges.get(i) else { break };
+            e.set_first_var_range(r.clone());
+            e.answers_into(&mut mine);
+        }
+        e.flush_budget();
+        (mine, e.stats)
+    }));
+    governed_outcome(answers, stats, governor)
+}
+
+/// Drains streaming [`AnswerIter`]s over pre-built tables under
+/// `governor`: one full-range iterator sequentially, or one per worker
+/// over a *static* partition of the first assigned variable's range.
+/// Per-worker dedup is local (free tuples cycled by different workers'
+/// odometers can coincide), so the per-worker sets are merged by union.
+fn stream_answers<T: Tracer>(
+    db: &GraphDb,
+    query: &PreparedQuery,
+    tables: &SharedTables,
+    governor: Option<&Governor>,
+    workers: usize,
+    tracer: &T,
+) -> Outcome<BTreeSet<Vec<NodeId>>> {
+    let drain = |range: Option<Range<NodeId>>, worker_tracer: T| {
+        let mut it = AnswerIter::with_parts(db, query, tables, governor, range, worker_tracer);
+        let mut mine = BTreeSet::new();
+        it.drain_into(&mut mine);
+        (mine, *it.stats())
+    };
+    let (answers, stats) = if workers <= 1 {
+        drain(None, tracer.fork_worker())
+    } else {
+        let ranges = chunk_ranges(db.num_nodes(), workers);
+        merge_workers(on_workers(ranges.len(), tracer, |i, worker_tracer| {
+            drain(Some(ranges[i].clone()), worker_tracer)
+        }))
+    };
+    governed_outcome(answers, stats, governor)
 }
 
 // ---------------------------------------------------------------------------
@@ -537,6 +519,9 @@ fn answers_yannakakis_inner<T: Tracer>(
 /// construct a fresh `Governor` on every call.
 pub struct PreparedTables {
     tables: SharedTables,
+    /// The layout the tables were built for: the dense tables and domain
+    /// bitmaps are layout-specific, so prepared executions use it whatever
+    /// [`EvalOptions::layout`] says.
     layout: Layout,
 }
 
@@ -569,45 +554,6 @@ impl PreparedTables {
             layout: Layout::Flat,
         }
     }
-
-    /// The layout these tables were built for. Prepared executions use
-    /// it regardless of what [`EvalOptions::layout`] says — the dense
-    /// tables and domain bitmaps are layout-specific.
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
-}
-
-/// Answer enumeration over pre-built tables: exactly the parallel region
-/// of [`answers_product_with_stats`], returning the identical answer set
-/// (the tables fix the layout; `opts.layout` is ignored). `opts.budget`
-/// is ignored except for `max_answers`, which routes through the
-/// streaming enumerator as in the one-shot path.
-pub fn answers_product_prepared(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tables: &PreparedTables,
-    opts: &EvalOptions,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    answers_product_prepared_traced(db, query, tables, opts, &NoopTracer)
-}
-
-/// As [`answers_product_prepared`], reporting per-phase counters to
-/// `tracer` (worker blocks forked in spawn order).
-pub fn answers_product_prepared_traced<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tables: &PreparedTables,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    let workers = product_workers(db, query, opts);
-    if let Some(cap) = opts.budget.max_answers {
-        let budget = ResourceBudget::unlimited().with_max_answers(cap);
-        let governor = Governor::new(&budget);
-        return stream_answers(db, query, &tables.tables, Some(&governor), workers, tracer);
-    }
-    materialized_answers_over(db, query, &tables.tables, tables.layout, workers, tracer)
 }
 
 /// Resource-governed answer enumeration over pre-built tables, for the
@@ -615,9 +561,9 @@ pub fn answers_product_prepared_traced<T: Tracer>(
 /// every call — deadlines are measured from this call's entry, and no
 /// stop flag or termination survives into the next execution, so a cached
 /// plan whose previous run tripped its budget starts the next run clean.
-/// Unlike [`answers_product_governed`], the table build is not governed
-/// (it already happened, ungoverned, in [`PreparedTables::build`]); the
-/// budget covers the search region only.
+/// Unlike [`answers_product_governed_traced`], the table build is not
+/// governed (it already happened, ungoverned, in
+/// [`PreparedTables::build`]); the budget covers the search region only.
 pub fn answers_product_governed_prepared_traced<T: Tracer>(
     db: &GraphDb,
     query: &PreparedQuery,
@@ -625,7 +571,8 @@ pub fn answers_product_governed_prepared_traced<T: Tracer>(
     opts: &EvalOptions,
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    let governor = Governor::new(&opts.budget);
+    let governor = run_governor(&opts.budget);
+    let governor = governor.as_ref();
     let workers = product_workers(db, query, opts);
     governed_answers_over(
         db,
@@ -633,7 +580,7 @@ pub fn answers_product_governed_prepared_traced<T: Tracer>(
         &tables.tables,
         tables.layout,
         workers,
-        &governor,
+        governor,
         tracer,
     )
 }
@@ -651,543 +598,143 @@ pub fn answers_yannakakis_governed_prepared_traced<T: Tracer>(
     opts: &EvalOptions,
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    let governor = Governor::new(&opts.budget);
+    let governor = run_governor(&opts.budget);
+    let governor = governor.as_ref();
     let workers = product_workers(db, query, opts);
-    let (answers, mut stats) =
-        stream_answers(db, query, &tables.tables, Some(&governor), workers, tracer);
-    stats.budget_checks = governor.checkpoints_run();
-    Outcome {
-        answers,
-        stats,
-        termination: governor.termination(),
-        metrics: None,
-    }
-}
-
-/// How many workers a CQ backtracking run should use: bounded by the first
-/// atom's relation size (the stride partition is over its tuples).
-fn cq_workers(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> usize {
-    let t = opts.effective_threads();
-    if t <= 1 || q.atoms.is_empty() {
-        return 1;
-    }
-    let max_rel = q
-        .atoms
-        .iter()
-        .map(|a| db.relation(&a.relation).map_or(0, |r| r.tuples.len()))
-        .max()
-        .unwrap_or(0);
-    t.min(max_rel.max(1))
-}
-
-/// Parallel Boolean CQ evaluation by stride-partitioned backtracking.
-pub fn eval_cq(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> bool {
-    let workers = cq_workers(db, q, opts);
-    if workers <= 1 {
-        return cq_eval::eval_cq(db, q);
-    }
-    let stop = AtomicBool::new(false);
-    let mut found = false;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|p| {
-                let stop = &stop;
-                s.spawn(move || {
-                    if stop.load(Ordering::Relaxed) {
-                        return false;
-                    }
-                    let hit = cq_eval::eval_cq_part(db, q, Some((workers, p)), None, &NoopTracer);
-                    if hit {
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                    hit
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(unwrap): propagate worker panics instead of losing them
-            found |= h.join().expect("cq worker panicked");
-        }
-    });
-    found
-}
-
-/// Parallel CQ answer enumeration: workers cover disjoint stride classes
-/// of the first join atom's tuples; the merged set is identical to
-/// [`crate::cq_eval::answers_cq`].
-pub fn answers_cq(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> BTreeSet<Vec<u32>> {
-    answers_cq_traced(db, q, opts, &NoopTracer)
-}
-
-/// As [`answers_cq`], reporting join/odometer counters to `tracer`
-/// (worker blocks forked in spawn order).
-pub fn answers_cq_traced<T: Tracer>(
-    db: &RelationalDb,
-    q: &Cq,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> BTreeSet<Vec<u32>> {
-    let workers = cq_workers(db, q, opts);
-    if workers <= 1 {
-        let mut out = BTreeSet::new();
-        cq_eval::answers_cq_part(db, q, None, None, &tracer.fork_worker(), &mut out);
-        return out;
-    }
-    let mut out: BTreeSet<Vec<u32>> = BTreeSet::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|p| {
-                // fork before spawn: deterministic registration order
-                let worker_tracer = tracer.fork_worker();
-                s.spawn(move || {
-                    let mut mine = BTreeSet::new();
-                    cq_eval::answers_cq_part(
-                        db,
-                        q,
-                        Some((workers, p)),
-                        None,
-                        &worker_tracer,
-                        &mut mine,
-                    );
-                    mine
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(unwrap): propagate worker panics instead of losing them
-            let mine = h.join().expect("cq worker panicked");
-            if out.is_empty() {
-                out = mine;
-            } else {
-                out.extend(mine);
-            }
-        }
-    });
-    out
-}
-
-/// Parallel Boolean tree-decomposition evaluation: bag population fans out
-/// across workers; the semijoin passes stay sequential (they are linear in
-/// the already-reduced bag sizes).
-pub fn eval_cq_treedec(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> bool {
-    cq_eval::eval_cq_treedec_threads(db, q, opts.effective_threads(), None, &NoopTracer)
-}
-
-/// Parallel tree-decomposition answer enumeration: parallel bag
-/// population, sequential semijoins, then stride-parallel enumeration of
-/// the reduced acyclic join. Identical output to
-/// [`crate::cq_eval::answers_cq_treedec`].
-pub fn answers_cq_treedec(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> BTreeSet<Vec<u32>> {
-    answers_cq_treedec_traced(db, q, opts, &NoopTracer)
-}
-
-/// As [`answers_cq_treedec`], reporting bag-population work under
-/// [`crate::trace::Phase::TreedecBags`] and the final enumeration under
-/// [`crate::trace::Phase::CqJoin`] / [`crate::trace::Phase::Odometer`].
-pub fn answers_cq_treedec_traced<T: Tracer>(
-    db: &RelationalDb,
-    q: &Cq,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> BTreeSet<Vec<u32>> {
-    let threads = opts.effective_threads();
-    match cq_eval::treedec_join_instance(db, q, threads, None, tracer) {
-        Some((jdb, jq)) => answers_cq_traced(&jdb, &jq, opts, tracer),
-        None => BTreeSet::new(),
-    }
+    stream_answers(db, query, &tables.tables, governor, workers, tracer)
 }
 
 // ---------------------------------------------------------------------------
-// Resource-governed entry points
+// CQ family: backtracking join and tree-decomposition evaluation
 // ---------------------------------------------------------------------------
 
 /// Stats for the CQ family under governance: the governor's work counter is
 /// the only cross-worker aggregate the CQ evaluators maintain, so it is
 /// surfaced through `configurations`.
-fn governed_cq_stats(governor: &Governor) -> ProductStats {
-    ProductStats {
-        configurations: governor.work_charged(),
-        budget_checks: governor.checkpoints_run(),
-        budget_aborts: u64::from(governor.stopped()),
+fn governed_cq_stats(governor: Option<&Governor>) -> ProductStats {
+    governor.map_or_else(ProductStats::default, |g| ProductStats {
+        configurations: g.work_charged(),
+        budget_checks: g.checkpoints_run(),
+        budget_aborts: u64::from(g.stopped()),
         ..ProductStats::default()
-    }
+    })
 }
 
-/// Resource-governed Boolean product evaluation.
-///
-/// Identical to [`eval_product_with_stats`] while the budget in
-/// `opts.budget` holds; when a limit is hit the search stops cooperatively
-/// and the [`Outcome::termination`] field reports which resource ran out.
-/// A `true` answer is always definitive (a concrete satisfying assignment
-/// was verified); a `false` answer under a non-[`Termination::Complete`]
-/// termination only means "not proven satisfiable within budget".
-pub fn eval_product_governed(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    opts: &EvalOptions,
-) -> Outcome<bool> {
-    let governor = Governor::new(&opts.budget);
-    let tables = SharedTables::build_governed(db, query, opts.layout, Some(&governor));
-    let workers = product_workers(db, query, opts);
-    let mut found = false;
-    let mut stats = ProductStats::default();
-    if workers <= 1 {
-        let mut e = Evaluator::with_tables(db, query, &tables);
-        e.set_governor(&governor);
-        found = e.boolean();
-        e.flush_budget();
-        stats = e.stats;
-    } else {
-        let ranges = product_chunk_ranges(db.num_nodes(), workers, opts.layout);
-        let next = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (next, stop, tables, ranges, governor) =
-                        (&next, &stop, &tables, &ranges, &governor);
-                    s.spawn(move || {
-                        let mut e = Evaluator::with_tables(db, query, tables);
-                        e.set_stop(stop);
-                        e.set_governor(governor);
-                        let mut hit = false;
-                        while !stop.load(Ordering::Relaxed) && !governor.stopped() {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(r) = ranges.get(i) else { break };
-                            e.set_first_var_range(r.clone());
-                            if e.boolean() {
-                                hit = true;
-                                stop.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        e.flush_budget();
-                        (hit, e.stats)
-                    })
-                })
-                .collect();
-            for h in handles {
-                // lint:allow(unwrap): propagate worker panics instead of losing them
-                let (hit, s) = h.join().expect("product worker panicked");
-                found |= hit;
-                stats.merge(&s);
-            }
-        });
-    }
-    stats.budget_checks = governor.checkpoints_run();
-    let termination = if found {
-        Termination::Complete
-    } else {
-        governor.termination()
-    };
-    Outcome {
-        answers: found,
-        stats,
-        termination,
-        metrics: None,
-    }
-}
-
-/// Resource-governed answer enumeration for the product evaluator.
-///
-/// The returned set is always a **subset** of the ungoverned answer set
-/// (budget truncation can only lose answers, never invent them), and when
-/// [`Outcome::termination`] is [`Termination::Complete`] it is
-/// bit-identical to [`answers_product`].
-pub fn answers_product_governed(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    opts: &EvalOptions,
-) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    answers_product_governed_traced(db, query, opts, &NoopTracer)
-}
-
-/// As [`answers_product_governed`], reporting per-phase counters to
-/// `tracer` (worker blocks forked in spawn order, as in
-/// [`answers_product_with_stats_traced`]). The returned
-/// [`Outcome::metrics`] stays `None` — fold the collecting tracer you
-/// passed in (its `metrics()`) to read the phase split.
-pub fn answers_product_governed_traced<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    let governor = Governor::new(&opts.budget);
-    let tables = SharedTables::build_traced(db, query, opts.layout, Some(&governor), tracer);
-    let workers = product_workers(db, query, opts);
-    governed_answers_over(db, query, &tables, opts.layout, workers, &governor, tracer)
-}
-
-/// The parallel region of the governed product enumeration over tables
-/// that already exist. The governor is *borrowed*, never stored: callers
-/// construct a fresh one per execution (its deadline `Instant` and stop
-/// flag are single-run state), which is what lets prepared-plan caches
-/// reuse the tables underneath without inheriting a tripped budget.
-fn governed_answers_over<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tables: &SharedTables,
-    layout: Layout,
-    workers: usize,
-    governor: &Governor,
-    tracer: &T,
-) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    let mut out: BTreeSet<Vec<NodeId>> = BTreeSet::new();
-    let mut stats = ProductStats::default();
-    if workers <= 1 {
-        // single full-range streaming iterator: same visit order, memo
-        // and claim discipline as the materialized path, but a tripped
-        // answer cap stops the search at the cap instead of after it
-        let mut it = AnswerIter::with_parts(
-            db,
-            query,
-            tables,
-            Some(governor),
-            None,
-            tracer.fork_worker(),
-        );
-        it.drain_into(&mut out);
-        stats = *it.stats();
-    } else {
-        let ranges = product_chunk_ranges(db.num_nodes(), workers, layout);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (next, ranges) = (&next, &ranges);
-                    // fork before spawn: deterministic registration order
-                    let worker_tracer = tracer.fork_worker();
-                    s.spawn(move || {
-                        let mut e = Evaluator::with_tables_traced(db, query, tables, worker_tracer);
-                        e.set_governor(governor);
-                        let mut mine: BTreeSet<Vec<NodeId>> = BTreeSet::new();
-                        while !governor.stopped() {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(r) = ranges.get(i) else { break };
-                            e.set_first_var_range(r.clone());
-                            e.answers_into(&mut mine);
-                        }
-                        e.flush_budget();
-                        (mine, e.stats)
-                    })
-                })
-                .collect();
-            for h in handles {
-                // lint:allow(unwrap): propagate worker panics instead of losing them
-                let (mine, s) = h.join().expect("product worker panicked");
-                if out.is_empty() {
-                    out = mine;
-                } else {
-                    out.extend(mine);
-                }
-                stats.merge(&s);
-            }
-        });
-    }
-    stats.budget_checks = governor.checkpoints_run();
-    let termination = governor.termination();
-    Outcome {
-        answers: out,
-        stats,
-        termination,
-        metrics: None,
-    }
-}
-
-/// Resource-governed Boolean CQ evaluation. `true` is definitive; `false`
-/// with a non-complete termination means "not proven within budget".
+/// Boolean CQ evaluation by stride-partitioned backtracking. `true` is
+/// definitive; `false` with a non-complete termination means "not proven
+/// within budget".
 pub fn eval_cq_governed(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> Outcome<bool> {
-    let governor = Governor::new(&opts.budget);
+    let governor = run_governor(&opts.budget);
+    let governor = governor.as_ref();
     let workers = cq_workers(db, q, opts);
-    let mut found = false;
-    if workers <= 1 {
-        found = cq_eval::eval_cq_part(db, q, None, Some(&governor), &NoopTracer);
+    let found = if workers <= 1 {
+        cq_eval::eval_cq_part(db, q, None, governor, &NoopTracer)
     } else {
         let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|p| {
-                    let (stop, governor) = (&stop, &governor);
-                    s.spawn(move || {
-                        if stop.load(Ordering::Relaxed) || governor.stopped() {
-                            return false;
-                        }
-                        let hit = cq_eval::eval_cq_part(
-                            db,
-                            q,
-                            Some((workers, p)),
-                            Some(governor),
-                            &NoopTracer,
-                        );
-                        if hit {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                        hit
-                    })
-                })
-                .collect();
-            for h in handles {
-                // lint:allow(unwrap): propagate worker panics instead of losing them
-                found |= h.join().expect("cq worker panicked");
+        let hits = on_workers(workers, &NoopTracer, |p, _| {
+            if stop.load(Ordering::Relaxed) || stopped(governor) {
+                return false;
             }
+            let part = Some((workers, p));
+            let hit = cq_eval::eval_cq_part(db, q, part, governor, &NoopTracer);
+            if hit {
+                stop.store(true, Ordering::Relaxed);
+            }
+            hit
         });
-    }
-    let termination = if found {
-        Termination::Complete
-    } else {
-        governor.termination()
+        hits.contains(&true)
     };
-    Outcome {
-        answers: found,
-        stats: governed_cq_stats(&governor),
-        termination,
-        metrics: None,
-    }
+    boolean_outcome(found, governed_cq_stats(governor), governor)
 }
 
-/// Resource-governed Boolean tree-decomposition evaluation. The
-/// Yannakakis reduction only certifies satisfiability when it ran to
-/// completion, so a run cut short by the budget never returns `true` —
-/// `false` under a non-complete termination means "not proven".
+/// Boolean tree-decomposition evaluation: bag population fans out across
+/// workers; the semijoin passes stay sequential (they are linear in the
+/// already-reduced bag sizes). The Yannakakis reduction only certifies
+/// satisfiability when it ran to completion, so a run cut short by the
+/// budget never returns `true` — `false` under a non-complete termination
+/// means "not proven".
 pub fn eval_cq_treedec_governed(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> Outcome<bool> {
-    let governor = Governor::new(&opts.budget);
-    let sat = cq_eval::eval_cq_treedec_threads(
-        db,
-        q,
-        opts.effective_threads(),
-        Some(&governor),
-        &NoopTracer,
-    );
-    let termination = if sat {
-        Termination::Complete
-    } else {
-        governor.termination()
-    };
-    Outcome {
-        answers: sat,
-        stats: governed_cq_stats(&governor),
-        termination,
-        metrics: None,
-    }
+    let governor = run_governor(&opts.budget);
+    let governor = governor.as_ref();
+    let threads = opts.effective_threads();
+    let sat = cq_eval::eval_cq_treedec_threads(db, q, threads, governor, &NoopTracer);
+    boolean_outcome(sat, governed_cq_stats(governor), governor)
 }
 
-/// Resource-governed CQ answer enumeration. Same subset/complete
-/// guarantees as [`answers_product_governed`], relative to [`answers_cq`].
-pub fn answers_cq_governed(
-    db: &RelationalDb,
-    q: &Cq,
-    opts: &EvalOptions,
-) -> Outcome<BTreeSet<Vec<u32>>> {
-    answers_cq_governed_traced(db, q, opts, &NoopTracer)
-}
-
-/// As [`answers_cq_governed`], reporting per-phase counters to `tracer`.
+/// CQ answer enumeration: workers cover disjoint stride classes of the
+/// first join atom's tuples; when the run completes the merged set is
+/// identical to [`crate::cq_eval::answers_cq`], and a truncated run
+/// returns a subset. Per-phase counters go to `tracer`.
 pub fn answers_cq_governed_traced<T: Tracer>(
     db: &RelationalDb,
     q: &Cq,
     opts: &EvalOptions,
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<u32>>> {
-    let governor = Governor::new(&opts.budget);
-    let answers = answers_cq_governed_inner(db, q, opts, &governor, tracer);
-    Outcome {
-        answers,
-        stats: governed_cq_stats(&governor),
-        termination: governor.termination(),
-        metrics: None,
-    }
+    let governor = run_governor(&opts.budget);
+    let governor = governor.as_ref();
+    let answers = cq_answers_over(db, q, opts, governor, tracer);
+    governed_outcome(answers, governed_cq_stats(governor), governor)
 }
 
-/// Shared governed CQ enumeration body (also the tail of the governed
-/// tree-decomposition pipeline, which reuses one governor across both
-/// phases so the deadline spans the whole run).
-fn answers_cq_governed_inner<T: Tracer>(
-    db: &RelationalDb,
-    q: &Cq,
-    opts: &EvalOptions,
-    governor: &Governor,
-    tracer: &T,
-) -> BTreeSet<Vec<u32>> {
-    let workers = cq_workers(db, q, opts);
-    if workers <= 1 {
-        let mut out = BTreeSet::new();
-        cq_eval::answers_cq_part(db, q, None, Some(governor), &tracer.fork_worker(), &mut out);
-        return out;
-    }
-    let mut out: BTreeSet<Vec<u32>> = BTreeSet::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|p| {
-                // fork before spawn: deterministic registration order
-                let worker_tracer = tracer.fork_worker();
-                s.spawn(move || {
-                    let mut mine = BTreeSet::new();
-                    if !governor.stopped() {
-                        cq_eval::answers_cq_part(
-                            db,
-                            q,
-                            Some((workers, p)),
-                            Some(governor),
-                            &worker_tracer,
-                            &mut mine,
-                        );
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(unwrap): propagate worker panics instead of losing them
-            let mine = h.join().expect("cq worker panicked");
-            if out.is_empty() {
-                out = mine;
-            } else {
-                out.extend(mine);
-            }
-        }
-    });
-    out
-}
-
-/// Resource-governed tree-decomposition answer enumeration: one governor
-/// spans bag population, the semijoin reduction, and the final acyclic
-/// join, so a deadline covers the whole pipeline. A run cut short during
+/// Tree-decomposition answer enumeration: parallel bag population,
+/// sequential semijoins, then stride-parallel enumeration of the reduced
+/// acyclic join — identical output to
+/// [`crate::cq_eval::answers_cq_treedec`] when the run completes. One
+/// governor spans bag population, the semijoin reduction and the final
+/// join, so a deadline covers the whole pipeline; a run cut short during
 /// reduction enumerates over under-filled bags, which can only shrink the
-/// answer set — the subset guarantee is preserved.
-pub fn answers_cq_treedec_governed(
-    db: &RelationalDb,
-    q: &Cq,
-    opts: &EvalOptions,
-) -> Outcome<BTreeSet<Vec<u32>>> {
-    answers_cq_treedec_governed_traced(db, q, opts, &NoopTracer)
-}
-
-/// As [`answers_cq_treedec_governed`], reporting per-phase counters to
-/// `tracer`.
+/// answer set. Bag population is reported under
+/// [`crate::trace::Phase::TreedecBags`], the final enumeration under
+/// [`crate::trace::Phase::CqJoin`] / [`crate::trace::Phase::Odometer`].
 pub fn answers_cq_treedec_governed_traced<T: Tracer>(
     db: &RelationalDb,
     q: &Cq,
     opts: &EvalOptions,
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<u32>>> {
-    let governor = Governor::new(&opts.budget);
+    let governor = run_governor(&opts.budget);
+    let governor = governor.as_ref();
     let threads = opts.effective_threads();
-    let answers = match cq_eval::treedec_join_instance(db, q, threads, Some(&governor), tracer) {
-        Some((jdb, jq)) => answers_cq_governed_inner(&jdb, &jq, opts, &governor, tracer),
+    let answers = match cq_eval::treedec_join_instance(db, q, threads, governor, tracer) {
+        Some((jdb, jq)) => cq_answers_over(&jdb, &jq, opts, governor, tracer),
         None => BTreeSet::new(),
     };
-    Outcome {
-        answers,
-        stats: governed_cq_stats(&governor),
-        termination: governor.termination(),
-        metrics: None,
+    governed_outcome(answers, governed_cq_stats(governor), governor)
+}
+
+/// The governed CQ enumeration body (also the tail of the
+/// tree-decomposition pipeline, which reuses one governor across both
+/// phases so the deadline spans the whole run).
+fn cq_answers_over<T: Tracer>(
+    db: &RelationalDb,
+    q: &Cq,
+    opts: &EvalOptions,
+    governor: Option<&Governor>,
+    tracer: &T,
+) -> BTreeSet<Vec<u32>> {
+    let workers = cq_workers(db, q, opts);
+    let run = |part: Option<(usize, usize)>, worker_tracer: T| {
+        let mut mine = BTreeSet::new();
+        if !stopped(governor) {
+            cq_eval::answers_cq_part(db, q, part, governor, &worker_tracer, &mut mine);
+        }
+        (mine, ProductStats::default())
+    };
+    if workers <= 1 {
+        return run(None, tracer.fork_worker()).0;
     }
+    merge_workers(on_workers(workers, tracer, |p, worker_tracer| {
+        run(Some((workers, p)), worker_tracer)
+    }))
+    .0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cq_eval;
+    use crate::trace::NoopTracer;
     use ecrpq_automata::relations;
     use ecrpq_query::Ecrpq;
     use std::sync::Arc;
@@ -1221,6 +768,12 @@ mod tests {
         );
         q.set_free(&[x, y]);
         q
+    }
+
+    /// The answers of a run that must have completed.
+    fn complete<A>(o: Outcome<A>) -> A {
+        assert_eq!(o.termination, Termination::Complete);
+        o.answers
     }
 
     #[test]
@@ -1267,98 +820,15 @@ mod tests {
     }
 
     #[test]
-    fn bitparallel_engine_matches_flat() {
-        let db = chain_with_branches();
-        let q = eq_len_query(&db);
-        let p = PreparedQuery::build(&q).unwrap();
-        let seq = crate::product::answers_product(&db, &p);
-        let seq_bool = crate::product::eval_product(&db, &p);
-        for threads in [1usize, 2, 4, 8] {
-            let opts = EvalOptions::with_threads(threads).with_layout(Layout::BitParallel);
-            assert_eq!(answers_product(&db, &p, &opts), seq, "threads={threads}");
-            assert_eq!(eval_product(&db, &p, &opts), seq_bool, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_product_matches_sequential() {
-        let db = chain_with_branches();
-        let q = eq_len_query(&db);
-        let p = PreparedQuery::build(&q).unwrap();
-        let seq = crate::product::answers_product(&db, &p);
-        for threads in [1usize, 2, 3, 4, 7] {
-            let par = answers_product(&db, &p, &EvalOptions::with_threads(threads));
-            assert_eq!(par, seq, "threads={threads}");
-        }
-        let seq_bool = crate::product::eval_product(&db, &p);
-        for threads in [2usize, 4] {
-            assert_eq!(
-                eval_product(&db, &p, &EvalOptions::with_threads(threads)),
-                seq_bool
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_stats_cover_sequential_work() {
-        let db = chain_with_branches();
-        let q = eq_len_query(&db);
-        let p = PreparedQuery::build(&q).unwrap();
-        let (seq_ans, seq_stats) = {
-            let (a, s) = answers_product_with_stats(&db, &p, &EvalOptions::sequential());
-            (a, s)
-        };
-        for threads in [2usize, 4] {
-            let (ans, stats) =
-                answers_product_with_stats(&db, &p, &EvalOptions::with_threads(threads));
-            assert_eq!(ans, seq_ans);
-            // every feasibility question is asked exactly as often in
-            // total; only the hit/miss split moves between workers
-            assert_eq!(
-                stats.checks + stats.cache_hits,
-                seq_stats.checks + seq_stats.cache_hits,
-                "threads={threads}"
-            );
-            assert_eq!(stats.assignments, seq_stats.assignments);
-        }
-    }
-
-    #[test]
-    fn parallel_cq_matches_sequential() {
-        let mut db = RelationalDb::new(6);
-        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 5), (5, 4)] {
-            db.insert("E", &[a, b]);
-        }
-        let mut q = Cq::new(3);
-        q.atom("E", &[0, 1]);
-        q.atom("E", &[1, 2]);
-        q.free = vec![0, 2];
-        let seq = cq_eval::answers_cq(&db, &q);
-        assert!(!seq.is_empty());
-        for threads in [2usize, 3, 4, 16] {
-            let opts = EvalOptions::with_threads(threads);
-            assert_eq!(answers_cq(&db, &q, &opts), seq, "threads={threads}");
-            assert_eq!(eval_cq(&db, &q, &opts), cq_eval::eval_cq(&db, &q));
-        }
-        let treedec_seq = cq_eval::answers_cq_treedec(&db, &q);
-        for threads in [2usize, 4] {
-            let opts = EvalOptions::with_threads(threads);
-            assert_eq!(answers_cq_treedec(&db, &q, &opts), treedec_seq);
-            assert_eq!(
-                eval_cq_treedec(&db, &q, &opts),
-                cq_eval::eval_cq_treedec(&db, &q)
-            );
-        }
-    }
-
-    #[test]
     fn zero_atom_cq_not_duplicated() {
         let db = RelationalDb::new(3);
         let mut q = Cq::new(1);
         q.free = vec![0];
         let seq = cq_eval::answers_cq(&db, &q);
         assert_eq!(seq.len(), 3);
-        assert_eq!(answers_cq(&db, &q, &EvalOptions::with_threads(4)), seq);
+        let opts = EvalOptions::with_threads(4);
+        let par = complete(answers_cq_governed_traced(&db, &q, &opts, &NoopTracer));
+        assert_eq!(par, seq);
     }
 
     #[test]
@@ -1367,15 +837,21 @@ mod tests {
         let q = eq_len_query(&db);
         let p = PreparedQuery::build(&q).unwrap();
         for layout in [Layout::Flat, Layout::BitParallel] {
-            let one_shot = answers_product(&db, &p, &EvalOptions::sequential().with_layout(layout));
+            let opts = EvalOptions::sequential().with_layout(layout);
+            let one_shot = complete(answers_product_governed_traced(&db, &p, &opts, &NoopTracer));
             let tables = PreparedTables::build(&db, &p, layout);
-            assert_eq!(tables.layout(), layout);
             for threads in [1usize, 2, 4] {
                 let opts = EvalOptions::with_threads(threads).with_layout(layout);
                 // repeated executions over the same tables stay identical
                 for _ in 0..2 {
-                    let (ans, _) = answers_product_prepared(&db, &p, &tables, &opts);
-                    assert_eq!(ans, one_shot, "layout={layout:?} threads={threads}");
+                    let o = answers_product_governed_prepared_traced(
+                        &db,
+                        &p,
+                        &tables,
+                        &opts,
+                        &NoopTracer,
+                    );
+                    assert_eq!(complete(o), one_shot, "layout={layout:?} threads={threads}");
                 }
             }
         }
@@ -1387,7 +863,8 @@ mod tests {
         let q = eq_len_query(&db);
         let p = PreparedQuery::build(&q).unwrap();
         let tables = PreparedTables::build(&db, &p, Layout::Flat);
-        let full = answers_product(&db, &p, &EvalOptions::sequential());
+        let opts = EvalOptions::sequential();
+        let full = complete(answers_product_governed_traced(&db, &p, &opts, &NoopTracer));
         // run 1: an already-expired deadline (constructed per call, so it
         // trips immediately)
         let tight = EvalOptions::sequential()
@@ -1395,16 +872,9 @@ mod tests {
         let first = answers_product_governed_prepared_traced(&db, &p, &tables, &tight, &NoopTracer);
         assert_ne!(first.termination, Termination::Complete);
         // run 2 on the very same tables: a fresh governor, so the run
-        // completes and matches the ungoverned set bit-for-bit
-        let second = answers_product_governed_prepared_traced(
-            &db,
-            &p,
-            &tables,
-            &EvalOptions::sequential(),
-            &NoopTracer,
-        );
-        assert_eq!(second.termination, Termination::Complete);
-        assert_eq!(second.answers, full);
+        // completes and matches the unbudgeted set bit-for-bit
+        let second = answers_product_governed_prepared_traced(&db, &p, &tables, &opts, &NoopTracer);
+        assert_eq!(complete(second), full);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub(crate) const CHECK_INTERVAL: u64 = 4096;
 pub(crate) const DEADLINE_CHECK_INTERVAL: u64 = 256;
 
 /// Resource limits for one evaluation run. The default is unlimited on
-/// every axis — ungoverned entry points behave exactly as before.
+/// every axis, and an unlimited budget never stops a run.
 ///
 /// All limits are cooperative and amortized (checked every
 /// `CHECK_INTERVAL` work units), so each is honoured to within one

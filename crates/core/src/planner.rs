@@ -11,22 +11,20 @@
 //! search when materialization would be larger than the configuration
 //! space the search visits.
 
-use crate::cq_eval::{answers_cq_treedec, eval_cq_treedec};
-use crate::engine::{self, EvalOptions};
+use crate::engine::{self, EvalOptions, PreparedTables};
 use crate::governor::{Outcome, ResourceBudget, Termination};
 use crate::prepare::PreparedQuery;
-use crate::product::{
-    answers_product_with_stats_layout, eval_product_with_stats, Layout, ProductStats,
-};
+use crate::product::ProductStats;
 use crate::to_cq::ecrpq_to_cq;
 use crate::trace::{
     render_phase_table, CollectingTracer, Metrics, NoopTracer, Phase, PhaseSpan, Tracer,
 };
 use ecrpq_analyze::{analyze, minimize, render_diagnostic, Analysis, Code, JoinTree, Minimized};
 use ecrpq_graph::{GraphDb, NodeId};
-use ecrpq_query::{Ecrpq, QueryMeasures};
+use ecrpq_query::{Cq, Ecrpq, QueryMeasures, RelationalDb};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Boundedness description of a class of 2L graphs (`None` = unbounded).
@@ -163,10 +161,15 @@ pub enum Strategy {
     DirectProduct,
 }
 
-/// A query evaluation plan.
+/// A query evaluation plan: the product of the one compile step that
+/// [`plan`], every `evaluate*`/`answers*` entry point and the query
+/// service's plan cache build on, so the plan a caller inspects is the
+/// plan that executes.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    /// The query's structural measures.
+    /// Measures of the query evaluation runs: the optimized form of the
+    /// (minimized) query, or — when evaluation short-circuits — of the
+    /// last form the compile step reached.
     pub measures: QueryMeasures,
     /// Combined regime of the class `{G : measures(G) ≤ measures}`.
     pub combined: CombinedRegime,
@@ -186,13 +189,17 @@ pub struct Plan {
     pub analysis: Analysis,
     /// The GYO join tree of the CQ reduction, present exactly when
     /// [`Plan::strategy`] is [`Strategy::Yannakakis`]. Atom indices match
-    /// the merged-atom indices of [`PreparedQuery::build`].
+    /// the merged-atom indices of [`Plan::prepared`].
     pub join_tree: Option<JoinTree>,
     /// The verified regime-minimization result, present exactly when at
     /// least one rewrite step applied. When present, every other plan
     /// field ([`Plan::measures`], regimes, strategy, budget, join tree)
     /// describes the *minimized* query — the one evaluation runs.
     pub minimize: Option<Minimized>,
+    /// The compiled query, `None` when the analyzer or the optimizer
+    /// proved it unsatisfiable (evaluation returns the empty result
+    /// without touching the database).
+    pub prepared: Option<PreparedQuery>,
     /// The text the query was parsed from, for caret rendering in
     /// [`Plan::explain`] (`None` for programmatic queries).
     source: Option<String>,
@@ -274,25 +281,60 @@ impl Plan {
     }
 }
 
-/// Builds a plan for evaluating `query` on `db`. The plan carries a full
-/// static [`Analysis`]; error-severity diagnostics make [`evaluate`] and
-/// [`answers`] return their empty result without entering the product
-/// search, and warnings surface in [`Plan::explain`].
+/// Builds a plan for evaluating `query` on `db`: the compile step
+/// without a tracer. The plan carries a full static [`Analysis`]; error-severity
+/// diagnostics make [`evaluate`] and [`answers`] return their empty
+/// result without entering the product search, and warnings surface in
+/// [`Plan::explain`].
 pub fn plan(db: &GraphDb, query: &Ecrpq) -> Plan {
+    compile(db, query, &NoopTracer)
+}
+
+/// The compile step: analyzer gate → verified minimization (timed under
+/// [`Phase::Minimize`] on `tracer`) → [`crate::optimize::optimize`] →
+/// measures and regimes → strategy selection → [`PreparedQuery::build`].
+pub(crate) fn compile<T: Tracer>(db: &GraphDb, query: &Ecrpq, tracer: &T) -> Plan {
+    compile_with(db, query, true, tracer)
+}
+
+/// [`compile`] with the minimization step optionally disabled.
+fn compile_with<T: Tracer>(db: &GraphDb, query: &Ecrpq, run_minimizer: bool, tracer: &T) -> Plan {
     let analysis = analyze(query);
-    let minimized = (!analysis.has_errors())
-        .then(|| minimize(query))
+    let valid = !analysis.has_errors();
+    let minimized = (valid && run_minimizer)
+        .then(|| {
+            let span = PhaseSpan::start(tracer, Phase::Minimize);
+            let m = minimize(query);
+            tracer.count(Phase::Minimize, m.steps.len() as u64);
+            span.finish(tracer);
+            m
+        })
         .filter(|m| !m.steps.is_empty());
-    // Every quantitative field describes the query evaluation will run:
-    // the minimized one when the verified rewrite search improved it.
     let effective = minimized.as_ref().map_or(query, |m| &m.query);
-    let measures = minimized.as_ref().map_or(analysis.measures, |m| m.after);
+    let optimized = valid
+        .then(|| {
+            // lint:allow(unwrap): validation errors were caught by the analyzer gate
+            match crate::optimize::optimize(effective).expect("invalid query") {
+                crate::optimize::Simplified::ConstFalse => None,
+                crate::optimize::Simplified::Query(q) => Some(q),
+            }
+        })
+        .flatten();
+    let (run, measures) = match &optimized {
+        Some(q) => (q, q.measures()),
+        None => (
+            effective,
+            minimized.as_ref().map_or(analysis.measures, |m| m.after),
+        ),
+    };
     let bounds = ClassBounds {
         cc_vertex: Some(measures.cc_vertex),
         cc_hedge: Some(measures.cc_hedge),
         treewidth: Some(measures.treewidth),
     };
-    let (strategy, estimated_tuples, join_tree) = choose_strategy(db, effective, &measures);
+    let (strategy, estimated_tuples, join_tree) = choose_strategy(db, run, &measures);
+    // lint:allow(unwrap): the optimizer only emits valid queries
+    let prepared = optimized.map(|q| PreparedQuery::build(&q).expect("invalid query"));
     Plan {
         measures,
         combined: combined_regime(&bounds),
@@ -303,20 +345,9 @@ pub fn plan(db: &GraphDb, query: &Ecrpq) -> Plan {
         analysis,
         join_tree,
         minimize: minimized,
+        prepared,
         source: query.source().map(str::to_owned),
     }
-}
-
-/// Runs the verified regime-minimization search under the
-/// [`Phase::Minimize`] span and returns the rewritten query when at
-/// least one step applied (`None` = evaluate the input as-is). The
-/// counter records the number of verified steps.
-fn minimized_query<T: Tracer>(query: &Ecrpq, tracer: &T) -> Option<Ecrpq> {
-    let span = PhaseSpan::start(tracer, Phase::Minimize);
-    let m = minimize(query);
-    tracer.count(Phase::Minimize, m.steps.len() as u64);
-    span.finish(tracer);
-    (!m.steps.is_empty()).then_some(m.query)
 }
 
 /// Strategy selection: the CQ pipeline materializes ≈ `|V|^{2k}` tuples
@@ -324,7 +355,7 @@ fn minimized_query<T: Tracer>(query: &Ecrpq, tracer: &T) -> Option<Ecrpq> {
 /// pipeline). Over budget, structure decides: an α-acyclic CQ reduction
 /// with at least two merged atoms gets the Yannakakis semijoin program
 /// with streaming enumeration, everything else the direct product search.
-pub(crate) fn choose_strategy(
+fn choose_strategy(
     db: &GraphDb,
     query: &Ecrpq,
     measures: &QueryMeasures,
@@ -357,10 +388,132 @@ fn large_db_plan(query: &Ecrpq) -> (Strategy, Option<JoinTree>) {
     }
 }
 
-/// Evaluates a Boolean ECRPQ: analyzes the query (errors short-circuit to
-/// `false`), rewrites it ([`crate::optimize::optimize`]), and runs the
-/// chosen strategy. Invalid queries are caught by the analyzer (arity or
-/// track mismatches are error diagnostics) and evaluate to `false`.
+/// `opts` with `default` installed when the caller's budget is unlimited:
+/// the budget a regime-governed run ([`evaluate_governed`],
+/// [`answers_governed`], the query service) actually uses.
+pub(crate) fn with_default_budget(opts: &EvalOptions, default: ResourceBudget) -> EvalOptions {
+    if opts.budget.is_unlimited() {
+        opts.with_budget(default)
+    } else {
+        *opts
+    }
+}
+
+/// The empty, complete outcome of a run the compile step short-circuited.
+fn short_circuit<A>(answers: A) -> Outcome<A> {
+    Outcome {
+        answers,
+        stats: ProductStats::default(),
+        termination: Termination::Complete,
+        metrics: None,
+    }
+}
+
+/// Lazily-built evaluation state a cached plan reuses across executions:
+/// the direct-product tables (one slot per [`crate::product::Layout`],
+/// indexed by discriminant), the tree-driven Yannakakis tables and the
+/// Lemma 4.3 reduction. Everything is built ungoverned (see [`PreparedTables`]); one-shot runs keep none of it and
+/// build governed instead.
+#[derive(Default)]
+pub(crate) struct PlanTables {
+    product: [OnceLock<Arc<PreparedTables>>; 4],
+    yannakakis: OnceLock<Arc<PreparedTables>>,
+    cq: OnceLock<Arc<(Cq, RelationalDb)>>,
+}
+
+/// Runs the compiled strategy for its answer set: the one place that maps
+/// a [`Strategy`] onto the governed engine. With `reuse`, tables and the
+/// CQ reduction come from (and are cached in) the plan's [`PlanTables`]
+/// and `opts.budget` covers the search only; without it they are built
+/// for this run under the same governor as the search.
+pub(crate) fn run_answers<T: Tracer>(
+    db: &GraphDb,
+    strategy: Strategy,
+    prepared: Option<&PreparedQuery>,
+    join_tree: Option<&JoinTree>,
+    reuse: Option<&PlanTables>,
+    opts: &EvalOptions,
+    tracer: &T,
+) -> Outcome<BTreeSet<Vec<NodeId>>> {
+    let Some(prepared) = prepared else {
+        return short_circuit(BTreeSet::new());
+    };
+    match strategy {
+        Strategy::CqTreedec => {
+            let to_cq = || {
+                let (cq, rdb, _) = ecrpq_to_cq(db, prepared);
+                Arc::new((cq, rdb))
+            };
+            let cq = match reuse {
+                Some(r) => Arc::clone(r.cq.get_or_init(to_cq)),
+                None => to_cq(),
+            };
+            engine::answers_cq_treedec_governed_traced(&cq.1, &cq.0, opts, tracer)
+        }
+        Strategy::Yannakakis => {
+            // lint:allow(unwrap): Yannakakis is only chosen with a tree
+            let tree = join_tree.expect("join tree");
+            match reuse {
+                Some(r) => {
+                    let tables = r.yannakakis.get_or_init(|| {
+                        Arc::new(PreparedTables::build_for_tree(db, prepared, tree))
+                    });
+                    engine::answers_yannakakis_governed_prepared_traced(
+                        db, prepared, tables, opts, tracer,
+                    )
+                }
+                None => {
+                    engine::answers_yannakakis_governed_traced(db, prepared, tree, opts, tracer)
+                }
+            }
+        }
+        Strategy::DirectProduct => match reuse {
+            Some(r) => {
+                let tables = r.product[opts.layout as usize]
+                    .get_or_init(|| Arc::new(PreparedTables::build(db, prepared, opts.layout)));
+                engine::answers_product_governed_prepared_traced(db, prepared, tables, opts, tracer)
+            }
+            None => engine::answers_product_governed_traced(db, prepared, opts, tracer),
+        },
+    }
+}
+
+/// Runs the compiled strategy as a Boolean query: the Boolean
+/// counterpart of [`run_answers`] for one-shot runs.
+fn run_boolean(db: &GraphDb, plan: &Plan, opts: &EvalOptions) -> Outcome<bool> {
+    let Some(prepared) = &plan.prepared else {
+        return short_circuit(false);
+    };
+    match plan.strategy {
+        Strategy::CqTreedec => {
+            let (cq, rdb, _) = ecrpq_to_cq(db, prepared);
+            engine::eval_cq_treedec_governed(&rdb, &cq, opts)
+        }
+        Strategy::Yannakakis => {
+            // lint:allow(unwrap): Yannakakis is only chosen with a tree
+            let tree = plan.join_tree.as_ref().expect("join tree");
+            engine::eval_yannakakis_governed(db, prepared, tree, opts)
+        }
+        Strategy::DirectProduct => engine::eval_product_governed(db, prepared, opts),
+    }
+}
+
+/// [`run_answers`] for a one-shot plan: tables are built for this run.
+fn run_plan<T: Tracer>(
+    db: &GraphDb,
+    plan: &Plan,
+    opts: &EvalOptions,
+    tracer: &T,
+) -> Outcome<BTreeSet<Vec<NodeId>>> {
+    let (prepared, tree) = (plan.prepared.as_ref(), plan.join_tree.as_ref());
+    run_answers(db, plan.strategy, prepared, tree, None, opts, tracer)
+}
+
+/// Evaluates a Boolean ECRPQ: compiles it (analyzer errors and a
+/// constant-false rewrite short-circuit to `false`) and runs the chosen
+/// strategy sequentially and unbudgeted. Invalid queries are caught by
+/// the analyzer (arity or track mismatches are error diagnostics) and
+/// evaluate to `false`.
 ///
 /// # Panics
 /// Panics if the query's alphabet disagrees with `db`.
@@ -368,36 +521,13 @@ pub fn evaluate(db: &GraphDb, query: &Ecrpq) -> bool {
     evaluate_with_stats(db, query).0
 }
 
-/// As [`evaluate`], also returning the product-search work counters. When
-/// the analyzer proves the query unsatisfiable (or the rewrite reduces it
-/// to constant false) the counters are all zero: no product configuration
-/// is ever expanded.
+/// As [`evaluate`], also returning the work counters. When the analyzer
+/// proves the query unsatisfiable (or the rewrite reduces it to constant
+/// false) the counters are all zero: no product configuration is ever
+/// expanded.
 pub fn evaluate_with_stats(db: &GraphDb, query: &Ecrpq) -> (bool, ProductStats) {
-    if analyze(query).has_errors() {
-        return (false, ProductStats::default());
-    }
-    let minimized = minimized_query(query, &NoopTracer);
-    let query = minimized.as_ref().unwrap_or(query);
-    // lint:allow(unwrap): validation errors were caught by the analyzer gate above
-    let query = match crate::optimize::optimize(query).expect("invalid query") {
-        crate::optimize::Simplified::ConstFalse => return (false, ProductStats::default()),
-        crate::optimize::Simplified::Query(q) => q,
-    };
-    let (strategy, _, join_tree) = choose_strategy(db, &query, &query.measures());
-    // lint:allow(unwrap): the optimizer only emits valid queries
-    let prepared = PreparedQuery::build(&query).expect("invalid query");
-    match strategy {
-        Strategy::CqTreedec => {
-            let (cq, rdb, _) = ecrpq_to_cq(db, &prepared);
-            (eval_cq_treedec(&rdb, &cq), ProductStats::default())
-        }
-        Strategy::Yannakakis => {
-            // lint:allow(unwrap): Yannakakis is only chosen with a tree
-            let tree = join_tree.expect("join tree");
-            engine::eval_yannakakis_with_stats(db, &prepared, &tree)
-        }
-        Strategy::DirectProduct => eval_product_with_stats(db, &prepared),
-    }
+    let o = run_boolean(db, &plan(db, query), &EvalOptions::sequential());
+    (o.answers, o.stats)
 }
 
 /// Evaluates a Boolean UECRPQ: true iff some disjunct holds (the paper's
@@ -422,23 +552,19 @@ pub fn answers_union(db: &GraphDb, query: &ecrpq_query::Uecrpq) -> BTreeSet<Vec<
     out
 }
 
-/// Computes all answers of an ECRPQ with free variables: analyzer errors
-/// short-circuit to the empty set, otherwise the
-/// [`crate::optimize::optimize`] rewrite runs and the chosen strategy
-/// enumerates.
+/// Computes all answers of an ECRPQ with free variables: compiles it
+/// (analyzer errors short-circuit to the empty set) and enumerates with
+/// the chosen strategy, sequentially and unbudgeted.
 pub fn answers(db: &GraphDb, query: &Ecrpq) -> BTreeSet<Vec<NodeId>> {
     answers_with_stats(db, query).0
 }
 
-/// As [`answers`], also returning the product-search work counters (all
-/// zero when the analyzer or rewrite short-circuits).
+/// As [`answers`], also returning the work counters (all zero when the
+/// analyzer or rewrite short-circuits).
 pub fn answers_with_stats(db: &GraphDb, query: &Ecrpq) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    if analyze(query).has_errors() {
-        return (BTreeSet::new(), ProductStats::default());
-    }
-    let minimized = minimized_query(query, &NoopTracer);
-    let query = minimized.as_ref().unwrap_or(query);
-    answers_pipeline(db, query)
+    let p = plan(db, query);
+    let o = run_plan(db, &p, &EvalOptions::sequential(), &NoopTracer);
+    (o.answers, o.stats)
 }
 
 /// [`answers`] with the regime-minimization step disabled: the baseline
@@ -447,99 +573,22 @@ pub fn answers_with_stats(db: &GraphDb, query: &Ecrpq) -> (BTreeSet<Vec<NodeId>>
 /// equivalent both ways — but the regime, and therefore the cost, may
 /// differ dramatically.
 pub fn answers_without_minimize(db: &GraphDb, query: &Ecrpq) -> BTreeSet<Vec<NodeId>> {
-    if analyze(query).has_errors() {
-        return BTreeSet::new();
-    }
-    answers_pipeline(db, query).0
+    let p = compile_with(db, query, false, &NoopTracer);
+    run_plan(db, &p, &EvalOptions::sequential(), &NoopTracer).answers
 }
 
-/// The shared post-minimization answer pipeline: rewrite, pick a
-/// strategy, enumerate.
-fn answers_pipeline(db: &GraphDb, query: &Ecrpq) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    // lint:allow(unwrap): validation errors were caught by the analyzer gate above
-    let query = match crate::optimize::optimize(query).expect("invalid query") {
-        crate::optimize::Simplified::ConstFalse => {
-            return (BTreeSet::new(), ProductStats::default())
-        }
-        crate::optimize::Simplified::Query(q) => q,
-    };
-    let (strategy, _, join_tree) = choose_strategy(db, &query, &query.measures());
-    // lint:allow(unwrap): the optimizer only emits valid queries
-    let prepared = PreparedQuery::build(&query).expect("invalid query");
-    match strategy {
-        Strategy::CqTreedec => {
-            let (cq, rdb, _) = ecrpq_to_cq(db, &prepared);
-            (answers_cq_treedec(&rdb, &cq), ProductStats::default())
-        }
-        Strategy::Yannakakis => {
-            // lint:allow(unwrap): Yannakakis is only chosen with a tree
-            let tree = join_tree.expect("join tree");
-            engine::answers_yannakakis_with_stats(db, &prepared, &tree, &EvalOptions::sequential())
-        }
-        Strategy::DirectProduct => answers_product_with_stats_layout(db, &prepared, Layout::Flat),
-    }
-}
-
-/// The budget a governed run actually uses: the caller's, unless the
-/// caller's is unlimited, in which case the regime default for `measures`.
-fn resolve_budget(opts: &EvalOptions, measures: &QueryMeasures) -> EvalOptions {
-    if opts.budget.is_unlimited() {
-        opts.with_budget(regime_budget(budget_regime(measures)))
-    } else {
-        *opts
-    }
-}
-
-/// Resource-governed [`evaluate`]: same pipeline (analyzer gate, rewrite,
-/// strategy selection), but the evaluation runs under
-/// [`EvalOptions::budget`] — or, when that is unlimited, under the
-/// regime-derived default of [`Plan::default_budget`]. A `true` answer is
-/// always definitive; `false` with a non-complete
+/// Resource-governed [`evaluate`]: same compile step, but the evaluation
+/// runs under [`EvalOptions::budget`] — or, when that is unlimited, under
+/// the regime-derived default of [`Plan::default_budget`]. A `true`
+/// answer is always definitive; `false` with a non-complete
 /// [`Outcome::termination`] means "not proven satisfiable within budget".
 pub fn evaluate_governed(db: &GraphDb, query: &Ecrpq, opts: &EvalOptions) -> Outcome<bool> {
-    if analyze(query).has_errors() {
-        return Outcome {
-            answers: false,
-            stats: ProductStats::default(),
-            termination: Termination::Complete,
-            metrics: None,
-        };
-    }
-    let minimized = minimized_query(query, &NoopTracer);
-    let query = minimized.as_ref().unwrap_or(query);
-    // lint:allow(unwrap): validation errors were caught by the analyzer gate above
-    let query = match crate::optimize::optimize(query).expect("invalid query") {
-        crate::optimize::Simplified::ConstFalse => {
-            return Outcome {
-                answers: false,
-                stats: ProductStats::default(),
-                termination: Termination::Complete,
-                metrics: None,
-            }
-        }
-        crate::optimize::Simplified::Query(q) => q,
-    };
-    let measures = query.measures();
-    let (strategy, _, join_tree) = choose_strategy(db, &query, &measures);
-    let opts = resolve_budget(opts, &measures);
-    // lint:allow(unwrap): the optimizer only emits valid queries
-    let prepared = PreparedQuery::build(&query).expect("invalid query");
-    match strategy {
-        Strategy::CqTreedec => {
-            let (cq, rdb, _) = ecrpq_to_cq(db, &prepared);
-            engine::eval_cq_treedec_governed(&rdb, &cq, &opts)
-        }
-        Strategy::Yannakakis => {
-            // lint:allow(unwrap): Yannakakis is only chosen with a tree
-            let tree = join_tree.expect("join tree");
-            engine::eval_yannakakis_governed(db, &prepared, &tree, &opts)
-        }
-        Strategy::DirectProduct => engine::eval_product_governed(db, &prepared, &opts),
-    }
+    let p = plan(db, query);
+    run_boolean(db, &p, &with_default_budget(opts, p.default_budget))
 }
 
 /// Resource-governed [`answers`]: the returned set is a subset of the
-/// ungoverned answers, bit-identical when [`Outcome::termination`] is
+/// unbudgeted answers, bit-identical when [`Outcome::termination`] is
 /// [`Termination::Complete`]. Falls back to the regime default budget as
 /// [`evaluate_governed`] does.
 pub fn answers_governed(
@@ -560,47 +609,8 @@ pub fn answers_governed_with_tracer<T: Tracer>(
     opts: &EvalOptions,
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    if analyze(query).has_errors() {
-        return Outcome {
-            answers: BTreeSet::new(),
-            stats: ProductStats::default(),
-            termination: Termination::Complete,
-            metrics: None,
-        };
-    }
-    let minimized = minimized_query(query, tracer);
-    let query = minimized.as_ref().unwrap_or(query);
-    // lint:allow(unwrap): validation errors were caught by the analyzer gate above
-    let query = match crate::optimize::optimize(query).expect("invalid query") {
-        crate::optimize::Simplified::ConstFalse => {
-            return Outcome {
-                answers: BTreeSet::new(),
-                stats: ProductStats::default(),
-                termination: Termination::Complete,
-                metrics: None,
-            }
-        }
-        crate::optimize::Simplified::Query(q) => q,
-    };
-    let measures = query.measures();
-    let (strategy, _, join_tree) = choose_strategy(db, &query, &measures);
-    let opts = resolve_budget(opts, &measures);
-    // lint:allow(unwrap): the optimizer only emits valid queries
-    let prepared = PreparedQuery::build(&query).expect("invalid query");
-    match strategy {
-        Strategy::CqTreedec => {
-            let (cq, rdb, _) = ecrpq_to_cq(db, &prepared);
-            engine::answers_cq_treedec_governed_traced(&rdb, &cq, &opts, tracer)
-        }
-        Strategy::Yannakakis => {
-            // lint:allow(unwrap): Yannakakis is only chosen with a tree
-            let tree = join_tree.expect("join tree");
-            engine::answers_yannakakis_governed_traced(db, &prepared, &tree, &opts, tracer)
-        }
-        Strategy::DirectProduct => {
-            engine::answers_product_governed_traced(db, &prepared, &opts, tracer)
-        }
-    }
+    let p = compile(db, query, tracer);
+    run_plan(db, &p, &with_default_budget(opts, p.default_budget), tracer)
 }
 
 /// [`answers_governed`] with observability: runs the chosen strategy under
@@ -622,6 +632,7 @@ pub fn answers_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cq_eval::eval_cq_treedec;
     use ecrpq_automata::relations;
     use std::sync::Arc;
 

@@ -16,8 +16,9 @@
 //! A cached entry carries only *run-independent* state: the compiled
 //! [`PreparedQuery`], the [`Analysis`] and complexity regimes, the
 //! minimized form's step count, the per-regime default [`ResourceBudget`]
-//! (an inert description of limits), and lazily-built [`PreparedTables`]
-//! per layout. It **never** carries a `Governor` or a deadline `Instant`:
+//! (an inert description of limits), and lazily-built
+//! [`crate::PreparedTables`] per layout. It **never** carries a
+//! `Governor` or a deadline `Instant`:
 //! a governor captures `Instant::now() + deadline` at construction and
 //! latches a one-way stop flag when any limit trips, so caching one would
 //! hand every later execution an already-expired deadline or an
@@ -43,20 +44,19 @@
 //! the governor actually metered, so enforcement is exact up to the
 //! governor's cooperative check interval.
 
-use crate::engine::{self, EvalOptions, PreparedTables};
+use crate::engine::EvalOptions;
 use crate::governor::{Outcome, ResourceBudget, Termination};
-use crate::planner::{self, ClassBounds, CombinedRegime, ParamRegime, Strategy};
+use crate::planner::{self, CombinedRegime, ParamRegime, PlanTables, Strategy};
 use crate::prepare::PreparedQuery;
 use crate::product::ProductStats;
-use crate::to_cq::ecrpq_to_cq;
-use crate::trace::{CollectingTracer, Metrics};
-use crate::{FnvHashMap, Layout};
-use ecrpq_analyze::{analyze, minimize, Analysis, JoinTree};
+use crate::trace::{CollectingTracer, Metrics, NoopTracer};
+use crate::FnvHashMap;
+use ecrpq_analyze::{Analysis, JoinTree};
 use ecrpq_graph::{GraphDb, NodeId};
 use ecrpq_query::{QueryMeasures, QueryParseError, RelationRegistry};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// State budget for the canonical-rendering verification inside key
@@ -217,16 +217,6 @@ impl PlanCache {
     }
 }
 
-/// The slot index for a layout in the per-plan table cache.
-fn layout_slot(layout: Layout) -> usize {
-    match layout {
-        Layout::Legacy => 0,
-        Layout::FlatUnpruned => 1,
-        Layout::Flat => 2,
-        Layout::BitParallel => 3,
-    }
-}
-
 /// A cached, fully analyzed and compiled query plan.
 ///
 /// Everything here is run-independent (see the module docs for the
@@ -257,27 +247,29 @@ pub struct PreparedPlan {
     pub analysis: Analysis,
     /// Number of verified minimizer rewrite steps that applied.
     pub minimize_steps: usize,
-    /// The analyzer or optimizer proved the query unsatisfiable:
-    /// executions return the empty set without touching the database.
-    short_circuit: bool,
-    /// The compiled automata-product form (absent iff `short_circuit`).
+    /// The compiled automata-product form, absent when the analyzer or
+    /// optimizer proved the query unsatisfiable (executions then return
+    /// the empty set without touching the database).
     prepared: Option<PreparedQuery>,
     /// The GYO join tree, present exactly when `strategy` is
     /// [`Strategy::Yannakakis`].
     join_tree: Option<JoinTree>,
-    /// Lazily-built direct-product tables, one slot per [`Layout`].
-    product_tables: [OnceLock<Arc<PreparedTables>>; 4],
-    /// Lazily-built Yannakakis tables (flat layout, tree-driven domains).
-    yannakakis_tables: OnceLock<Arc<PreparedTables>>,
-    /// Lazily-materialized Lemma 4.3 reduction for [`Strategy::CqTreedec`].
-    cq: OnceLock<Arc<(ecrpq_query::Cq, ecrpq_query::RelationalDb)>>,
+    /// Lazily-built tables and Lemma 4.3 reduction, reused by every
+    /// execution of this plan.
+    tables: PlanTables,
 }
 
 impl PreparedPlan {
     /// Whether executions of this plan short-circuit to the empty answer
     /// set (the analyzer or optimizer proved unsatisfiability).
     pub fn is_short_circuit(&self) -> bool {
-        self.short_circuit
+        self.prepared.is_none()
+    }
+
+    /// The GYO join tree the plan executes, present exactly when
+    /// [`PreparedPlan::strategy`] is [`Strategy::Yannakakis`].
+    pub fn join_tree(&self) -> Option<&JoinTree> {
+        self.join_tree.as_ref()
     }
 }
 
@@ -289,7 +281,7 @@ pub struct Response {
     /// Merged evaluator counters for this execution.
     pub stats: ProductStats,
     /// How this execution ended. [`Termination::Complete`] means the
-    /// answers are bit-identical to the ungoverned evaluation.
+    /// answers are bit-identical to the unbudgeted evaluation.
     pub termination: Termination,
     /// Folded per-phase observability counters for this execution.
     pub metrics: Metrics,
@@ -493,9 +485,10 @@ impl QueryService {
         Ok((lock(&self.cache).intern(trimmed, plan), false))
     }
 
-    /// The cold path: parse, analyze, minimize, optimize, pick a
-    /// strategy, compile. Runs once per distinct query text; everything
-    /// it produces is run-independent and cached.
+    /// The cold path: parse, check the alphabet, normalize the cache key,
+    /// then the planner's [`planner::compile`] step. Runs once per
+    /// distinct query text; everything it produces is run-independent and
+    /// cached.
     fn prepare_cold(&self, trimmed: &str) -> Result<PreparedPlan, ServerError> {
         let mut alphabet = self.db.alphabet().clone();
         // lint:allow(cold-path): one parse per distinct query text, amortized by the cache
@@ -509,80 +502,21 @@ impl QueryService {
         // lint:allow(cold-path): key normalization runs once per distinct text
         let key = ecrpq_query::unparse(&query, UNPARSE_STATE_BUDGET)
             .unwrap_or_else(|| trimmed.to_string());
-
-        let analysis = analyze(&query);
-        if analysis.has_errors() {
-            return Ok(Self::short_circuit_plan(key, analysis));
-        }
-        let minimized = minimize(&query);
-        let minimize_steps = minimized.steps.len();
-        let effective = if minimize_steps == 0 {
-            query
-        } else {
-            minimized.query
-        };
-        // lint:allow(unwrap): validation errors were caught by the analyzer gate above
-        let optimized = match crate::optimize::optimize(&effective).expect("invalid query") {
-            crate::optimize::Simplified::ConstFalse => {
-                let mut plan = Self::short_circuit_plan(key, analysis);
-                plan.minimize_steps = minimize_steps;
-                return Ok(plan);
-            }
-            crate::optimize::Simplified::Query(q) => q,
-        };
-        let measures = optimized.measures();
-        let bounds = ClassBounds {
-            cc_vertex: Some(measures.cc_vertex),
-            cc_hedge: Some(measures.cc_hedge),
-            treewidth: Some(measures.treewidth),
-        };
-        let (strategy, _estimated, join_tree) =
-            planner::choose_strategy(&self.db, &optimized, &measures);
-        // lint:allow(cold-path) lint:allow(unwrap): compiled once per distinct query; the optimizer only emits valid queries
-        let prepared = PreparedQuery::build(&optimized).expect("invalid query");
+        // lint:allow(cold-path): compiled once per distinct query text, amortized by the cache
+        let plan = planner::compile(&self.db, &query, &NoopTracer);
         Ok(PreparedPlan {
             key,
-            measures,
-            combined: planner::budget_regime(&measures),
-            param: planner::param_regime(&bounds),
-            strategy,
-            default_budget: planner::regime_budget(planner::budget_regime(&measures)),
-            analysis,
-            minimize_steps,
-            short_circuit: false,
-            prepared: Some(prepared),
-            join_tree,
-            product_tables: [const { OnceLock::new() }; 4],
-            yannakakis_tables: OnceLock::new(),
-            cq: OnceLock::new(),
+            measures: plan.measures,
+            combined: planner::budget_regime(&plan.measures),
+            param: plan.param,
+            strategy: plan.strategy,
+            default_budget: plan.default_budget,
+            analysis: plan.analysis,
+            minimize_steps: plan.minimize.map_or(0, |m| m.steps.len()),
+            prepared: plan.prepared,
+            join_tree: plan.join_tree,
+            tables: PlanTables::default(),
         })
-    }
-
-    /// A plan whose executions return the empty set without touching the
-    /// database (analyzer error or constant-false rewrite).
-    fn short_circuit_plan(key: String, analysis: Analysis) -> PreparedPlan {
-        let measures = analysis.measures;
-        let bounds = ClassBounds {
-            cc_vertex: Some(measures.cc_vertex),
-            cc_hedge: Some(measures.cc_hedge),
-            treewidth: Some(measures.treewidth),
-        };
-        PreparedPlan {
-            key,
-            measures,
-            combined: planner::budget_regime(&measures),
-            param: planner::param_regime(&bounds),
-            strategy: Strategy::DirectProduct,
-            default_budget: planner::regime_budget(planner::budget_regime(&measures)),
-            analysis,
-            minimize_steps: 0,
-            short_circuit: true,
-            prepared: None,
-            join_tree: None,
-            product_tables: [const { OnceLock::new() }; 4],
-            yannakakis_tables: OnceLock::new(),
-            cq: OnceLock::new(),
-        }
     }
 
     /// Serves one request through the cache: lookup-or-prepare, then a
@@ -647,46 +581,16 @@ impl QueryService {
         plan: &PreparedPlan,
         opts: &EvalOptions,
     ) -> Outcome<BTreeSet<Vec<NodeId>>> {
-        let Some(prepared) = plan.prepared.as_ref() else {
-            return Outcome {
-                answers: BTreeSet::new(),
-                stats: ProductStats::default(),
-                termination: Termination::Complete,
-                metrics: Some(Metrics::default()),
-            };
-        };
-        let opts = if opts.budget.is_unlimited() {
-            opts.with_budget(plan.default_budget)
-        } else {
-            *opts
-        };
         let tracer = CollectingTracer::new();
-        let mut outcome = match plan.strategy {
-            Strategy::CqTreedec => {
-                let cq = plan.cq.get_or_init(|| {
-                    let (cq, rdb, _) = ecrpq_to_cq(db, prepared);
-                    Arc::new((cq, rdb))
-                });
-                engine::answers_cq_treedec_governed_traced(&cq.1, &cq.0, &opts, &tracer)
-            }
-            Strategy::Yannakakis => {
-                // lint:allow(unwrap): Yannakakis is only chosen with a tree
-                let tree = plan.join_tree.as_ref().expect("join tree");
-                let tables = plan
-                    .yannakakis_tables
-                    .get_or_init(|| Arc::new(PreparedTables::build_for_tree(db, prepared, tree)));
-                engine::answers_yannakakis_governed_prepared_traced(
-                    db, prepared, tables, &opts, &tracer,
-                )
-            }
-            Strategy::DirectProduct => {
-                let tables = plan.product_tables[layout_slot(opts.layout)]
-                    .get_or_init(|| Arc::new(PreparedTables::build(db, prepared, opts.layout)));
-                engine::answers_product_governed_prepared_traced(
-                    db, prepared, tables, &opts, &tracer,
-                )
-            }
-        };
+        let mut outcome = planner::run_answers(
+            db,
+            plan.strategy,
+            plan.prepared.as_ref(),
+            plan.join_tree.as_ref(),
+            Some(&plan.tables),
+            &planner::with_default_budget(opts, plan.default_budget),
+            &tracer,
+        );
         outcome.metrics = Some(tracer.metrics());
         outcome
     }

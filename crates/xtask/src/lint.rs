@@ -517,9 +517,11 @@ pub const SERVER_FILES: &[&str] = &["crates/core/src/server.rs"];
 pub const ALLOW_COLD_PATH: &str = "lint:allow(cold-path)";
 
 /// Tokens that do query-compilation work: any parsing (including key
-/// normalization via `unparse`) and plan compilation. A request that hits
-/// the cache must touch none of these.
-const COLD_PATH_TOKENS: &[&str] = &["parse", "PreparedQuery::build"];
+/// normalization via `unparse`), the planner's shared compile step
+/// (`planner::compile`, which runs analysis, minimization and
+/// `PreparedQuery::build`) and plan compilation itself. A request that
+/// hits the cache must touch none of these.
+const COLD_PATH_TOKENS: &[&str] = &["parse", "compile(", "PreparedQuery::build"];
 
 /// Rule 10: in a [`SERVER_FILES`] module, every compilation-work site
 /// (see [`COLD_PATH_TOKENS`]) must be an audited cold-path site carrying
@@ -1018,6 +1020,26 @@ fn handle(&self, text: &str) {
         assert!(v[0].message.contains("`parse`"));
         assert_eq!(v[1].line, 3);
         assert!(v[1].message.contains("PreparedQuery::build"));
+    }
+
+    #[test]
+    fn cold_path_fires_on_unaudited_compile_step() {
+        let bad = "\
+fn execute(&self, query: &Ecrpq) {
+    let c = planner::compile(&self.db, query, &NoopTracer);
+}
+";
+        let v = lint_cold_path("crates/core/src/server.rs", bad);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].line, 2);
+        assert!(v[0].message.contains("`compile(`"), "{}", v[0].message);
+        let audited = "\
+fn prepare_cold(&self, query: &Ecrpq) {
+    // lint:allow(cold-path): compiled once per distinct query text
+    let c = planner::compile(&self.db, query, &NoopTracer);
+}
+";
+        assert!(lint_cold_path("crates/core/src/server.rs", audited).is_empty());
     }
 
     #[test]

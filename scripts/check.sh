@@ -16,6 +16,11 @@ cargo build --release --offline
 echo "== tier-1: tests =="
 cargo test -q --offline
 
+echo "== benchmark build + self-tests (perfbench/, its own workspace) =="
+# the benchmark imports engine, planner and service entry points by name;
+# nothing else in this gate compiles it
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== differential suites (evaluator equivalence, layout + parallel + budget + oracle) =="
 cargo test -q --offline --test differential --test parallel_differential --test layout_differential \
   --test budget_differential --test oracle_differential --test metrics_invariants \

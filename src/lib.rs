@@ -54,7 +54,7 @@
 //! Multi-threaded evaluation via the parallel [`eval::engine`]:
 //!
 //! ```
-//! use ecrpq::eval::{engine, EvalOptions, PreparedQuery};
+//! use ecrpq::eval::{engine, EvalOptions, NoopTracer, PreparedQuery, Termination};
 //! use ecrpq::graph::parse_graph;
 //! use ecrpq::query::{parse_query, RelationRegistry};
 //!
@@ -67,11 +67,14 @@
 //! )?;
 //! let prepared = PreparedQuery::build(&q)?;
 //!
-//! // threads = 0 means "use all available cores"; the answer set is
-//! // bit-identical to the sequential evaluator's.
-//! let par = engine::answers_product(&db, &prepared, &EvalOptions::default());
+//! // threads = 0 means "use all available cores"; the default budget is
+//! // unlimited, so the run completes and its answer set is bit-identical
+//! // to the sequential evaluator's.
+//! let par =
+//!     engine::answers_product_governed_traced(&db, &prepared, &EvalOptions::default(), &NoopTracer);
+//! assert_eq!(par.termination, Termination::Complete);
 //! let seq = ecrpq::eval::product::answers_product(&db, &prepared);
-//! assert_eq!(par, seq);
+//! assert_eq!(par.answers, seq);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -81,7 +84,7 @@
 //! 3.2), so any engine that accepts untrusted queries needs a way to stop.
 //! A [`eval::ResourceBudget`] carried in [`eval::EvalOptions`] bounds a
 //! run by wall-clock deadline, total work (product configurations),
-//! answer count, or tracked memory; the `*_governed` entry points check
+//! answer count, or tracked memory; every engine entry point checks
 //! it cooperatively (amortized, every few thousand work units) across the
 //! product search, semijoin pruning, CQ evaluation and all parallel
 //! workers. Running out of budget is not an error: the
@@ -89,7 +92,7 @@
 //! of the full answer set — truncation never invents answers) and a
 //! [`eval::Termination`] saying whether the run was complete. When it is
 //! [`eval::Termination::Complete`], the answers are bit-identical to the
-//! ungoverned evaluator's.
+//! unbudgeted run's.
 //!
 //! ```
 //! use ecrpq::eval::{planner, EvalOptions, ResourceBudget, Termination};
@@ -106,7 +109,7 @@
 //! )?;
 //!
 //! // a generous budget: this tiny query completes well inside it, so the
-//! // governed answers equal the ungoverned ones exactly
+//! // governed answers equal the unbudgeted ones exactly
 //! let opts = EvalOptions::sequential()
 //!     .with_budget(ResourceBudget::unlimited().with_deadline(Duration::from_secs(5)));
 //! let outcome = planner::answers_governed(&db, &q, &opts);
@@ -150,15 +153,11 @@
 //! // explicit tracer: attach to any instrumented engine entry point
 //! let prepared = PreparedQuery::build(&q)?;
 //! let tracer = CollectingTracer::new();
-//! let (answers, stats) = engine::answers_product_with_stats_traced(
-//!     &db,
-//!     &prepared,
-//!     &EvalOptions::sequential(),
-//!     &tracer,
-//! );
+//! let outcome =
+//!     engine::answers_product_governed_traced(&db, &prepared, &EvalOptions::sequential(), &tracer);
 //! let metrics = tracer.metrics();
-//! assert_eq!(metrics.phase(Phase::ProductBfs).items, stats.configurations);
-//! assert_eq!(answers, eval::product::answers_product(&db, &prepared));
+//! assert_eq!(metrics.phase(Phase::ProductBfs).items, outcome.stats.configurations);
+//! assert_eq!(outcome.answers, eval::product::answers_product(&db, &prepared));
 //!
 //! // or let the planner wire it up and render the per-phase table
 //! let outcome = eval::answers_traced(&db, &q, &EvalOptions::sequential());

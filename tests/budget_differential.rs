@@ -3,7 +3,7 @@
 //! Soundness contract under test: a budgeted run returns a **subset** of
 //! the unbudgeted answers (truncation loses answers, never invents them);
 //! a run that reports [`Termination::Complete`] is **bit-identical** to
-//! the ungoverned evaluator; and a wall-clock deadline is honoured to
+//! the unbudgeted run; and a wall-clock deadline is honoured to
 //! within the cooperative check interval — less than 2× the deadline —
 //! at every thread count.
 //!
@@ -14,7 +14,10 @@
 //! takes orders of magnitude longer than the deadline — truncation
 //! genuinely happens, and partial answers genuinely exist.
 
-use ecrpq::eval::{engine, EvalOptions, PreparedQuery, ResourceBudget, Termination};
+mod common;
+
+use common::{cq_answers, product_answers, product_answers_with_stats};
+use ecrpq::eval::{engine, EvalOptions, NoopTracer, PreparedQuery, ResourceBudget, Termination};
 use ecrpq::query::NodeVar;
 use ecrpq::workloads::{big_component_query, random_db};
 use std::collections::BTreeSet;
@@ -37,14 +40,14 @@ fn workload(r: usize, n: usize) -> (ecrpq::graph::GraphDb, ecrpq::query::Ecrpq) 
 fn deadline_yields_partial_answers_without_overshoot() {
     let (db, q) = workload(3, 30);
     let prepared = PreparedQuery::build(&q).expect("valid");
-    let full = engine::answers_product(&db, &prepared, &EvalOptions::with_threads(0));
+    let full = product_answers(&db, &prepared, &EvalOptions::with_threads(0));
     assert!(full.len() > 100, "workload must have many answers");
     let deadline = Duration::from_millis(50);
     for threads in [1usize, 2, 4, 8] {
         let opts = EvalOptions::with_threads(threads)
             .with_budget(ResourceBudget::unlimited().with_deadline(deadline));
         let start = Instant::now();
-        let outcome = engine::answers_product_governed(&db, &prepared, &opts);
+        let outcome = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
         let elapsed = start.elapsed();
         assert_eq!(
             outcome.termination,
@@ -75,18 +78,16 @@ fn deadline_yields_partial_answers_without_overshoot() {
 fn configuration_budget_sweep_recovers_answers() {
     let (db, q) = workload(3, 14);
     let prepared = PreparedQuery::build(&q).expect("valid");
-    let unbudgeted = engine::answers_product_governed(&db, &prepared, &EvalOptions::sequential());
-    assert_eq!(unbudgeted.termination, Termination::Complete);
-    let full = unbudgeted.answers;
+    let (full, stats) = product_answers_with_stats(&db, &prepared, &EvalOptions::sequential());
     assert!(full.len() >= 10, "need a meaningful answer set");
-    let total_work = unbudgeted.stats.configurations.max(1);
+    let total_work = stats.configurations.max(1);
     let mut last_len = 0usize;
     let mut saw_exhausted = false;
     for fraction in [0.01f64, 0.1, 0.5, 1.0] {
         let cap = ((total_work as f64 * fraction) as u64).max(1);
         let opts = EvalOptions::sequential()
             .with_budget(ResourceBudget::unlimited().with_max_configurations(cap));
-        let outcome = engine::answers_product_governed(&db, &prepared, &opts);
+        let outcome = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
         assert!(
             outcome.answers.is_subset(&full),
             "fraction={fraction}: subset violated"
@@ -107,7 +108,7 @@ fn configuration_budget_sweep_recovers_answers() {
     // an effectively unbounded cap completes and matches bit-for-bit
     let opts = EvalOptions::sequential()
         .with_budget(ResourceBudget::unlimited().with_max_configurations(u64::MAX / 4));
-    let outcome = engine::answers_product_governed(&db, &prepared, &opts);
+    let outcome = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
     assert_eq!(outcome.termination, Termination::Complete);
     assert_eq!(outcome.answers, full);
 }
@@ -119,13 +120,13 @@ fn configuration_budget_sweep_recovers_answers() {
 fn answer_cap_is_exact_sequentially() {
     let (db, q) = workload(3, 14);
     let prepared = PreparedQuery::build(&q).expect("valid");
-    let full = engine::answers_product(&db, &prepared, &EvalOptions::sequential());
+    let full = product_answers(&db, &prepared, &EvalOptions::sequential());
     let total = full.len() as u64;
     assert!(total >= 2, "need a few answers to cap");
     for cap in [1, total / 2, total, total + 7] {
         let opts = EvalOptions::sequential()
             .with_budget(ResourceBudget::unlimited().with_max_answers(cap));
-        let outcome = engine::answers_product_governed(&db, &prepared, &opts);
+        let outcome = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
         assert_eq!(
             outcome.answers.len() as u64,
             cap.min(total),
@@ -144,14 +145,13 @@ fn answer_cap_is_exact_sequentially() {
     }
 }
 
-/// Regression (answer-cap overshoot): the *ungoverned* `answers_*` entry
-/// points route a `max_answers` budget through the streaming enumerator,
-/// so the search terminates at the cap instead of materializing the full
+/// Regression (answer-cap overshoot): a `max_answers` budget stops the
+/// streaming enumeration at the cap instead of materializing the full
 /// answer set and truncating. The pin: with every node variable free a
 /// satisfying assignment is an answer, so the assignment counter must
 /// stop exactly at the cap — on a database of any size.
 #[test]
-fn ungoverned_answer_cap_stops_the_search() {
+fn answer_cap_stops_the_search() {
     let cap = 3u64;
     let opts =
         EvalOptions::sequential().with_budget(ResourceBudget::unlimited().with_max_answers(cap));
@@ -160,9 +160,11 @@ fn ungoverned_answer_cap_stops_the_search() {
         let (db, q) = workload(3, n);
         let prepared = PreparedQuery::build(&q).expect("valid");
         let (full, full_stats) =
-            engine::answers_product_with_stats(&db, &prepared, &EvalOptions::sequential());
+            product_answers_with_stats(&db, &prepared, &EvalOptions::sequential());
         assert!(full.len() as u64 > 3 * cap, "n={n}: need answers to spare");
-        let (capped, capped_stats) = engine::answers_product_with_stats(&db, &prepared, &opts);
+        let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
+        assert!(!o.termination.is_complete(), "n={n}: the cap binds");
+        let (capped, capped_stats) = (o.answers, o.stats);
         assert_eq!(capped.len() as u64, cap, "n={n}: cap not exact");
         assert!(capped.is_subset(&full), "n={n}");
         assert!(
@@ -207,7 +209,7 @@ fn boolean_governed_is_sound() {
 }
 
 /// The governed planner honours an explicit budget and falls back to the
-/// regime default otherwise; Complete runs match the ungoverned planner.
+/// regime default otherwise; Complete runs match the unbudgeted planner.
 #[test]
 fn planner_governed_matches_ungoverned_when_complete() {
     use ecrpq::eval::planner;
@@ -243,7 +245,7 @@ fn governed_bitparallel_matches_flat() {
     use ecrpq::eval::Layout;
     let (db, q) = workload(3, 14);
     let prepared = PreparedQuery::build(&q).expect("valid");
-    let full = engine::answers_product(&db, &prepared, &EvalOptions::sequential());
+    let full = product_answers(&db, &prepared, &EvalOptions::sequential());
     assert!(full.len() >= 10, "need a meaningful answer set");
     let mut saw_truncated = false;
     for threads in [1usize, 2, 4, 8] {
@@ -251,7 +253,7 @@ fn governed_bitparallel_matches_flat() {
             let opts = EvalOptions::with_threads(threads)
                 .with_layout(Layout::BitParallel)
                 .with_budget(ResourceBudget::unlimited().with_max_configurations(cap));
-            let o = engine::answers_product_governed(&db, &prepared, &opts);
+            let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
             assert!(
                 o.answers.is_subset(&full),
                 "threads={threads} cap={cap}: subset violated"
@@ -288,7 +290,8 @@ fn memory_cap_sees_stamps_of_downgraded_atoms() {
             .with_layout(Layout::BitParallel)
             .with_budget(ResourceBudget::unlimited().with_max_memory_bytes(bytes))
     };
-    let o = engine::answers_product_governed(&db, &prepared, &cap_opts(64 << 10));
+    let o =
+        engine::answers_product_governed_traced(&db, &prepared, &cap_opts(64 << 10), &NoopTracer);
     assert_eq!(
         o.termination,
         Termination::BudgetExhausted {
@@ -297,9 +300,10 @@ fn memory_cap_sees_stamps_of_downgraded_atoms() {
         "downgraded stamp bytes slipped past the memory cap"
     );
     // a cap that accommodates the stamps completes and matches flat
-    let o = engine::answers_product_governed(&db, &prepared, &cap_opts(1 << 30));
+    let o =
+        engine::answers_product_governed_traced(&db, &prepared, &cap_opts(1 << 30), &NoopTracer);
     assert!(o.termination.is_complete());
-    let full = engine::answers_product(&db, &prepared, &EvalOptions::sequential());
+    let full = product_answers(&db, &prepared, &EvalOptions::sequential());
     assert_eq!(o.answers, full);
 }
 
@@ -311,16 +315,16 @@ fn governed_cq_paths_are_sound() {
     let (db, q) = workload(2, 10);
     let prepared = PreparedQuery::build(&q).expect("valid");
     let (cq, rdb, _) = ecrpq_to_cq(&db, &prepared);
-    let full: BTreeSet<Vec<u32>> = engine::answers_cq(&rdb, &cq, &EvalOptions::sequential());
+    let full: BTreeSet<Vec<u32>> = cq_answers(&rdb, &cq, &EvalOptions::sequential());
     for cap in [64u64, 4096, u64::MAX / 4] {
         let opts = EvalOptions::sequential()
             .with_budget(ResourceBudget::unlimited().with_max_configurations(cap));
-        let o = engine::answers_cq_governed(&rdb, &cq, &opts);
+        let o = engine::answers_cq_governed_traced(&rdb, &cq, &opts, &NoopTracer);
         assert!(o.answers.is_subset(&full), "cap={cap}");
         if o.termination == Termination::Complete {
             assert_eq!(o.answers, full, "cap={cap}");
         }
-        let td = engine::answers_cq_treedec_governed(&rdb, &cq, &opts);
+        let td = engine::answers_cq_treedec_governed_traced(&rdb, &cq, &opts, &NoopTracer);
         assert!(td.answers.is_subset(&full), "treedec cap={cap}");
         if td.termination == Termination::Complete {
             assert_eq!(td.answers, full, "treedec cap={cap}");

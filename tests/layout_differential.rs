@@ -5,11 +5,15 @@
 //! graphs and queries.
 
 use ecrpq::eval::product::{answers_product_with_stats_layout, Layout};
-use ecrpq::eval::{ecrpq_to_cq, engine, Enumerator, EvalOptions, PreparedQuery, ResourceBudget};
+use ecrpq::eval::{ecrpq_to_cq, Enumerator, EvalOptions, PreparedQuery, ResourceBudget};
 use ecrpq::query::NodeVar;
 use ecrpq::workloads::{planted_acyclic_instance, random_db, random_ecrpq, RandomQueryParams};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+mod common;
+
+use common::{cq_answers, product_answers, product_answers_with_stats, product_sat};
 
 fn params() -> RandomQueryParams {
     RandomQueryParams {
@@ -44,8 +48,8 @@ fn empty_database_evaluates_cleanly() {
     for threads in [1usize, 2, 4, 8] {
         for layout in [Layout::Flat, Layout::BitParallel] {
             let opts = EvalOptions::with_threads(threads).with_layout(layout);
-            assert!(engine::answers_product(&db, &prepared, &opts).is_empty());
-            assert!(!engine::eval_product(&db, &prepared, &opts));
+            assert!(product_answers(&db, &prepared, &opts).is_empty());
+            assert!(!product_sat(&db, &prepared, &opts));
         }
     }
 }
@@ -72,12 +76,9 @@ fn bitparallel_falls_back_on_oversized_config_space() {
     assert_eq!(flat.len(), 1, "satisfiable Boolean query: one empty tuple");
     for threads in [1usize, 2, 4, 8] {
         let opts = EvalOptions::with_threads(threads).with_layout(Layout::BitParallel);
-        let par = engine::answers_product(&db, &prepared, &opts);
+        let par = product_answers(&db, &prepared, &opts);
         assert_eq!(par, flat, "{threads} threads");
-        assert!(
-            engine::eval_product(&db, &prepared, &opts),
-            "{threads} threads"
-        );
+        assert!(product_sat(&db, &prepared, &opts), "{threads} threads");
     }
 }
 
@@ -185,7 +186,7 @@ proptest! {
         for threads in [2usize, 4, 8] {
             for layout in [Layout::Flat, Layout::BitParallel] {
                 let opts = EvalOptions::with_threads(threads).with_layout(layout);
-                let par = engine::answers_product(&db, &prepared, &opts);
+                let par = product_answers(&db, &prepared, &opts);
                 if sat {
                     prop_assert_eq!(par.len(), 1, "threads={} layout={:?} seed={}", threads, layout, seed);
                     prop_assert!(par.contains(&Vec::new()));
@@ -241,7 +242,18 @@ proptest! {
             answers_product_with_stats_layout(&db, &prepared, Layout::FlatUnpruned);
         let (pruned, pruned_stats) =
             answers_product_with_stats_layout(&db, &prepared, Layout::Flat);
-        let (bitpar, _) = answers_product_with_stats_layout(&db, &prepared, Layout::BitParallel);
+        let (bitpar, bitpar_stats) =
+            answers_product_with_stats_layout(&db, &prepared, Layout::BitParallel);
+        // an unbudgeted sequential run through the governed engine entry
+        // point reports exactly the answers and counters of the layout run
+        for (layout, answers, stats) in [
+            (Layout::Flat, &pruned, pruned_stats),
+            (Layout::BitParallel, &bitpar, bitpar_stats),
+        ] {
+            let opts = EvalOptions::sequential().with_layout(layout);
+            let governed = product_answers_with_stats(&db, &prepared, &opts);
+            prop_assert_eq!(&governed, &(answers.clone(), stats), "{:?} seed={}", layout, seed);
+        }
         prop_assert_eq!(&flat, &legacy, "flat vs legacy seed={}", seed);
         prop_assert_eq!(&pruned, &legacy, "pruned vs legacy seed={}", seed);
         // the bit-parallel layout shares the pruned semijoin domains but
@@ -270,7 +282,7 @@ proptest! {
         let prepared = PreparedQuery::build(&q).map_err(TestCaseError::fail)?;
         let (product, _) = answers_product_with_stats_layout(&db, &prepared, Layout::Flat);
         let (cq, rdb, _) = ecrpq_to_cq(&db, &prepared);
-        let via_cq = engine::answers_cq(&rdb, &cq, &EvalOptions::sequential());
+        let via_cq = cq_answers(&rdb, &cq, &EvalOptions::sequential());
         let product_u32: std::collections::BTreeSet<Vec<u32>> = product.into_iter().collect();
         prop_assert_eq!(product_u32, via_cq, "product vs cq seed={}", seed);
     }

@@ -8,11 +8,13 @@
 
 use ecrpq::eval::engine;
 use ecrpq::eval::{
-    answers_product_with_stats_layout, CollectingTracer, EvalOptions, Layout, Phase, PreparedQuery,
-    ResourceBudget,
+    answers_product_with_stats_layout, CollectingTracer, EvalOptions, Layout, NoopTracer, Phase,
+    PreparedQuery, ResourceBudget,
 };
 use ecrpq::query::NodeVar;
 use ecrpq::workloads::{env_seed, random_db, random_ecrpq, RandomQueryParams};
+
+mod common;
 
 fn small_params() -> RandomQueryParams {
     RandomQueryParams {
@@ -117,7 +119,7 @@ fn bitparallel_frontier_peak_is_max_of_level_popcounts() {
     let prepared = PreparedQuery::build(&q).unwrap();
     for threads in [1usize, 2, 4, 8] {
         let opts = EvalOptions::with_threads(threads).with_layout(Layout::BitParallel);
-        let (answers, stats) = engine::answers_product_with_stats(&db, &prepared, &opts);
+        let (answers, stats) = common::product_answers_with_stats(&db, &prepared, &opts);
         // nodes 0..=10 of each chain reach the b-edge
         assert_eq!(answers.len(), 44, "{threads} threads");
         assert_eq!(
@@ -141,7 +143,7 @@ fn budget_aborts_bounded_by_budget_checks() {
     for cap in [1u64, 100, 10_000, u64::MAX / 2] {
         let opts = EvalOptions::sequential()
             .with_budget(ResourceBudget::unlimited().with_max_configurations(cap));
-        let o = engine::answers_product_governed(&db, &prepared, &opts);
+        let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
         assert!(
             o.stats.budget_aborts <= o.stats.budget_checks,
             "cap {cap}: aborts {} > checks {} (base seed {base})",
@@ -171,12 +173,9 @@ fn traced_counters_match_product_stats() {
         let db = random_db(10, 1.8, 2, seed * 31 + 7);
         let prepared = PreparedQuery::build(&q).unwrap();
         let tracer = CollectingTracer::new();
-        let (answers, stats) = engine::answers_product_with_stats_traced(
-            &db,
-            &prepared,
-            &EvalOptions::sequential(),
-            &tracer,
-        );
+        let opts = EvalOptions::sequential();
+        let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &tracer);
+        let (answers, stats) = common::complete(o);
         let m = tracer.metrics();
         assert_eq!(
             m.phase(Phase::ProductBfs).items,
@@ -219,12 +218,9 @@ fn parallel_fold_loses_no_counts() {
     for threads in [1usize, 2, 4, 8] {
         for layout in [Layout::Flat, Layout::BitParallel] {
             let tracer = CollectingTracer::new();
-            let (answers, stats) = engine::answers_product_with_stats_traced(
-                &db,
-                &prepared,
-                &EvalOptions::with_threads(threads).with_layout(layout),
-                &tracer,
-            );
+            let opts = EvalOptions::with_threads(threads).with_layout(layout);
+            let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &tracer);
+            let (answers, stats) = common::complete(o);
             let m = tracer.metrics();
             assert_eq!(
                 m.phase(Phase::ProductBfs).items,

@@ -12,7 +12,7 @@
 //! printed in every assertion message.
 
 use ecrpq::analyze::{fix_source, minimize};
-use ecrpq::eval::{engine, planner, EvalOptions, Layout, PreparedQuery};
+use ecrpq::eval::{planner, EvalOptions, Layout, PreparedQuery};
 use ecrpq::graph::NodeId;
 use ecrpq::query::{parse_query, Ecrpq, NodeVar, RelationRegistry};
 use ecrpq::workloads::{
@@ -20,6 +20,8 @@ use ecrpq::workloads::{
     RandomQueryParams,
 };
 use std::collections::BTreeSet;
+
+mod common;
 
 /// Walk-length bound for the oracle (same calibration as the other
 /// oracle suites: minimal witnesses on 4-node graphs fit comfortably).
@@ -52,7 +54,7 @@ fn product_answers(
 ) -> BTreeSet<Vec<NodeId>> {
     let prepared = PreparedQuery::build(q).unwrap_or_else(|e| panic!("prepare: {e}"));
     let opts = EvalOptions::with_threads(threads).with_layout(layout);
-    engine::answers_product(db, &prepared, &opts)
+    common::product_answers(db, &prepared, &opts)
 }
 
 #[test]

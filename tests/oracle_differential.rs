@@ -16,6 +16,7 @@
 use ecrpq::eval::cq_eval::{answers_cq, answers_cq_treedec};
 use ecrpq::eval::engine;
 use ecrpq::eval::product::answers_product;
+use ecrpq::eval::NoopTracer;
 use ecrpq::eval::{
     answers_product_with_stats_layout, ecrpq_to_cq, eval_product, EvalOptions, Layout,
     PreparedQuery,
@@ -26,6 +27,8 @@ use ecrpq::workloads::{
     env_seed, oracle_answers, oracle_eval, random_db, random_ecrpq, RandomQueryParams,
 };
 use std::collections::BTreeSet;
+
+mod common;
 
 /// Walk-length bound for the oracle. Minimal witnesses on 4-node graphs
 /// with 2-symbol relations fit comfortably; convergence is asserted.
@@ -78,7 +81,7 @@ fn oracle_agrees_with_every_answer_evaluator() {
         for threads in [1usize, 2, 4, 8] {
             for layout in [Layout::Flat, Layout::BitParallel] {
                 let opts = EvalOptions::with_threads(threads).with_layout(layout);
-                let got = engine::answers_product(&db, &prepared, &opts);
+                let got = common::product_answers(&db, &prepared, &opts);
                 check(
                     &truth,
                     &got,
@@ -140,7 +143,13 @@ fn oracle_agrees_with_yannakakis_streaming() {
         let product = answers_product(&db, &prepared);
         for threads in [1usize, 2, 4, 8] {
             let opts = EvalOptions::with_threads(threads);
-            let (got, _) = engine::answers_yannakakis_with_stats(&db, &prepared, &tree, &opts);
+            let (got, _) = common::complete(engine::answers_yannakakis_governed_traced(
+                &db,
+                &prepared,
+                &tree,
+                &opts,
+                &NoopTracer,
+            ));
             check(
                 &truth,
                 &got,
@@ -152,16 +161,6 @@ fn oracle_agrees_with_yannakakis_streaming() {
                 "seed {seed}: yannakakis vs product at {threads} thread(s)"
             );
         }
-        // governed with an unlimited budget: must complete bit-identically
-        let o = engine::answers_yannakakis_governed_traced(
-            &db,
-            &prepared,
-            &tree,
-            &EvalOptions::sequential(),
-            &ecrpq::eval::NoopTracer,
-        );
-        assert!(o.termination.is_complete(), "seed {seed}: spurious trip");
-        assert_eq!(o.answers, product, "seed {seed}: governed yannakakis");
     }
     assert!(
         acyclic as u64 >= CASES / 2,
@@ -246,7 +245,7 @@ fn oracle_agrees_on_shared_path_variables() {
             let exact = converged(&db, &q, &truth);
             let got = answers_product(&db, &prepared);
             check(&truth, &got, exact, &format!("query {i}, seed {seed}"));
-            let got_par = engine::answers_product(&db, &prepared, &EvalOptions::with_threads(3));
+            let got_par = common::product_answers(&db, &prepared, &EvalOptions::with_threads(3));
             check(
                 &truth,
                 &got_par,

@@ -7,11 +7,20 @@
 use ecrpq::eval::cq_eval::{
     answers_cq as answers_cq_seq, answers_cq_treedec as answers_cq_treedec_seq,
 };
-use ecrpq::eval::product::answers_product as answers_product_seq;
-use ecrpq::eval::{ecrpq_to_cq, engine, EvalOptions, PreparedQuery, ResourceBudget, Termination};
+use ecrpq::eval::product::{answers_product as answers_product_seq, Layout};
+use ecrpq::eval::{
+    ecrpq_to_cq, engine, EvalOptions, NoopTracer, PreparedQuery, ResourceBudget, Termination,
+};
 use ecrpq::query::NodeVar;
-use ecrpq::workloads::{random_db, random_ecrpq, RandomQueryParams};
+use ecrpq::workloads::{planted_power_law_instance, random_db, random_ecrpq, RandomQueryParams};
 use proptest::prelude::*;
+
+mod common;
+
+use common::{
+    complete, cq_answers, cq_treedec_answers, product_answers, product_answers_with_stats,
+    product_sat,
+};
 
 fn params() -> RandomQueryParams {
     RandomQueryParams {
@@ -34,10 +43,13 @@ proptest! {
         let prepared = PreparedQuery::build(&q).map_err(TestCaseError::fail)?;
         let seq = answers_product_seq(&db, &prepared);
         for threads in [1usize, 2, 4, 8] {
-            let par = engine::answers_product(&db, &prepared, &EvalOptions::with_threads(threads));
-            prop_assert_eq!(&par, &seq, "threads={} seed={}", threads, seed);
-            let par_bool = engine::eval_product(&db, &prepared, &EvalOptions::with_threads(threads));
-            prop_assert_eq!(par_bool, !seq.is_empty(), "boolean threads={} seed={}", threads, seed);
+            for layout in [Layout::Flat, Layout::BitParallel] {
+                let opts = EvalOptions::with_threads(threads).with_layout(layout);
+                let par = product_answers(&db, &prepared, &opts);
+                prop_assert_eq!(&par, &seq, "threads={} {:?} seed={}", threads, layout, seed);
+                let par_bool = product_sat(&db, &prepared, &opts);
+                prop_assert_eq!(par_bool, !seq.is_empty(), "boolean threads={} {:?} seed={}", threads, layout, seed);
+            }
         }
     }
 
@@ -53,22 +65,22 @@ proptest! {
         for threads in [2usize, 4] {
             let opts = EvalOptions::with_threads(threads);
             prop_assert_eq!(
-                &engine::answers_cq(&rdb, &cq, &opts),
+                &cq_answers(&rdb, &cq, &opts),
                 &seq,
                 "answers_cq threads={} seed={}", threads, seed
             );
             prop_assert_eq!(
-                &engine::answers_cq_treedec(&rdb, &cq, &opts),
+                &cq_treedec_answers(&rdb, &cq, &opts),
                 &seq_td,
                 "answers_cq_treedec threads={} seed={}", threads, seed
             );
             prop_assert_eq!(
-                engine::eval_cq(&rdb, &cq, &opts),
+                complete(engine::eval_cq_governed(&rdb, &cq, &opts)).0,
                 !seq.is_empty(),
                 "eval_cq threads={} seed={}", threads, seed
             );
             prop_assert_eq!(
-                engine::eval_cq_treedec(&rdb, &cq, &opts),
+                complete(engine::eval_cq_treedec_governed(&rdb, &cq, &opts)).0,
                 !seq_td.is_empty(),
                 "eval_cq_treedec threads={} seed={}", threads, seed
             );
@@ -76,7 +88,7 @@ proptest! {
     }
 
     /// The governed-evaluation soundness contract, differentially against
-    /// the ungoverned engine at several thread counts: budgeted answers
+    /// the sequential evaluator at several thread counts: budgeted answers
     /// are always a **subset** of the unbudgeted set, a run that reports
     /// [`Termination::Complete`] is **bit-identical**, and an unlimited
     /// budget always completes bit-identically (the governed path must not
@@ -94,7 +106,7 @@ proptest! {
             for cap in [1u64, 256, 16_384, u64::MAX / 4] {
                 let opts = EvalOptions::with_threads(threads)
                     .with_budget(ResourceBudget::unlimited().with_max_configurations(cap));
-                let o = engine::answers_product_governed(&db, &prepared, &opts);
+                let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
                 prop_assert!(
                     o.answers.is_subset(&full),
                     "threads={} cap={} seed={}: subset violated", threads, cap, seed
@@ -111,7 +123,7 @@ proptest! {
             // and bit-identical by construction
             let opts = EvalOptions::with_threads(threads)
                 .with_budget(ResourceBudget::unlimited());
-            let o = engine::answers_product_governed(&db, &prepared, &opts);
+            let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
             prop_assert_eq!(o.termination, Termination::Complete, "threads={}", threads);
             prop_assert_eq!(&o.answers, &full, "threads={} seed={}", threads, seed);
         }
@@ -121,7 +133,7 @@ proptest! {
         for cap in [1u64, total.max(1), total + 3] {
             let opts = EvalOptions::sequential()
                 .with_budget(ResourceBudget::unlimited().with_max_answers(cap));
-            let o = engine::answers_product_governed(&db, &prepared, &opts);
+            let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
             prop_assert_eq!(
                 o.answers.len() as u64,
                 cap.min(total),
@@ -151,18 +163,14 @@ fn merged_stats_equal_sequential_totals() {
         q.set_free(&all);
         let db = random_db(5, 1.8, 2, seed * 13 + 5);
         let prepared = PreparedQuery::build(&q).unwrap();
-        let (seq_ans, seq) =
-            engine::answers_product_with_stats(&db, &prepared, &EvalOptions::sequential());
+        let (seq_ans, seq) = product_answers_with_stats(&db, &prepared, &EvalOptions::sequential());
         if seq.checks + seq.cache_hits == 0 {
             continue; // nothing feasible to measure on this instance
         }
         covered += 1;
         for threads in [2usize, 4] {
-            let (ans, merged) = engine::answers_product_with_stats(
-                &db,
-                &prepared,
-                &EvalOptions::with_threads(threads),
-            );
+            let (ans, merged) =
+                product_answers_with_stats(&db, &prepared, &EvalOptions::with_threads(threads));
             assert_eq!(ans, seq_ans, "seed {seed} threads {threads}");
             assert_eq!(
                 merged.checks + merged.cache_hits,
@@ -191,7 +199,33 @@ fn extreme_thread_counts() {
     let prepared = PreparedQuery::build(&q).unwrap();
     let seq = answers_product_seq(&db, &prepared);
     for threads in [3usize, 5, 16, 64, 0] {
-        let par = engine::answers_product(&db, &prepared, &EvalOptions::with_threads(threads));
+        let par = product_answers(&db, &prepared, &EvalOptions::with_threads(threads));
         assert_eq!(par, seq, "threads={threads}");
+    }
+}
+
+/// Bit-parallel runs split the first variable's domain on 64-id word
+/// boundaries and share one stop flag across workers: on planted graphs
+/// spanning several words, answers and the Boolean search must match the
+/// sequential evaluator at every thread count.
+#[test]
+fn bitparallel_word_chunks_match_sequential() {
+    for seed in 0..3u64 {
+        let (db, q, planted) = planted_power_law_instance(300, 3, seed);
+        let prepared = PreparedQuery::build(&q).unwrap();
+        let seq = answers_product_seq(&db, &prepared);
+        assert!(!seq.is_empty() && !planted.is_empty(), "seed {seed}");
+        for threads in [2usize, 4, 8] {
+            let opts = EvalOptions::with_threads(threads).with_layout(Layout::BitParallel);
+            assert_eq!(
+                product_answers(&db, &prepared, &opts),
+                seq,
+                "seed {seed} threads {threads}"
+            );
+            assert!(
+                product_sat(&db, &prepared, &opts),
+                "seed {seed} threads {threads}"
+            );
+        }
     }
 }

@@ -244,3 +244,64 @@ fn small_db_plans_report_strategy_and_regime() {
     assert!(matches!(plan.strategy, Strategy::DirectProduct));
     assert_eq!(format!("{:?}", plan.combined), "PspaceComplete");
 }
+
+/// `planner::plan` and the service's cached plan come out of one compile
+/// step, so they agree on everything `Plan::explain` reports — strategy,
+/// measures, default budget and join-tree arcs — for every E22 corpus
+/// text and every `queries/*.ecrpq` line, on a graph small enough for the
+/// CQ pipeline and on one past the tuple budget.
+#[test]
+fn planner_plan_agrees_with_prepared_plan() {
+    let mut texts: Vec<String> = ecrpq_bench::harness::trial::server_corpus()
+        .into_iter()
+        .map(|(_, _, text)| text.to_string())
+        .collect();
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("queries");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("queries/ is readable")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "ecrpq"))
+        .collect();
+    files.sort();
+    for file in files {
+        let source = std::fs::read_to_string(&file).expect("query file is readable");
+        texts.extend(
+            source
+                .lines()
+                .map(str::trim)
+                .filter(|line| !line.is_empty() && !line.starts_with('#'))
+                .map(str::to_string),
+        );
+    }
+    assert!(texts.len() >= 12, "corpus shrank to {} texts", texts.len());
+    for nodes in [60usize, 20_000] {
+        let service = QueryService::new(random_db(nodes, 1.5, 2, 0xA9EE));
+        let db = service.db();
+        let mut cq_plans = 0;
+        for text in &texts {
+            let mut alphabet = db.alphabet().clone();
+            let q = parse_query(text, &mut alphabet, &RelationRegistry::new()).expect("parses");
+            let plan = planner::plan(db, &q);
+            let (prepared, _) = service.prepare(text).expect("prepares");
+            let at = format!("{nodes} nodes: {text}");
+            assert_eq!(plan.strategy, prepared.strategy, "{at}");
+            assert_eq!(plan.measures, prepared.measures, "{at}");
+            assert_eq!(plan.default_budget, prepared.default_budget, "{at}");
+            assert_eq!(
+                plan.join_tree.as_ref().map(|t| t.arcs()),
+                prepared.join_tree().map(|t| t.arcs()),
+                "{at}"
+            );
+            if plan.strategy == Strategy::CqTreedec {
+                cq_plans += 1;
+            }
+        }
+        // the small graph exercises the CQ pipeline, the large one only
+        // the Yannakakis and direct-product strategies
+        if nodes == 60 {
+            assert!(cq_plans > 0, "no CQ plan on the small graph");
+        } else {
+            assert_eq!(cq_plans, 0, "{nodes} nodes");
+        }
+    }
+}

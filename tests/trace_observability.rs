@@ -13,6 +13,8 @@ use ecrpq::query::{parse_query, RelationRegistry};
 use ecrpq::workloads::{random_db, tractable_chain_query};
 use std::path::PathBuf;
 
+mod common;
+
 fn check_golden(name: &str, actual: &str) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -162,15 +164,15 @@ fn tracer_never_changes_answers() {
         q.set_free(&[NodeVar(0), NodeVar(1)]);
         let db = random_db(10, 1.8, 2, seed * 37 + 3);
         let prepared = PreparedQuery::build(&q).unwrap();
-        let baseline = engine::answers_product(&db, &prepared, &EvalOptions::sequential());
+        let baseline = common::product_answers(&db, &prepared, &EvalOptions::sequential());
         for threads in [1usize, 2, 4] {
             let tracer = CollectingTracer::new();
-            let (traced, _) = engine::answers_product_with_stats_traced(
+            let (traced, _) = common::complete(engine::answers_product_governed_traced(
                 &db,
                 &prepared,
                 &EvalOptions::with_threads(threads),
                 &tracer,
-            );
+            ));
             assert_eq!(
                 traced, baseline,
                 "seed {seed}, {threads} thread(s): tracer changed the answers"
