@@ -3,11 +3,11 @@
 //! Shared harness utilities for the experiment suite.
 //!
 //! The `experiments` binary (this crate's `src/bin/experiments.rs`) prints
-//! one markdown table per experiment of `EXPERIMENTS.md`; the Criterion
-//! benches under `benches/` time the same operations with statistical
-//! rigor. This library holds the bits both share: timing, table
-//! formatting, and log–log slope fitting (used to check polynomial-degree
-//! predictions, e.g. the `O(|D|^{2·cc_vertex})` bound of Lemma 4.3).
+//! one markdown table per experiment of `EXPERIMENTS.md`, and the
+//! `harness` binary runs the declarative specs under `experiments/`. This
+//! library holds the bits they share: timing, table formatting, and
+//! log–log slope fitting (used to check polynomial-degree predictions,
+//! e.g. the `O(|D|^{2·cc_vertex})` bound of Lemma 4.3).
 
 use ecrpq_core::product::ProductStats;
 use ecrpq_core::{engine, EvalOptions, NoopTracer, Outcome, PreparedQuery};

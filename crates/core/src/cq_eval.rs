@@ -12,8 +12,9 @@
 //!   Gaifman graph, hence fit in some bag), then reduced by an upward and a
 //!   downward semijoin pass.
 
+use crate::enumerate::Odometer;
 use crate::fnv::{FnvHashMap, FnvHashSet};
-use crate::governor::{Governor, Pacer};
+use crate::governor::{AnswerClaim, Claim, Governor, Pacer};
 use crate::trace::{NoopTracer, Phase, PhaseSpan, Tracer};
 use ecrpq_query::{Cq, CqAtom, RelationalDb};
 use ecrpq_structure::{treewidth_exact, treewidth_upper_bound, TreeDecomposition};
@@ -67,94 +68,22 @@ pub(crate) fn answers_cq_part<T: Tracer>(
     tracer: &T,
     out: &mut BTreeSet<Vec<u32>>,
 ) {
-    let domain = db.domain_size() as u32;
-    // the free-tuple odometer charges its own work units (it can emit
-    // |D|^f tuples per satisfying assignment without touching a relation)
-    let mut odometer_work: u64 = 0;
+    let domain = db.domain_size();
+    let mut claim = AnswerClaim::new(governor);
+    let mut odometer = Odometer::default();
     let span = PhaseSpan::start(tracer, Phase::CqJoin);
     backtrack(db, q, part, governor, tracer, &mut |assignment| {
-        let mut tripped = false;
-        for_each_free_tuple(assignment, &q.free, domain, |tuple| {
-            tracer.count(Phase::Odometer, 1);
-            if let Some(g) = governor {
-                odometer_work += 1;
-                if odometer_work >= g.check_interval() {
-                    tracer.governor_check(Phase::Odometer, 1);
-                    let _ = g.checkpoint(std::mem::take(&mut odometer_work));
-                }
-                if g.stopped() {
-                    tracer.governor_check(Phase::Odometer, 1);
-                    tracer.governor_abort(Phase::Odometer);
-                    tripped = true;
-                    return true;
-                }
+        odometer.reset(q.free.iter().map(|&v| assignment[v]));
+        while let Some(tuple) = odometer.next(domain) {
+            // lint:allow(unguarded-loop): `AnswerClaim::offer` paces every tuple
+            if claim.offer(tracer, out, tuple) == Claim::Stop {
+                return true; // abandon the search once the budget trips
             }
-            if !out.contains(tuple) {
-                if let Some(g) = governor {
-                    if !g.try_claim_answer() {
-                        tracer.governor_check(Phase::Odometer, 1);
-                        tracer.governor_abort(Phase::Odometer);
-                        tripped = true;
-                        return true;
-                    }
-                    g.charge_memory(24 + 4 * tuple.len() as u64);
-                }
-                out.insert(tuple.to_vec());
-            }
-            false
-        });
-        tripped // abandon the search once the budget trips
+        }
+        false
     });
     span.finish(tracer);
-    if odometer_work > 0 {
-        if let Some(g) = governor {
-            g.checkpoint(odometer_work);
-        }
-    }
-}
-
-/// Expands the unassigned free variables of a satisfying assignment over
-/// the whole domain with a single odometer-advanced scratch tuple —
-/// replaces the old cartesian loop that cloned every partial tuple.
-/// `emit` returns `true` to abandon the expansion early (budget
-/// exhaustion).
-fn for_each_free_tuple(
-    assignment: &[Option<u32>],
-    free: &[usize],
-    domain: u32,
-    mut emit: impl FnMut(&[u32]) -> bool,
-) {
-    let mut tuple: Vec<u32> = Vec::with_capacity(free.len());
-    let mut open: Vec<usize> = Vec::new();
-    for (i, &v) in free.iter().enumerate() {
-        match assignment[v] {
-            None => {
-                open.push(i);
-                tuple.push(0);
-            }
-            Some(x) => tuple.push(x),
-        }
-    }
-    if !open.is_empty() && domain == 0 {
-        return;
-    }
-    loop {
-        if emit(&tuple) {
-            return;
-        }
-        let mut i = 0;
-        loop {
-            let Some(&p) = open.get(i) else {
-                return;
-            };
-            tuple[p] += 1;
-            if tuple[p] < domain {
-                break;
-            }
-            tuple[p] = 0;
-            i += 1;
-        }
-    }
+    claim.flush();
 }
 
 /// Join indexes built lazily per (relation, bound-position pattern):

@@ -2,18 +2,22 @@
 //!
 //! Multi-threaded front-ends for the two evaluator families:
 //!
-//! * the **product** evaluator ([`eval_product_governed`],
-//!   [`answers_product_governed_traced`]) —
-//!   the top-level backtracking search is partitioned by the domain of the
-//!   first node variable it assigns: the domain is cut into
-//!   `threads × 4` chunks, and `std::thread::scope` workers pull chunks
-//!   from an atomic queue. Each worker carries its own feasibility memo and
-//!   visited-stamp arrays (thread-local, so chunk-internal memo locality is
-//!   preserved) and borrows the read-only `SharedTables` — trimmed
-//!   automata, dense row-grouped transition tables, semijoin-pruned
-//!   enumeration domains, reachability closure — built once up front (the
-//!   build also freezes the database's CSR index, so no worker pays for
-//!   it);
+//! * the **product** family ([`eval_product_governed`],
+//!   [`answers_product_governed_traced`] and the Yannakakis entry
+//!   points) — one worker body, `steal_chunks`, serves Boolean search and
+//!   answer enumeration under both strategies. The domain of the first
+//!   node variable the search assigns is cut into `threads × 4` chunks
+//!   (finer, 64-id word-aligned ones under [`Layout::BitParallel`]), and
+//!   `std::thread::scope` workers pull chunks from an atomic queue.
+//!   Each worker owns one search cursor (`crate::enumerate`) — wrapped in
+//!   an [`AnswerIter`] for answer sets — and restarts it per chunk, so its
+//!   feasibility memo and visited-stamp arrays stay thread-local and warm
+//!   across chunks. All workers borrow the read-only `SharedTables` —
+//!   trimmed automata, dense row-grouped transition tables,
+//!   semijoin-pruned or Yannakakis-consistent enumeration domains,
+//!   reachability closure — built once up front (the build also freezes
+//!   the database's CSR index, so no worker pays for it). One thread runs
+//!   the same body inline over the full range;
 //! * the **CQ** evaluators ([`answers_cq_governed_traced`],
 //!   [`answers_cq_treedec_governed_traced`]) — the
 //!   backtracking join is partitioned by stride over the first atom's
@@ -38,10 +42,10 @@
 //! [`PreparedTables`] built once and reused.
 
 use crate::cq_eval;
-use crate::enumerate::AnswerIter;
+use crate::enumerate::{AnswerIter, SearchCursor};
 use crate::governor::{Governor, Outcome, ResourceBudget, Termination};
 use crate::prepare::PreparedQuery;
-use crate::product::{Evaluator, Layout, ProductStats, SharedTables};
+use crate::product::{Layout, ProductStats, SharedTables};
 use crate::trace::{NoopTracer, Tracer};
 use ecrpq_analyze::JoinTree;
 use ecrpq_graph::{GraphDb, NodeId};
@@ -328,8 +332,8 @@ pub fn eval_yannakakis_governed(
     eval_over(db, query, &tables, Layout::Flat, 1, governor)
 }
 
-/// The Boolean product search over built tables: one evaluator, or a
-/// chunk-stealing worker pool sharing a stop flag.
+/// The Boolean product search over built tables: one search cursor per
+/// worker, all sharing a stop flag that the first success raises.
 fn eval_over(
     db: &GraphDb,
     query: &PreparedQuery,
@@ -338,43 +342,32 @@ fn eval_over(
     workers: usize,
     governor: Option<&Governor>,
 ) -> Outcome<bool> {
-    if workers <= 1 {
-        let mut e = Evaluator::with_tables(db, query, tables);
-        if let Some(g) = governor {
-            e.set_governor(g);
-        }
-        let found = e.boolean();
-        e.flush_budget();
-        return boolean_outcome(found, e.stats, governor);
-    }
-    let ranges = product_chunk_ranges(db.num_nodes(), workers, layout);
-    let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
-    let parts = on_workers(workers, &NoopTracer, |_, _| {
-        let mut e = Evaluator::with_tables(db, query, tables);
-        e.set_stop(&stop);
-        if let Some(g) = governor {
-            e.set_governor(g);
-        }
-        let mut hit = false;
-        while !stop.load(Ordering::Relaxed) && !stopped(governor) {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(r) = ranges.get(i) else { break };
-            e.set_first_var_range(r.clone());
-            if e.boolean() {
-                hit = true;
-                stop.store(true, Ordering::Relaxed);
-                break;
+    let parts = steal_chunks(
+        db.num_nodes(),
+        layout,
+        workers,
+        &stop,
+        &NoopTracer,
+        |_| {
+            let mut search = SearchCursor::new(db, query, tables, governor, NoopTracer);
+            search.ev.set_stop(&stop);
+            (search, false)
+        },
+        |(search, hit), range| {
+            if let Some(r) = range {
+                search.restart(r);
             }
-        }
-        e.flush_budget();
-        (hit, e.stats)
-    });
+            *hit = search.next_assignment().is_some();
+            search.ev.flush_budget();
+            *hit || stopped(governor)
+        },
+    );
     let mut stats = ProductStats::default();
-    for (_, s) in &parts {
-        stats.merge(s);
+    for (search, _) in &parts {
+        stats.merge(&search.ev.stats);
     }
-    boolean_outcome(parts.iter().any(|&(hit, _)| hit), stats, governor)
+    boolean_outcome(parts.iter().any(|&(_, hit)| hit), stats, governor)
 }
 
 /// Answer enumeration for the product evaluator: workers enumerate
@@ -402,16 +395,16 @@ pub fn answers_product_governed_traced<T: Tracer>(
     let governor = governor.as_ref();
     let tables = SharedTables::build_traced(db, query, opts.layout, governor, tracer);
     let workers = product_workers(db, query, opts);
-    governed_answers_over(db, query, &tables, opts.layout, workers, governor, tracer)
+    answers_over(db, query, &tables, opts.layout, workers, governor, tracer)
 }
 
 /// Answer enumeration under the Yannakakis strategy: semijoin program
 /// over the join tree, then streaming enumeration over the globally
-/// consistent domains, both under one governor. Parallel runs use a
-/// static first-variable partition (one contiguous range per worker).
-/// The returned set is a subset of the unbudgeted answers, bit-identical
-/// when [`Outcome::termination`] is [`Termination::Complete`];
-/// `max_answers` stops the streaming enumeration exactly at the cap.
+/// consistent domains, both under one governor. Parallel runs share the
+/// product family's chunk-stealing workers. The returned set is a subset
+/// of the unbudgeted answers, bit-identical when [`Outcome::termination`]
+/// is [`Termination::Complete`]; `max_answers` stops the streaming
+/// enumeration exactly at the cap.
 pub fn answers_yannakakis_governed_traced<T: Tracer>(
     db: &GraphDb,
     query: &PreparedQuery,
@@ -424,15 +417,18 @@ pub fn answers_yannakakis_governed_traced<T: Tracer>(
     let tables =
         SharedTables::build_traced_with(db, query, Layout::Flat, governor, tracer, Some(tree));
     let workers = product_workers(db, query, opts);
-    stream_answers(db, query, &tables, governor, workers, tracer)
+    answers_over(db, query, &tables, Layout::Flat, workers, governor, tracer)
 }
 
-/// The parallel region of the governed product enumeration over tables
-/// that already exist. The governor is *borrowed*, never stored: callers
-/// construct a fresh one per execution (its deadline `Instant` and stop
-/// flag are single-run state), which is what lets prepared-plan caches
-/// reuse the tables underneath without inheriting a tripped budget.
-fn governed_answers_over<T: Tracer>(
+/// The governed product enumeration over tables that already exist: one
+/// streaming [`AnswerIter`] per worker. The governor is *borrowed*, never
+/// stored: callers construct a fresh one per execution (its deadline
+/// `Instant` and stop flag are single-run state), which is what lets
+/// prepared-plan caches reuse the tables underneath without inheriting a
+/// tripped budget. Per-worker dedup is local (free tuples cycled by
+/// different workers' odometers can coincide), so the per-worker sets
+/// are merged by union.
+fn answers_over<T: Tracer>(
     db: &GraphDb,
     query: &PreparedQuery,
     tables: &SharedTables,
@@ -441,60 +437,61 @@ fn governed_answers_over<T: Tracer>(
     governor: Option<&Governor>,
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    if workers <= 1 {
-        // single full-range streaming iterator: same visit order, memo
-        // and claim discipline as the chunked evaluators, but a tripped
-        // answer cap stops the search at the cap instead of after it
-        return stream_answers(db, query, tables, governor, 1, tracer);
-    }
-    let ranges = product_chunk_ranges(db.num_nodes(), workers, layout);
-    let next = AtomicUsize::new(0);
-    let (answers, stats) = merge_workers(on_workers(workers, tracer, |_, worker_tracer| {
-        let mut e = Evaluator::with_tables_traced(db, query, tables, worker_tracer);
-        if let Some(g) = governor {
-            e.set_governor(g);
-        }
-        let mut mine = BTreeSet::new();
-        while !stopped(governor) {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(r) = ranges.get(i) else { break };
-            e.set_first_var_range(r.clone());
-            e.answers_into(&mut mine);
-        }
-        e.flush_budget();
-        (mine, e.stats)
-    }));
+    let parts = steal_chunks(
+        db.num_nodes(),
+        layout,
+        workers,
+        &AtomicBool::new(false),
+        tracer,
+        |worker_tracer| AnswerIter::with_parts(db, query, tables, governor, worker_tracer),
+        |it, range| {
+            if let Some(r) = range {
+                it.restart(r);
+            }
+            it.run();
+            stopped(governor)
+        },
+    );
+    let (answers, stats) = merge_workers(parts.into_iter().map(AnswerIter::into_parts).collect());
     governed_outcome(answers, stats, governor)
 }
 
-/// Drains streaming [`AnswerIter`]s over pre-built tables under
-/// `governor`: one full-range iterator sequentially, or one per worker
-/// over a *static* partition of the first assigned variable's range.
-/// Per-worker dedup is local (free tuples cycled by different workers'
-/// odometers can coincide), so the per-worker sets are merged by union.
-fn stream_answers<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tables: &SharedTables,
-    governor: Option<&Governor>,
+/// The one product worker body. Sequentially (`workers <= 1`) it runs
+/// one search state over the full range on the calling thread. In
+/// parallel, each worker builds its state once (`start`) and steals
+/// first-variable chunks from a shared queue over
+/// [`product_chunk_ranges`], restarting the state on each one (`run`;
+/// the search keeps its memo and visited stamps across restarts), until
+/// the queue drains or a chunk returns `true` — a Boolean hit or a
+/// tripped budget — which raises `stop` for every worker.
+fn steal_chunks<T: Tracer, W: Send>(
+    nv: usize,
+    layout: Layout,
     workers: usize,
+    stop: &AtomicBool,
     tracer: &T,
-) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    let drain = |range: Option<Range<NodeId>>, worker_tracer: T| {
-        let mut it = AnswerIter::with_parts(db, query, tables, governor, range, worker_tracer);
-        let mut mine = BTreeSet::new();
-        it.drain_into(&mut mine);
-        (mine, *it.stats())
-    };
-    let (answers, stats) = if workers <= 1 {
-        drain(None, tracer.fork_worker())
-    } else {
-        let ranges = chunk_ranges(db.num_nodes(), workers);
-        merge_workers(on_workers(ranges.len(), tracer, |i, worker_tracer| {
-            drain(Some(ranges[i].clone()), worker_tracer)
-        }))
-    };
-    governed_outcome(answers, stats, governor)
+    start: impl Fn(T) -> W + Sync,
+    run: impl Fn(&mut W, Option<Range<NodeId>>) -> bool + Sync,
+) -> Vec<W> {
+    if workers <= 1 {
+        let mut w = start(tracer.fork_worker());
+        run(&mut w, None);
+        return vec![w];
+    }
+    let ranges = product_chunk_ranges(nv, workers, layout);
+    let next = AtomicUsize::new(0);
+    on_workers(workers, tracer, |_, worker_tracer| {
+        let mut w = start(worker_tracer);
+        while !stop.load(Ordering::Relaxed) {
+            let Some(r) = ranges.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
+            if run(&mut w, Some(r.clone())) {
+                stop.store(true, Ordering::Relaxed);
+            }
+        }
+        w
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -574,7 +571,7 @@ pub fn answers_product_governed_prepared_traced<T: Tracer>(
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
     let workers = product_workers(db, query, opts);
-    governed_answers_over(
+    answers_over(
         db,
         query,
         &tables.tables,
@@ -587,10 +584,11 @@ pub fn answers_product_governed_prepared_traced<T: Tracer>(
 
 /// Resource-governed streaming enumeration over tables prepared with
 /// [`PreparedTables::build_for_tree`]: the Yannakakis execution tail
-/// (static first-variable partition, per-worker streams merged by union)
 /// with a fresh per-call `Governor`, mirroring
 /// [`answers_yannakakis_governed_traced`] minus the semijoin program it
-/// already paid for at preparation time.
+/// already paid for at preparation time. Over consistent domains the
+/// enumeration is the direct-product one, so this is
+/// [`answers_product_governed_prepared_traced`].
 pub fn answers_yannakakis_governed_prepared_traced<T: Tracer>(
     db: &GraphDb,
     query: &PreparedQuery,
@@ -598,10 +596,7 @@ pub fn answers_yannakakis_governed_prepared_traced<T: Tracer>(
     opts: &EvalOptions,
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    let governor = run_governor(&opts.budget);
-    let governor = governor.as_ref();
-    let workers = product_workers(db, query, opts);
-    stream_answers(db, query, &tables.tables, governor, workers, tracer)
+    answers_product_governed_prepared_traced(db, query, tables, opts, tracer)
 }
 
 // ---------------------------------------------------------------------------

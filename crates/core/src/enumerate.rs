@@ -1,37 +1,38 @@
-//! Output-sensitive streaming answer enumeration.
+//! The product evaluator's backtracking search, and the streaming answer
+//! enumerator built on it.
 //!
-//! The materialized entry points (`Evaluator::answers_into` and the
-//! engine wrappers) build the full answer set before any cap can apply;
-//! this module replaces that with a resumable iterator: after the
-//! preparation phase (tables, closure, semijoin or Yannakakis domains),
-//! [`AnswerIter`] yields answers one at a time with *bounded delay* —
-//! the work between consecutive yields is bounded by the backtracker's
-//! step count over the pruned domains, not by the answer count. A
-//! `max_answers` cap therefore terminates the enumeration exactly at the
-//! cap: the iterator simply stops being polled (or the governor refuses
-//! the claim), and no further configuration is explored.
-//!
-//! The iterator is a *flattened* version of the recursive
-//! `Evaluator::search`/`enumerate` backtracker. The recursion's shape
+//! `SearchCursor` is the one search over node assignments for the
+//! product family (Prop. 2.2 / Lemma 4.2): Boolean evaluation, answer
+//! sets, witnesses and every parallel worker run it. The search's shape
 //! depends only on query structure, never on data values: atom `i`
 //! assigns its not-yet-assigned endpoint variables (sorted,
 //! deduplicated) and then runs one feasibility check. That makes the
 //! whole search expressible as a fixed *step program* —
 //! `Assign(var), …, Check(atom), Assign(var), …` — walked by a cursor
 //! with per-step value positions. Feasibility checks, memoization,
-//! budget pacing, and statistics are delegated to the shared
-//! `Evaluator`, so the streamed answer set is bit-identical to the
-//! materialized one (the differential suites assert set equality, and
-//! a proptest asserts the bounded-delay property on the work counter).
+//! budget pacing, and statistics are delegated to the product
+//! `Evaluator` the cursor owns. A cursor can restart on a new range of
+//! its first assigned variable and keeps its memo and visited stamps
+//! when it does: that is how the engine's workers steal chunks.
+//!
+//! [`AnswerIter`] is the cursor plus the free-tuple `Odometer` and the
+//! governor's per-tuple answer claim (`AnswerClaim`). After the
+//! preparation phase (tables, closure, semijoin or Yannakakis domains)
+//! it yields answers one at a time with *bounded delay* — the work
+//! between consecutive yields is bounded by the cursor's step count over
+//! the pruned domains, not by the answer count. A `max_answers` cap
+//! therefore terminates the enumeration exactly at the cap: the iterator
+//! simply stops being polled (or the governor refuses the claim), and no
+//! further configuration is explored.
 //!
 //! Under a Yannakakis preparation on a single-track acyclic query the
 //! domains are globally consistent, the backtracker never fails a check
 //! on tree-consistent prefixes, and the delay bound tightens to
 //! `O(Σ_v |D(v)|)` steps per answer (see DESIGN.md §13).
 
-use crate::governor::{Governor, ResourceBudget, Termination};
+use crate::governor::{AnswerClaim, Claim, Governor, ResourceBudget, Termination};
 use crate::prepare::PreparedQuery;
-use crate::product::{Evaluator, Layout, SharedTables, UNASSIGNED};
+use crate::product::{Evaluator, Layout, ProductStats, SharedTables, UNASSIGNED};
 use crate::trace::{NoopTracer, Phase, PhaseSpan, Tracer};
 use ecrpq_analyze::JoinTree;
 use ecrpq_graph::{GraphDb, NodeId};
@@ -39,11 +40,11 @@ use ecrpq_query::NodeVar;
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-/// One instruction of the flattened backtracking program.
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    /// Bind the node variable to the next value of its candidate list.
-    Assign { var: u32 },
+/// One instruction of the search's step program.
+#[derive(Debug, Clone)]
+enum Step<'a> {
+    /// Bind the node variable to the next value of its candidates.
+    Assign { var: u32, cands: Cands<'a> },
     /// Run the (memoized) product-feasibility check of merged atom
     /// `atom`; on failure backtrack to the nearest `Assign` above.
     Check { atom: usize },
@@ -57,7 +58,20 @@ enum Cands<'a> {
     Range(Range<NodeId>),
 }
 
-impl Cands<'_> {
+impl<'a> Cands<'a> {
+    /// The candidates of `var` inside `range`: values outside a pruned
+    /// domain cannot satisfy some atom, so skipping them loses nothing.
+    fn of(tables: &'a SharedTables, var: u32, range: Range<NodeId>) -> Self {
+        match tables.domain(var) {
+            Some(dom) => {
+                let lo = dom.partition_point(|&x| x < range.start);
+                let hi = dom.partition_point(|&x| x < range.end);
+                Cands::Dom(&dom[lo..hi])
+            }
+            None => Cands::Range(range),
+        }
+    }
+
     #[inline]
     fn len(&self) -> usize {
         match self {
@@ -76,28 +90,45 @@ impl Cands<'_> {
 }
 
 /// The free-tuple odometer of one satisfying assignment: cycles the
-/// unassigned free positions over the full vertex range, keeping the
-/// assigned positions fixed (the streaming twin of
-/// `product::for_each_free_tuple`).
-struct LeafOdometer {
-    tuple: Vec<NodeId>,
+/// unassigned free positions over `0..n`, least significant first,
+/// keeping the assigned positions fixed. Reused across assignments, so
+/// an expansion allocates nothing once the buffers have grown.
+#[derive(Debug, Default)]
+pub(crate) struct Odometer {
+    tuple: Vec<u32>,
     /// Positions of `tuple` that cycle, least significant first.
     open: Vec<usize>,
     started: bool,
 }
 
-impl LeafOdometer {
-    fn next(&mut self, nv: usize) -> Option<&[NodeId]> {
+impl Odometer {
+    /// Loads one assignment's free values: `Some` positions stay fixed,
+    /// `None` positions cycle.
+    pub(crate) fn reset(&mut self, values: impl IntoIterator<Item = Option<u32>>) {
+        self.tuple.clear();
+        self.open.clear();
+        self.started = false;
+        for (i, v) in values.into_iter().enumerate() {
+            if v.is_none() {
+                // lint:allow(materialize) — O(#free) odometer setup, not answers
+                self.open.push(i);
+            }
+            // lint:allow(materialize) — O(#free) odometer setup, not answers
+            self.tuple.push(v.unwrap_or(0));
+        }
+    }
+
+    /// The next tuple over a domain of `n` values, `None` once every
+    /// combination was returned (at once when a position is open and
+    /// `n == 0`).
+    pub(crate) fn next(&mut self, n: usize) -> Option<&[u32]> {
         if !self.started {
             self.started = true;
-            if nv == 0 && !self.open.is_empty() {
-                return None;
-            }
-            return Some(&self.tuple);
+            return (n > 0 || self.open.is_empty()).then_some(&self.tuple[..]);
         }
         for &i in &self.open {
             self.tuple[i] += 1;
-            if (self.tuple[i] as usize) < nv {
+            if (self.tuple[i] as usize) < n {
                 return Some(&self.tuple);
             }
             self.tuple[i] = 0;
@@ -106,45 +137,52 @@ impl LeafOdometer {
     }
 }
 
-/// A streaming answer iterator over one (database, query) pair.
-///
-/// Yields each distinct free-variable tuple exactly once, in the same
-/// cooperative-budget discipline as the materialized path: one claim per
-/// new tuple (`Governor::try_claim_answer`), memory charges for the
-/// retained dedup set, and amortized work check-ins. When the governor
-/// trips, the iterator ends; the caller reads the [`Termination`] off
-/// the governor (or [`Enumerator::termination`]).
-pub struct AnswerIter<'a, T: Tracer = NoopTracer> {
-    ev: Evaluator<'a, T>,
-    governor: Option<&'a Governor>,
+/// The free values of a search assignment, in `free` order (`None` for a
+/// variable no atom constrains).
+pub(crate) fn free_values<'s>(
+    assignment: &'s [i64],
+    free: &'s [NodeVar],
+) -> impl Iterator<Item = Option<NodeId>> + 's {
+    free.iter().map(|&NodeVar(f)| {
+        let a = assignment[f as usize];
+        (a != UNASSIGNED).then_some(a as NodeId)
+    })
+}
+
+/// The product evaluator's backtracking search over node assignments,
+/// flattened into a step program. [`SearchCursor::next_assignment`]
+/// yields each satisfying assignment once, in the same order on every
+/// run; the cursor stops early when the evaluator's stop flag or budget
+/// governor says so.
+pub(crate) struct SearchCursor<'a, T: Tracer = NoopTracer> {
+    /// Feasibility, memo, pacing and counters.
+    pub(crate) ev: Evaluator<'a, T>,
+    tables: &'a SharedTables,
     tracer: T,
-    steps: Vec<Step>,
-    cands: Vec<Cands<'a>>,
+    steps: Vec<Step<'a>>,
+    /// Per-step position in the candidates of an `Assign` step.
     cursors: Vec<usize>,
     assignment: Vec<i64>,
-    free: Vec<NodeVar>,
-    nv: usize,
     /// Program counter into `steps`; `steps.len()` = at a leaf.
     pos: usize,
-    leaf: Option<LeafOdometer>,
-    seen: BTreeSet<Vec<NodeId>>,
-    odometer_work: u64,
-    work: u64,
+    /// The last call returned the leaf; the next one backtracks from it.
+    at_leaf: bool,
+    /// An empty database or an emptied domain: no assignment exists.
+    dead: bool,
     done: bool,
+    /// Steps executed so far (the delay measure of [`AnswerIter::work`]).
+    steps_run: u64,
     starts_buf: Vec<NodeId>,
     ends_buf: Vec<NodeId>,
 }
 
-impl<'a, T: Tracer> AnswerIter<'a, T> {
-    /// Builds the step program and primes the iterator. `first_var_range`
-    /// restricts the very first assigned variable (the parallel engine's
-    /// partition hook), mirroring `Evaluator::set_first_var_range`.
-    pub(crate) fn with_parts(
+impl<'a, T: Tracer> SearchCursor<'a, T> {
+    /// Builds the step program over the full vertex range.
+    pub(crate) fn new(
         db: &'a GraphDb,
         query: &'a PreparedQuery,
         tables: &'a SharedTables,
         governor: Option<&'a Governor>,
-        first_var_range: Option<Range<NodeId>>,
         tracer: T,
     ) -> Self {
         let mut ev = Evaluator::with_tables_traced(db, query, tables, tracer.clone());
@@ -153,12 +191,8 @@ impl<'a, T: Tracer> AnswerIter<'a, T> {
         }
         let nv = db.num_nodes();
         let mut steps = Vec::new();
-        let mut cands: Vec<Cands<'a>> = Vec::new();
         let mut assigned = vec![false; query.num_node_vars];
-        let mut first_assign = true;
         for (ai, atom) in query.atoms.iter().enumerate() {
-            // the recursion's variable order is structural: endpoints of
-            // the atom not yet bound, sorted and deduplicated
             let mut vars: Vec<u32> = atom
                 .endpoints
                 .iter()
@@ -167,85 +201,106 @@ impl<'a, T: Tracer> AnswerIter<'a, T> {
                 .collect(); // lint:allow(materialize) — program construction, not answers
             vars.sort_unstable();
             vars.dedup();
-            for &v in &vars {
-                assigned[v as usize] = true;
+            for &var in &vars {
+                assigned[var as usize] = true;
+                let cands = Cands::of(tables, var, 0..nv as NodeId);
                 // lint:allow(materialize) — program construction, not answers
-                steps.push(Step::Assign { var: v });
-                let range = if first_assign {
-                    first_assign = false;
-                    first_var_range.clone().unwrap_or(0..nv as NodeId)
-                } else {
-                    0..nv as NodeId
-                };
-                let c = match tables.domain(v) {
-                    Some(dom) => {
-                        let lo = dom.partition_point(|&x| x < range.start);
-                        let hi = dom.partition_point(|&x| x < range.end);
-                        Cands::Dom(&dom[lo..hi])
-                    }
-                    None => Cands::Range(range),
-                };
-                // lint:allow(materialize) — program construction, not answers
-                cands.push(c);
+                steps.push(Step::Assign { var, cands });
             }
             // lint:allow(materialize) — program construction, not answers
             steps.push(Step::Check { atom: ai });
-            // lint:allow(materialize) — keeps cands parallel to steps
-            cands.push(Cands::Range(0..0));
         }
-        let done = (query.num_node_vars > 0 && nv == 0) || tables.unsatisfiable();
-        let cursors = vec![0usize; steps.len()];
-        let assignment = vec![UNASSIGNED; query.num_node_vars];
-        AnswerIter {
+        let dead = (query.num_node_vars > 0 && nv == 0) || tables.unsatisfiable();
+        SearchCursor {
             ev,
-            governor,
+            tables,
             tracer,
+            cursors: vec![0; steps.len()],
             steps,
-            cands,
-            cursors,
-            assignment,
-            free: query.free.clone(),
-            nv,
+            assignment: vec![UNASSIGNED; query.num_node_vars],
             pos: 0,
-            leaf: None,
-            seen: BTreeSet::new(),
-            odometer_work: 0,
-            work: 0,
-            done,
+            at_leaf: false,
+            dead,
+            done: dead,
+            steps_run: 0,
             starts_buf: Vec::new(),
             ends_buf: Vec::new(),
         }
     }
 
-    /// Total backtracker steps plus odometer ticks executed so far — the
-    /// counter-based delay measure the bounded-delay proptest asserts on.
-    pub fn work(&self) -> u64 {
-        self.work
-    }
-
-    /// Statistics accumulated by the underlying evaluator (feasibility
-    /// checks, memo hits, satisfying assignments).
-    pub(crate) fn stats(&self) -> &crate::product::ProductStats {
-        &self.ev.stats
-    }
-
-    /// Drains this iterator into `out` (the engine's worker loop): the
-    /// streamed tuples are already deduplicated against `seen`, but a
-    /// parallel worker merges into a shared set anyway.
-    pub(crate) fn drain_into(&mut self, out: &mut BTreeSet<Vec<NodeId>>) {
-        for t in &mut *self {
-            out.insert(t);
+    /// Restarts the search with the first assigned variable restricted
+    /// to `range` (one chunk of a parallel run). The evaluator — memo,
+    /// visited stamps, counters, pacer — carries over.
+    pub(crate) fn restart(&mut self, range: Range<NodeId>) {
+        let tables = self.tables;
+        if let Some(Step::Assign { var, cands }) = self
+            .steps
+            .iter_mut()
+            .find(|s| matches!(s, Step::Assign { .. }))
+        {
+            *cands = Cands::of(tables, *var, range);
         }
+        self.cursors.fill(0);
+        self.assignment.fill(UNASSIGNED);
+        self.pos = 0;
+        self.at_leaf = false;
+        self.done = self.dead;
     }
 
-    /// Flushes outstanding budget work; called once on exhaustion.
-    fn finish_budget(&mut self) {
-        if self.odometer_work > 0 {
-            if let Some(g) = self.governor {
-                g.checkpoint(std::mem::take(&mut self.odometer_work));
+    /// Advances to the next satisfying assignment: one value per node
+    /// variable, [`UNASSIGNED`] for variables no atom constrains. `None`
+    /// once the search is exhausted or stopped.
+    pub(crate) fn next_assignment(&mut self) -> Option<&[i64]> {
+        if self.at_leaf {
+            self.at_leaf = false;
+            self.backtrack();
+        }
+        while !self.done {
+            if self.ev.should_stop() {
+                self.done = true;
+                break;
+            }
+            if self.pos == self.steps.len() {
+                self.ev.stats.assignments += 1;
+                self.at_leaf = true;
+                return Some(&self.assignment);
+            }
+            self.steps_run += 1;
+            if T::ENABLED {
+                self.tracer.count(Phase::Enumerate, 1);
+            }
+            match &self.steps[self.pos] {
+                Step::Assign { var, cands } => {
+                    let var = *var as usize;
+                    let cur = self.cursors[self.pos];
+                    if cur < cands.len() {
+                        self.assignment[var] = i64::from(cands.get(cur));
+                        self.cursors[self.pos] += 1;
+                        self.pos += 1;
+                    } else {
+                        self.assignment[var] = UNASSIGNED;
+                        self.cursors[self.pos] = 0;
+                        self.backtrack();
+                    }
+                }
+                &Step::Check { atom } => {
+                    let endpoints = &self.ev.query.atoms[atom].endpoints;
+                    let value = |v: u32| self.assignment[v as usize] as NodeId;
+                    self.starts_buf.clear();
+                    self.ends_buf.clear();
+                    self.starts_buf
+                        .extend(endpoints.iter().map(|&(NodeVar(s), _)| value(s)));
+                    self.ends_buf
+                        .extend(endpoints.iter().map(|&(_, NodeVar(d))| value(d)));
+                    if self.ev.feasible(atom, &self.starts_buf, &self.ends_buf) {
+                        self.pos += 1;
+                    } else {
+                        self.backtrack();
+                    }
+                }
             }
         }
-        self.ev.flush_budget();
+        None
     }
 
     /// Moves `pos` to the nearest enclosing `Assign` step; `done` when
@@ -254,7 +309,6 @@ impl<'a, T: Tracer> AnswerIter<'a, T> {
         loop {
             if self.pos == 0 {
                 self.done = true;
-                self.finish_budget();
                 return;
             }
             self.pos -= 1;
@@ -263,151 +317,120 @@ impl<'a, T: Tracer> AnswerIter<'a, T> {
             }
         }
     }
+}
 
-    /// Enters the leaf at a full satisfying assignment: one odometer over
-    /// the unassigned free positions.
-    fn enter_leaf(&mut self) {
-        self.ev.stats.assignments += 1;
-        let mut tuple = Vec::with_capacity(self.free.len());
-        let mut open = Vec::new();
-        for (i, &NodeVar(f)) in self.free.iter().enumerate() {
-            let a = self.assignment[f as usize];
-            if a == UNASSIGNED {
-                // lint:allow(materialize) — odometer setup, not answers
-                tuple.push(0);
-                // lint:allow(materialize) — odometer setup, not answers
-                open.push(i);
-            } else {
-                // lint:allow(materialize) — odometer setup, not answers
-                tuple.push(a as NodeId);
-            }
+/// A streaming answer iterator over one (database, query) pair.
+///
+/// Yields each distinct free-variable tuple exactly once, under the
+/// governor's per-tuple claim discipline (`AnswerClaim`): one claim per
+/// new tuple, memory charges for the retained dedup set, and amortized
+/// work check-ins. When the governor trips, the iterator ends; the
+/// caller reads the [`Termination`] off the governor (or
+/// [`Enumerator::termination`]).
+pub struct AnswerIter<'a, T: Tracer = NoopTracer> {
+    search: SearchCursor<'a, T>,
+    claim: AnswerClaim<'a>,
+    tracer: T,
+    free: &'a [NodeVar],
+    nv: usize,
+    leaf: Odometer,
+    /// `leaf` holds a satisfying assignment still being expanded.
+    in_leaf: bool,
+    /// Every answer yielded so far (the dedup set, and the answer set of
+    /// a drained run).
+    seen: BTreeSet<Vec<NodeId>>,
+    odometer_ticks: u64,
+    done: bool,
+}
+
+impl<'a, T: Tracer> AnswerIter<'a, T> {
+    /// Builds the search over the full vertex range and primes the
+    /// iterator.
+    pub(crate) fn with_parts(
+        db: &'a GraphDb,
+        query: &'a PreparedQuery,
+        tables: &'a SharedTables,
+        governor: Option<&'a Governor>,
+        tracer: T,
+    ) -> Self {
+        let search = SearchCursor::new(db, query, tables, governor, tracer.clone());
+        AnswerIter {
+            done: search.done,
+            search,
+            claim: AnswerClaim::new(governor),
+            tracer,
+            free: &query.free,
+            nv: db.num_nodes(),
+            leaf: Odometer::default(),
+            in_leaf: false,
+            seen: BTreeSet::new(),
+            odometer_ticks: 0,
         }
-        self.leaf = Some(LeafOdometer {
-            tuple,
-            open,
-            started: false,
-        });
     }
 
-    /// Advances to the next answer tuple. The loop is the iterative twin
-    /// of `search`/`enumerate`/`enumerate_values` and replicates the
-    /// governed path of `answers_into` per emitted tuple.
-    fn advance(&mut self) -> Option<Vec<NodeId>> {
+    /// Restarts on another chunk of the first assigned variable (see
+    /// [`SearchCursor::restart`]); answers already yielded stay in the
+    /// dedup set.
+    pub(crate) fn restart(&mut self, range: Range<NodeId>) {
+        self.search.restart(range);
+        self.in_leaf = false;
+        self.done = self.search.done;
+    }
+
+    /// Total backtracker steps plus odometer ticks executed so far — the
+    /// counter-based delay measure the bounded-delay proptest asserts on.
+    pub fn work(&self) -> u64 {
+        self.search.steps_run + self.odometer_ticks
+    }
+
+    /// Runs the iterator to its end; the answers stay in the dedup set.
+    pub(crate) fn run(&mut self) {
+        while self.advance() {}
+    }
+
+    /// The answers yielded so far and the evaluator's counters.
+    pub(crate) fn into_parts(self) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
+        (self.seen, self.search.ev.stats)
+    }
+
+    /// Advances to the next new answer, left in the odometer; `false`
+    /// once the search is exhausted or the governor stopped it.
+    fn advance(&mut self) -> bool {
         let tracer = self.tracer.clone();
         let span = PhaseSpan::start(&tracer, Phase::Enumerate);
-        let out = self.advance_inner(&tracer);
+        let found = self.advance_inner(&tracer);
         span.finish(&tracer);
-        if self.done && self.leaf.is_none() {
-            // redundant after normal exhaustion (backtrack flushed), but
-            // covers the governor-abort exits
-            self.finish_budget();
-        }
-        out
+        found
     }
 
-    fn advance_inner(&mut self, tracer: &T) -> Option<Vec<NodeId>> {
-        loop {
-            if self.done {
-                return None;
-            }
-            // a leaf in progress: stream its free tuples
-            if let Some(od) = &mut self.leaf {
-                self.work += 1;
-                match od.next(self.nv) {
-                    None => {
-                        self.leaf = None;
-                        self.backtrack();
-                        continue;
-                    }
-                    Some(tuple) => {
-                        tracer.count(Phase::Odometer, 1);
-                        if let Some(g) = self.governor {
-                            self.odometer_work += 1;
-                            if self.odometer_work >= g.check_interval() {
-                                tracer.governor_check(Phase::Odometer, 1);
-                                let _ = g.checkpoint(std::mem::take(&mut self.odometer_work));
-                            }
-                            if g.stopped() {
-                                tracer.governor_check(Phase::Odometer, 1);
-                                tracer.governor_abort(Phase::Odometer);
-                                self.leaf = None;
-                                self.done = true;
-                                return None;
-                            }
-                        }
-                        if self.seen.contains(tuple) {
-                            continue;
-                        }
-                        if let Some(g) = self.governor {
-                            if !g.try_claim_answer() {
-                                tracer.governor_check(Phase::Odometer, 1);
-                                tracer.governor_abort(Phase::Odometer);
-                                self.leaf = None;
-                                self.done = true;
-                                return None;
-                            }
-                            // the dedup set retains every answer: charge it
-                            // like the materialized path does
-                            g.charge_memory(24 + 4 * tuple.len() as u64);
-                        }
-                        let owned = tuple.to_vec();
-                        self.seen.insert(owned.clone());
-                        return Some(owned);
-                    }
+    fn advance_inner(&mut self, tracer: &T) -> bool {
+        while !self.done {
+            if self.in_leaf {
+                self.odometer_ticks += 1;
+                match self.leaf.next(self.nv) {
+                    None => self.in_leaf = false,
+                    Some(tuple) => match self.claim.offer(tracer, &mut self.seen, tuple) {
+                        Claim::New => return true,
+                        Claim::Seen => {}
+                        Claim::Stop => self.finish(),
+                    },
                 }
-            }
-            if self.ev.should_stop() {
-                self.done = true;
-                return None;
-            }
-            if self.pos == self.steps.len() {
-                self.enter_leaf();
-                continue;
-            }
-            self.work += 1;
-            if T::ENABLED {
-                tracer.count(Phase::Enumerate, 1);
-            }
-            match self.steps[self.pos] {
-                Step::Assign { var } => {
-                    let cur = self.cursors[self.pos];
-                    if cur < self.cands[self.pos].len() {
-                        self.cursors[self.pos] += 1;
-                        self.assignment[var as usize] = i64::from(self.cands[self.pos].get(cur));
-                        self.pos += 1;
-                    } else {
-                        self.cursors[self.pos] = 0;
-                        self.assignment[var as usize] = UNASSIGNED;
-                        self.backtrack();
-                    }
-                }
-                Step::Check { atom } => {
-                    let endpoints = &self.ev.query.atoms[atom].endpoints;
-                    self.starts_buf.clear();
-                    self.ends_buf.clear();
-                    self.starts_buf.extend(
-                        endpoints
-                            .iter()
-                            .map(|&(NodeVar(s), _)| self.assignment[s as usize] as NodeId),
-                    );
-                    self.ends_buf.extend(
-                        endpoints
-                            .iter()
-                            .map(|&(_, NodeVar(d))| self.assignment[d as usize] as NodeId),
-                    );
-                    let starts = std::mem::take(&mut self.starts_buf);
-                    let ends = std::mem::take(&mut self.ends_buf);
-                    let ok = self.ev.feasible(atom, &starts, &ends);
-                    self.starts_buf = starts;
-                    self.ends_buf = ends;
-                    if ok {
-                        self.pos += 1;
-                    } else {
-                        self.backtrack();
-                    }
-                }
+            } else if let Some(assignment) = self.search.next_assignment() {
+                self.leaf.reset(free_values(assignment, self.free));
+                self.in_leaf = true;
+            } else {
+                self.finish();
             }
         }
+        false
+    }
+
+    /// Ends the run and flushes the outstanding budget work.
+    fn finish(&mut self) {
+        self.done = true;
+        self.in_leaf = false;
+        self.claim.flush();
+        self.search.ev.flush_budget();
     }
 }
 
@@ -415,7 +438,8 @@ impl<T: Tracer> Iterator for AnswerIter<'_, T> {
     type Item = Vec<NodeId>;
 
     fn next(&mut self) -> Option<Vec<NodeId>> {
-        self.advance()
+        // the new answer is the odometer's current tuple
+        self.advance().then(|| self.leaf.tuple.clone())
     }
 }
 
@@ -510,7 +534,6 @@ impl<'a> Enumerator<'a> {
             self.query,
             &self.tables,
             self.governor.as_ref(),
-            None,
             NoopTracer,
         )
     }
@@ -549,15 +572,70 @@ mod tests {
     }
 
     #[test]
-    fn streams_the_materialized_answer_set() {
+    fn streams_the_answer_set() {
         let (db, q) = chain_db_query();
         let prepared = PreparedQuery::build(&q).unwrap();
-        let tables = SharedTables::build(&db, &prepared);
-        let mut ev = Evaluator::with_tables(&db, &prepared, &tables);
-        let materialized = ev.answers();
-        let streamed: BTreeSet<Vec<NodeId>> = Enumerator::new(&db, &prepared).iter().collect();
-        assert_eq!(streamed, materialized);
-        assert_eq!(streamed.len(), 2);
+        let streamed: Vec<Vec<NodeId>> = Enumerator::new(&db, &prepared).iter().collect();
+        // u -a-> v and v -a-> w, each exactly once
+        assert_eq!(streamed, vec![vec![0, 1], vec![1, 2]]);
+    }
+
+    /// Restarting one cursor on consecutive chunks of the first variable
+    /// walks exactly the full-range search: same assignments in the same
+    /// order, and — because the memo survives the restart — the same
+    /// counters.
+    #[test]
+    fn restarted_chunks_walk_the_full_search() {
+        let (db, q) = chain_db_query();
+        let prepared = PreparedQuery::build(&q).unwrap();
+        let tables = SharedTables::build_with_layout(&db, &prepared, Layout::FlatUnpruned);
+        let walk = |chunks: &[Range<NodeId>]| {
+            let mut search = SearchCursor::new(&db, &prepared, &tables, None, NoopTracer);
+            let mut got = Vec::new();
+            // no chunks: one walk over the full range the cursor was built on
+            for i in 0..chunks.len().max(1) {
+                if let Some(r) = chunks.get(i) {
+                    search.restart(r.clone());
+                }
+                while let Some(a) = search.next_assignment() {
+                    // lint:allow(unguarded-loop): test drain of a 3-vertex search
+                    got.push(a.to_vec());
+                }
+            }
+            (got, search.ev.stats)
+        };
+        let full = walk(&[]);
+        assert_eq!(full.0, vec![vec![0, 1], vec![1, 2]]);
+        assert_eq!(walk(&[0..1, 1..2, 2..3]), full);
+        assert_eq!(walk(&[0..2, 2..3]), full);
+    }
+
+    #[test]
+    fn odometer_expansion_matches_cartesian() {
+        let mut od = Odometer::default();
+        let mut expand = |values: &[Option<u32>], n: usize| {
+            od.reset(values.iter().copied());
+            let mut got = Vec::new();
+            while let Some(t) = od.next(n) {
+                // lint:allow(unguarded-loop): test drain of a bounded odometer
+                got.push(t.to_vec());
+            }
+            got
+        };
+        // 2 of 3 free positions open over a 3-vertex domain: 9 tuples
+        let got = expand(&[None, Some(1), None], 3);
+        assert_eq!(got.len(), 9);
+        let set: BTreeSet<Vec<NodeId>> = got.iter().cloned().collect();
+        assert_eq!(set.len(), 9);
+        for a in 0..3u32 {
+            for b in 0..3u32 {
+                assert!(set.contains(&vec![a, 1, b]));
+            }
+        }
+        // no open position: exactly one tuple
+        assert_eq!(expand(&[Some(2), Some(0)], 3), vec![vec![2, 0]]);
+        // open positions over an empty domain: no tuple at all
+        assert!(expand(&[None, Some(0)], 0).is_empty());
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 use crate::product::ProductStats;
 use crate::trace::{Metrics, Phase, Tracer};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
@@ -477,6 +478,84 @@ impl<'a> Pacer<'a> {
     #[inline]
     pub(crate) fn stopped(&self) -> bool {
         self.governor.is_some_and(Governor::stopped)
+    }
+}
+
+/// What [`AnswerClaim::offer`] did with one odometer tuple.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Claim {
+    /// A new answer: claimed, charged and inserted.
+    New,
+    /// Already in the answer set.
+    Seen,
+    /// The run is over: the governor has stopped or refused the claim.
+    Stop,
+}
+
+/// The per-tuple answer claim every enumerator runs on the tuples its
+/// free-tuple odometer produces — the product [`crate::enumerate::AnswerIter`]
+/// and the CQ backtracking join alike. Per tuple: count one
+/// [`Phase::Odometer`] item, pace the odometer's own work units (a query
+/// with few constrained variables can emit `|V|^f` tuples per satisfying
+/// assignment without a single product check), stop if the run has
+/// tripped, skip a tuple the worker already holds, claim the answer from
+/// the governor, charge its retained bytes, and insert it.
+pub(crate) struct AnswerClaim<'a> {
+    governor: Option<&'a Governor>,
+    /// Odometer work units not yet checked in.
+    pending: u64,
+}
+
+impl<'a> AnswerClaim<'a> {
+    pub(crate) fn new(governor: Option<&'a Governor>) -> Self {
+        AnswerClaim {
+            governor,
+            pending: 0,
+        }
+    }
+
+    /// Runs the claim sequence on `tuple` against the worker's `answers`.
+    pub(crate) fn offer<T: Tracer>(
+        &mut self,
+        tracer: &T,
+        answers: &mut BTreeSet<Vec<u32>>,
+        tuple: &[u32],
+    ) -> Claim {
+        tracer.count(Phase::Odometer, 1);
+        if let Some(g) = self.governor {
+            self.pending += 1;
+            if self.pending >= g.check_interval() {
+                tracer.governor_check(Phase::Odometer, 1);
+                let _ = g.checkpoint(std::mem::take(&mut self.pending));
+            }
+            if g.stopped() {
+                tracer.governor_check(Phase::Odometer, 1);
+                tracer.governor_abort(Phase::Odometer);
+                return Claim::Stop;
+            }
+        }
+        if answers.contains(tuple) {
+            return Claim::Seen;
+        }
+        if let Some(g) = self.governor {
+            if !g.try_claim_answer() {
+                tracer.governor_check(Phase::Odometer, 1);
+                tracer.governor_abort(Phase::Odometer);
+                return Claim::Stop;
+            }
+            // the answer set retains every tuple: charge it
+            g.charge_memory(24 + 4 * tuple.len() as u64);
+        }
+        answers.insert(tuple.to_vec());
+        Claim::New
+    }
+
+    /// Checks in the outstanding odometer work; call when a run (or a
+    /// chunk of one) ends.
+    pub(crate) fn flush(&mut self) {
+        if let (Some(g), true) = (self.governor, self.pending > 0) {
+            g.checkpoint(std::mem::take(&mut self.pending));
+        }
     }
 }
 

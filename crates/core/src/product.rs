@@ -14,7 +14,10 @@
 //! The top level enumerates node assignments by backtracking, one merged
 //! atom at a time, memoizing feasibility per (atom, endpoint tuple). Worst
 //! case `O(|V|^{#nodevars})` assignments times `O(|Q|·|V|^k)` per check —
-//! the PSPACE behaviour the paper proves unavoidable in general.
+//! the PSPACE behaviour the paper proves unavoidable in general. The
+//! backtracking itself is the step program of
+//! [`crate::enumerate`]'s search cursor; this module holds what it calls
+//! per step.
 //!
 //! The evaluator splits its state into `SharedTables` (read-only after
 //! construction: trimmed automata, dense transition tables, semijoin-pruned
@@ -22,7 +25,7 @@
 //! the per-search mutable state (`Evaluator`: memo, visited stamps,
 //! counters). The split is what makes the parallel engine
 //! ([`crate::engine`]) cheap: workers borrow one `SharedTables` and each
-//! carry a thread-local `Evaluator`.
+//! carry a thread-local search cursor with its own `Evaluator`.
 //!
 //! The hot BFS runs on flat data ([`Layout::Flat`], the default): CSR
 //! slice lookups for successors, row-grouped dense transition tables so
@@ -30,9 +33,10 @@
 //! shared across its target states, and an odometer over option slices so
 //! a configuration is only allocated when it is first visited. The
 //! pre-flat path is preserved verbatim as [`Layout::Legacy`] for
-//! differential benchmarking (`bench_layout`, experiment E15).
+//! differential benchmarking (experiment E15).
 
-use crate::bitbfs::{self, BitBfsInput, BitScratch, BumpArena};
+use crate::bitbfs::{self, BitBfsInput, BitScratch};
+use crate::enumerate::{free_values, AnswerIter, Odometer, SearchCursor};
 use crate::fnv::{FnvHashMap, FnvHashSet};
 use crate::governor::{Governor, Pacer};
 use crate::prepare::PreparedQuery;
@@ -41,8 +45,7 @@ use crate::trace::{NoopTracer, Phase, PhaseSpan, Tracer};
 use ecrpq_automata::{Nfa, Row, StateId, Track};
 use ecrpq_graph::{Edge, GraphDb, NodeId, Path};
 use ecrpq_query::{NodeVar, PathVar};
-use std::collections::{BTreeSet, VecDeque};
-use std::ops::Range;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A full satisfying assignment: node values plus one concrete path per
@@ -112,7 +115,7 @@ pub enum Layout {
     FlatUnpruned,
     /// The pre-flat evaluation path — adjacency-list scans, per-transition
     /// successor recomputation, per-combination allocation — kept verbatim
-    /// as the baseline for `bench_layout` and experiment E15.
+    /// as the baseline for experiment E15.
     Legacy,
     /// The flat layout with the BFS inner loop replaced by the word-packed
     /// bitmap kernel of `crate::bitbfs`: dense `(state, positions)`
@@ -145,16 +148,15 @@ pub fn eval_product_with_stats_layout(
     layout: Layout,
 ) -> (bool, ProductStats) {
     let tables = SharedTables::build_with_layout(db, query, layout);
-    let mut e = Evaluator::with_tables(db, query, &tables);
-    let r = e.boolean();
-    (r, e.stats)
+    let mut search = SearchCursor::new(db, query, &tables, None, NoopTracer);
+    let found = search.next_assignment().is_some();
+    (found, search.ev.stats)
 }
 
 /// All answers (tuples over the free node variables), via the product
 /// algorithm.
 pub fn answers_product(db: &GraphDb, query: &PreparedQuery) -> BTreeSet<Vec<NodeId>> {
-    let tables = SharedTables::build(db, query);
-    Evaluator::with_tables(db, query, &tables).answers()
+    answers_product_with_stats_layout(db, query, Layout::Flat).0
 }
 
 /// As [`answers_product`], on an explicit [`Layout`] and returning the
@@ -167,138 +169,52 @@ pub fn answers_product_with_stats_layout(
     layout: Layout,
 ) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
     let tables = SharedTables::build_with_layout(db, query, layout);
-    let mut e = Evaluator::with_tables(db, query, &tables);
-    let answers = e.answers();
-    (answers, e.stats)
+    let mut it = AnswerIter::with_parts(db, query, &tables, None, NoopTracer);
+    it.run();
+    it.into_parts()
 }
 
-/// A witness for a Boolean query, if satisfiable.
+/// A witness for a Boolean query, if satisfiable. Variables no atom
+/// constrains default to vertex 0.
 pub fn witness_product(db: &GraphDb, query: &PreparedQuery) -> Option<Witness> {
     let tables = SharedTables::build(db, query);
-    Evaluator::with_tables(db, query, &tables).witness()
+    let mut search = SearchCursor::new(db, query, &tables, None, NoopTracer);
+    let nodes = search
+        .next_assignment()?
+        .iter()
+        .map(|&x| x.max(0) as NodeId)
+        .collect();
+    Some(search.ev.witness(nodes))
 }
 
 /// All answers, each with one concrete witness (node assignment + paths).
 /// The per-answer witness uses the first satisfying assignment found.
 pub fn answers_with_witnesses(db: &GraphDb, query: &PreparedQuery) -> Vec<(Vec<NodeId>, Witness)> {
     let tables = SharedTables::build(db, query);
-    let mut e = Evaluator::with_tables(db, query, &tables);
-    if query.num_node_vars > 0 && db.num_nodes() == 0 {
-        return Vec::new();
-    }
-    if tables.unsatisfiable() {
-        return Vec::new();
-    }
-    let free = query.free.clone();
+    let mut search = SearchCursor::new(db, query, &tables, None, NoopTracer);
     let nv = db.num_nodes();
-    // collect one full assignment per distinct free tuple
-    let mut reps: std::collections::BTreeMap<Vec<NodeId>, Vec<NodeId>> =
-        std::collections::BTreeMap::new();
-    {
-        let mut assignment = vec![UNASSIGNED; query.num_node_vars];
-        let mut arena = BumpArena::new();
-        e.search(0, &mut assignment, &mut |assignment| {
-            let nodes: Vec<NodeId> = assignment
-                .iter()
-                .map(|&x| if x == UNASSIGNED { 0 } else { x as NodeId })
-                .collect();
-            for_each_free_tuple(assignment, &free, nv, &mut arena, |tuple, values| {
-                if !reps.contains_key(tuple) {
-                    // the representative assignment must agree with the
-                    // expanded free choices, not default to vertex 0
-                    let mut rep = nodes.clone();
-                    for (&NodeVar(v), &c) in free.iter().zip(values) {
-                        rep[v as usize] = c;
-                    }
-                    reps.insert(tuple.to_vec(), rep);
+    // one full assignment per distinct free tuple
+    let mut reps: BTreeMap<Vec<NodeId>, Vec<NodeId>> = BTreeMap::new();
+    let mut odometer = Odometer::default();
+    while let Some(assignment) = search.next_assignment() {
+        // lint:allow(unguarded-loop): ungoverned; the cursor paces its own steps
+        odometer.reset(free_values(assignment, &query.free));
+        while let Some(tuple) = odometer.next(nv) {
+            // lint:allow(unguarded-loop): |V|^f tuples of one found assignment
+            if !reps.contains_key(tuple) {
+                // the representative assignment must agree with the
+                // expanded free choices, not default to vertex 0
+                let mut rep: Vec<NodeId> = assignment.iter().map(|&x| x.max(0) as NodeId).collect();
+                for (&NodeVar(v), &c) in query.free.iter().zip(tuple) {
+                    rep[v as usize] = c;
                 }
-                false
-            });
-            false
-        });
+                reps.insert(tuple.to_vec(), rep);
+            }
+        }
     }
-    let prepared = e.query;
     reps.into_iter()
-        .map(|(tuple, nodes)| {
-            let mut paths: Vec<(PathVar, Path)> = Vec::new();
-            for (atom_idx, atom) in prepared.atoms.iter().enumerate() {
-                let starts: Vec<NodeId> = atom
-                    .endpoints
-                    .iter()
-                    .map(|&(NodeVar(s), _)| nodes[s as usize])
-                    .collect();
-                let ends: Vec<NodeId> = atom
-                    .endpoints
-                    .iter()
-                    .map(|&(_, NodeVar(d))| nodes[d as usize])
-                    .collect();
-                let atom_paths = e
-                    .component_witness(atom_idx, &starts, &ends)
-                    // lint:allow(unwrap): the search only yields feasible assignments
-                    .expect("answer assignments are feasible");
-                for (i, p) in atom_paths.into_iter().enumerate() {
-                    paths.push((atom.path_vars[i], p));
-                }
-            }
-            paths.sort_by_key(|(p, _)| *p);
-            (tuple, Witness { nodes, paths })
-        })
+        .map(|(tuple, nodes)| (tuple, search.ev.witness(nodes)))
         .collect()
-}
-
-/// Expands the unconstrained free variables of a satisfying assignment
-/// over the whole domain, without cloning partial tuples: one scratch
-/// tuple advanced like an odometer, `emit` called once per complete tuple
-/// with the tuple and the concrete per-free-variable values. `emit`
-/// returns `true` to abandon the expansion early (budget exhaustion).
-///
-/// Replaces the old cartesian-product loop that cloned every partial
-/// tuple per choice (quadratic on wide free tuples). The scratch tuple
-/// and the open-position list live in the caller's bump arena so the
-/// per-answer expansion allocates nothing after the first call.
-pub(crate) fn for_each_free_tuple(
-    assignment: &[i64],
-    free: &[NodeVar],
-    nv: usize,
-    arena: &mut BumpArena,
-    mut emit: impl FnMut(&[NodeId], &[NodeId]) -> bool,
-) {
-    arena.reset();
-    let buf = arena.alloc(2 * free.len());
-    let (tuple, open) = arena.slice_mut(buf).split_at_mut(free.len());
-    let mut open_len = 0usize; // prefix of `open`: positions ranging over V
-    for (i, &NodeVar(v)) in free.iter().enumerate() {
-        match assignment[v as usize] {
-            UNASSIGNED => {
-                open[open_len] = i as u32;
-                open_len += 1;
-                tuple[i] = 0;
-            }
-            x => tuple[i] = x as NodeId,
-        }
-    }
-    if open_len > 0 && nv == 0 {
-        return;
-    }
-    loop {
-        if emit(tuple, tuple) {
-            return;
-        }
-        // advance the open positions, least-significant first
-        let mut i = 0;
-        loop {
-            let Some(&p) = open[..open_len].get(i) else {
-                return;
-            };
-            let p = p as usize;
-            tuple[p] += 1;
-            if (tuple[p] as usize) < nv {
-                break;
-            }
-            tuple[p] = 0;
-            i += 1;
-        }
-    }
 }
 
 pub(crate) const UNASSIGNED: i64 = -1;
@@ -634,12 +550,8 @@ pub(crate) struct Evaluator<'a, T: Tracer = NoopTracer> {
     /// atoms and under every other layout.
     bit_scratch: Vec<Option<BitScratch>>,
     generation: u32,
-    /// When set, the first variable assigned by the top-level search only
-    /// ranges over this sub-range of the domain — the parallel engine's
-    /// partitioning hook.
-    first_var_range: Option<Range<NodeId>>,
     /// Cooperative cancellation for parallel Boolean search: checked at
-    /// every top-level domain step; a worker that finds a satisfying
+    /// every step of the search cursor; a worker that finds a satisfying
     /// assignment sets it and the others abandon their chunks.
     stop: Option<&'a AtomicBool>,
     /// Per-worker budget bookkeeping: counts work units (one per
@@ -651,20 +563,10 @@ pub(crate) struct Evaluator<'a, T: Tracer = NoopTracer> {
     tracer: T,
 }
 
-impl<'a> Evaluator<'a> {
-    pub(crate) fn with_tables(
-        db: &'a GraphDb,
-        query: &'a PreparedQuery,
-        tables: &'a SharedTables,
-    ) -> Self {
-        Evaluator::with_tables_traced(db, query, tables, NoopTracer)
-    }
-}
-
 impl<'a, T: Tracer> Evaluator<'a, T> {
-    /// As [`Evaluator::with_tables`], recording per-phase counters and
-    /// times into `tracer`. With [`NoopTracer`] this monomorphizes to the
-    /// untraced evaluator exactly.
+    /// The per-search state over `tables`, recording per-phase counters
+    /// and times into `tracer`. With [`NoopTracer`] this monomorphizes to
+    /// the untraced evaluator exactly.
     pub(crate) fn with_tables_traced(
         db: &'a GraphDb,
         query: &'a PreparedQuery,
@@ -706,16 +608,10 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
             stamps,
             bit_scratch,
             generation: 0,
-            first_var_range: None,
             stop: None,
             pacer: Pacer::new(None),
             tracer,
         }
-    }
-
-    /// Restricts the top-level variable to `range` (parallel partitioning).
-    pub(crate) fn set_first_var_range(&mut self, range: Range<NodeId>) {
-        self.first_var_range = Some(range);
     }
 
     /// Installs the cross-worker cancellation flag.
@@ -761,107 +657,12 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         self.stop.is_some_and(|s| s.load(Ordering::Relaxed)) || self.pacer.stopped()
     }
 
-    pub(crate) fn boolean(&mut self) -> bool {
-        if self.query.num_node_vars > 0 && self.db.num_nodes() == 0 {
-            return false;
-        }
-        if self.tables.unsatisfiable() {
-            return false;
-        }
-        let mut assignment = vec![UNASSIGNED; self.query.num_node_vars];
-        self.search(0, &mut assignment, &mut |_| true)
-    }
-
-    pub(crate) fn answers(&mut self) -> BTreeSet<Vec<NodeId>> {
-        let mut out = BTreeSet::new();
-        self.answers_into(&mut out);
-        out
-    }
-
-    /// As [`Self::answers`], accumulating into an existing set (so a
-    /// parallel worker can reuse one set across chunks).
-    pub(crate) fn answers_into(&mut self, out: &mut BTreeSet<Vec<NodeId>>) {
-        if self.query.num_node_vars > 0 && self.db.num_nodes() == 0 {
-            return;
-        }
-        if self.tables.unsatisfiable() {
-            return;
-        }
-        let free = self.query.free.clone();
-        let nv = self.db.num_nodes();
-        let mut assignment = vec![UNASSIGNED; self.query.num_node_vars];
-        let governor = self.pacer.governor();
-        // the free-tuple odometer charges its own work units: a query with
-        // few constrained variables can emit |V|^f tuples per satisfying
-        // assignment without running a single product check
-        let mut odometer_work: u64 = 0;
-        let tracer = self.tracer.clone();
-        let mut arena = BumpArena::new();
-        self.search(0, &mut assignment, &mut |assignment| {
-            let span = PhaseSpan::start(&tracer, Phase::Odometer);
-            let mut tripped = false;
-            for_each_free_tuple(assignment, &free, nv, &mut arena, |tuple, _| {
-                tracer.count(Phase::Odometer, 1);
-                if let Some(g) = governor {
-                    odometer_work += 1;
-                    if odometer_work >= g.check_interval() {
-                        tracer.governor_check(Phase::Odometer, 1);
-                        let _ = g.checkpoint(std::mem::take(&mut odometer_work));
-                    }
-                    if g.stopped() {
-                        tracer.governor_check(Phase::Odometer, 1);
-                        tracer.governor_abort(Phase::Odometer);
-                        tripped = true;
-                        return true;
-                    }
-                }
-                if !out.contains(tuple) {
-                    if let Some(g) = governor {
-                        if !g.try_claim_answer() {
-                            tracer.governor_check(Phase::Odometer, 1);
-                            tracer.governor_abort(Phase::Odometer);
-                            tripped = true;
-                            return true;
-                        }
-                        // answers are retained: charge them to the
-                        // tracked-memory estimate
-                        g.charge_memory(24 + 4 * tuple.len() as u64);
-                    }
-                    out.insert(tuple.to_vec());
-                }
-                false
-            });
-            span.finish(&tracer);
-            tripped // abandon the search once the budget trips
-        });
-        if odometer_work > 0 {
-            if let Some(g) = governor {
-                g.checkpoint(odometer_work);
-            }
-        }
-    }
-
-    fn witness(&mut self) -> Option<Witness> {
-        if self.query.num_node_vars > 0 && self.db.num_nodes() == 0 {
-            return None;
-        }
-        if self.tables.unsatisfiable() {
-            return None;
-        }
-        let mut assignment = vec![UNASSIGNED; self.query.num_node_vars];
-        let mut found: Option<Vec<NodeId>> = None;
-        self.search(0, &mut assignment, &mut |assignment| {
-            // default unconstrained variables to vertex 0
-            let nodes: Vec<NodeId> = assignment
-                .iter()
-                .map(|&x| if x == UNASSIGNED { 0 } else { x as NodeId })
-                .collect();
-            found = Some(nodes);
-            true
-        });
-        let nodes = found?;
+    /// The witness of a satisfying node assignment: one concrete path per
+    /// path variable, rebuilt by a witness-mode BFS per merged atom.
+    pub(crate) fn witness(&mut self, nodes: Vec<NodeId>) -> Witness {
+        let query = self.query;
         let mut paths: Vec<(PathVar, Path)> = Vec::new();
-        for (ai, atom) in self.query.atoms.iter().enumerate() {
+        for (ai, atom) in query.atoms.iter().enumerate() {
             let starts: Vec<NodeId> = atom
                 .endpoints
                 .iter()
@@ -876,125 +677,10 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
                 .component_witness(ai, &starts, &ends)
                 // lint:allow(unwrap): the search only yields feasible assignments
                 .expect("feasible atom must yield a witness");
-            for (i, p) in atom_paths.into_iter().enumerate() {
-                paths.push((atom.path_vars[i], p));
-            }
+            paths.extend(atom.path_vars.iter().copied().zip(atom_paths));
         }
         paths.sort_by_key(|(p, _)| *p);
-        Some(Witness { nodes, paths })
-    }
-
-    /// Backtracking over merged atoms; `on_success` is called with the full
-    /// assignment and returns `true` to stop the search.
-    fn search(
-        &mut self,
-        atom_idx: usize,
-        assignment: &mut Vec<i64>,
-        on_success: &mut impl FnMut(&[i64]) -> bool,
-    ) -> bool {
-        if atom_idx == self.query.atoms.len() {
-            self.stats.assignments += 1;
-            return on_success(assignment);
-        }
-        let atom = &self.query.atoms[atom_idx];
-        // Variables of this atom not yet assigned.
-        let mut vars: Vec<u32> = atom
-            .endpoints
-            .iter()
-            .flat_map(|&(NodeVar(s), NodeVar(d))| [s, d])
-            .filter(|&v| assignment[v as usize] == UNASSIGNED)
-            .collect();
-        vars.sort_unstable();
-        vars.dedup();
-        let nv = self.db.num_nodes() as NodeId;
-        self.enumerate(atom_idx, &vars, 0, assignment, nv, on_success)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn enumerate(
-        &mut self,
-        atom_idx: usize,
-        vars: &[u32],
-        vi: usize,
-        assignment: &mut Vec<i64>,
-        nv: NodeId,
-        on_success: &mut impl FnMut(&[i64]) -> bool,
-    ) -> bool {
-        if vi == vars.len() {
-            let atom = &self.query.atoms[atom_idx];
-            let starts: Vec<NodeId> = atom
-                .endpoints
-                .iter()
-                .map(|&(NodeVar(s), _)| assignment[s as usize] as NodeId)
-                .collect();
-            let ends: Vec<NodeId> = atom
-                .endpoints
-                .iter()
-                .map(|&(_, NodeVar(d))| assignment[d as usize] as NodeId)
-                .collect();
-            if self.feasible(atom_idx, &starts, &ends) {
-                return self.search(atom_idx + 1, assignment, on_success);
-            }
-            return false;
-        }
-        // the first variable of the first atom is the parallel partition
-        // point: a worker only walks its assigned sub-range
-        let range = if atom_idx == 0 && vi == 0 {
-            self.first_var_range.clone().unwrap_or(0..nv)
-        } else {
-            0..nv
-        };
-        // walk the semijoin-pruned domain when the variable has one —
-        // values outside it cannot satisfy some atom, so skipping them
-        // cannot lose answers
-        // copy the `&'a SharedTables` out of self so the domain slice
-        // borrows the tables, not self — the recursion needs `&mut self`
-        let tables: &'a SharedTables = self.tables;
-        match tables.domain(vars[vi]) {
-            Some(dom) => {
-                let lo = dom.partition_point(|&x| x < range.start);
-                let hi = dom.partition_point(|&x| x < range.end);
-                let dom = &dom[lo..hi];
-                self.enumerate_values(
-                    atom_idx,
-                    vars,
-                    vi,
-                    assignment,
-                    nv,
-                    on_success,
-                    dom.iter().copied(),
-                )
-            }
-            None => self.enumerate_values(atom_idx, vars, vi, assignment, nv, on_success, range),
-        }
-    }
-
-    /// The domain walk of one variable: assign each candidate value and
-    /// recurse; restores `UNASSIGNED` on exit either way.
-    #[allow(clippy::too_many_arguments)]
-    fn enumerate_values(
-        &mut self,
-        atom_idx: usize,
-        vars: &[u32],
-        vi: usize,
-        assignment: &mut Vec<i64>,
-        nv: NodeId,
-        on_success: &mut impl FnMut(&[i64]) -> bool,
-        values: impl Iterator<Item = NodeId>,
-    ) -> bool {
-        let var = vars[vi] as usize;
-        for v in values {
-            if self.should_stop() {
-                break;
-            }
-            assignment[var] = i64::from(v);
-            if self.enumerate(atom_idx, vars, vi + 1, assignment, nv, on_success) {
-                assignment[var] = UNASSIGNED;
-                return true;
-            }
-        }
-        assignment[var] = UNASSIGNED;
-        false
+        Witness { nodes, paths }
     }
 
     /// Memoized product-reachability check for one merged atom with fixed
@@ -1740,34 +1426,6 @@ mod tests {
         assert!(eval_product(&db, &prepare(&q)));
         let w = witness_product(&db, &prepare(&q)).unwrap();
         assert_eq!(w.paths[0].1.len(), 3);
-    }
-
-    #[test]
-    fn free_tuple_expansion_matches_cartesian() {
-        // 2 of 3 free vars unassigned over a 3-vertex domain: 9 tuples
-        let free = [NodeVar(0), NodeVar(1), NodeVar(2)];
-        let assignment = [UNASSIGNED, 1, UNASSIGNED];
-        let mut got: Vec<Vec<NodeId>> = Vec::new();
-        let mut arena = BumpArena::new();
-        for_each_free_tuple(&assignment, &free, 3, &mut arena, |t, _| {
-            got.push(t.to_vec());
-            false
-        });
-        assert_eq!(got.len(), 9);
-        let set: BTreeSet<Vec<NodeId>> = got.iter().cloned().collect();
-        assert_eq!(set.len(), 9);
-        for a in 0..3u32 {
-            for b in 0..3u32 {
-                assert!(set.contains(&vec![a, 1, b]));
-            }
-        }
-        // no unassigned vars: exactly one tuple
-        let mut got = Vec::new();
-        for_each_free_tuple(&[2, 0], &[NodeVar(0), NodeVar(1)], 3, &mut arena, |t, _| {
-            got.push(t.to_vec());
-            false
-        });
-        assert_eq!(got, vec![vec![2, 0]]);
     }
 
     /// The dense tables must reproduce the NFA transition relation exactly:

@@ -47,7 +47,8 @@ pub enum Phase {
     ProductBfs,
     /// Free-tuple odometer expansion of found assignments into answers.
     Odometer,
-    /// Streaming answer enumeration (the `AnswerIter` backtracker).
+    /// The product search's backtracking steps (the `SearchCursor` step
+    /// program, under `AnswerIter` for answer sets).
     Enumerate,
     /// Backtracking join over the materialized CQ.
     CqJoin,

@@ -44,6 +44,7 @@ pub const OWN_CRATES: &[&str] = &[
 /// integers, where FNV beats SipHash by a wide margin (see DESIGN.md).
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/product.rs",
+    "crates/core/src/enumerate.rs",
     "crates/core/src/semijoin.rs",
     "crates/graph/src/db.rs",
 ];
@@ -58,6 +59,7 @@ pub const ALLOW_MARKER: &str = "lint:allow(unwrap)";
 /// discovering that a deadline or budget tripped.
 pub const BUDGET_HOT_FILES: &[&str] = &[
     "crates/core/src/product.rs",
+    "crates/core/src/enumerate.rs",
     "crates/core/src/semijoin.rs",
     "crates/core/src/cq_eval.rs",
     "crates/core/src/bitbfs.rs",
@@ -245,6 +247,7 @@ pub fn lint_budget_checkpoints(path: &str, content: &str) -> Vec<Violation> {
 /// layer exists to avoid.
 pub const CLOCK_HOT_FILES: &[&str] = &[
     "crates/core/src/product.rs",
+    "crates/core/src/enumerate.rs",
     "crates/core/src/semijoin.rs",
     "crates/core/src/cq_eval.rs",
     "crates/core/src/engine.rs",
@@ -840,6 +843,20 @@ fn sweep() {
         assert!(v[0].message.contains("PhaseSpan"));
         let sys = "let t = std::time::SystemTime::now();\n";
         assert_eq!(lint_raw_clock("f", sys).len(), 1);
+    }
+
+    /// The search cursor in `enumerate.rs` is the product family's only
+    /// backtracker, so it is held to the same clock rule as the BFS.
+    #[test]
+    fn raw_clock_fires_in_the_search_cursor() {
+        let path = "crates/core/src/enumerate.rs";
+        assert!(CLOCK_HOT_FILES.contains(&path));
+        assert!(BUDGET_HOT_FILES.contains(&path));
+        assert!(HOT_PATH_FILES.contains(&path));
+        let bad = "fn next_assignment() {\n    let t0 = Instant::now();\n}\n";
+        let v = lint_raw_clock(path, bad);
+        assert_eq!(v.len(), 1);
+        assert_eq!((v[0].file.as_str(), v[0].line), (path, 2));
     }
 
     #[test]

@@ -88,7 +88,7 @@ echo "== analyze --trace (per-query phase tables) =="
 cargo run -q --release --offline -p ecrpq-bench --bin analyze -- queries/*.ecrpq --trace > /dev/null
 
 echo "== cargo doc (deny warnings) =="
-# own crates only: the vendored shims (rand/proptest/criterion) mirror
+# own crates only: the vendored shims (rand/proptest) mirror
 # upstream doc comments and are not held to this repo's doc standard
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --quiet --no-deps \
   -p ecrpq -p ecrpq-automata -p ecrpq-graph -p ecrpq-structure -p ecrpq-query \

@@ -4,16 +4,23 @@
 //! counters must account for exactly the sequential amount of feasibility
 //! work.
 
+use ecrpq::analyze::{acyclic_join_tree, JoinTree};
 use ecrpq::eval::cq_eval::{
     answers_cq as answers_cq_seq, answers_cq_treedec as answers_cq_treedec_seq,
 };
+use ecrpq::eval::product::ProductStats;
 use ecrpq::eval::product::{answers_product as answers_product_seq, Layout};
 use ecrpq::eval::{
     ecrpq_to_cq, engine, EvalOptions, NoopTracer, PreparedQuery, ResourceBudget, Termination,
 };
+use ecrpq::graph::{GraphDb, NodeId};
 use ecrpq::query::NodeVar;
-use ecrpq::workloads::{planted_power_law_instance, random_db, random_ecrpq, RandomQueryParams};
+use ecrpq::workloads::{
+    planted_acyclic_instance, planted_power_law_instance, random_db, random_ecrpq,
+    RandomQueryParams,
+};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 mod common;
 
@@ -21,6 +28,9 @@ use common::{
     complete, cq_answers, cq_treedec_answers, product_answers, product_answers_with_stats,
     product_sat,
 };
+
+/// One complete enumeration run: answers and merged counters.
+type Run = (BTreeSet<Vec<NodeId>>, ProductStats);
 
 fn params() -> RandomQueryParams {
     RandomQueryParams {
@@ -153,40 +163,77 @@ proptest! {
 /// of (atom, endpoints) questions regardless of how the search space is
 /// partitioned, so merged `checks + cache_hits` (and `assignments`) match
 /// the sequential counters exactly. Only the hit/miss split may shift,
-/// because each worker warms its own memo.
+/// because each worker warms its own memo. Direct-product and Yannakakis
+/// enumeration share the chunk-stealing workers, so both are pinned: the
+/// latter on random instances whose reduction is acyclic and on small
+/// planted acyclic instances.
 #[test]
 fn merged_stats_equal_sequential_totals() {
+    let assert_totals = |label: &str, threads: usize, seq: &Run, par: &Run| {
+        assert_eq!(par.0, seq.0, "{label} threads {threads}: answers");
+        assert_eq!(
+            par.1.checks + par.1.cache_hits,
+            seq.1.checks + seq.1.cache_hits,
+            "{label} threads {threads}: feasibility questions"
+        );
+        assert_eq!(
+            par.1.assignments, seq.1.assignments,
+            "{label} threads {threads}: assignments"
+        );
+    };
+    let yannakakis = |db: &GraphDb, prepared: &PreparedQuery, tree: &JoinTree, threads: usize| {
+        complete(engine::answers_yannakakis_governed_traced(
+            db,
+            prepared,
+            tree,
+            &EvalOptions::with_threads(threads),
+            &NoopTracer,
+        ))
+    };
     let mut covered = 0;
+    let mut acyclic = 0;
     for seed in 0..12u64 {
         let mut q = random_ecrpq(&params(), seed + 40_000);
         let all: Vec<NodeVar> = (0..q.num_node_vars() as u32).map(NodeVar).collect();
         q.set_free(&all);
         let db = random_db(5, 1.8, 2, seed * 13 + 5);
         let prepared = PreparedQuery::build(&q).unwrap();
-        let (seq_ans, seq) = product_answers_with_stats(&db, &prepared, &EvalOptions::sequential());
-        if seq.checks + seq.cache_hits == 0 {
+        let seq = product_answers_with_stats(&db, &prepared, &EvalOptions::sequential());
+        if seq.1.checks + seq.1.cache_hits == 0 {
             continue; // nothing feasible to measure on this instance
         }
         covered += 1;
         for threads in [2usize, 4] {
-            let (ans, merged) =
+            let par =
                 product_answers_with_stats(&db, &prepared, &EvalOptions::with_threads(threads));
-            assert_eq!(ans, seq_ans, "seed {seed} threads {threads}");
-            assert_eq!(
-                merged.checks + merged.cache_hits,
-                seq.checks + seq.cache_hits,
-                "seed {seed} threads {threads}: feasibility questions"
-            );
-            assert_eq!(
-                merged.assignments, seq.assignments,
-                "seed {seed} threads {threads}: assignments"
-            );
+            assert_totals(&format!("product seed {seed}"), threads, &seq, &par);
+        }
+        if let Some(tree) = acyclic_join_tree(&q) {
+            acyclic += 1;
+            let seq = yannakakis(&db, &prepared, &tree, 1);
+            for threads in [2usize, 4, 8] {
+                let par = yannakakis(&db, &prepared, &tree, threads);
+                assert_totals(&format!("yannakakis seed {seed}"), threads, &seq, &par);
+            }
         }
     }
     assert!(
         covered >= 5,
         "too few instances with feasibility work ({covered})"
     );
+    assert!(acyclic >= 2, "too few acyclic instances ({acyclic})");
+    for seed in 0..3u64 {
+        let (db, q, planted) = planted_acyclic_instance(80, 3, seed);
+        let prepared = PreparedQuery::build(&q).unwrap();
+        let tree = acyclic_join_tree(&q).expect("planted reduction is acyclic");
+        let seq = yannakakis(&db, &prepared, &tree, 1);
+        assert_eq!(seq.0, planted, "planted seed {seed}");
+        assert!(seq.1.checks + seq.1.cache_hits > 0, "planted seed {seed}");
+        for threads in [2usize, 4, 8] {
+            let par = yannakakis(&db, &prepared, &tree, threads);
+            assert_totals(&format!("planted seed {seed}"), threads, &seq, &par);
+        }
+    }
 }
 
 /// Thread counts beyond any reasonable core count, odd counts, and
