@@ -5,8 +5,8 @@
 //! markdown table plus the fitted log–log slopes used to check the paper's
 //! complexity predictions. `--threads N` sets the worker count used by the
 //! parallel-engine experiment E14 (default: all available cores). E15
-//! compares the product-search data layouts (legacy scan vs flat CSR/dense
-//! tables vs flat + semijoin pruning) on the E14 workload.
+//! compares the product-search data layouts (flat scalar BFS vs the
+//! bit-parallel kernel) on the E14 workload.
 
 use ecrpq_bench::{
     complete, fmt_duration, loglog_slope, product_answers_with_stats, time_median, Table,
@@ -313,16 +313,15 @@ fn fmt_rate(configs: u64, d: Duration) -> String {
 }
 
 fn e15_layout() {
-    println!("## E15 — Data layout of the product search: legacy vs flat vs flat+pruned");
+    println!("## E15 — Data layout of the product search: flat vs bitparallel");
     println!();
     println!("The E14 flower instance (r=3 planted-intersection NFAs, all node");
     println!("variables free), enumerated sequentially under each product-search");
-    println!("data layout. `legacy` is the pre-CSR path (adjacency scans, eager");
-    println!("combination materialization); `flat` adds CSR slice lookups, dense");
-    println!("row-grouped transition tables and an allocation-free odometer;");
-    println!("`flat+semijoin` additionally prunes endpoint domains by single-track");
-    println!("reachability. Answer sets are asserted identical across layouts;");
-    println!("ns/config isolates per-configuration cost from search-space size.");
+    println!("data layout. `flat` is the scalar BFS over CSR slice lookups, dense");
+    println!("row-grouped transition tables and semijoin-pruned endpoint domains;");
+    println!("`bitparallel` swaps its inner loop for the word-packed bitmap kernel");
+    println!("on the arity > 1 atoms of this instance. Answer sets are asserted");
+    println!("identical across layouts; ns/config isolates per-configuration cost.");
     println!();
     run_harness("experiments/e15.toml");
 }

@@ -295,7 +295,7 @@ fn agg_server(spec: &Spec, results: &[(TrialParams, Json)]) -> Result<Json, Stri
 
 fn agg_layout(spec: &Spec, results: &[(TrialParams, Json)]) -> Result<Json, String> {
     let first = &results[0].1;
-    // Cross-layout answer equality, checksum form (E15's baseline assert).
+    // Cross-layout answer equality, checksum form.
     let fnv0 = get_raw(first, "answers_fnv")?;
     let mut rows = Vec::new();
     for (params, r) in results {
@@ -320,13 +320,8 @@ fn agg_layout(spec: &Spec, results: &[(TrialParams, Json)]) -> Result<Json, Stri
             ),
         ]));
     }
-    let legacy = by_axes(results, &[("layout", "legacy")])?;
-    let flat = by_axes(results, &[("layout", "flat_unpruned")])?;
-    let legacy_ms = getf(legacy, "time_ms")?;
-    let mut best = 0f64;
-    for (_, r) in results {
-        best = best.max(legacy_ms / getf(r, "time_ms")?.max(1e-6));
-    }
+    let flat = by_axes(results, &[("layout", "flat")])?;
+    let bitpar = by_axes(results, &[("layout", "bitparallel")])?;
     Ok(Json::Obj(vec![
         ("experiment".into(), Json::str("E15")),
         ("nodes".into(), get_raw(first, "nodes")?),
@@ -335,13 +330,12 @@ fn agg_layout(spec: &Spec, results: &[(TrialParams, Json)]) -> Result<Json, Stri
         ("threads".into(), Json::int(1)),
         ("rows".into(), Json::Arr(rows)),
         (
-            "speedup_flat_over_legacy".into(),
+            "speedup_bitparallel_over_flat".into(),
             Json::fixed(
-                getf(legacy, "ns_per_config")? / getf(flat, "ns_per_config")?.max(1e-6),
+                getf(flat, "time_ms")? / getf(bitpar, "time_ms")?.max(1e-6),
                 2,
             ),
         ),
-        ("speedup_best".into(), Json::fixed(best, 2)),
     ]))
 }
 

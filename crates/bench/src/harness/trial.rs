@@ -15,8 +15,8 @@ use super::json::Json;
 use super::spec::{Spec, SpecValue, TrialParams};
 use crate::{complete, product_answers_with_stats, time_median};
 use ecrpq_core::{
-    answers_product_with_stats_layout, answers_traced, engine, planner, EvalOptions, Layout,
-    NoopTracer, Phase, PreparedQuery, PreparedTables, QueryService, ResourceBudget, Strategy,
+    answers_traced, engine, planner, EvalOptions, Layout, NoopTracer, Phase, PreparedQuery,
+    PreparedTables, QueryService, ResourceBudget, Strategy,
 };
 use ecrpq_query::Ecrpq;
 use ecrpq_workloads::registry;
@@ -67,8 +67,6 @@ fn generate_workload(spec: &Spec, params: &TrialParams) -> Result<registry::Gene
 
 fn layout_by_name(name: &str) -> Result<Layout, String> {
     match name {
-        "legacy" => Ok(Layout::Legacy),
-        "flat_unpruned" => Ok(Layout::FlatUnpruned),
         "flat" => Ok(Layout::Flat),
         "bitparallel" => Ok(Layout::BitParallel),
         other => Err(format!("unknown layout `{other}`")),
@@ -496,9 +494,10 @@ fn trial_layout(spec: &Spec, params: &TrialParams) -> Result<Json, String> {
     let db = generated.db;
     // lint:allow(unwrap): generated workload queries are well-formed by construction
     let prepared = PreparedQuery::build(&q).expect("valid");
-    let (answers, stats) = answers_product_with_stats_layout(&db, &prepared, layout);
+    let opts = EvalOptions::sequential().with_layout(layout);
+    let (answers, stats) = product_answers_with_stats(&db, &prepared, &opts);
     let d = time_median(spec.reps, || {
-        answers_product_with_stats_layout(&db, &prepared, layout)
+        product_answers_with_stats(&db, &prepared, &opts)
     });
     let ns_per_config = d.as_nanos() as f64 / stats.configurations.max(1) as f64;
     let rate = stats.configurations as f64 / d.as_secs_f64().max(1e-9);

@@ -132,9 +132,9 @@ const WORD_IDS: usize = 64;
 const WORD_CHUNKS_PER_THREAD: usize = 16;
 
 /// First-variable domain partition for the product worker pool. The flat
-/// and legacy layouts use the plain [`chunk_ranges`] split; the
-/// bit-parallel layout replaces it with word-granular ranges — every chunk
-/// a whole number of 64-id words (the last absorbs the remainder) and
+/// layout uses the plain [`chunk_ranges`] split; the bit-parallel layout
+/// replaces it with word-granular ranges — every chunk a whole number of
+/// 64-id words (the last absorbs the remainder) and
 /// [`WORD_CHUNKS_PER_THREAD`] chunks per worker for finer stealing.
 fn product_chunk_ranges(domain: usize, workers: usize, layout: Layout) -> Vec<Range<NodeId>> {
     if layout != Layout::BitParallel {
@@ -248,7 +248,7 @@ fn merge_workers<K: Ord>(parts: Vec<(BTreeSet<K>, ProductStats)>) -> (BTreeSet<K
 /// The governor of one run: none when the budget is unlimited, because an
 /// unlimited governor can never trip and its check-ins would only cost
 /// time in the hot loops.
-fn run_governor(budget: &ResourceBudget) -> Option<Governor> {
+pub(crate) fn run_governor(budget: &ResourceBudget) -> Option<Governor> {
     (!budget.is_unlimited()).then(|| Governor::new(budget))
 }
 
@@ -308,9 +308,9 @@ pub fn eval_product_governed(
 ) -> Outcome<bool> {
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
-    let tables = SharedTables::build_governed(db, query, opts.layout, governor);
+    let tables = SharedTables::build(db, query, opts.layout, governor, &NoopTracer, None);
     let workers = product_workers(db, query, opts);
-    eval_over(db, query, &tables, opts.layout, workers, governor)
+    eval_over(db, query, &tables, workers, governor)
 }
 
 /// Boolean evaluation under the Yannakakis preparation: the two semijoin
@@ -327,9 +327,8 @@ pub fn eval_yannakakis_governed(
 ) -> Outcome<bool> {
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
-    let tables =
-        SharedTables::build_traced_with(db, query, Layout::Flat, governor, &NoopTracer, Some(tree));
-    eval_over(db, query, &tables, Layout::Flat, 1, governor)
+    let tables = SharedTables::build(db, query, Layout::Flat, governor, &NoopTracer, Some(tree));
+    eval_over(db, query, &tables, 1, governor)
 }
 
 /// The Boolean product search over built tables: one search cursor per
@@ -338,14 +337,13 @@ fn eval_over(
     db: &GraphDb,
     query: &PreparedQuery,
     tables: &SharedTables,
-    layout: Layout,
     workers: usize,
     governor: Option<&Governor>,
 ) -> Outcome<bool> {
     let stop = AtomicBool::new(false);
     let parts = steal_chunks(
         db.num_nodes(),
-        layout,
+        tables.layout,
         workers,
         &stop,
         &NoopTracer,
@@ -393,9 +391,9 @@ pub fn answers_product_governed_traced<T: Tracer>(
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
-    let tables = SharedTables::build_traced(db, query, opts.layout, governor, tracer);
+    let tables = SharedTables::build(db, query, opts.layout, governor, tracer, None);
     let workers = product_workers(db, query, opts);
-    answers_over(db, query, &tables, opts.layout, workers, governor, tracer)
+    answers_over(db, query, &tables, workers, governor, tracer)
 }
 
 /// Answer enumeration under the Yannakakis strategy: semijoin program
@@ -414,10 +412,9 @@ pub fn answers_yannakakis_governed_traced<T: Tracer>(
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
-    let tables =
-        SharedTables::build_traced_with(db, query, Layout::Flat, governor, tracer, Some(tree));
+    let tables = SharedTables::build(db, query, Layout::Flat, governor, tracer, Some(tree));
     let workers = product_workers(db, query, opts);
-    answers_over(db, query, &tables, Layout::Flat, workers, governor, tracer)
+    answers_over(db, query, &tables, workers, governor, tracer)
 }
 
 /// The governed product enumeration over tables that already exist: one
@@ -432,14 +429,13 @@ fn answers_over<T: Tracer>(
     db: &GraphDb,
     query: &PreparedQuery,
     tables: &SharedTables,
-    layout: Layout,
     workers: usize,
     governor: Option<&Governor>,
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
     let parts = steal_chunks(
         db.num_nodes(),
-        layout,
+        tables.layout,
         workers,
         &AtomicBool::new(false),
         tracer,
@@ -514,12 +510,12 @@ fn steal_chunks<T: Tracer, W: Send>(
 /// [`Termination`], but silently lossy if ever reused. Per-execution
 /// budgets are enforced by the governed prepared entry points, which
 /// construct a fresh `Governor` on every call.
+///
+/// The tables carry the layout they were built for (bitmap sizing is
+/// layout-specific), so prepared executions run on it whatever
+/// [`EvalOptions::layout`] says.
 pub struct PreparedTables {
     tables: SharedTables,
-    /// The layout the tables were built for: the dense tables and domain
-    /// bitmaps are layout-specific, so prepared executions use it whatever
-    /// [`EvalOptions::layout`] says.
-    layout: Layout,
 }
 
 impl PreparedTables {
@@ -530,8 +526,7 @@ impl PreparedTables {
     /// it.
     pub fn build(db: &GraphDb, query: &PreparedQuery, layout: Layout) -> Self {
         PreparedTables {
-            tables: SharedTables::build_with_layout(db, query, layout),
-            layout,
+            tables: SharedTables::build(db, query, layout, None, &NoopTracer, None),
         }
     }
 
@@ -540,15 +535,7 @@ impl PreparedTables {
     /// layout, matching the planner's Yannakakis dispatch).
     pub fn build_for_tree(db: &GraphDb, query: &PreparedQuery, tree: &JoinTree) -> Self {
         PreparedTables {
-            tables: SharedTables::build_traced_with(
-                db,
-                query,
-                Layout::Flat,
-                None,
-                &NoopTracer,
-                Some(tree),
-            ),
-            layout: Layout::Flat,
+            tables: SharedTables::build(db, query, Layout::Flat, None, &NoopTracer, Some(tree)),
         }
     }
 }
@@ -571,15 +558,7 @@ pub fn answers_product_governed_prepared_traced<T: Tracer>(
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
     let workers = product_workers(db, query, opts);
-    answers_over(
-        db,
-        query,
-        &tables.tables,
-        tables.layout,
-        workers,
-        governor,
-        tracer,
-    )
+    answers_over(db, query, &tables.tables, workers, governor, tracer)
 }
 
 /// Resource-governed streaming enumeration over tables prepared with
@@ -807,7 +786,7 @@ mod tests {
                 assert_eq!(expect as usize, domain, "covers domain");
             }
         }
-        // other layouts keep the plain split
+        // the flat layout keeps the plain split
         assert_eq!(
             product_chunk_ranges(100, 2, Layout::Flat),
             chunk_ranges(100, 2 * CHUNKS_PER_THREAD)

@@ -30,6 +30,7 @@
 //! on tree-consistent prefixes, and the delay bound tightens to
 //! `O(Σ_v |D(v)|)` steps per answer (see DESIGN.md §13).
 
+use crate::engine::run_governor;
 use crate::governor::{AnswerClaim, Claim, Governor, ResourceBudget, Termination};
 use crate::prepare::PreparedQuery;
 use crate::product::{Evaluator, Layout, ProductStats, SharedTables, UNASSIGNED};
@@ -478,27 +479,15 @@ impl<'a> Enumerator<'a> {
     /// Prepares the streaming evaluation with the default flat layout and
     /// independent semijoin pruning, no budget.
     pub fn new(db: &'a GraphDb, query: &'a PreparedQuery) -> Self {
-        let tables = SharedTables::build(db, query);
-        Enumerator {
-            db,
-            query,
-            tables,
-            governor: None,
-        }
+        Self::with_budget(db, query, &ResourceBudget::unlimited())
     }
 
     /// As [`Enumerator::new`] under a resource budget: preparation checks
     /// in with the governor, and the iterator stops exactly at
-    /// `max_answers` (or any other tripped budget axis).
+    /// `max_answers` (or any other tripped budget axis). An unlimited
+    /// budget installs no governor.
     pub fn with_budget(db: &'a GraphDb, query: &'a PreparedQuery, budget: &ResourceBudget) -> Self {
-        let governor = Governor::new(budget);
-        let tables = SharedTables::build_governed(db, query, Layout::Flat, Some(&governor));
-        Enumerator {
-            db,
-            query,
-            tables,
-            governor: Some(governor),
-        }
+        Self::prepare(db, query, None, budget)
     }
 
     /// As [`Enumerator::with_budget`], upgrading the preparation to the
@@ -510,14 +499,26 @@ impl<'a> Enumerator<'a> {
         tree: &JoinTree,
         budget: &ResourceBudget,
     ) -> Self {
-        let governor = (!budget.is_unlimited()).then(|| Governor::new(budget));
-        let tables = SharedTables::build_traced_with(
+        Self::prepare(db, query, Some(tree), budget)
+    }
+
+    /// The flat-layout tables under `budget`'s governor (none when the
+    /// budget is unlimited), made Yannakakis-consistent over `tree` if
+    /// one is given.
+    fn prepare(
+        db: &'a GraphDb,
+        query: &'a PreparedQuery,
+        tree: Option<&JoinTree>,
+        budget: &ResourceBudget,
+    ) -> Self {
+        let governor = run_governor(budget);
+        let tables = SharedTables::build(
             db,
             query,
             Layout::Flat,
             governor.as_ref(),
             &NoopTracer,
-            Some(tree),
+            tree,
         );
         Enumerator {
             db,
@@ -588,7 +589,7 @@ mod tests {
     fn restarted_chunks_walk_the_full_search() {
         let (db, q) = chain_db_query();
         let prepared = PreparedQuery::build(&q).unwrap();
-        let tables = SharedTables::build_with_layout(&db, &prepared, Layout::FlatUnpruned);
+        let tables = SharedTables::build(&db, &prepared, Layout::Flat, None, &NoopTracer, None);
         let walk = |chunks: &[Range<NodeId>]| {
             let mut search = SearchCursor::new(&db, &prepared, &tables, None, NoopTracer);
             let mut got = Vec::new();

@@ -57,10 +57,7 @@ pub use planner::{
     Strategy,
 };
 pub use prepare::{MergedAtom, PreparedQuery};
-pub use product::{
-    answers_product_with_stats_layout, eval_product, eval_product_with_stats_layout, Layout,
-    Witness,
-};
+pub use product::{eval_product, Layout, Witness};
 pub use satisfiability::satisfiable;
 pub use server::{
     LatencyHistogram, PreparedPlan, QueryService, Response, ServerError, ServiceStats, Session,

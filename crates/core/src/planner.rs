@@ -416,7 +416,7 @@ fn short_circuit<A>(answers: A) -> Outcome<A> {
 /// build governed instead.
 #[derive(Default)]
 pub(crate) struct PlanTables {
-    product: [OnceLock<Arc<PreparedTables>>; 4],
+    product: [OnceLock<Arc<PreparedTables>>; 2],
     yannakakis: OnceLock<Arc<PreparedTables>>,
     cq: OnceLock<Arc<(Cq, RelationalDb)>>,
 }

@@ -31,16 +31,16 @@
 //! slice lookups for successors, row-grouped dense transition tables so
 //! each distinct convolution row's successor options are computed once and
 //! shared across its target states, and an odometer over option slices so
-//! a configuration is only allocated when it is first visited. The
-//! pre-flat path is preserved verbatim as [`Layout::Legacy`] for
-//! differential benchmarking (experiment E15).
+//! a configuration is only allocated when it is first visited.
+//! [`Layout::BitParallel`] swaps that inner loop for the word-packed
+//! bitmap kernel of `crate::bitbfs` wherever an atom's space fits.
 
 use crate::bitbfs::{self, BitBfsInput, BitScratch};
 use crate::enumerate::{free_values, AnswerIter, Odometer, SearchCursor};
 use crate::fnv::{FnvHashMap, FnvHashSet};
 use crate::governor::{Governor, Pacer};
 use crate::prepare::PreparedQuery;
-use crate::semijoin::{self, PrunedDomains};
+use crate::semijoin;
 use crate::trace::{NoopTracer, Phase, PhaseSpan, Tracer};
 use ecrpq_automata::{Nfa, Row, StateId, Track};
 use ecrpq_graph::{Edge, GraphDb, NodeId, Path};
@@ -102,29 +102,22 @@ impl ProductStats {
 }
 
 /// Which data layout the product evaluator runs on. [`Layout::Flat`] is
-/// the default everywhere; the other variants exist so benchmarks and the
-/// differential suite can measure and cross-check the layers separately.
+/// the default everywhere; [`Layout::BitParallel`] is selected through
+/// `EvalOptions::layout`. Both run the same semijoin pruning, so their
+/// answer sets are identical by construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Layout {
     /// CSR adjacency + dense row-grouped transition tables + semijoin
     /// endpoint pruning (the production path).
     #[default]
     Flat,
-    /// The flat BFS without the semijoin pruning pass: isolates the
-    /// per-configuration layout win from the search-space reduction.
-    FlatUnpruned,
-    /// The pre-flat evaluation path — adjacency-list scans, per-transition
-    /// successor recomputation, per-combination allocation — kept verbatim
-    /// as the baseline for experiment E15.
-    Legacy,
     /// The flat layout with the BFS inner loop replaced by the word-packed
     /// bitmap kernel of `crate::bitbfs`: dense `(state, positions)`
     /// bitmaps, CSR OR-scatter transition steps, no per-configuration
     /// allocation. Atoms whose configuration space does not fit the dense
     /// bitmaps (or exceeds the kernel's arity bound) fall back per-atom to
     /// the flat scalar path, so answers stay bit-identical to
-    /// [`Layout::Flat`] on every input. Semijoin pruning runs exactly as
-    /// under [`Layout::Flat`].
+    /// [`Layout::Flat`] on every input.
     BitParallel,
 }
 
@@ -138,16 +131,7 @@ pub fn eval_product(db: &GraphDb, query: &PreparedQuery) -> bool {
 
 /// As [`eval_product`], returning the work counters.
 pub fn eval_product_with_stats(db: &GraphDb, query: &PreparedQuery) -> (bool, ProductStats) {
-    eval_product_with_stats_layout(db, query, Layout::Flat)
-}
-
-/// As [`eval_product_with_stats`], on an explicit [`Layout`].
-pub fn eval_product_with_stats_layout(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    layout: Layout,
-) -> (bool, ProductStats) {
-    let tables = SharedTables::build_with_layout(db, query, layout);
+    let tables = SharedTables::build(db, query, Layout::Flat, None, &NoopTracer, None);
     let mut search = SearchCursor::new(db, query, &tables, None, NoopTracer);
     let found = search.next_assignment().is_some();
     (found, search.ev.stats)
@@ -156,28 +140,16 @@ pub fn eval_product_with_stats_layout(
 /// All answers (tuples over the free node variables), via the product
 /// algorithm.
 pub fn answers_product(db: &GraphDb, query: &PreparedQuery) -> BTreeSet<Vec<NodeId>> {
-    answers_product_with_stats_layout(db, query, Layout::Flat).0
-}
-
-/// As [`answers_product`], on an explicit [`Layout`] and returning the
-/// work counters. Every layout returns the identical answer set; the
-/// counters differ (pruning shrinks `assignments`, the flat layouts
-/// change nothing but time per configuration).
-pub fn answers_product_with_stats_layout(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    layout: Layout,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    let tables = SharedTables::build_with_layout(db, query, layout);
+    let tables = SharedTables::build(db, query, Layout::Flat, None, &NoopTracer, None);
     let mut it = AnswerIter::with_parts(db, query, &tables, None, NoopTracer);
     it.run();
-    it.into_parts()
+    it.into_parts().0
 }
 
 /// A witness for a Boolean query, if satisfiable. Variables no atom
 /// constrains default to vertex 0.
 pub fn witness_product(db: &GraphDb, query: &PreparedQuery) -> Option<Witness> {
-    let tables = SharedTables::build(db, query);
+    let tables = SharedTables::build(db, query, Layout::Flat, None, &NoopTracer, None);
     let mut search = SearchCursor::new(db, query, &tables, None, NoopTracer);
     let nodes = search
         .next_assignment()?
@@ -190,7 +162,7 @@ pub fn witness_product(db: &GraphDb, query: &PreparedQuery) -> Option<Witness> {
 /// All answers, each with one concrete witness (node assignment + paths).
 /// The per-answer witness uses the first satisfying assignment found.
 pub fn answers_with_witnesses(db: &GraphDb, query: &PreparedQuery) -> Vec<(Vec<NodeId>, Witness)> {
-    let tables = SharedTables::build(db, query);
+    let tables = SharedTables::build(db, query, Layout::Flat, None, &NoopTracer, None);
     let mut search = SearchCursor::new(db, query, &tables, None, NoopTracer);
     let nv = db.num_nodes();
     // one full assignment per distinct free tuple
@@ -221,10 +193,16 @@ pub(crate) const UNASSIGNED: i64 = -1;
 
 /// Bit budget of the all-pairs reachability closure: build it only while
 /// `|V|² ≤ 2²⁷` bits (16 MiB, |V| ≲ 11.5k). Beyond that the closure's
-/// O(|V|²) memory and build time would dominate any evaluation — the
-/// large-graph layouts rely on the semijoin pass for endpoint pruning
-/// instead.
+/// O(|V|²) memory and build time would dominate any evaluation — large
+/// graphs rely on the semijoin pass for endpoint pruning instead.
 const CLOSURE_MAX_BITS: u128 = 1 << 27;
+
+/// Size budget of one atom's generation-stamped visited array: the flat
+/// BFS indexes `(state, positions)` directly while the space has at most
+/// 2²⁷ configurations, and hashes beyond. Unlike the two bit budgets
+/// around it, this gate counts `u32` entries, not bits — up to 512 MiB
+/// per atom per worker.
+const STAMP_MAX_ENTRIES: u128 = 1 << 27;
 
 /// Bit budget of one dense configuration bitmap for
 /// [`Layout::BitParallel`]: the kernel keeps three bitmaps (visited +
@@ -253,7 +231,7 @@ pub(crate) struct RowGroup {
 /// Dense transition tables of one trimmed atom automaton:
 /// `groups[state_offsets[q]..state_offsets[q+1]]` are state `q`'s
 /// row-class groups, each indexing a flat `targets` column.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct DenseAtom {
     pub(crate) state_offsets: Vec<u32>,
     pub(crate) groups: Vec<RowGroup>,
@@ -264,7 +242,7 @@ pub(crate) struct DenseAtom {
 /// tracks/atoms**: every distinct convolution row is stored once in a
 /// flat `row_data` column (rows have different arities, hence the bounds
 /// vector rather than fixed stride).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct DenseTables {
     row_data: Vec<Track>,
     row_bounds: Vec<u32>,
@@ -333,12 +311,12 @@ impl DenseTables {
 pub(crate) struct SharedTables {
     /// ε-free trimmed relation automata, one per merged atom.
     automata: Vec<Nfa<Row>>,
-    /// Flat visited-array sizes per atom (`None` = space too large, BFS
-    /// falls back to hashing).
+    /// Flat visited-array sizes per atom (`None` = space past
+    /// [`STAMP_MAX_ENTRIES`], BFS falls back to hashing).
     stamp_sizes: Vec<Option<usize>>,
     /// Dense-bitmap sizes per atom for [`Layout::BitParallel`] (`None` =
     /// the atom fails the bitmap gate and falls back to the flat scalar
-    /// path; always all-`None` under the other layouts).
+    /// path; always all-`None` under [`Layout::Flat`]).
     bitmap_sizes: Vec<Option<usize>>,
     /// Label-oblivious reachability closure: `closure[v]` = vertices
     /// reachable from `v`. A necessary condition checked before any
@@ -348,12 +326,12 @@ pub(crate) struct SharedTables {
     /// graphs must skip it); skipping only loses a pruning filter, never
     /// soundness.
     closure: Option<Vec<ecrpq_automata::BitSet>>,
-    /// Which data layout the BFS and enumeration run on.
-    layout: Layout,
-    /// Dense row-grouped transition tables (empty under [`Layout::Legacy`]).
+    /// Which data layout the BFS and the worker pool's chunking run on.
+    pub(crate) layout: Layout,
+    /// Dense row-grouped transition tables.
     dense: DenseTables,
-    /// Semijoin-pruned per-variable enumeration domains (all `None` unless
-    /// the layout is [`Layout::Flat`]).
+    /// Semijoin-pruned (or, over a join tree, Yannakakis-consistent)
+    /// per-variable enumeration domains; `None` = the full vertex range.
     domains: Vec<Option<Vec<NodeId>>>,
     /// Totals behind `domains`, surfaced into [`ProductStats`].
     domain_kept: u64,
@@ -361,50 +339,24 @@ pub(crate) struct SharedTables {
 }
 
 impl SharedTables {
+    /// Builds the tables of `query` over `db` under `layout`, reporting the
+    /// preparation work (closure rows, dense tables) under
+    /// [`Phase::Prepare`] and the endpoint-domain sweeps under
+    /// [`Phase::Semijoin`] to `tracer`. With `join_tree` the independent
+    /// semijoin sweeps upgrade to the full Yannakakis semijoin program over
+    /// it (the `Strategy::Yannakakis` preparation: globally consistent
+    /// domains instead of per-atom ones).
+    ///
+    /// With a `governor`, the closure build and the semijoin sweeps check
+    /// in cooperatively. When the budget trips mid-build, the remaining
+    /// closure rows stay empty and the remaining sweeps are skipped — both
+    /// are necessary-condition filters, so the truncation can only *drop*
+    /// answers, which is sound under the non-`Complete` termination the
+    /// governor then reports.
+    ///
     /// # Panics
     /// Panics if the query's alphabet size differs from the database's.
-    pub(crate) fn build(db: &GraphDb, query: &PreparedQuery) -> Self {
-        Self::build_with_layout(db, query, Layout::Flat)
-    }
-
-    /// As [`SharedTables::build`] on an explicit [`Layout`].
-    pub(crate) fn build_with_layout(db: &GraphDb, query: &PreparedQuery, layout: Layout) -> Self {
-        Self::build_governed(db, query, layout, None)
-    }
-
-    /// As [`SharedTables::build_with_layout`], cooperatively checking the
-    /// governor during the closure build and the semijoin sweeps. When the
-    /// budget trips mid-build, the remaining closure rows stay empty and
-    /// the remaining sweeps are skipped — both are necessary-condition
-    /// filters, so the truncation can only *drop* answers, which is sound
-    /// under the non-`Complete` termination the governor then reports.
-    pub(crate) fn build_governed(
-        db: &GraphDb,
-        query: &PreparedQuery,
-        layout: Layout,
-        governor: Option<&Governor>,
-    ) -> Self {
-        Self::build_traced(db, query, layout, governor, &NoopTracer)
-    }
-
-    /// As [`SharedTables::build_governed`], reporting the preparation work
-    /// (closure rows, dense tables) under [`Phase::Prepare`] and the
-    /// endpoint-domain sweeps under [`Phase::Semijoin`] to `tracer`.
-    pub(crate) fn build_traced<T: Tracer>(
-        db: &GraphDb,
-        query: &PreparedQuery,
-        layout: Layout,
-        governor: Option<&Governor>,
-        tracer: &T,
-    ) -> Self {
-        Self::build_traced_with(db, query, layout, governor, tracer, None)
-    }
-
-    /// As [`SharedTables::build_traced`], optionally upgrading the
-    /// independent semijoin sweeps to the full Yannakakis semijoin
-    /// program over `join_tree` (the `Strategy::Yannakakis` preparation:
-    /// globally consistent domains instead of per-atom ones).
-    pub(crate) fn build_traced_with<T: Tracer>(
+    pub(crate) fn build<T: Tracer>(
         db: &GraphDb,
         query: &PreparedQuery,
         layout: Layout,
@@ -434,7 +386,7 @@ impl SharedTables {
             .zip(&automata)
             .map(|(a, nfa)| {
                 let space = nv.pow(a.rel.arity() as u32) * nfa.num_states() as u128;
-                (space <= (1 << 27)).then_some(space as usize)
+                (space <= STAMP_MAX_ENTRIES).then_some(space as usize)
             })
             .collect();
         let bitmap_sizes: Vec<Option<usize>> = if layout == Layout::BitParallel {
@@ -453,37 +405,24 @@ impl SharedTables {
             vec![None; query.atoms.len()]
         };
         let n = db.num_nodes();
-        let closure = if (n as u128) * (n as u128) > CLOSURE_MAX_BITS {
-            // quadratic in |V| — skipped on large graphs (only a filter)
-            None
-        } else {
-            Some(match governor {
-                None => (0..n as NodeId)
-                    .map(|v| ecrpq_graph::paths::reachable_from(db, v))
-                    .collect(),
-                Some(g) => {
-                    let mut rows = Vec::with_capacity(n);
-                    for v in 0..n as NodeId {
-                        // one checkpoint per source vertex: `reachable_from`
-                        // is O(E), so the deadline is honoured per row
-                        if g.checkpoint(1) {
-                            rows.push(ecrpq_automata::BitSet::new(n));
-                        } else {
-                            rows.push(ecrpq_graph::paths::reachable_from(db, v));
-                        }
+        let closure = ((n as u128) * (n as u128) <= CLOSURE_MAX_BITS).then(|| {
+            // quadratic in |V| — skipped on large graphs (only a filter).
+            // One checkpoint per source vertex: `reachable_from` is O(E),
+            // so the deadline is honoured per row
+            (0..n as NodeId)
+                .map(|v| {
+                    if governor.is_some_and(|g| g.checkpoint(1)) {
+                        ecrpq_automata::BitSet::new(n)
+                    } else {
+                        ecrpq_graph::paths::reachable_from(db, v)
                     }
-                    rows
-                }
-            })
-        };
-        let dense = if layout == Layout::Legacy {
-            DenseTables::default()
-        } else {
-            // freeze eagerly so the CSR build happens here, once, and not
-            // inside the first worker's first BFS
-            db.freeze();
-            DenseTables::build(&automata)
-        };
+                })
+                .collect()
+        });
+        // freeze eagerly so the CSR build happens here, once, and not
+        // inside the first worker's first BFS
+        db.freeze();
+        let dense = DenseTables::build(&automata);
         tracer.count(Phase::Prepare, n as u64);
         prepare_span.finish(tracer);
         // BitParallel prunes exactly like Flat: identical domains are what
@@ -492,14 +431,12 @@ impl SharedTables {
             let pruned = semijoin::yannakakis_domains(db, query, &automata, tree, governor, tracer);
             tracer.prune(Phase::YannakakisDown, pruned.pruned);
             pruned
-        } else if matches!(layout, Layout::Flat | Layout::BitParallel) {
+        } else {
             let semijoin_span = PhaseSpan::start(tracer, Phase::Semijoin);
             let pruned = semijoin::prune_domains(db, query, &automata, governor, tracer);
             tracer.prune(Phase::Semijoin, pruned.pruned);
             semijoin_span.finish(tracer);
             pruned
-        } else {
-            PrunedDomains::unconstrained(query.num_node_vars)
         };
         SharedTables {
             automata,
@@ -547,7 +484,7 @@ pub(crate) struct Evaluator<'a, T: Tracer = NoopTracer> {
     stamps: Vec<Option<Vec<u32>>>,
     /// Per-atom bitmap kernel scratch (visited/frontier/next bitmaps +
     /// word lists) under [`Layout::BitParallel`]; `None` for fallback
-    /// atoms and under every other layout.
+    /// atoms and under [`Layout::Flat`].
     bit_scratch: Vec<Option<BitScratch>>,
     generation: u32,
     /// Cooperative cancellation for parallel Boolean search: checked at
@@ -574,7 +511,7 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         tracer: T,
     ) -> Self {
         // a bitmap-kernel atom never consults its stamp array, so skip the
-        // allocation for it; fallback atoms (and every other layout) get
+        // allocation for it; fallback atoms (and the flat layout) get
         // their stamps as before — this is the "downgrade still allocates
         // stamps" path whose bytes `set_governor` must see
         let stamps: Vec<Option<Vec<u32>>> = tables
@@ -761,8 +698,9 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
     /// BFS over configurations `(state, positions)`. Returns `Some(rows)` if
     /// an accepting configuration is reachable (empty rows vector when the
     /// initial configuration accepts); in witness mode also stores the
-    /// configuration trace in `self.last_witness_configs`. Dispatches on
-    /// the shared tables' [`Layout`].
+    /// configuration trace in `self.last_witness_configs`. Runs the
+    /// bitmap kernel for atoms that have scratch (bit-parallel layout),
+    /// the flat scalar BFS otherwise.
     fn product_bfs(
         &mut self,
         atom_idx: usize,
@@ -770,9 +708,6 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         ends: &[NodeId],
         want_witness: bool,
     ) -> Option<Vec<Row>> {
-        if self.tables.layout == Layout::Legacy {
-            return self.product_bfs_legacy(atom_idx, starts, ends, want_witness);
-        }
         // the bitmap kernel holds no parent links, so witness mode always
         // runs the scalar path; fallback atoms (no scratch) do too
         if !want_witness {
@@ -962,152 +897,6 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         self.last_witness_configs = Some(configs);
         Some(rows)
     }
-
-    /// The pre-flat BFS, preserved as the [`Layout::Legacy`] baseline:
-    /// per-transition adjacency scans and eager materialization of every
-    /// successor combination.
-    fn product_bfs_legacy(
-        &mut self,
-        atom_idx: usize,
-        starts: &[NodeId],
-        ends: &[NodeId],
-        want_witness: bool,
-    ) -> Option<Vec<Row>> {
-        let nfa = &self.tables.automata[atom_idx];
-        let k = starts.len();
-        let nv = self.db.num_nodes().max(1);
-        type Config = (StateId, Vec<NodeId>);
-        let accepting = |q: StateId, pos: &[NodeId]| nfa.is_final(q) && pos == ends;
-        let encode = |q: StateId, pos: &[NodeId]| -> usize {
-            let mut idx = q as usize;
-            for &p in pos {
-                idx = idx * nv + p as usize;
-            }
-            idx
-        };
-        let mut stamp = if want_witness {
-            None
-        } else {
-            self.stamps[atom_idx].take()
-        };
-        if stamp.is_some() {
-            self.generation += 1;
-        }
-        let generation = self.generation;
-        let mut seen: FnvHashSet<Config> = FnvHashSet::default();
-        let mut mark = |q: StateId, pos: &[NodeId], seen: &mut FnvHashSet<Config>| -> bool {
-            match &mut stamp {
-                Some(s) => {
-                    let idx = encode(q, pos);
-                    if s[idx] == generation {
-                        false
-                    } else {
-                        s[idx] = generation;
-                        true
-                    }
-                }
-                None => seen.insert((q, pos.to_vec())),
-            }
-        };
-        let mut parent: FnvHashMap<Config, (Config, Row)> = FnvHashMap::default();
-        let mut queue: VecDeque<Config> = VecDeque::new();
-        for &q in nfa.initial_states() {
-            if mark(q, starts, &mut seen) {
-                queue.push_back((q, starts.to_vec()));
-            }
-        }
-        let mut peak = queue.len() as u64;
-        let mut goal: Option<Config> = None;
-        'bfs: while let Some((q, pos)) = queue.pop_front() {
-            self.stats.configurations += 1;
-            if T::ENABLED {
-                self.tracer.count(Phase::ProductBfs, 1);
-            }
-            // cooperative budget check, amortized to every ~4k configs
-            if self.pacer.tick_traced(&self.tracer, Phase::ProductBfs) {
-                self.stats.budget_aborts += 1;
-                break 'bfs;
-            }
-            if accepting(q, &pos) {
-                goal = Some((q, pos));
-                break 'bfs;
-            }
-            for (row, q2) in nfa.transitions_from(q) {
-                // successor position options per track
-                let mut options: Vec<Vec<NodeId>> = Vec::with_capacity(k);
-                let mut dead = false;
-                for i in 0..k {
-                    match row[i] {
-                        Track::Pad => {
-                            if pos[i] == ends[i] {
-                                options.push(vec![pos[i]]);
-                            } else {
-                                dead = true;
-                                break;
-                            }
-                        }
-                        Track::Sym(a) => {
-                            let succ: Vec<NodeId> = self.db.successors_scan(pos[i], a).collect();
-                            if succ.is_empty() {
-                                dead = true;
-                                break;
-                            }
-                            options.push(succ);
-                        }
-                    }
-                }
-                if dead {
-                    continue;
-                }
-                // cartesian product of options
-                let mut combos: Vec<Vec<NodeId>> = vec![Vec::with_capacity(k)];
-                for opt in &options {
-                    let mut next = Vec::with_capacity(combos.len() * opt.len());
-                    for c in &combos {
-                        for &o in opt {
-                            let mut c2 = c.clone();
-                            c2.push(o);
-                            next.push(c2);
-                        }
-                    }
-                    combos = next;
-                }
-                for combo in combos {
-                    if mark(*q2, &combo, &mut seen) {
-                        let c: Config = (*q2, combo);
-                        if want_witness {
-                            parent.insert(c.clone(), ((q, pos.clone()), row.clone()));
-                        }
-                        queue.push_back(c);
-                    }
-                }
-            }
-            peak = peak.max(queue.len() as u64);
-        }
-        self.stamps[atom_idx] = stamp;
-        self.stats.frontier_peak = self.stats.frontier_peak.max(peak);
-        if T::ENABLED {
-            self.tracer.frontier(Phase::ProductBfs, peak);
-        }
-        let goal = goal?;
-        if !want_witness {
-            return Some(Vec::new());
-        }
-        // reconstruct configuration trace + rows
-        let mut rows: Vec<Row> = Vec::new();
-        let mut configs: Vec<Config> = vec![goal.clone()];
-        let mut cur = goal;
-        while let Some((prev, row)) = parent.get(&cur) {
-            // lint:allow(unguarded-loop): O(path-length) trace rebuild
-            rows.push(row.clone());
-            configs.push(prev.clone());
-            cur = prev.clone();
-        }
-        rows.reverse();
-        configs.reverse();
-        self.last_witness_configs = Some(configs);
-        Some(rows)
-    }
 }
 
 #[cfg(test)]
@@ -1119,6 +908,24 @@ mod tests {
 
     fn prepare(q: &Ecrpq) -> PreparedQuery {
         PreparedQuery::build(q).unwrap()
+    }
+
+    /// Ungoverned, untraced tables under `layout`.
+    fn tables(db: &GraphDb, p: &PreparedQuery, layout: Layout) -> SharedTables {
+        SharedTables::build(db, p, layout, None, &NoopTracer, None)
+    }
+
+    /// Sequential answers and counters under `layout`, through the engine
+    /// entry point that `EvalOptions::layout` selects a layout on.
+    fn answers_on(
+        db: &GraphDb,
+        p: &PreparedQuery,
+        layout: Layout,
+    ) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
+        let opts = crate::EvalOptions::sequential().with_layout(layout);
+        let o = crate::engine::answers_product_governed_traced(db, p, &opts, &NoopTracer);
+        assert!(o.termination.is_complete());
+        (o.answers, o.stats)
     }
 
     /// Two parallel chains of equal length from s: the Example 2.1 query
@@ -1177,20 +984,16 @@ mod tests {
         let db = two_chain_db();
         let q = example_2_1_query(&db);
         let p = prepare(&q);
-        let (flat, flat_stats) = answers_product_with_stats_layout(&db, &p, Layout::Flat);
-        let (unpruned, _) = answers_product_with_stats_layout(&db, &p, Layout::FlatUnpruned);
-        let (legacy, legacy_stats) = answers_product_with_stats_layout(&db, &p, Layout::Legacy);
-        let (bitpar, bitpar_stats) =
-            answers_product_with_stats_layout(&db, &p, Layout::BitParallel);
-        assert_eq!(flat, unpruned);
-        assert_eq!(flat, legacy);
+        let (flat, flat_stats) = answers_on(&db, &p, Layout::Flat);
+        let (bitpar, bitpar_stats) = answers_on(&db, &p, Layout::BitParallel);
+        // the Lemma 4.3 reduction runs its own BFS: an independent reference
+        let (cq, rdb, _) = crate::to_cq::ecrpq_to_cq(&db, &p);
+        assert_eq!(flat, crate::cq_eval::answers_cq(&rdb, &cq));
         assert_eq!(flat, bitpar);
-        assert!(bitpar_stats.frontier_peak > 0);
-        // pruning counters only populate on the pruned layout
         assert!(flat_stats.domain_kept > 0);
-        assert_eq!(legacy_stats.domain_kept, 0);
+        assert_eq!(bitpar_stats.domain_kept, flat_stats.domain_kept);
         assert!(flat_stats.frontier_peak > 0);
-        assert!(legacy_stats.frontier_peak > 0);
+        assert!(bitpar_stats.frontier_peak > 0);
     }
 
     /// The bit-parallel size gate, inspected directly on the shared
@@ -1203,10 +1006,10 @@ mod tests {
         let q = example_2_1_query(&db);
         let p = prepare(&q);
         // 6 nodes × a few states: comfortably inside the gate
-        let tables = SharedTables::build_with_layout(&db, &p, Layout::BitParallel);
-        assert!(tables.bitmap_sizes.iter().all(Option::is_some));
-        // other layouts never allocate bitmaps, whatever the size
-        let flat = SharedTables::build_with_layout(&db, &p, Layout::Flat);
+        let bitpar = tables(&db, &p, Layout::BitParallel);
+        assert!(bitpar.bitmap_sizes.iter().all(Option::is_some));
+        // the flat layout never allocates bitmaps, whatever the size
+        let flat = tables(&db, &p, Layout::Flat);
         assert!(flat.bitmap_sizes.iter().all(Option::is_none));
 
         // 300k vertices push the arity-2 space to states × 9·10¹⁰
@@ -1214,9 +1017,9 @@ mod tests {
         // fall back (and the closure gate skips the all-pairs table too)
         let mut big = GraphDb::with_alphabet(db.alphabet().clone());
         big.add_nodes_anon(300_000);
-        let tables = SharedTables::build_with_layout(&big, &p, Layout::BitParallel);
-        assert!(tables.bitmap_sizes.iter().all(Option::is_none));
-        assert!(tables.closure.is_none());
+        let oversized = tables(&big, &p, Layout::BitParallel);
+        assert!(oversized.bitmap_sizes.iter().all(Option::is_none));
+        assert!(oversized.closure.is_none());
 
         // an arity-4 atom exceeds `BITMAP_MAX_ARITY` on any graph; the
         // downgrade keeps the scalar stamp array (whose bytes the governor
@@ -1233,7 +1036,7 @@ mod tests {
             &ps,
         );
         let p4 = prepare(&q4);
-        let t4 = SharedTables::build_with_layout(&db, &p4, Layout::BitParallel);
+        let t4 = tables(&db, &p4, Layout::BitParallel);
         assert!(t4.bitmap_sizes.iter().all(Option::is_none));
         assert!(t4.stamp_sizes.iter().all(Option::is_some));
     }
@@ -1273,16 +1076,11 @@ mod tests {
         assert_eq!(stats.domain_kept, 2); // u for x, w for y
         assert!(stats.domain_pruned >= 6); // z and t fully emptied
                                            // answers and witness short-circuit the same way
-        let (ans, astats) = answers_product_with_stats_layout(&db, &prepared, Layout::Flat);
+        let (ans, astats) = answers_on(&db, &prepared, Layout::Flat);
         assert!(ans.is_empty());
         assert_eq!(astats.assignments, 0);
         assert!(witness_product(&db, &prepared).is_none());
         assert!(answers_with_witnesses(&db, &prepared).is_empty());
-        // the unpruned layout reaches the same verdict by searching
-        let (unpruned, ustats) =
-            answers_product_with_stats_layout(&db, &prepared, Layout::FlatUnpruned);
-        assert!(unpruned.is_empty());
-        assert!(ustats.checks > 0);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! reachability. Pruning is sound, never complete-by-itself: every real
 //! product run projects to a run of each track's projection, so a value
 //! outside the pruned domain can never satisfy the atom, and the answer
-//! set is bit-identical with pruning on or off (the differential suite
-//! asserts this).
+//! set is the unpruned search's (the differential suites assert it
+//! against the oracle and the Lemma 4.3 CQ reduction).
 //!
 //! When the CQ reduction is α-acyclic ([`ecrpq_analyze::acyclic`]), the
 //! independent sweeps upgrade to a full *Yannakakis semijoin program*
@@ -52,17 +52,6 @@ pub(crate) struct PrunedDomains {
     pub kept: u64,
     /// Total values removed across constrained variables.
     pub pruned: u64,
-}
-
-impl PrunedDomains {
-    /// No pruning at all: every variable ranges over the full domain.
-    pub fn unconstrained(num_node_vars: usize) -> Self {
-        PrunedDomains {
-            domains: vec![None; num_node_vars],
-            kept: 0,
-            pruned: 0,
-        }
-    }
 }
 
 /// Runs the semijoin pass over every (atom, track) pair. `automata` are

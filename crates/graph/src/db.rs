@@ -312,18 +312,6 @@ impl GraphDb {
         &self.csr().out.targets
     }
 
-    /// Successors of `v` by linear partition-point scan over the builder
-    /// adjacency vectors — the pre-CSR access path, kept as the baseline
-    /// the legacy-layout evaluator and the differential benchmarks run on.
-    pub fn successors_scan(&self, v: NodeId, label: Symbol) -> impl Iterator<Item = NodeId> + '_ {
-        let edges = &self.out[v as usize];
-        let start = edges.partition_point(|&(l, _)| l < label);
-        edges[start..]
-            .iter()
-            .take_while(move |&&(l, _)| l == label)
-            .map(|&(_, t)| t)
-    }
-
     /// Whether the edge `(src, label, dst)` exists.
     pub fn has_edge(&self, src: NodeId, label: Symbol, dst: NodeId) -> bool {
         self.out[src as usize].binary_search(&(label, dst)).is_ok()
@@ -439,8 +427,13 @@ mod tests {
         let g = sample();
         for v in 0..g.num_nodes() as NodeId {
             for label in 0..g.alphabet().len() as Symbol {
-                let scan: Vec<NodeId> = g.successors_scan(v, label).collect();
-                assert_eq!(g.successors(v, label), scan.as_slice(), "v={v} a={label}");
+                let mut succ: Vec<NodeId> = g
+                    .edges()
+                    .filter(|e| e.src == v && e.label == label)
+                    .map(|e| e.dst)
+                    .collect();
+                succ.sort_unstable();
+                assert_eq!(g.successors(v, label), succ.as_slice(), "v={v} a={label}");
                 let mut naive: Vec<NodeId> = g
                     .edges()
                     .filter(|e| e.dst == v && e.label == label)

@@ -30,14 +30,17 @@ cargo test -q --offline --test differential --test parallel_differential --test 
 echo "== xtask lint (repo policy) =="
 cargo run -q -p xtask --offline -- lint
 
-echo "== experiment harness smoke (E19-E22 via their committed specs) =="
+echo "== experiment harness smoke (E15, E18-E22 via their committed specs) =="
 # each spec's [smoke] table shrinks the workload to a seconds-scale size
 # while keeping the full trial path — generator, correctness assertions,
 # per-trial caching — and the harness diff gates the smoke aggregate's
 # key set against the committed full-size trajectory (--keys-only: smoke
-# timings are not comparable to full-size timings, the schema is)
+# timings are not comparable to full-size timings, the schema is). E15
+# and E18 have no [smoke] table: their full-size runs already take well
+# under a second
 harness() { cargo run -q --release --offline -p ecrpq-bench --bin harness -- "$@"; }
-for pair in e19:BENCH_bitparallel.json e20:BENCH_yannakakis.json \
+for pair in e15:BENCH_layout.json e18:BENCH_observability.json \
+            e19:BENCH_bitparallel.json e20:BENCH_yannakakis.json \
             e21:BENCH_minimize.json e22:BENCH_server.json; do
   exp="${pair%%:*}" bench="${pair#*:}"
   harness run "experiments/$exp.toml" --smoke --out "target/${exp}_smoke.json"

@@ -1,11 +1,13 @@
-//! Differential testing of the flat data layouts: the CSR adjacency index
-//! must agree with the naive scan access path on random graphs, and the
-//! flat/pruned product layouts must return answer sets bit-identical to
-//! the legacy layout — and to the CQ-reduction evaluator — on random
-//! graphs and queries.
+//! Differential testing of the product data layouts: the CSR adjacency
+//! index must agree with a naive filter over the edge list on random
+//! graphs, and both product layouts (flat and bit-parallel), at every
+//! thread count, must return answer sets bit-identical to the
+//! CQ-reduction evaluator — whose Lemma 4.3 BFS shares no code with the
+//! product kernels — on random graphs and queries.
 
-use ecrpq::eval::product::{answers_product_with_stats_layout, Layout};
+use ecrpq::eval::product::Layout;
 use ecrpq::eval::{ecrpq_to_cq, Enumerator, EvalOptions, PreparedQuery, ResourceBudget};
+use ecrpq::graph::GraphDb;
 use ecrpq::query::NodeVar;
 use ecrpq::workloads::{planted_acyclic_instance, random_db, random_ecrpq, RandomQueryParams};
 use proptest::prelude::*;
@@ -14,6 +16,16 @@ use std::collections::BTreeSet;
 mod common;
 
 use common::{cq_answers, product_answers, product_answers_with_stats, product_sat};
+
+const LAYOUTS: [Layout; 2] = [Layout::Flat, Layout::BitParallel];
+const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// The independent reference: the Lemma 4.3 reduction, evaluated by the
+/// sequential backtracking CQ join.
+fn via_cq(db: &GraphDb, prepared: &PreparedQuery) -> BTreeSet<Vec<u32>> {
+    let (cq, rdb, _) = ecrpq_to_cq(db, prepared);
+    cq_answers(&rdb, &cq, &EvalOptions::sequential())
+}
 
 fn params() -> RandomQueryParams {
     RandomQueryParams {
@@ -28,28 +40,26 @@ fn params() -> RandomQueryParams {
 /// Regression: a database with zero nodes must not panic anywhere in the
 /// pipeline — CSR freeze, flat-table construction, semijoin sweeps, chunk
 /// partitioning — and must return the empty answer set (respectively
-/// `false`) at every layout and thread count.
+/// `false`) at every layout and thread count, as the CQ reduction does.
 #[test]
 fn empty_database_evaluates_cleanly() {
     let mut q = random_ecrpq(&params(), 1234);
     q.set_free(&[NodeVar(0), NodeVar(1)]);
-    let db = ecrpq::graph::GraphDb::with_alphabet(q.alphabet().clone());
+    let db = GraphDb::with_alphabet(q.alphabet().clone());
     assert_eq!(db.num_nodes(), 0);
     let prepared = PreparedQuery::build(&q).unwrap();
-    for layout in [
-        Layout::Legacy,
-        Layout::FlatUnpruned,
-        Layout::Flat,
-        Layout::BitParallel,
-    ] {
-        let (ans, _) = answers_product_with_stats_layout(&db, &prepared, layout);
-        assert!(ans.is_empty(), "{layout:?}");
-    }
-    for threads in [1usize, 2, 4, 8] {
-        for layout in [Layout::Flat, Layout::BitParallel] {
+    let reference = via_cq(&db, &prepared);
+    assert!(reference.is_empty());
+    assert!(!ecrpq::eval::product::eval_product(&db, &prepared));
+    for threads in THREADS {
+        for layout in LAYOUTS {
             let opts = EvalOptions::with_threads(threads).with_layout(layout);
-            assert!(product_answers(&db, &prepared, &opts).is_empty());
-            assert!(!product_sat(&db, &prepared, &opts));
+            let got = product_answers(&db, &prepared, &opts);
+            assert_eq!(got, reference, "{threads} threads, {layout:?}");
+            assert!(
+                !product_sat(&db, &prepared, &opts),
+                "{threads} threads, {layout:?}"
+            );
         }
     }
 }
@@ -66,15 +76,13 @@ fn empty_database_evaluates_cleanly() {
 fn bitparallel_falls_back_on_oversized_config_space() {
     use ecrpq::workloads::big_component_query;
     let q = big_component_query(2, 2); // free vars default to none: Boolean
-    let mut db = ecrpq::graph::GraphDb::with_alphabet(q.alphabet().clone());
+    let mut db = GraphDb::with_alphabet(q.alphabet().clone());
     let first = db.add_nodes_anon(9_000);
     db.add_edge(first, 'a', first + 1);
     let prepared = PreparedQuery::build(&q).unwrap();
-    let (flat, _) = answers_product_with_stats_layout(&db, &prepared, Layout::Flat);
-    let (bitpar, _) = answers_product_with_stats_layout(&db, &prepared, Layout::BitParallel);
-    assert_eq!(flat, bitpar, "fallback answers diverge");
+    let flat = product_answers(&db, &prepared, &EvalOptions::sequential());
     assert_eq!(flat.len(), 1, "satisfiable Boolean query: one empty tuple");
-    for threads in [1usize, 2, 4, 8] {
+    for threads in THREADS {
         let opts = EvalOptions::with_threads(threads).with_layout(Layout::BitParallel);
         let par = product_answers(&db, &prepared, &opts);
         assert_eq!(par, flat, "{threads} threads");
@@ -142,7 +150,7 @@ proptest! {
         q.set_free(&[NodeVar(0), NodeVar(1)]);
         let db = random_db(5, 1.6, 2, seed.wrapping_mul(37).wrapping_add(13));
         let prepared = PreparedQuery::build(&q).map_err(TestCaseError::fail)?;
-        let (materialized, _) = answers_product_with_stats_layout(&db, &prepared, Layout::Flat);
+        let materialized = product_answers(&db, &prepared, &EvalOptions::sequential());
         let e = Enumerator::new(&db, &prepared);
         let streamed: Vec<Vec<u32>> = e.iter().collect();
         let as_set: BTreeSet<Vec<u32>> = streamed.iter().cloned().collect();
@@ -159,32 +167,20 @@ proptest! {
 
     /// Regression: zero free variables makes the query *Boolean* — the
     /// enumeration must yield exactly one empty tuple iff the query is
-    /// satisfiable, identically across all three layouts and any thread
-    /// count (a buggy odometer could emit the empty tuple once per
-    /// satisfying assignment or chunk, or never).
+    /// satisfiable (per the CQ reduction), identically across both layouts
+    /// and any thread count (a buggy odometer could emit the empty tuple
+    /// once per satisfying assignment or chunk, or never).
     #[test]
     fn boolean_query_yields_one_empty_tuple(seed in 0..100_000u64) {
         let mut q = random_ecrpq(&params(), seed.wrapping_add(91_000));
         q.set_free(&[]);
         let db = random_db(4, 1.6, 2, seed.wrapping_mul(31).wrapping_add(3));
         let prepared = PreparedQuery::build(&q).map_err(TestCaseError::fail)?;
-        let sat = ecrpq::eval::product::eval_product(&db, &prepared);
-        for layout in [
-            Layout::Legacy,
-            Layout::FlatUnpruned,
-            Layout::Flat,
-            Layout::BitParallel,
-        ] {
-            let (ans, _) = answers_product_with_stats_layout(&db, &prepared, layout);
-            if sat {
-                prop_assert_eq!(ans.len(), 1, "layout={:?} seed={}", layout, seed);
-                prop_assert!(ans.contains(&Vec::new()));
-            } else {
-                prop_assert!(ans.is_empty(), "layout={:?} seed={}", layout, seed);
-            }
-        }
-        for threads in [2usize, 4, 8] {
-            for layout in [Layout::Flat, Layout::BitParallel] {
+        let reference = via_cq(&db, &prepared);
+        let sat = !reference.is_empty();
+        prop_assert_eq!(ecrpq::eval::product::eval_product(&db, &prepared), sat, "seed={}", seed);
+        for threads in THREADS {
+            for layout in LAYOUTS {
                 let opts = EvalOptions::with_threads(threads).with_layout(layout);
                 let par = product_answers(&db, &prepared, &opts);
                 if sat {
@@ -197,29 +193,31 @@ proptest! {
         }
     }
 
-    /// CSR `successors`/`predecessors` vs the pre-CSR scan path and a
-    /// naive transpose built from the edge list.
+    /// CSR `successors`/`predecessors` vs naive filters over the edge
+    /// list (the transpose for predecessors).
     #[test]
     fn csr_adjacency_matches_scan(seed in 0..100_000u64, n in 0..12usize) {
         let db = random_db(n, 1.8, 3, seed);
         let num_labels = db.alphabet().len() as u8;
+        let naive = |v: u32, a: u8, forward: bool| -> Vec<u32> {
+            let mut out: Vec<u32> = db
+                .edges()
+                .filter(|e| e.label == a && if forward { e.src == v } else { e.dst == v })
+                .map(|e| if forward { e.dst } else { e.src })
+                .collect();
+            out.sort_unstable();
+            out.dedup();
+            out
+        };
         for v in 0..db.num_nodes() as u32 {
             for a in 0..num_labels {
                 let csr = db.successors(v, a).to_vec();
-                let scan: Vec<u32> = db.successors_scan(v, a).collect();
-                prop_assert_eq!(&csr, &scan, "successors v={} a={} seed={}", v, a, seed);
+                prop_assert_eq!(&csr, &naive(v, a, true), "successors v={} a={} seed={}", v, a, seed);
                 // bulk accessors expose the same ranges as the slice API
                 let bulk = &db.csr_targets()[db.successor_range(v, a)];
                 prop_assert_eq!(bulk, &csr[..], "bulk range v={} a={} seed={}", v, a, seed);
-                let mut naive: Vec<u32> = db
-                    .edges()
-                    .filter(|e| e.dst == v && e.label == a)
-                    .map(|e| e.src)
-                    .collect();
-                naive.sort_unstable();
-                naive.dedup();
                 let pred = db.predecessors(v, a).to_vec();
-                prop_assert_eq!(&pred, &naive, "predecessors v={} a={} seed={}", v, a, seed);
+                prop_assert_eq!(&pred, &naive(v, a, false), "predecessors v={} a={} seed={}", v, a, seed);
             }
             // out-of-alphabet labels are empty, not a panic
             prop_assert!(db.successors(v, num_labels + 5).is_empty());
@@ -228,48 +226,33 @@ proptest! {
         }
     }
 
-    /// The three product layouts must agree bit-for-bit on the answer set;
-    /// semijoin pruning may only shrink the enumeration work.
+    /// Both product layouts, at every thread count, must return the CQ
+    /// reduction's answer set bit-for-bit. The bit-parallel layout shares
+    /// the flat layout's pruned domains and memo and only swaps the BFS
+    /// inner loop, so sequentially the two ask the same feasibility
+    /// questions and get the same verdicts.
     #[test]
     fn layouts_agree_on_answers(seed in 0..100_000u64) {
         let mut q = random_ecrpq(&params(), seed.wrapping_add(55_000));
         q.set_free(&[NodeVar(0), NodeVar(1)]);
         let db = random_db(5, 1.6, 2, seed.wrapping_mul(29).wrapping_add(11));
         let prepared = PreparedQuery::build(&q).map_err(TestCaseError::fail)?;
-        let (legacy, legacy_stats) =
-            answers_product_with_stats_layout(&db, &prepared, Layout::Legacy);
-        let (flat, flat_stats) =
-            answers_product_with_stats_layout(&db, &prepared, Layout::FlatUnpruned);
-        let (pruned, pruned_stats) =
-            answers_product_with_stats_layout(&db, &prepared, Layout::Flat);
-        let (bitpar, bitpar_stats) =
-            answers_product_with_stats_layout(&db, &prepared, Layout::BitParallel);
-        // an unbudgeted sequential run through the governed engine entry
-        // point reports exactly the answers and counters of the layout run
-        for (layout, answers, stats) in [
-            (Layout::Flat, &pruned, pruned_stats),
-            (Layout::BitParallel, &bitpar, bitpar_stats),
-        ] {
-            let opts = EvalOptions::sequential().with_layout(layout);
-            let governed = product_answers_with_stats(&db, &prepared, &opts);
-            prop_assert_eq!(&governed, &(answers.clone(), stats), "{:?} seed={}", layout, seed);
+        let reference = via_cq(&db, &prepared);
+        for threads in THREADS {
+            for layout in LAYOUTS {
+                let opts = EvalOptions::with_threads(threads).with_layout(layout);
+                let got = product_answers(&db, &prepared, &opts);
+                prop_assert_eq!(&got, &reference, "threads={} layout={:?} seed={}", threads, layout, seed);
+            }
         }
-        prop_assert_eq!(&flat, &legacy, "flat vs legacy seed={}", seed);
-        prop_assert_eq!(&pruned, &legacy, "pruned vs legacy seed={}", seed);
-        // the bit-parallel layout shares the pruned semijoin domains but
-        // swaps the BFS inner loop; answers must stay bit-identical
-        prop_assert_eq!(&bitpar, &legacy, "bitparallel vs legacy seed={}", seed);
-        // without pruning the two BFS implementations walk the same
-        // enumeration tree and answer the same feasibility questions
-        // (popped-configuration counts may differ slightly: the queue
-        // orders differ, so the early exit on an accepting configuration
-        // can trigger at different points)
-        prop_assert_eq!(flat_stats.checks, legacy_stats.checks);
-        prop_assert_eq!(flat_stats.cache_hits, legacy_stats.cache_hits);
-        prop_assert_eq!(flat_stats.assignments, legacy_stats.assignments);
-        // pruning only removes work, never adds it
-        prop_assert!(pruned_stats.assignments <= flat_stats.assignments);
-        prop_assert!(pruned_stats.checks <= flat_stats.checks);
+        let seq = |layout| {
+            product_answers_with_stats(&db, &prepared, &EvalOptions::sequential().with_layout(layout)).1
+        };
+        let (flat, bitpar) = (seq(Layout::Flat), seq(Layout::BitParallel));
+        prop_assert_eq!(flat.checks, bitpar.checks, "seed={}", seed);
+        prop_assert_eq!(flat.cache_hits, bitpar.cache_hits, "seed={}", seed);
+        prop_assert_eq!(flat.assignments, bitpar.assignments, "seed={}", seed);
+        prop_assert_eq!(flat.domain_kept, bitpar.domain_kept, "seed={}", seed);
     }
 
     /// Pruned product answers vs the independent Lemma 4.3 CQ reduction
@@ -280,10 +263,7 @@ proptest! {
         q.set_free(&[NodeVar(0), NodeVar(1)]);
         let db = random_db(4, 1.5, 2, seed.wrapping_mul(23).wrapping_add(7));
         let prepared = PreparedQuery::build(&q).map_err(TestCaseError::fail)?;
-        let (product, _) = answers_product_with_stats_layout(&db, &prepared, Layout::Flat);
-        let (cq, rdb, _) = ecrpq_to_cq(&db, &prepared);
-        let via_cq = cq_answers(&rdb, &cq, &EvalOptions::sequential());
-        let product_u32: std::collections::BTreeSet<Vec<u32>> = product.into_iter().collect();
-        prop_assert_eq!(product_u32, via_cq, "product vs cq seed={}", seed);
+        let product = product_answers(&db, &prepared, &EvalOptions::sequential());
+        prop_assert_eq!(product, via_cq(&db, &prepared), "product vs cq seed={}", seed);
     }
 }

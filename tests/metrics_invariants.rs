@@ -8,8 +8,7 @@
 
 use ecrpq::eval::engine;
 use ecrpq::eval::{
-    answers_product_with_stats_layout, CollectingTracer, EvalOptions, Layout, NoopTracer, Phase,
-    PreparedQuery, ResourceBudget,
+    CollectingTracer, EvalOptions, Layout, NoopTracer, Phase, PreparedQuery, ResourceBudget,
 };
 use ecrpq::query::NodeVar;
 use ecrpq::workloads::{env_seed, random_db, random_ecrpq, RandomQueryParams};
@@ -41,7 +40,8 @@ fn domain_counters_partition_the_endpoint_domains() {
         let db = random_db(12, 1.8, 2, seed * 19 + 3);
         let n = db.num_nodes() as u64;
         let prepared = PreparedQuery::build(&q).unwrap();
-        let (_, stats) = answers_product_with_stats_layout(&db, &prepared, Layout::Flat);
+        let (_, stats) =
+            common::product_answers_with_stats(&db, &prepared, &EvalOptions::sequential());
         let total = stats.domain_kept + stats.domain_pruned;
         assert_eq!(
             total % n,
@@ -54,9 +54,6 @@ fn domain_counters_partition_the_endpoint_domains() {
             total <= q.num_node_vars() as u64 * n,
             "seed {seed}: {total} exceeds #vars × |V|"
         );
-        // the unpruned layout must report no domain activity
-        let (_, raw) = answers_product_with_stats_layout(&db, &prepared, Layout::FlatUnpruned);
-        assert_eq!(raw.domain_kept + raw.domain_pruned, 0, "seed {seed}");
     }
 }
 
@@ -71,13 +68,9 @@ fn frontier_peak_bounded_by_configurations() {
         q.set_free(&[NodeVar(0)]);
         let db = random_db(10, 1.8, 2, seed * 29 + 1);
         let prepared = PreparedQuery::build(&q).unwrap();
-        for layout in [
-            Layout::Legacy,
-            Layout::FlatUnpruned,
-            Layout::Flat,
-            Layout::BitParallel,
-        ] {
-            let (_, stats) = answers_product_with_stats_layout(&db, &prepared, layout);
+        for layout in [Layout::Flat, Layout::BitParallel] {
+            let opts = EvalOptions::sequential().with_layout(layout);
+            let (_, stats) = common::product_answers_with_stats(&db, &prepared, &opts);
             assert!(
                 stats.frontier_peak <= stats.configurations,
                 "seed {seed}, {layout:?}: frontier {} > configurations {}",

@@ -17,10 +17,7 @@ use ecrpq::eval::cq_eval::{answers_cq, answers_cq_treedec};
 use ecrpq::eval::engine;
 use ecrpq::eval::product::answers_product;
 use ecrpq::eval::NoopTracer;
-use ecrpq::eval::{
-    answers_product_with_stats_layout, ecrpq_to_cq, eval_product, EvalOptions, Layout,
-    PreparedQuery,
-};
+use ecrpq::eval::{ecrpq_to_cq, eval_product, EvalOptions, Layout, PreparedQuery};
 use ecrpq::graph::NodeId;
 use ecrpq::query::{Ecrpq, NodeVar, RelationRegistry};
 use ecrpq::workloads::{
@@ -62,22 +59,7 @@ fn oracle_agrees_with_every_answer_evaluator() {
         let exact = converged(&db, &q, &truth);
         settled += exact as usize;
 
-        // every layout of the product search
-        for layout in [
-            Layout::Legacy,
-            Layout::FlatUnpruned,
-            Layout::Flat,
-            Layout::BitParallel,
-        ] {
-            let (got, _) = answers_product_with_stats_layout(&db, &prepared, layout);
-            check(
-                &truth,
-                &got,
-                exact,
-                &format!("seed {seed}: {layout:?} layout"),
-            );
-        }
-        // every thread count of the parallel engine, flat and bit-parallel
+        // every layout of the product search at every thread count
         for threads in [1usize, 2, 4, 8] {
             for layout in [Layout::Flat, Layout::BitParallel] {
                 let opts = EvalOptions::with_threads(threads).with_layout(layout);
