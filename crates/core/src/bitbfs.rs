@@ -1,6 +1,6 @@
 //! The [`Layout::BitParallel`] product-BFS kernel: word-packed
 //! frontier/visited bitmaps over the dense `(state, positions)`
-//! configuration space.
+//! configuration space of a synchronized atom of arity 2 or 3.
 //!
 //! The flat BFS ([`crate::product`]) walks configurations one at a time
 //! through a queue of heap tuples; per visited configuration it pays a
@@ -8,17 +8,18 @@
 //! replaces all three with bits: a configuration is one bit at index
 //! `encode(q, pos) = ((q·|V| + pos₀)·|V| + pos₁)…`, the visited set and
 //! the current/next frontiers are `u64`-word bitmaps, and a transition
-//! step on a unary atom is an **OR-scatter**: the (sorted) CSR successor
-//! range of a node is folded into per-word masks and OR-ed into
-//! visited/next, discovering up to 64 new configurations per word op.
-//! Frontier words are tracked in explicit word lists so levels iterate
-//! only nonzero words, and dirty words are wiped lazily at the *next*
-//! call, so a call's cost is proportional to the configurations it
-//! actually reached — never to the configuration space.
+//! step decodes the positions and drives the flat path's slice odometer
+//! over CSR successor ranges, marking successors as bits. Frontier words
+//! are tracked in explicit word lists so levels iterate only nonzero
+//! words, and dirty words are wiped lazily at the *next* call, so a
+//! call's cost is proportional to the configurations it actually reached
+//! — never to the configuration space.
 //!
-//! The kernel is only entered for atoms whose space fits the dense-bitmap
-//! gate and only in non-witness mode; everything else (witness traces,
-//! over-large spaces) falls back to the flat scalar path, which is why
+//! The kernel is only entered for atoms of arity 2–3 whose space fits the
+//! dense-bitmap gate, and only in non-witness mode; witness traces and
+//! over-large or wider spaces fall back to the flat scalar path, and
+//! arity-1 atoms are decided by the single-track sweep of
+//! [`crate::semijoin`] under both layouts. That is why
 //! `Layout::BitParallel` is answer-bit-identical to `Layout::Flat` by
 //! construction on the shared enumeration machinery.
 //!
@@ -95,7 +96,7 @@ pub(crate) struct BitScratch {
     cur_words: Vec<u32>,
     /// Nonzero words of `next`, deduplicated.
     nxt_words: Vec<u32>,
-    /// Odometer / decode scratch for the generic-arity path.
+    /// Odometer / decode scratch of the expansion step.
     arena: BumpArena,
 }
 
@@ -166,32 +167,6 @@ fn set_one(
     1
 }
 
-/// ORs a whole word `mask` at word index `w` into `visited`/`next`,
-/// maintaining the word lists. Returns the number of newly reached
-/// configurations.
-#[inline]
-fn set_word(
-    w: usize,
-    mask: u64,
-    visited: &mut BitSet,
-    next: &mut BitSet,
-    touched: &mut Vec<u32>,
-    nxt_words: &mut Vec<u32>,
-) -> u64 {
-    if visited.words()[w] == 0 {
-        touched.push(w as u32);
-    }
-    let newly = visited.or_word(w, mask);
-    if newly == 0 {
-        return 0;
-    }
-    if next.words()[w] == 0 {
-        nxt_words.push(w as u32);
-    }
-    next.or_word(w, newly);
-    u64::from(newly.count_ones())
-}
-
 /// Whether some accepting configuration `(final state, ends)` is visited.
 fn accepting_reached(nfa: &Nfa<Row>, ends: &[NodeId], nv: usize, visited: &BitSet) -> bool {
     (0..nfa.num_states() as StateId)
@@ -250,7 +225,7 @@ pub(crate) fn run<T: Tracer>(
     let mut peak = seeded;
     let mut goal = accepting_reached(nfa, input.ends, nv, &scratch.visited);
 
-    // generic-arity decode/odometer scratch, carved from the bump arena
+    // decode/odometer scratch, carved from the bump arena
     let scratch_range = scratch.arena.alloc(3 * k);
     let csr = input.db.csr_targets();
 
@@ -272,11 +247,7 @@ pub(crate) fn run<T: Tracer>(
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let idx = (w << 6) | b;
-                inserted += if k == 1 {
-                    expand_unary(input, scratch, csr, idx)
-                } else {
-                    expand_generic(input, scratch, csr, idx, scratch_range.clone())
-                };
+                inserted += expand(input, scratch, csr, idx, scratch_range.clone());
             }
         }
         stats.configurations += inserted;
@@ -299,87 +270,12 @@ pub(crate) fn run<T: Tracer>(
     goal
 }
 
-/// Expands one unary (`k == 1`) configuration: for each row-class group
-/// of its state, the CSR successor range scatters word-wise into
-/// visited/next — consecutive sorted targets that share a word are folded
-/// into one mask and retired by a single OR.
-fn expand_unary(
-    input: &BitBfsInput<'_>,
-    scratch: &mut BitScratch,
-    csr: &[NodeId],
-    idx: usize,
-) -> u64 {
-    let nv = input.nv;
-    let q = (idx / nv) as StateId;
-    let v = (idx % nv) as NodeId;
-    let atom = input.atom;
-    let end = input.ends[0];
-    let mut inserted = 0u64;
-    let gs = atom.state_offsets[q as usize] as usize..atom.state_offsets[q as usize + 1] as usize;
-    for g in &atom.groups[gs] {
-        let row = input.dense.row_of(g.row);
-        let targets = &atom.targets[g.targets_start as usize..g.targets_end as usize];
-        match row[0] {
-            Track::Pad => {
-                // ⊥ keeps the track parked on its endpoint
-                if v != end {
-                    continue;
-                }
-                for &q2 in targets {
-                    inserted += set_one(
-                        q2 as usize * nv + v as usize,
-                        &mut scratch.visited,
-                        &mut scratch.next,
-                        &mut scratch.touched,
-                        &mut scratch.nxt_words,
-                    );
-                }
-            }
-            Track::Sym(a) => {
-                let r = input.db.successor_range(v, a);
-                if r.is_empty() {
-                    continue;
-                }
-                let succ = &csr[r];
-                for &q2 in targets {
-                    let base = q2 as usize * nv;
-                    // word-run OR-scatter over the sorted successor range
-                    let mut i = 0usize;
-                    while i < succ.len() {
-                        let first = base + succ[i] as usize;
-                        let w = first >> 6;
-                        let mut mask = 1u64 << (first & 63);
-                        i += 1;
-                        while i < succ.len() {
-                            let idx2 = base + succ[i] as usize;
-                            if idx2 >> 6 != w {
-                                break;
-                            }
-                            mask |= 1u64 << (idx2 & 63);
-                            i += 1;
-                        }
-                        inserted += set_word(
-                            w,
-                            mask,
-                            &mut scratch.visited,
-                            &mut scratch.next,
-                            &mut scratch.touched,
-                            &mut scratch.nxt_words,
-                        );
-                    }
-                }
-            }
-        }
-    }
-    inserted
-}
-
 /// Expands one configuration of arity `k ≥ 2`: decodes the positions,
 /// then drives the same slice odometer as the flat path, but marks
 /// successors as single bits instead of queue pushes. Decode, odometer
 /// and combination scratch all live in the bump arena (`buf`), so the
 /// per-configuration path allocates nothing.
-fn expand_generic(
+fn expand(
     input: &BitBfsInput<'_>,
     scratch: &mut BitScratch,
     csr: &[NodeId],

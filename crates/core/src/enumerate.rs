@@ -11,8 +11,10 @@
 //! `Assign(var), …, Check(atom), Assign(var), …` — walked by a cursor
 //! with per-step value positions. Feasibility checks, memoization,
 //! budget pacing, and statistics are delegated to the product
-//! `Evaluator` the cursor owns. A cursor can restart on a new range of
-//! its first assigned variable and keeps its memo and visited stamps
+//! `Evaluator` the cursor owns: a `Check` of an arity-1 atom is a bit
+//! test in the memoized single-track sweep of its anchor value, any
+//! other a memoized product BFS. A cursor can restart on a new range of
+//! its first assigned variable and keeps its memos and visited stamps
 //! when it does: that is how the engine's workers steal chunks.
 //!
 //! [`AnswerIter`] is the cursor plus the free-tuple `Odometer` and the
@@ -46,8 +48,9 @@ use std::ops::Range;
 enum Step<'a> {
     /// Bind the node variable to the next value of its candidates.
     Assign { var: u32, cands: Cands<'a> },
-    /// Run the (memoized) product-feasibility check of merged atom
-    /// `atom`; on failure backtrack to the nearest `Assign` above.
+    /// Run the (memoized) feasibility check of merged atom `atom` — a
+    /// sweep-memo bit test at arity 1, a product BFS otherwise; on
+    /// failure backtrack to the nearest `Assign` above.
     Check { atom: usize },
 }
 
@@ -150,6 +153,31 @@ pub(crate) fn free_values<'s>(
     })
 }
 
+/// The shape of the step program: per merged atom, in atom order, the
+/// endpoint variables it assigns before its `Check` — those no earlier
+/// atom assigned, sorted and deduplicated.
+pub(crate) fn atom_assignments(query: &PreparedQuery) -> Vec<Vec<u32>> {
+    let mut assigned = vec![false; query.num_node_vars];
+    query
+        .atoms
+        .iter()
+        .map(|atom| {
+            let mut vars: Vec<u32> = atom
+                .endpoints
+                .iter()
+                .flat_map(|&(NodeVar(s), NodeVar(d))| [s, d])
+                .filter(|&v| !assigned[v as usize])
+                .collect(); // lint:allow(materialize) — program construction, not answers
+            vars.sort_unstable();
+            vars.dedup();
+            for &v in &vars {
+                assigned[v as usize] = true;
+            }
+            vars
+        })
+        .collect()
+}
+
 /// The product evaluator's backtracking search over node assignments,
 /// flattened into a step program. [`SearchCursor::next_assignment`]
 /// yields each satisfying assignment once, in the same order on every
@@ -192,18 +220,8 @@ impl<'a, T: Tracer> SearchCursor<'a, T> {
         }
         let nv = db.num_nodes();
         let mut steps = Vec::new();
-        let mut assigned = vec![false; query.num_node_vars];
-        for (ai, atom) in query.atoms.iter().enumerate() {
-            let mut vars: Vec<u32> = atom
-                .endpoints
-                .iter()
-                .flat_map(|&(NodeVar(s), NodeVar(d))| [s, d])
-                .filter(|&v| !assigned[v as usize])
-                .collect(); // lint:allow(materialize) — program construction, not answers
-            vars.sort_unstable();
-            vars.dedup();
-            for &var in &vars {
-                assigned[var as usize] = true;
+        for (ai, vars) in atom_assignments(query).into_iter().enumerate() {
+            for var in vars {
                 let cands = Cands::of(tables, var, 0..nv as NodeId);
                 // lint:allow(materialize) — program construction, not answers
                 steps.push(Step::Assign { var, cands });

@@ -19,30 +19,41 @@
 //! [`crate::enumerate`]'s search cursor; this module holds what it calls
 //! per step.
 //!
-//! The evaluator splits its state into `SharedTables` (read-only after
-//! construction: trimmed automata, dense transition tables, semijoin-pruned
-//! enumeration domains, the reachability closure, stamp-array sizing) and
-//! the per-search mutable state (`Evaluator`: memo, visited stamps,
-//! counters). The split is what makes the parallel engine
-//! ([`crate::engine`]) cheap: workers borrow one `SharedTables` and each
-//! carry a thread-local search cursor with its own `Evaluator`.
+//! An atom of arity 1 (a plain CRPQ atom `x -L-> y`) skips the product
+//! BFS: its product is `G × A_L`, so one single-track sweep
+//! (`semijoin::sweep`) from one endpoint value decides every pair
+//! sharing that value. The endpoint with the smaller pruned domain is the
+//! anchor, chosen once per atom (`choose_anchor`); the reached set is
+//! memoized per (atom, anchor value) as a bit set over `|V|`, so a check
+//! costs one sweep per distinct anchor value and an O(1) bit test after —
+//! `min(|D(x)|, |D(y)|)` sweeps instead of `|D(x)|·|D(y)|` searches.
 //!
-//! The hot BFS runs on flat data ([`Layout::Flat`], the default): CSR
-//! slice lookups for successors, row-grouped dense transition tables so
-//! each distinct convolution row's successor options are computed once and
-//! shared across its target states, and an odometer over option slices so
-//! a configuration is only allocated when it is first visited.
-//! [`Layout::BitParallel`] swaps that inner loop for the word-packed
-//! bitmap kernel of `crate::bitbfs` wherever an atom's space fits.
+//! The evaluator splits its state into `SharedTables` (read-only after
+//! construction: trimmed automata, dense transition tables, per-track
+//! projections, semijoin-pruned enumeration domains, arity-1 anchors, the
+//! reachability closure, stamp-array sizing) and the per-search mutable
+//! state (`Evaluator`: memos, visited stamps, counters). The split is what
+//! makes the parallel engine ([`crate::engine`]) cheap: workers borrow one
+//! `SharedTables` and each carry a thread-local search cursor with its own
+//! `Evaluator`.
+//!
+//! The hot BFS of atoms of arity ≥ 2 runs on flat data ([`Layout::Flat`],
+//! the default): CSR slice lookups for successors, row-grouped dense
+//! transition tables so each distinct convolution row's successor options
+//! are computed once and shared across its target states, and an odometer
+//! over option slices so a configuration is only allocated when it is
+//! first visited. [`Layout::BitParallel`] swaps that inner loop for the
+//! word-packed bitmap kernel of `crate::bitbfs` wherever an atom's space
+//! fits and its arity is 2 or 3.
 
 use crate::bitbfs::{self, BitBfsInput, BitScratch};
-use crate::enumerate::{free_values, AnswerIter, Odometer, SearchCursor};
+use crate::enumerate::{atom_assignments, free_values, AnswerIter, Odometer, SearchCursor};
 use crate::fnv::{FnvHashMap, FnvHashSet};
 use crate::governor::{Governor, Pacer};
 use crate::prepare::PreparedQuery;
-use crate::semijoin;
+use crate::semijoin::{self, Direction, Projection, Seeds, SweepScratch};
 use crate::trace::{NoopTracer, Phase, PhaseSpan, Tracer};
-use ecrpq_automata::{Nfa, Row, StateId, Track};
+use ecrpq_automata::{BitSet, Nfa, Row, StateId, Track};
 use ecrpq_graph::{Edge, GraphDb, NodeId, Path};
 use ecrpq_query::{NodeVar, PathVar};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -61,15 +72,22 @@ pub struct Witness {
 /// Counters exposed for the experiment harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProductStats {
-    /// Product configurations expanded across all feasibility checks.
+    /// Product configurations expanded across all feasibility checks:
+    /// product BFS configurations for atoms of arity ≥ 2, sweep pops for
+    /// arity-1 atoms (the same count as the tracer's `ProductBfs` items).
     pub configurations: u64,
-    /// Feasibility checks actually run (memo misses).
+    /// Feasibility checks actually run (memo misses): product BFS runs
+    /// plus arity-1 sweeps.
     pub checks: u64,
-    /// Memoized feasibility lookups that hit.
+    /// Memoized feasibility lookups that hit: a known endpoint tuple, or
+    /// an arity-1 anchor value already swept. `checks + cache_hits` is
+    /// the number of checks asked (closure rejects aside), whatever the
+    /// thread count.
     pub cache_hits: u64,
     /// Node-variable assignments attempted (innermost count).
     pub assignments: u64,
-    /// Peak BFS queue length across all product searches.
+    /// Peak BFS queue length (arity ≥ 2) or sweep stack length (arity 1)
+    /// across all checks.
     pub frontier_peak: u64,
     /// Candidate values kept across semijoin-constrained variable domains.
     pub domain_kept: u64,
@@ -192,10 +210,17 @@ pub fn answers_with_witnesses(db: &GraphDb, query: &PreparedQuery) -> Vec<(Vec<N
 pub(crate) const UNASSIGNED: i64 = -1;
 
 /// Bit budget of the all-pairs reachability closure: build it only while
-/// `|V|² ≤ 2²⁷` bits (16 MiB, |V| ≲ 11.5k). Beyond that the closure's
+/// `|V|² ≤ 2²⁷` bits (16 MiB, |V| ≲ 11.5k), and only when some atom has
+/// arity ≥ 2 (arity-1 checks never consult it). Beyond that the closure's
 /// O(|V|²) memory and build time would dominate any evaluation — large
 /// graphs rely on the semijoin pass for endpoint pruning instead.
 const CLOSURE_MAX_BITS: u128 = 1 << 27;
+
+/// Bit budget of one worker's arity-1 sweep memo: an atom keeps one
+/// reached set (`|V|` bits) per anchor value while `|D(anchor)|·|V| ≤
+/// 2²⁷` bits (16 MiB). Past it the atom anchors on the endpoint the step
+/// program assigns first and keeps only that value's current sweep.
+const SWEEP_MEMO_MAX_BITS: u128 = 1 << 27;
 
 /// Size budget of one atom's generation-stamped visited array: the flat
 /// BFS indexes `(state, positions)` directly while the space has at most
@@ -214,8 +239,53 @@ const BITMAP_MAX_BITS: u128 = 1 << 27;
 /// Arity bound of the bit-parallel kernel: beyond triple convolutions the
 /// per-configuration decode (k divisions) and the odometer bookkeeping
 /// wash out the word-packing win, so wider atoms run the flat scalar path
-/// (its generation stamps are cheaper at that shape).
+/// (its generation stamps are cheaper at that shape). Arity-1 atoms never
+/// reach the kernel: their checks run the single-track sweep.
 const BITMAP_MAX_ARITY: usize = 3;
+
+/// How the checks of one arity-1 atom are answered, chosen once per atom
+/// by [`choose_anchor`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Anchor {
+    /// Sweep forwards from `(q₀, x)` (`true`) or backwards from `(F, y)`.
+    pub(crate) forward: bool,
+    /// Keep every anchor value's sweep (`true`), or only the current one.
+    pub(crate) memo_all: bool,
+}
+
+/// The anchor policy of an arity-1 atom `x -L-> y`, from the pruned
+/// domain sizes of `x` and `y` (`None` = unconstrained, counted as `nv`),
+/// the vertex count, whether the step program assigns `x` no later than
+/// `y`, and whether the projection has `⊥` rows (which only a backward
+/// sweep decides exactly).
+///
+/// Anchor on the endpoint with the smaller domain (ties go to the one
+/// assigned first) and keep one sweep per anchor value. If those sweeps
+/// would pass [`SWEEP_MEMO_MAX_BITS`], anchor on the endpoint assigned
+/// first instead — the outer loop of the step program, so consecutive
+/// checks share its value — and keep only the current sweep.
+pub(crate) fn choose_anchor(
+    dom_x: Option<usize>,
+    dom_y: Option<usize>,
+    nv: usize,
+    x_first: bool,
+    has_pad: bool,
+) -> Anchor {
+    let (dx, dy) = (dom_x.unwrap_or(nv), dom_y.unwrap_or(nv));
+    let forward = !has_pad && (dx < dy || (dx == dy && x_first));
+    let anchored = if forward { dx } else { dy };
+    if (anchored as u128) * (nv as u128) <= SWEEP_MEMO_MAX_BITS {
+        Anchor {
+            forward,
+            memo_all: true,
+        }
+    } else {
+        Anchor {
+            forward: x_first && !has_pad,
+            memo_all: false,
+        }
+    }
+}
 
 /// One row-class group of a state's outgoing transitions: the interned
 /// row id plus the range of target states sharing that row. Grouping is
@@ -311,21 +381,28 @@ impl DenseTables {
 pub(crate) struct SharedTables {
     /// ε-free trimmed relation automata, one per merged atom.
     automata: Vec<Nfa<Row>>,
-    /// Flat visited-array sizes per atom (`None` = space past
-    /// [`STAMP_MAX_ENTRIES`], BFS falls back to hashing).
+    /// Flat visited-array sizes per atom (`None` = an arity-1 atom, whose
+    /// only BFS is the hashed witness trace, or a space past
+    /// [`STAMP_MAX_ENTRIES`], where the BFS falls back to hashing).
     stamp_sizes: Vec<Option<usize>>,
     /// Dense-bitmap sizes per atom for [`Layout::BitParallel`] (`None` =
-    /// the atom fails the bitmap gate and falls back to the flat scalar
-    /// path; always all-`None` under [`Layout::Flat`]).
+    /// an arity-1 atom, or the atom fails the bitmap gate and falls back
+    /// to the flat scalar path; always all-`None` under [`Layout::Flat`]).
     bitmap_sizes: Vec<Option<usize>>,
     /// Label-oblivious reachability closure: `closure[v]` = vertices
     /// reachable from `v`. A necessary condition checked before any
     /// product BFS — `ends[i]` unreachable from `starts[i]` kills the
-    /// check in O(k). `None` when `|V|²` bits exceed [`CLOSURE_MAX_BITS`]
-    /// (the closure is quadratic in the vertex count, so million-node
-    /// graphs must skip it); skipping only loses a pruning filter, never
-    /// soundness.
-    closure: Option<Vec<ecrpq_automata::BitSet>>,
+    /// check in O(k). `None` when no atom has arity ≥ 2 (arity-1 checks
+    /// are decided by their sweep, which implies it) or when `|V|²` bits
+    /// exceed [`CLOSURE_MAX_BITS`] (the closure is quadratic in the vertex
+    /// count, so million-node graphs must skip it); skipping only loses a
+    /// pruning filter, never soundness.
+    closure: Option<Vec<BitSet>>,
+    /// Per atom, per track: the automaton projected onto the track, the
+    /// input of every semijoin sweep and of the arity-1 checks.
+    projections: Vec<Vec<Projection>>,
+    /// Per atom: how its checks sweep (`Some` exactly for arity 1).
+    anchors: Vec<Option<Anchor>>,
     /// Which data layout the BFS and the worker pool's chunking run on.
     pub(crate) layout: Layout,
     /// Dense row-grouped transition tables.
@@ -385,8 +462,9 @@ impl SharedTables {
             .iter()
             .zip(&automata)
             .map(|(a, nfa)| {
-                let space = nv.pow(a.rel.arity() as u32) * nfa.num_states() as u128;
-                (space <= STAMP_MAX_ENTRIES).then_some(space as usize)
+                let arity = a.rel.arity();
+                let space = nv.pow(arity as u32) * nfa.num_states() as u128;
+                (arity >= 2 && space <= STAMP_MAX_ENTRIES).then_some(space as usize)
             })
             .collect();
         let bitmap_sizes: Vec<Option<usize>> = if layout == Layout::BitParallel {
@@ -397,22 +475,33 @@ impl SharedTables {
                 .map(|(a, nfa)| {
                     let arity = a.rel.arity();
                     let space = nv.pow(arity as u32) * nfa.num_states() as u128;
-                    (arity <= BITMAP_MAX_ARITY && 3 * space <= BITMAP_MAX_BITS)
+                    ((2..=BITMAP_MAX_ARITY).contains(&arity) && 3 * space <= BITMAP_MAX_BITS)
                         .then_some(space as usize)
                 })
                 .collect()
         } else {
             vec![None; query.atoms.len()]
         };
+        let projections: Vec<Vec<Projection>> = query
+            .atoms
+            .iter()
+            .zip(&automata)
+            .map(|(a, nfa)| {
+                (0..a.rel.arity())
+                    .map(|t| Projection::new(nfa, t))
+                    .collect()
+            })
+            .collect();
         let n = db.num_nodes();
-        let closure = ((n as u128) * (n as u128) <= CLOSURE_MAX_BITS).then(|| {
+        let synchronized = query.atoms.iter().any(|a| a.rel.arity() >= 2);
+        let closure = (synchronized && (n as u128) * (n as u128) <= CLOSURE_MAX_BITS).then(|| {
             // quadratic in |V| — skipped on large graphs (only a filter).
             // One checkpoint per source vertex: `reachable_from` is O(E),
             // so the deadline is honoured per row
             (0..n as NodeId)
                 .map(|v| {
                     if governor.is_some_and(|g| g.checkpoint(1)) {
-                        ecrpq_automata::BitSet::new(n)
+                        BitSet::new(n)
                     } else {
                         ecrpq_graph::paths::reachable_from(db, v)
                     }
@@ -428,21 +517,48 @@ impl SharedTables {
         // BitParallel prunes exactly like Flat: identical domains are what
         // make the two layouts' answer sets bit-identical by construction
         let pruned = if let Some(tree) = join_tree {
-            let pruned = semijoin::yannakakis_domains(db, query, &automata, tree, governor, tracer);
+            let pruned =
+                semijoin::yannakakis_domains(db, query, &projections, tree, governor, tracer);
             tracer.prune(Phase::YannakakisDown, pruned.pruned);
             pruned
         } else {
             let semijoin_span = PhaseSpan::start(tracer, Phase::Semijoin);
-            let pruned = semijoin::prune_domains(db, query, &automata, governor, tracer);
+            let pruned = semijoin::prune_domains(db, query, &projections, governor, tracer);
             tracer.prune(Phase::Semijoin, pruned.pruned);
             semijoin_span.finish(tracer);
             pruned
         };
+        // arity-1 anchors, from the pruned domain sizes and the order in
+        // which the step program assigns the endpoints
+        let mut rank = vec![usize::MAX; query.num_node_vars];
+        for (i, v) in atom_assignments(query).into_iter().flatten().enumerate() {
+            rank[v as usize] = i;
+        }
+        let size = |v: NodeVar| pruned.domains[v.0 as usize].as_ref().map(Vec::len);
+        let anchors = query
+            .atoms
+            .iter()
+            .zip(&projections)
+            .map(
+                |(a, tracks)| match (a.endpoints.as_slice(), tracks.as_slice()) {
+                    ([(x, y)], [proj]) => Some(choose_anchor(
+                        size(*x),
+                        size(*y),
+                        n,
+                        rank[x.0 as usize] <= rank[y.0 as usize],
+                        proj.has_pad(),
+                    )),
+                    _ => None,
+                },
+            )
+            .collect();
         SharedTables {
             automata,
             stamp_sizes,
             bitmap_sizes,
             closure,
+            projections,
+            anchors,
             layout,
             dense,
             domains: pruned.domains,
@@ -472,15 +588,23 @@ pub(crate) struct Evaluator<'a, T: Tracer = NoopTracer> {
     db: &'a GraphDb,
     pub(crate) query: &'a PreparedQuery,
     tables: &'a SharedTables,
+    /// Verdicts of atoms of arity ≥ 2, per (atom, starts, ends).
     memo: FnvHashMap<(usize, Vec<NodeId>, Vec<NodeId>), bool>,
+    /// Per atom: the reached sets of its arity-1 sweeps, per anchor value
+    /// (at most one entry when the atom's [`Anchor`] keeps only the
+    /// current sweep; empty for atoms of arity ≥ 2).
+    sweeps: Vec<FnvHashMap<NodeId, BitSet>>,
+    /// Visited bitmap shared by this worker's arity-1 sweeps.
+    sweep_scratch: SweepScratch,
     pub(crate) stats: ProductStats,
     /// Configuration trace of the last witness-mode BFS.
     last_witness_configs: Option<Vec<(StateId, Vec<NodeId>)>>,
     /// Per-atom generation-stamped visited arrays for flat-indexable
-    /// configuration spaces (`None` when the space is too large, in which
-    /// case the BFS falls back to hashing). Under [`Layout::BitParallel`]
-    /// a stamp is only allocated for atoms that *fell back* to the flat
-    /// scalar path — bitmap-kernel atoms never touch it.
+    /// configuration spaces (`None` for arity-1 atoms and when the space
+    /// is too large, in which case the BFS falls back to hashing). Under
+    /// [`Layout::BitParallel`] a stamp is only allocated for atoms that
+    /// *fell back* to the flat scalar path — bitmap-kernel atoms never
+    /// touch it.
     stamps: Vec<Option<Vec<u32>>>,
     /// Per-atom bitmap kernel scratch (visited/frontier/next bitmaps +
     /// word lists) under [`Layout::BitParallel`]; `None` for fallback
@@ -531,11 +655,20 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
             .iter()
             .map(|size| size.map(BitScratch::new))
             .collect();
+        let sweep_space = tables
+            .anchors
+            .iter()
+            .zip(&tables.projections)
+            .filter(|(anchor, _)| anchor.is_some())
+            .map(|(_, tracks)| tracks[0].num_states() * db.num_nodes())
+            .max();
         Evaluator {
             db,
             query,
             tables,
             memo: FnvHashMap::default(),
+            sweeps: vec![FnvHashMap::default(); query.atoms.len()],
+            sweep_scratch: sweep_space.map(SweepScratch::new).unwrap_or_default(),
             stats: ProductStats {
                 domain_kept: tables.domain_kept,
                 domain_pruned: tables.domain_pruned,
@@ -558,12 +691,13 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
 
     /// Installs the shared budget governor and charges this worker's
     /// fixed allocations to the tracked-memory estimate: the visited-stamp
-    /// arrays **and** the bit-parallel bitmaps. The stamp sum is computed
-    /// from the arrays actually allocated, not from `tables.stamp_sizes` —
-    /// under a `BitParallel` per-atom downgrade the fallback atoms carry
-    /// stamps even though the layout nominally doesn't, and deriving the
-    /// charge from the layout would let those bytes slip past the budget
-    /// (the regression in `tests/budget_differential.rs` pins this).
+    /// arrays, the bit-parallel bitmaps and the sweep bitmap. The stamp
+    /// sum is computed from the arrays actually allocated, not from
+    /// `tables.stamp_sizes` — under a `BitParallel` per-atom downgrade the
+    /// fallback atoms carry stamps even though the layout nominally
+    /// doesn't, and deriving the charge from the layout would let those
+    /// bytes slip past the budget (the regression in
+    /// `tests/budget_differential.rs` pins this).
     pub(crate) fn set_governor(&mut self, governor: &'a Governor) {
         let stamp_bytes: u64 = self
             .stamps
@@ -577,7 +711,7 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
             .flatten()
             .map(BitScratch::bytes)
             .sum();
-        governor.charge_memory(stamp_bytes + bitmap_bytes);
+        governor.charge_memory(stamp_bytes + bitmap_bytes + self.sweep_scratch.bytes());
         self.pacer = Pacer::new(Some(governor));
     }
 
@@ -626,6 +760,9 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         // one work unit per check keeps the deadline honoured even when
         // every check is a closure reject or a memo hit (no BFS configs)
         let _ = self.pacer.tick_traced(&self.tracer, Phase::ProductBfs);
+        if let Some(anchor) = self.tables.anchors[atom_idx] {
+            return self.swept_feasible(atom_idx, anchor, starts[0], ends[0]);
+        }
         // necessary condition: every target plain-reachable from its
         // source (filter only — skipped when the graph is too large for
         // the quadratic closure)
@@ -661,6 +798,63 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         }
         self.memo.insert(key, result);
         result
+    }
+
+    /// The check of an arity-1 atom `x -L-> y` at `(x, y)`: a bit test in
+    /// the reached set of the anchor value's sweep, swept on a memo miss.
+    /// A sweep cut short by the budget proves nothing and is never kept
+    /// (the check reports "infeasible", which only loses answers, under
+    /// the non-`Complete` termination the governor then reports).
+    fn swept_feasible(&mut self, atom_idx: usize, anchor: Anchor, x: NodeId, y: NodeId) -> bool {
+        let (key, probe, direction) = if anchor.forward {
+            (x, y, Direction::Forward)
+        } else {
+            (y, x, Direction::Backward)
+        };
+        if let Some(reached) = self.sweeps[atom_idx].get(&key) {
+            self.stats.cache_hits += 1;
+            return reached.contains(probe as usize);
+        }
+        self.stats.checks += 1;
+        let span = PhaseSpan::start(&self.tracer, Phase::ProductBfs);
+        let swept = semijoin::sweep(
+            self.db,
+            &self.tables.projections[atom_idx][0],
+            direction,
+            Seeds::One(key),
+            // a backward sweep knows the path's end: ⊥ steps only there
+            (direction == Direction::Backward).then_some(key),
+            &mut self.sweep_scratch,
+            &mut self.pacer,
+            &self.tracer,
+            Phase::ProductBfs,
+        );
+        span.finish(&self.tracer);
+        self.stats.configurations += swept.pops;
+        self.stats.frontier_peak = self.stats.frontier_peak.max(swept.peak);
+        if T::ENABLED {
+            self.tracer.frontier(Phase::ProductBfs, swept.peak);
+        }
+        let Some(reached) = swept.reached else {
+            self.stats.budget_aborts += 1;
+            return false;
+        };
+        let hit = reached.contains(probe as usize);
+        let memo = &mut self.sweeps[atom_idx];
+        // a current-sweep-only atom replaces its one set in place, so
+        // only its first set grows the resident memory
+        if let Some(g) = self
+            .pacer
+            .governor()
+            .filter(|_| anchor.memo_all || memo.is_empty())
+        {
+            g.charge_memory(64 + 8 * reached.words().len() as u64);
+        }
+        if !anchor.memo_all {
+            memo.clear();
+        }
+        memo.insert(key, reached);
+        hit
     }
 
     /// Witness paths for a feasible atom. A row alone does not determine
@@ -708,6 +902,10 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         ends: &[NodeId],
         want_witness: bool,
     ) -> Option<Vec<Row>> {
+        debug_assert!(
+            want_witness || self.tables.anchors[atom_idx].is_none(),
+            "arity-1 checks run the sweep, not the product BFS"
+        );
         // the bitmap kernel holds no parent links, so witness mode always
         // runs the scalar path; fallback atoms (no scratch) do too
         if !want_witness {
@@ -1224,6 +1422,167 @@ mod tests {
         assert!(eval_product(&db, &prepare(&q)));
         let w = witness_product(&db, &prepare(&q)).unwrap();
         assert_eq!(w.paths[0].1.len(), 3);
+    }
+
+    /// A query text over `db`'s alphabet, compiled.
+    fn parsed(db: &GraphDb, text: &str) -> PreparedQuery {
+        let mut alphabet = db.alphabet().clone();
+        let registry = ecrpq_query::RelationRegistry::new();
+        prepare(&ecrpq_query::parse_query(text, &mut alphabet, &registry).unwrap())
+    }
+
+    /// `fan` sources `-a->` one middle vertex `-b->` one sink, or (with
+    /// `reverse`) one source `-a->` the middle `-b->` `fan` sinks. Returns
+    /// the graph and the fanned vertices.
+    fn fan_db(fan: usize, reverse: bool) -> (GraphDb, Vec<NodeId>) {
+        let mut db = GraphDb::new();
+        let single = db.add_node("single");
+        let mid = db.add_node("mid");
+        let fanned: Vec<NodeId> = (0..fan).map(|i| db.add_node(&format!("f{i}"))).collect();
+        for &f in &fanned {
+            if reverse {
+                db.add_edge(mid, 'b', f);
+            } else {
+                db.add_edge(f, 'a', mid);
+            }
+        }
+        if reverse {
+            db.add_edge(single, 'a', mid);
+        } else {
+            db.add_edge(mid, 'b', single);
+        }
+        (db, fanned)
+    }
+
+    #[test]
+    fn anchor_policy_is_a_function_of_domain_sizes() {
+        let memo = |forward| Anchor {
+            forward,
+            memo_all: true,
+        };
+        let current = |forward| Anchor {
+            forward,
+            memo_all: false,
+        };
+        // the smaller pruned domain is the anchor; `None` counts as |V|
+        assert_eq!(
+            choose_anchor(Some(8), Some(1), 100, true, false),
+            memo(false)
+        );
+        assert_eq!(
+            choose_anchor(Some(1), Some(8), 100, false, false),
+            memo(true)
+        );
+        assert_eq!(choose_anchor(None, Some(99), 100, true, false), memo(false));
+        assert_eq!(choose_anchor(Some(99), None, 100, false, false), memo(true));
+        // ties go to the endpoint the step program assigns first
+        assert_eq!(
+            choose_anchor(Some(5), Some(5), 100, true, false),
+            memo(true)
+        );
+        assert_eq!(choose_anchor(None, None, 100, false, false), memo(false));
+        // ⊥ rows: only a backward sweep knows where the path ends
+        assert_eq!(
+            choose_anchor(Some(1), Some(8), 100, true, true),
+            memo(false)
+        );
+        // |D(anchor)|·|V| = 2¹³·2¹⁴ bits is exactly the memo budget...
+        assert_eq!(SWEEP_MEMO_MAX_BITS, 1 << 27);
+        let nv = 1 << 14;
+        assert_eq!(
+            choose_anchor(Some(1 << 13), None, nv, false, false),
+            memo(true)
+        );
+        // ...one more anchor value passes it: anchor on the endpoint the
+        // step program assigns first and keep only the current sweep
+        let over = Some((1 << 13) + 1);
+        assert_eq!(choose_anchor(over, None, nv, false, false), current(false));
+        assert_eq!(choose_anchor(over, None, nv, true, false), current(true));
+        assert_eq!(choose_anchor(None, over, nv, true, false), current(true));
+        assert_eq!(choose_anchor(None, None, nv, true, true), current(false));
+    }
+
+    /// Arity-1 atoms get an anchor and neither a stamp array nor a bitmap
+    /// under either layout, and a query of only arity-1 atoms builds no
+    /// closure; one synchronized atom brings the closure back.
+    #[test]
+    fn unary_atoms_get_anchors_and_no_bfs_scratch() {
+        let (db, _) = fan_db(5, false);
+        let p = parsed(&db, "q(x) :- x -[p]-> y, p in ab");
+        for layout in [Layout::Flat, Layout::BitParallel] {
+            let t = tables(&db, &p, layout);
+            assert_eq!(
+                t.anchors,
+                vec![Some(Anchor {
+                    forward: false,
+                    memo_all: true
+                })],
+                "{layout:?}: five sources against one sink anchors on the sink"
+            );
+            assert_eq!(t.stamp_sizes, vec![None]);
+            assert_eq!(t.bitmap_sizes, vec![None]);
+            assert!(t.closure.is_none(), "{layout:?}");
+            let ev = Evaluator::with_tables_traced(&db, &p, &t, NoopTracer);
+            assert!(ev.stamps.iter().all(Option::is_none));
+            assert!(ev.bit_scratch.iter().all(Option::is_none));
+        }
+        let q2 = example_2_1_query(&two_chain_db());
+        let t2 = tables(&two_chain_db(), &prepare(&q2), Layout::Flat);
+        assert!(t2.closure.is_some());
+        assert!(t2.anchors.iter().all(Option::is_none));
+    }
+
+    /// One sweep per anchor value: `fan` assignments of the fanned
+    /// endpoint share the single endpoint's sweep, backwards from one sink
+    /// or forwards from one source, under both layouts — the product BFS
+    /// never runs (its entry asserts so in debug builds).
+    #[test]
+    fn unary_checks_sweep_once_per_anchor_value() {
+        for (reverse, text) in [
+            (false, "q(x) :- x -[p]-> y, p in ab"),
+            (true, "q(y) :- x -[p]-> y, p in ab"),
+        ] {
+            let (db, fanned) = fan_db(5, reverse);
+            let p = parsed(&db, text);
+            let forward = tables(&db, &p, Layout::Flat).anchors[0].map(|a| a.forward);
+            assert_eq!(forward, Some(reverse));
+            for layout in [Layout::Flat, Layout::BitParallel] {
+                let (answers, stats) = answers_on(&db, &p, layout);
+                let expect: BTreeSet<Vec<NodeId>> = fanned.iter().map(|&f| vec![f]).collect();
+                assert_eq!(answers, expect, "reverse={reverse}, {layout:?}");
+                assert_eq!(stats.checks, 1, "reverse={reverse}, {layout:?}");
+                assert_eq!(stats.cache_hits, 4, "reverse={reverse}, {layout:?}");
+                assert!(stats.frontier_peak >= 1 && stats.frontier_peak <= stats.configurations);
+            }
+            let (sat, stats) = eval_product_with_stats(&db, &p);
+            assert!(sat);
+            assert_eq!((stats.checks, stats.cache_hits), (1, 0));
+        }
+    }
+
+    /// A sweep the budget cuts short reports "infeasible", counts an
+    /// abort and is not memoized; an unbudgeted evaluator over the same
+    /// tables then proves the pair feasible.
+    #[test]
+    fn truncated_sweep_is_never_memoized() {
+        use crate::governor::{Governor, ResourceBudget};
+        let mut db = GraphDb::new();
+        let first = db.add_nodes_anon(10_000);
+        for i in 0..9_999 {
+            db.add_edge(first + i, 'a', first + i + 1);
+        }
+        let p = parsed(&db, "q(x, y) :- x -[p]-> y, p in a*");
+        let t = tables(&db, &p, Layout::Flat);
+        let last = first + 9_999;
+        let governor = Governor::new(&ResourceBudget::default().with_max_configurations(1));
+        let mut cut = SearchCursor::new(&db, &p, &t, Some(&governor), NoopTracer);
+        assert!(!cut.ev.feasible(0, &[first], &[last]));
+        assert!(cut.ev.sweeps[0].is_empty(), "a partial sweep was memoized");
+        assert_eq!(cut.ev.stats.budget_aborts, 1);
+        assert!(cut.ev.stats.configurations < 10_000);
+        let mut full = SearchCursor::new(&db, &p, &t, None, NoopTracer);
+        assert!(full.ev.feasible(0, &[first], &[last]));
+        assert_eq!(full.ev.sweeps[0].len(), 1);
     }
 
     /// The dense tables must reproduce the NFA transition relation exactly:

@@ -1,24 +1,35 @@
-//! Semijoin endpoint pruning for the product evaluator.
+//! Single-track reachability sweeps: the semijoin endpoint pruning of the
+//! product evaluator, and the check of every arity-1 atom.
 //!
-//! Before the backtracking enumeration, every merged atom contributes one
-//! necessary condition per track `i`: if `xᵢ = v`, then some accepting
-//! configuration must be **single-track reachable** from `v` — there is a
-//! run of the atom's automaton, projected to track `i`, that walks the
-//! database from `v` to acceptance. Symmetrically, `yᵢ = u` requires that
-//! the projection can *reach* `u` at acceptance from some source. Both
-//! sets are computed by one forward and one backward multi-source sweep
-//! over the `|Q| · |V|` product of the projected automaton with the
-//! database (CSR successors forward, CSR predecessors backward).
+//! [`sweep`] is the one routine. It walks the `|Q| · |V|` product of one
+//! track's projection of an atom automaton ([`Projection`]) with the
+//! database, from a seed set of vertices, forwards along CSR successors
+//! from the initial states or backwards along CSR predecessors from the
+//! final states, and returns the vertices where the run can end: at a
+//! final state going forwards, at an initial state going backwards.
 //!
-//! Intersecting these per-(atom, track) feasible sets over all atoms
-//! shrinks each node variable's enumeration domain from the full `|V|`
-//! to the values that can possibly participate in an answer — a semijoin
-//! of the `O(|V|^{#nodevars})` outer enumeration against single-track
+//! **Pruning.** Before the backtracking enumeration, every merged atom
+//! contributes one necessary condition per track `i`: if `xᵢ = v`, then
+//! some accepting configuration must be single-track reachable from `v`,
+//! and if `yᵢ = u`, the projection must be able to accept at `u` from
+//! some source. One forward and one backward multi-source sweep per
+//! (atom, track) compute both sets. Intersecting them over all atoms
+//! shrinks each node variable's enumeration domain from the full `|V|` to
+//! the values that can possibly participate in an answer — a semijoin of
+//! the `O(|V|^{#nodevars})` outer enumeration against single-track
 //! reachability. Pruning is sound, never complete-by-itself: every real
 //! product run projects to a run of each track's projection, so a value
 //! outside the pruned domain can never satisfy the atom, and the answer
 //! set is the unpruned search's (the differential suites assert it
 //! against the oracle and the Lemma 4.3 CQ reduction).
+//!
+//! **Arity-1 checks.** For an atom of arity 1 (a plain CRPQ atom
+//! `x -L-> y` after the Lemma 4.1 merge) the Lemma 4.2 product *is* the
+//! projection's product, so a single-source sweep from one endpoint value
+//! decides every pair sharing that value exactly. The product evaluator
+//! (`crate::product`) runs one such sweep per anchor value and memoizes
+//! the reached set; both layouts' product BFS only run for atoms of
+//! arity ≥ 2 and for witness traces.
 //!
 //! When the CQ reduction is α-acyclic ([`ecrpq_analyze::acyclic`]), the
 //! independent sweeps upgrade to a full *Yannakakis semijoin program*
@@ -43,6 +54,313 @@ use ecrpq_graph::{GraphDb, NodeId};
 /// the pruning pass can never dominate the evaluation it accelerates.
 const MAX_TRACK_SPACE: u128 = 1 << 24;
 
+/// Per-state transition lists in CSR form: `entries[offsets[q]..offsets[q+1]]`.
+#[derive(Debug, Clone)]
+struct StateLists {
+    offsets: Vec<u32>,
+    entries: Vec<(Track, StateId)>,
+}
+
+impl StateLists {
+    /// Packs per-state lists, sorted and deduplicated.
+    fn pack(lists: Vec<Vec<(Track, StateId)>>) -> Self {
+        let mut offsets = Vec::with_capacity(lists.len() + 1);
+        let mut entries = Vec::new();
+        offsets.push(0);
+        for mut list in lists {
+            list.sort_unstable();
+            list.dedup();
+            entries.extend(list);
+            offsets.push(entries.len() as u32);
+        }
+        StateLists { offsets, entries }
+    }
+
+    #[inline]
+    fn of(&self, q: StateId) -> &[(Track, StateId)] {
+        &self.entries[self.offsets[q as usize] as usize..self.offsets[q as usize + 1] as usize]
+    }
+}
+
+/// The projection of one atom automaton onto one of its tracks: per
+/// state, the deduplicated `(track symbol, target)` pairs forwards and
+/// `(track symbol, source)` pairs backwards. Built once per (atom, track)
+/// by `SharedTables::build` and shared by the pruning pass and the
+/// arity-1 checks.
+#[derive(Debug, Clone)]
+pub(crate) struct Projection {
+    num_states: usize,
+    initial: Vec<StateId>,
+    finals: Vec<StateId>,
+    is_initial: Vec<bool>,
+    is_final: Vec<bool>,
+    fwd: StateLists,
+    rev: StateLists,
+    /// Some transition reads `⊥` on this track.
+    has_pad: bool,
+}
+
+impl Projection {
+    /// Projects the trimmed ε-free `nfa` onto `track`.
+    pub(crate) fn new(nfa: &Nfa<Row>, track: usize) -> Self {
+        let nq = nfa.num_states();
+        let mut fwd: Vec<Vec<(Track, StateId)>> = vec![Vec::new(); nq];
+        let mut rev: Vec<Vec<(Track, StateId)>> = vec![Vec::new(); nq];
+        let mut has_pad = false;
+        for q in 0..nq as StateId {
+            for (row, q2) in nfa.transitions_from(q) {
+                let t = row[track];
+                has_pad |= t == Track::Pad;
+                fwd[q as usize].push((t, *q2));
+                rev[*q2 as usize].push((t, q));
+            }
+        }
+        let initial = nfa.initial_states().to_vec();
+        let finals: Vec<StateId> = nfa.final_states().collect();
+        let mut is_initial = vec![false; nq];
+        let mut is_final = vec![false; nq];
+        for &q in &initial {
+            is_initial[q as usize] = true;
+        }
+        for &q in &finals {
+            is_final[q as usize] = true;
+        }
+        Projection {
+            num_states: nq,
+            initial,
+            finals,
+            is_initial,
+            is_final,
+            fwd: StateLists::pack(fwd),
+            rev: StateLists::pack(rev),
+            has_pad,
+        }
+    }
+
+    /// Number of automaton states (the `|Q|` of the swept space).
+    pub(crate) fn num_states(&self) -> usize {
+        self.num_states
+    }
+
+    /// Whether some transition reads `⊥` on this track. A forward sweep
+    /// cannot tell where a `⊥` step is allowed (only at the path's end,
+    /// which is what it computes), so arity-1 checks on such a projection
+    /// always sweep backwards from the end.
+    pub(crate) fn has_pad(&self) -> bool {
+        self.has_pad
+    }
+}
+
+/// Which way a [`sweep`] walks the product.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Direction {
+    /// From `(q₀, v)` along successors; reaches path ends at final states.
+    Forward,
+    /// From `(F, v)` along predecessors; reaches path starts at initial
+    /// states.
+    Backward,
+}
+
+/// The vertices a [`sweep`] starts from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Seeds<'s> {
+    /// Every vertex.
+    All,
+    /// The vertices of a set over `0..|V|`.
+    Within(&'s BitSet),
+    /// One vertex (the anchor of an arity-1 check).
+    One(NodeId),
+}
+
+impl<'s> Seeds<'s> {
+    /// `None` = every vertex, else the seeds of `set`.
+    fn within(set: Option<&'s BitSet>) -> Self {
+        set.map_or(Seeds::All, Seeds::Within)
+    }
+}
+
+/// Reusable visited state of [`sweep`]: a `(state, vertex)` bitmap whose
+/// dirtied words are recorded and wiped after each sweep, so a sweep
+/// costs what it reaches, not the size of the space.
+#[derive(Debug, Default)]
+pub(crate) struct SweepScratch {
+    /// The visited bitmap's words, configuration `q·|V| + v` at bit
+    /// `idx % 64` of word `idx / 64`.
+    seen: Vec<u64>,
+    /// Words of `seen` that went nonzero in the current sweep.
+    touched: Vec<u32>,
+    stack: Vec<(StateId, NodeId)>,
+}
+
+impl SweepScratch {
+    /// Scratch for sweeps over spaces of up to `space` configurations.
+    pub(crate) fn new(space: usize) -> Self {
+        let mut scratch = SweepScratch::default();
+        scratch.reserve(space);
+        scratch
+    }
+
+    /// Grows the bitmap to hold `space` configurations.
+    fn reserve(&mut self, space: usize) {
+        let words = space.div_ceil(64);
+        if self.seen.len() < words {
+            self.seen.resize(words, 0);
+        }
+    }
+
+    /// Resident bytes of the visited bitmap.
+    pub(crate) fn bytes(&self) -> u64 {
+        8 * self.seen.len() as u64
+    }
+}
+
+/// What one [`sweep`] did.
+#[derive(Debug)]
+pub(crate) struct Swept {
+    /// The vertices the walk can end at (`None` when the budget cut the
+    /// sweep short: a partial set under-approximates and must not be used
+    /// or kept).
+    pub(crate) reached: Option<BitSet>,
+    /// Configurations popped and expanded.
+    pub(crate) pops: u64,
+    /// Peak length of the depth-first stack.
+    pub(crate) peak: u64,
+}
+
+/// Reachability over the product of one track projection with the
+/// database, depth-first from `(q, v)` for every seed vertex `v` and
+/// every initial state `q` (forwards) or final state `q` (backwards).
+/// Returns the vertices `u` such that `(q', u)` is reached for some final
+/// (forwards) or initial (backwards) state `q'`.
+///
+/// A `⊥` step keeps the track on its vertex. With `pad_at = Some(e)` it
+/// is only taken at `e`, the path's end — exact when `e` is the one
+/// target of a backward sweep; with `None` it is taken anywhere, the
+/// over-approximation the multi-source pruning sweeps use.
+///
+/// Every pop ticks `pacer` and counts one `phase` item on `tracer`. A
+/// tripped pacer ends the sweep with `reached: None`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sweep<T: Tracer>(
+    db: &GraphDb,
+    proj: &Projection,
+    direction: Direction,
+    seeds: Seeds<'_>,
+    pad_at: Option<NodeId>,
+    scratch: &mut SweepScratch,
+    pacer: &mut Pacer<'_>,
+    tracer: &T,
+    phase: Phase,
+) -> Swept {
+    // one loop per direction: a direction branch inside the pop loop
+    // measurably slows the multi-source pruning sweeps
+    match direction {
+        Direction::Forward => {
+            sweep_in::<T, true>(db, proj, seeds, pad_at, scratch, pacer, tracer, phase)
+        }
+        Direction::Backward => {
+            sweep_in::<T, false>(db, proj, seeds, pad_at, scratch, pacer, tracer, phase)
+        }
+    }
+}
+
+/// [`sweep`] forwards (`FORWARD`) or backwards.
+#[allow(clippy::too_many_arguments)]
+fn sweep_in<T: Tracer, const FORWARD: bool>(
+    db: &GraphDb,
+    proj: &Projection,
+    seeds: Seeds<'_>,
+    pad_at: Option<NodeId>,
+    scratch: &mut SweepScratch,
+    pacer: &mut Pacer<'_>,
+    tracer: &T,
+    phase: Phase,
+) -> Swept {
+    let nv = db.num_nodes();
+    scratch.reserve(proj.num_states * nv);
+    let (starts, lists, goal) = if FORWARD {
+        (&proj.initial, &proj.fwd, &proj.is_final)
+    } else {
+        (&proj.finals, &proj.rev, &proj.is_initial)
+    };
+    // the scratch vectors become locals for the loop and go back after it
+    let seen = &mut scratch.seen[..];
+    let mut touched = std::mem::take(&mut scratch.touched);
+    let mut stack = std::mem::take(&mut scratch.stack);
+    let mut reached = BitSet::new(nv);
+    let mut push = |stack: &mut Vec<(StateId, NodeId)>, q: StateId, v: NodeId| {
+        let idx = q as usize * nv + v as usize;
+        let (w, mask) = (idx >> 6, 1u64 << (idx & 63));
+        let word = &mut seen[w];
+        if *word & mask == 0 {
+            if *word == 0 {
+                touched.push(w as u32);
+            }
+            *word |= mask;
+            if goal[q as usize] {
+                reached.or_word(v as usize >> 6, 1 << (v & 63));
+            }
+            stack.push((q, v));
+        }
+    };
+    for &q in starts {
+        match seeds {
+            Seeds::All => (0..nv as NodeId).for_each(|v| push(&mut stack, q, v)),
+            Seeds::Within(set) => set
+                .iter_ones()
+                .for_each(|v| push(&mut stack, q, v as NodeId)),
+            Seeds::One(v) => push(&mut stack, q, v),
+        }
+    }
+    let mut pops = 0u64;
+    let mut peak = stack.len() as u64;
+    let mut tripped = false;
+    while let Some((q, v)) = stack.pop() {
+        // cooperative budget check, amortized to every ~4k pops
+        if pacer.tick_traced(tracer, phase) {
+            tripped = true;
+            break;
+        }
+        pops += 1;
+        if T::ENABLED {
+            tracer.count(phase, 1);
+        }
+        for &(t, q2) in lists.of(q) {
+            match t {
+                Track::Pad => {
+                    if pad_at.is_none_or(|e| e == v) {
+                        push(&mut stack, q2, v);
+                    }
+                }
+                Track::Sym(a) => {
+                    let next = if FORWARD {
+                        db.successors(v, a)
+                    } else {
+                        db.predecessors(v, a)
+                    };
+                    for &u in next {
+                        push(&mut stack, q2, u);
+                    }
+                }
+            }
+        }
+        peak = peak.max(stack.len() as u64);
+    }
+    // wipe the words this sweep dirtied
+    for &w in &touched {
+        scratch.seen[w as usize] = 0;
+    }
+    touched.clear();
+    stack.clear();
+    scratch.touched = touched;
+    scratch.stack = stack;
+    Swept {
+        reached: (!tripped).then_some(reached),
+        pops,
+        peak,
+    }
+}
+
 /// Result of the pruning pass.
 pub(crate) struct PrunedDomains {
     /// `domains[v]` = sorted allowed values for node variable `v`;
@@ -54,8 +372,8 @@ pub(crate) struct PrunedDomains {
     pub pruned: u64,
 }
 
-/// Runs the semijoin pass over every (atom, track) pair. `automata` are
-/// the trimmed ε-free automata of `query.atoms`, in order.
+/// Runs the semijoin pass over every (atom, track) pair. `projections`
+/// are the per-track projections of `query.atoms`, in order.
 ///
 /// The sweeps check in with `governor` cooperatively. An aborted sweep is
 /// an *under*-approximation of the feasible sets — intersecting it into a
@@ -67,25 +385,24 @@ pub(crate) struct PrunedDomains {
 pub(crate) fn prune_domains<T: Tracer>(
     db: &GraphDb,
     query: &PreparedQuery,
-    automata: &[Nfa<Row>],
+    projections: &[Vec<Projection>],
     governor: Option<&Governor>,
     tracer: &T,
 ) -> PrunedDomains {
     let nv = db.num_nodes();
     let mut sets: Vec<Option<BitSet>> = vec![None; query.num_node_vars];
-    'atoms: for (atom, nfa) in query.atoms.iter().zip(automata) {
-        let nq = nfa.num_states();
-        if (nq as u128) * (nv as u128) > MAX_TRACK_SPACE {
+    let mut scratch = SweepScratch::default();
+    'atoms: for (atom, tracks) in query.atoms.iter().zip(projections) {
+        if too_large(tracks, nv) {
             continue; // too large to sweep; this atom constrains nothing
         }
-        for (i, &(src, dst)) in atom.endpoints.iter().enumerate() {
+        for (&(src, dst), proj) in atom.endpoints.iter().zip(tracks) {
             let Some((sources_ok, targets_ok)) = track_feasible_within(
                 db,
-                nfa,
-                i,
-                nv,
+                proj,
                 None,
                 None,
+                &mut scratch,
                 governor,
                 tracer,
                 Phase::Semijoin,
@@ -121,13 +438,14 @@ pub(crate) fn prune_domains<T: Tracer>(
 pub(crate) fn yannakakis_domains<T: Tracer>(
     db: &GraphDb,
     query: &PreparedQuery,
-    automata: &[Nfa<Row>],
+    projections: &[Vec<Projection>],
     tree: &JoinTree,
     governor: Option<&Governor>,
     tracer: &T,
 ) -> PrunedDomains {
     let nv = db.num_nodes();
     let mut sets: Vec<Option<BitSet>> = vec![None; query.num_node_vars];
+    let mut scratch = SweepScratch::default();
     for (phase, bottom_up) in [(Phase::YannakakisUp, true), (Phase::YannakakisDown, false)] {
         let span = crate::trace::PhaseSpan::start(tracer, phase);
         let order: Vec<usize> = if bottom_up {
@@ -137,19 +455,17 @@ pub(crate) fn yannakakis_domains<T: Tracer>(
         };
         let mut tripped = false;
         'atoms: for ai in order {
-            let (atom, nfa) = (&query.atoms[ai], &automata[ai]);
-            let nq = nfa.num_states();
-            if (nq as u128) * (nv as u128) > MAX_TRACK_SPACE {
+            let (atom, tracks) = (&query.atoms[ai], &projections[ai]);
+            if too_large(tracks, nv) {
                 continue; // too large to sweep; this atom constrains nothing
             }
-            for (i, &(src, dst)) in atom.endpoints.iter().enumerate() {
+            for (&(src, dst), proj) in atom.endpoints.iter().zip(tracks) {
                 let Some((sources_ok, targets_ok)) = track_feasible_within(
                     db,
-                    nfa,
-                    i,
-                    nv,
+                    proj,
                     sets[src.0 as usize].as_ref(),
                     sets[dst.0 as usize].as_ref(),
+                    &mut scratch,
                     governor,
                     tracer,
                     phase,
@@ -175,6 +491,14 @@ pub(crate) fn yannakakis_domains<T: Tracer>(
     finish_domains(sets, nv)
 }
 
+/// Whether an atom's `|Q| · |V|` track space exceeds [`MAX_TRACK_SPACE`]
+/// (every track of an atom projects the same automaton).
+fn too_large(tracks: &[Projection], nv: usize) -> bool {
+    tracks
+        .first()
+        .is_some_and(|p| (p.num_states() as u128) * (nv as u128) > MAX_TRACK_SPACE)
+}
+
 /// Converts per-variable bit sets into the sorted-domain representation
 /// shared by both pruning passes, tallying kept/pruned counts.
 fn finish_domains(sets: Vec<Option<BitSet>>, nv: usize) -> PrunedDomains {
@@ -198,139 +522,37 @@ fn finish_domains(sets: Vec<Option<BitSet>>, nv: usize) -> PrunedDomains {
     }
 }
 
-/// Forward/backward reachability over the product of the track-`i`
-/// projection of `nfa` with the database, optionally *seeded*: the
+/// The two directed semijoin messages of one (atom, track) pair: two
+/// [`sweep`]s over the track's projection, optionally *seeded* — the
 /// forward sweep starts only from source vertices in `src_seed`, the
 /// backward sweep only from target vertices in `dst_seed` (`None` = the
 /// full vertex set, recovering the independent sweep). Returns
 /// `(sources_ok, targets_ok)`: `sources_ok` = vertices from which the
 /// projection can reach acceptance *at a `dst_seed` vertex*, and
 /// `targets_ok` = vertices where the projection can accept having
-/// *started from a `src_seed` vertex* — the two directed semijoin
-/// messages of a Yannakakis arc. Returns `None` when the budget
+/// *started from a `src_seed` vertex*. Returns `None` when the budget
 /// governor tripped mid-sweep (the partial sets must not be used: they
 /// under-approximate and would over-prune).
 #[allow(clippy::too_many_arguments)]
 fn track_feasible_within<T: Tracer>(
     db: &GraphDb,
-    nfa: &Nfa<Row>,
-    track: usize,
-    nv: usize,
+    proj: &Projection,
     src_seed: Option<&BitSet>,
     dst_seed: Option<&BitSet>,
+    scratch: &mut SweepScratch,
     governor: Option<&Governor>,
     tracer: &T,
     phase: Phase,
 ) -> Option<(BitSet, BitSet)> {
     let mut pacer = Pacer::new(governor);
-    let nq = nfa.num_states();
-    // deduplicated per-state projections of the transition relation
-    let mut fwd: Vec<Vec<(Track, StateId)>> = vec![Vec::new(); nq];
-    let mut rev: Vec<Vec<(Track, StateId)>> = vec![Vec::new(); nq];
-    for q in 0..nq as StateId {
-        for (row, q2) in nfa.transitions_from(q) {
-            let t = row[track];
-            fwd[q as usize].push((t, *q2));
-            rev[*q2 as usize].push((t, q));
-        }
-    }
-    for list in fwd.iter_mut().chain(rev.iter_mut()) {
-        list.sort_unstable();
-        list.dedup();
-    }
-    let idx = |q: StateId, v: usize| q as usize * nv + v;
-
-    // forward from all (initial state, vertex) pairs
-    let mut seen = BitSet::new(nq * nv);
-    let mut stack: Vec<(StateId, NodeId)> = Vec::new();
-    for &q0 in nfa.initial_states() {
-        for v in 0..nv {
-            if src_seed.is_none_or(|s| s.contains(v)) && seen.insert(idx(q0, v)) {
-                stack.push((q0, v as NodeId));
-            }
-        }
-    }
-    while let Some((q, v)) = stack.pop() {
-        // cooperative budget check, amortized to every ~4k pops
-        if pacer.tick_traced(tracer, phase) {
-            return None;
-        }
-        if T::ENABLED {
-            tracer.count(phase, 1);
-        }
-        for &(t, q2) in &fwd[q as usize] {
-            match t {
-                Track::Pad => {
-                    if seen.insert(idx(q2, v as usize)) {
-                        stack.push((q2, v));
-                    }
-                }
-                Track::Sym(a) => {
-                    for &u in db.successors(v, a) {
-                        if seen.insert(idx(q2, u as usize)) {
-                            stack.push((q2, u));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let mut targets_ok = BitSet::new(nv);
-    for q in 0..nq as StateId {
-        if nfa.is_final(q) {
-            for v in 0..nv {
-                if seen.contains(idx(q, v)) {
-                    targets_ok.insert(v);
-                }
-            }
-        }
-    }
-
-    // backward from all (final state, vertex) pairs
-    let mut seen_b = BitSet::new(nq * nv);
-    let mut stack: Vec<(StateId, NodeId)> = Vec::new();
-    for q in 0..nq as StateId {
-        if nfa.is_final(q) {
-            for v in 0..nv {
-                if dst_seed.is_none_or(|s| s.contains(v)) && seen_b.insert(idx(q, v)) {
-                    stack.push((q, v as NodeId));
-                }
-            }
-        }
-    }
-    while let Some((q2, u)) = stack.pop() {
-        // cooperative budget check, amortized to every ~4k pops
-        if pacer.tick_traced(tracer, phase) {
-            return None;
-        }
-        if T::ENABLED {
-            tracer.count(phase, 1);
-        }
-        for &(t, q) in &rev[q2 as usize] {
-            match t {
-                Track::Pad => {
-                    if seen_b.insert(idx(q, u as usize)) {
-                        stack.push((q, u));
-                    }
-                }
-                Track::Sym(a) => {
-                    for &v in db.predecessors(u, a) {
-                        if seen_b.insert(idx(q, v as usize)) {
-                            stack.push((q, v));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let mut sources_ok = BitSet::new(nv);
-    for &q0 in nfa.initial_states() {
-        for v in 0..nv {
-            if seen_b.contains(idx(q0, v)) {
-                sources_ok.insert(v);
-            }
-        }
-    }
+    let mut run = |direction, seeds| {
+        sweep(
+            db, proj, direction, seeds, None, scratch, &mut pacer, tracer, phase,
+        )
+        .reached
+    };
+    let targets_ok = run(Direction::Forward, Seeds::within(src_seed))?;
+    let sources_ok = run(Direction::Backward, Seeds::within(dst_seed))?;
     pacer.flush();
     Some((sources_ok, targets_ok))
 }
@@ -342,10 +564,15 @@ mod tests {
     use ecrpq_query::Ecrpq;
     use std::sync::Arc;
 
-    fn trimmed(p: &PreparedQuery) -> Vec<Nfa<Row>> {
+    fn projections(p: &PreparedQuery) -> Vec<Vec<Projection>> {
         p.atoms
             .iter()
-            .map(|a| a.rel.nfa().remove_epsilon().trim())
+            .map(|a| {
+                let nfa = a.rel.nfa().remove_epsilon().trim();
+                (0..a.rel.arity())
+                    .map(|t| Projection::new(&nfa, t))
+                    .collect()
+            })
             .collect()
     }
 
@@ -372,7 +599,7 @@ mod tests {
         let pd = prune_domains(
             &db,
             &prepared,
-            &trimmed(&prepared),
+            &projections(&prepared),
             None,
             &crate::trace::NoopTracer,
         );
@@ -400,7 +627,7 @@ mod tests {
         let pd = prune_domains(
             &db,
             &prepared,
-            &trimmed(&prepared),
+            &projections(&prepared),
             None,
             &crate::trace::NoopTracer,
         );
@@ -431,7 +658,7 @@ mod tests {
         let pd = prune_domains(
             &db,
             &prepared,
-            &trimmed(&prepared),
+            &projections(&prepared),
             None,
             &crate::trace::NoopTracer,
         );
@@ -465,16 +692,16 @@ mod tests {
         q.rel_atom("la", a_word.clone(), &[p]);
         q.rel_atom("lb", a_word, &[r]);
         let prepared = PreparedQuery::build(&q).unwrap();
-        let automata = trimmed(&prepared);
+        let projections = projections(&prepared);
         let tracer = crate::trace::NoopTracer;
 
-        let indep = prune_domains(&db, &prepared, &automata, None, &tracer);
+        let indep = prune_domains(&db, &prepared, &projections, None, &tracer);
         assert_eq!(indep.domains[0].as_deref(), Some(&[u, v][..]));
         assert_eq!(indep.domains[1].as_deref(), Some(&[v][..]));
         assert_eq!(indep.domains[2].as_deref(), Some(&[v, w][..]));
 
         let tree = ecrpq_analyze::acyclic_join_tree(&q).expect("chain is acyclic");
-        let yan = yannakakis_domains(&db, &prepared, &automata, &tree, None, &tracer);
+        let yan = yannakakis_domains(&db, &prepared, &projections, &tree, None, &tracer);
         assert_eq!(yan.domains[0].as_deref(), Some(&[u][..]));
         assert_eq!(yan.domains[1].as_deref(), Some(&[v][..]));
         assert_eq!(yan.domains[2].as_deref(), Some(&[w][..]));
@@ -498,11 +725,11 @@ mod tests {
         let p = q.path_atom(x, "p", y);
         q.rel_atom("aa", Arc::new(relations::word_relation(&[0, 0], 1)), &[p]);
         let prepared = PreparedQuery::build(&q).unwrap();
-        let automata = trimmed(&prepared);
+        let projections = projections(&prepared);
         let tracer = crate::trace::NoopTracer;
-        let indep = prune_domains(&db, &prepared, &automata, None, &tracer);
+        let indep = prune_domains(&db, &prepared, &projections, None, &tracer);
         let tree = ecrpq_analyze::acyclic_join_tree(&q).unwrap();
-        let yan = yannakakis_domains(&db, &prepared, &automata, &tree, None, &tracer);
+        let yan = yannakakis_domains(&db, &prepared, &projections, &tree, None, &tracer);
         assert_eq!(yan.domains, indep.domains);
     }
 
@@ -526,13 +753,13 @@ mod tests {
         q.rel_atom("la", a_word.clone(), &[p]);
         q.rel_atom("lb", a_word, &[r]);
         let prepared = PreparedQuery::build(&q).unwrap();
-        let automata = trimmed(&prepared);
+        let projections = projections(&prepared);
         let tree = ecrpq_analyze::acyclic_join_tree(&q).unwrap();
         let governor = Governor::new(&ResourceBudget::default().with_max_configurations(0));
         let yan = yannakakis_domains(
             &db,
             &prepared,
-            &automata,
+            &projections,
             &tree,
             Some(&governor),
             &crate::trace::NoopTracer,

@@ -35,7 +35,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Query preparation against the database: automaton trimming,
-    /// closure rows, dense transition tables.
+    /// track projections, closure rows, dense transition tables.
     Prepare,
     /// The semijoin endpoint-domain pruning sweeps.
     Semijoin,
@@ -43,7 +43,9 @@ pub enum Phase {
     YannakakisUp,
     /// The top-down (root-to-leaves) Yannakakis semijoin pass.
     YannakakisDown,
-    /// The product-graph BFS of the Lemma 4.2 / Prop. 2.2 search.
+    /// The feasibility checks of the Lemma 4.2 / Prop. 2.2 search: the
+    /// product-graph BFS of atoms of arity ≥ 2 and the single-track
+    /// sweeps of arity-1 atoms.
     ProductBfs,
     /// Free-tuple odometer expansion of found assignments into answers.
     Odometer,
@@ -123,8 +125,8 @@ pub trait Tracer: Clone + Send + Sync {
     fn fork_worker(&self) -> Self;
 
     /// Records `n` units of the phase's work item (configurations for the
-    /// BFS, tuples for the joins/odometer, closure rows for prepare,
-    /// sweep pops for the semijoin).
+    /// BFS, sweep pops for the arity-1 checks and the semijoin, tuples
+    /// for the joins/odometer, graph vertices for prepare).
     fn count(&self, phase: Phase, n: u64);
 
     /// Records `n` pruned elements (semijoin domain prunes).
@@ -374,8 +376,8 @@ pub struct PhaseMetrics {
     /// Wall time attributed to the phase, in nanoseconds (summed over
     /// workers, so it can exceed the run's elapsed time under threads).
     pub nanos: u64,
-    /// Work items: BFS configurations, join/odometer tuples, closure
-    /// rows, semijoin sweep pops — the phase's natural unit.
+    /// Work items: BFS configurations and sweep pops, join/odometer
+    /// tuples, prepared graph vertices — the phase's natural unit.
     pub items: u64,
     /// Elements pruned (semijoin domain prunes).
     pub pruned: u64,

@@ -14,7 +14,7 @@ echo "== tier-1: release build =="
 cargo build --release --offline
 
 echo "== tier-1: tests =="
-cargo test -q --offline
+cargo test -q --offline --workspace
 
 echo "== benchmark build + self-tests (perfbench/, its own workspace) =="
 # the benchmark imports engine, planner and service entry points by name;

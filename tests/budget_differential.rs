@@ -340,3 +340,51 @@ fn governed_cq_paths_are_sound() {
         }
     }
 }
+
+/// A configuration cap that trips inside an arity-1 sweep (the planted
+/// `c(a|b)*d` reachability query: one backward sweep from the sink covers
+/// ~10⁴ configurations, past the cap and past the first check-in) ends
+/// the run non-`Complete` with a subset of the answers, at every thread
+/// count and layout. The next, unlimited run on the same `PreparedTables`
+/// returns the instance's planted answer set — its provable ground truth
+/// — so no truncated sweep leaked into anything the runs share.
+#[test]
+fn truncated_sweep_leaves_prepared_tables_clean() {
+    use ecrpq::eval::engine::PreparedTables;
+    use ecrpq::eval::Layout;
+    let (db, q, sources) = ecrpq::workloads::planted_power_law_instance(4_000, 8, 3);
+    let prepared = PreparedQuery::build(&q).expect("valid");
+    let planted: BTreeSet<Vec<u32>> = sources.iter().map(|&s| vec![s]).collect();
+    for layout in [Layout::Flat, Layout::BitParallel] {
+        let tables = PreparedTables::build(&db, &prepared, layout);
+        for threads in [1usize, 2, 4, 8] {
+            let opts = EvalOptions::with_threads(threads).with_layout(layout);
+            let capped =
+                opts.with_budget(ResourceBudget::unlimited().with_max_configurations(6_000));
+            let cut = engine::answers_product_governed_prepared_traced(
+                &db,
+                &prepared,
+                &tables,
+                &capped,
+                &NoopTracer,
+            );
+            let what = format!("{threads} threads, {layout:?}");
+            assert!(
+                matches!(cut.termination, Termination::BudgetExhausted { .. }),
+                "{what}: {}",
+                cut.termination
+            );
+            assert!(cut.answers.is_subset(&planted), "{what}");
+            assert!(cut.stats.budget_aborts >= 1, "{what}: no sweep was cut");
+            let full = engine::answers_product_governed_prepared_traced(
+                &db,
+                &prepared,
+                &tables,
+                &opts,
+                &NoopTracer,
+            );
+            assert_eq!(full.termination, Termination::Complete, "{what}");
+            assert_eq!(full.answers, planted, "{what}");
+        }
+    }
+}

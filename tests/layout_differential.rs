@@ -137,6 +137,47 @@ fn yannakakis_streaming_has_bounded_delay() {
     );
 }
 
+/// Plain CRPQ queries (every atom of arity 1, decided by the sweep) on
+/// graphs with uneven endpoint domains — both anchor directions, a
+/// self-loop atom, shared variables — in answer and Boolean mode: both
+/// layouts at every thread count return the CQ reduction's answers, and
+/// sequentially ask the same checks with the same memo hits.
+#[test]
+fn unary_sweeps_match_cq_reduction() {
+    for i in 0..common::UNARY_TEXTS.len() {
+        for seed in 0..6u64 {
+            let db = common::unary_fan_db(seed * 17 + i as u64);
+            for boolean in [false, true] {
+                let q = common::unary_query(&db, i, boolean);
+                let prepared = PreparedQuery::build(&q).unwrap();
+                let reference = via_cq(&db, &prepared);
+                for threads in THREADS {
+                    for layout in LAYOUTS {
+                        let opts = EvalOptions::with_threads(threads).with_layout(layout);
+                        let what = format!("query {i}, seed {seed}, boolean {boolean}, {threads} threads, {layout:?}");
+                        assert_eq!(product_answers(&db, &prepared, &opts), reference, "{what}");
+                        assert_eq!(
+                            product_sat(&db, &prepared, &opts),
+                            !reference.is_empty(),
+                            "{what}"
+                        );
+                    }
+                }
+                let seq = |layout| {
+                    let opts = EvalOptions::sequential().with_layout(layout);
+                    product_answers_with_stats(&db, &prepared, &opts).1
+                };
+                let (flat, bitpar) = (seq(Layout::Flat), seq(Layout::BitParallel));
+                assert_eq!(
+                    (flat.checks, flat.cache_hits, flat.configurations),
+                    (bitpar.checks, bitpar.cache_hits, bitpar.configurations),
+                    "query {i}, seed {seed}: both layouts run the same sweeps"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -83,10 +83,12 @@ fn frontier_peak_bounded_by_configurations() {
 
 /// The bit-parallel kernel defines `frontier_peak` as the popcount of the
 /// densest BFS level (configurations *inserted* per level), merged across
-/// workers by max. On single-file chains every level inserts exactly one
-/// configuration, so the peak must be exactly 1 at every thread count — a
-/// sum-merge across workers, or counting a whole word instead of its
-/// popcount, would exceed 1.
+/// workers by max. The kernel only runs synchronized atoms (arity 2–3),
+/// so the query ties two paths over the same chain by `eq`: one arity-2
+/// atom whose tracks walk the chain in lockstep. On single-file chains
+/// every level inserts exactly one configuration, so the peak must be
+/// exactly 1 at every thread count — a sum-merge across workers, or
+/// counting a whole word instead of its popcount, would exceed 1.
 #[test]
 fn bitparallel_frontier_peak_is_max_of_level_popcounts() {
     use ecrpq::automata::Alphabet;
@@ -104,12 +106,14 @@ fn bitparallel_frontier_peak_is_max_of_level_popcounts() {
     }
     let mut alphabet = db.alphabet().clone();
     let q = parse_query(
-        "q(x) :- x -[p]-> y, p in a*b",
+        "q(x) :- x -[p]-> y, x -[r]-> y, eq(p, r), p in a*b",
         &mut alphabet,
         &RelationRegistry::new(),
     )
     .unwrap();
     let prepared = PreparedQuery::build(&q).unwrap();
+    assert_eq!(prepared.atoms.len(), 1);
+    assert_eq!(prepared.atoms[0].rel.arity(), 2, "one synchronized atom");
     for threads in [1usize, 2, 4, 8] {
         let opts = EvalOptions::with_threads(threads).with_layout(Layout::BitParallel);
         let (answers, stats) = common::product_answers_with_stats(&db, &prepared, &opts);

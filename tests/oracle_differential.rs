@@ -150,6 +150,48 @@ fn oracle_agrees_with_yannakakis_streaming() {
     );
 }
 
+/// Plain CRPQ queries, whose arity-1 atoms the product search decides by
+/// memoized single-track sweeps, on graphs with uneven endpoint domains
+/// (both anchor directions, a self-loop atom, shared variables), in
+/// answer and Boolean mode, at every thread count and layout.
+#[test]
+fn oracle_agrees_on_unary_sweeps() {
+    let base = env_seed(0);
+    let mut settled = 0usize;
+    let mut cases = 0usize;
+    for i in 0..common::UNARY_TEXTS.len() {
+        for case in 0..4u64 {
+            let seed = base + case;
+            let db = common::unary_fan_db(seed * 41 + i as u64);
+            for boolean in [false, true] {
+                let q = common::unary_query(&db, i, boolean);
+                let prepared = PreparedQuery::build(&q).unwrap();
+                assert!(prepared.atoms.iter().all(|a| a.rel.arity() == 1));
+                let truth = oracle_answers(&db, &q, MAX_LEN);
+                let exact = converged(&db, &q, &truth);
+                settled += exact as usize;
+                cases += 1;
+                for threads in [1usize, 2, 4, 8] {
+                    for layout in [Layout::Flat, Layout::BitParallel] {
+                        let opts = EvalOptions::with_threads(threads).with_layout(layout);
+                        let what = format!(
+                            "query {i}, seed {seed}, boolean {boolean}: {threads} thread(s), {layout:?}"
+                        );
+                        let got = common::product_answers(&db, &prepared, &opts);
+                        check(&truth, &got, exact, &what);
+                        let sat = common::product_sat(&db, &prepared, &opts);
+                        assert_eq!(sat, !got.is_empty(), "{what}: Boolean vs answers");
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        settled + 4 >= cases,
+        "oracle converged on only {settled}/{cases} cases (base seed {base})"
+    );
+}
+
 /// `oracle ⊆ engine` always; equality when the oracle has converged.
 fn check(truth: &BTreeSet<Vec<NodeId>>, engine: &BTreeSet<Vec<NodeId>>, exact: bool, what: &str) {
     assert!(
