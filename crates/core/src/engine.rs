@@ -532,7 +532,12 @@ impl PreparedTables {
 
     /// Builds tables whose domains are made globally consistent by the
     /// two-pass Yannakakis semijoin program over `tree` (always the flat
-    /// layout, matching the planner's Yannakakis dispatch).
+    /// layout, matching the planner's Yannakakis dispatch). The program
+    /// sends only the full reducer's messages: bottom-up, each atom
+    /// sweeps towards the variables it shares with its parent; top-down,
+    /// every track sweeps both ways, the second sweep seeded with the
+    /// first one's result. This build is the cold cost of a never-seen
+    /// acyclic plan.
     pub fn build_for_tree(db: &GraphDb, query: &PreparedQuery, tree: &JoinTree) -> Self {
         PreparedTables {
             tables: SharedTables::build(db, query, Layout::Flat, None, &NoopTracer, Some(tree)),

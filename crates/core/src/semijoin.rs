@@ -31,6 +31,14 @@
 //! the reached set; both layouts' product BFS only run for atoms of
 //! arity ≥ 2 and for witness traces.
 //!
+//! Every track's two sweeps are *chained* ([`track_feasible_within`]):
+//! the direction with the smaller seed set runs first, and the second
+//! sweep starts only from the first one's result intersected with the
+//! other endpoint's domain. That is exact, `D_x ∩ S(T(D_x) ∩ D_y) =
+//! D_x ∩ S(D_y)`, where `T` and `S` are the forward and backward sweeps,
+//! so the independent pass seeds its backward sweeps from the vertices
+//! its forward sweeps reached instead of from every vertex.
+//!
 //! When the CQ reduction is α-acyclic ([`ecrpq_analyze::acyclic`]), the
 //! independent sweeps upgrade to a full *Yannakakis semijoin program*
 //! ([`yannakakis_domains`]): the same sweeps, but *seeded* with the
@@ -38,10 +46,14 @@
 //! the join tree. A seeded forward sweep computes exactly the semijoin
 //! message "targets reachable from the currently-allowed sources"; the
 //! seeded backward sweep computes "sources that reach a currently-allowed
-//! target". After both passes every domain is *globally* consistent — on
-//! single-track (tree-shaped) queries this is arc consistency on a tree,
-//! so the subsequent enumeration is backtrack-free and its delay is
-//! bounded by the domain sizes rather than the database size.
+//! target". The program sends only the full reducer's messages: bottom-up,
+//! a track sweeps only towards the endpoints its atom shares with its
+//! join-tree parent (roots send nothing); top-down, every track sweeps
+//! both ways, chained. After both passes every domain is *globally*
+//! consistent — on single-track (tree-shaped) queries this is arc
+//! consistency on a tree, so the subsequent enumeration is backtrack-free
+//! and its delay is bounded by the domain sizes rather than the database
+//! size.
 
 use crate::governor::{Governor, Pacer};
 use crate::prepare::PreparedQuery;
@@ -49,6 +61,7 @@ use crate::trace::{Phase, Tracer};
 use ecrpq_analyze::JoinTree;
 use ecrpq_automata::{BitSet, Nfa, Row, StateId, Track};
 use ecrpq_graph::{GraphDb, NodeId};
+use ecrpq_query::NodeVar;
 
 /// Per-track sweeps are skipped when `|Q| · |V|` exceeds this bound, so
 /// the pruning pass can never dominate the evaluation it accelerates.
@@ -397,11 +410,11 @@ pub(crate) fn prune_domains<T: Tracer>(
             continue; // too large to sweep; this atom constrains nothing
         }
         for (&(src, dst), proj) in atom.endpoints.iter().zip(tracks) {
-            let Some((sources_ok, targets_ok)) = track_feasible_within(
+            let Some(messages) = track_feasible_within(
                 db,
                 proj,
-                None,
-                None,
+                [None, None],
+                [true, true],
                 &mut scratch,
                 governor,
                 tracer,
@@ -409,13 +422,7 @@ pub(crate) fn prune_domains<T: Tracer>(
             ) else {
                 break 'atoms; // budget tripped mid-sweep: stop pruning
             };
-            for (var, ok) in [(src, sources_ok), (dst, targets_ok)] {
-                let slot = &mut sets[var.0 as usize];
-                match slot {
-                    Some(s) => s.intersect_with(&ok),
-                    None => *slot = Some(ok),
-                }
-            }
+            narrow(&mut sets, [src, dst], messages);
         }
     }
     finish_domains(sets, nv)
@@ -423,12 +430,31 @@ pub(crate) fn prune_domains<T: Tracer>(
 
 /// The Yannakakis semijoin program over an α-acyclic join tree: the same
 /// per-(atom, track) sweeps as [`prune_domains`], but *seeded* with the
-/// current domains of the swept endpoints and scheduled bottom-up
-/// (`tree.order` forwards, [`Phase::YannakakisUp`]) then top-down
-/// (backwards, [`Phase::YannakakisDown`]). Each seeded sweep is a
-/// directed semijoin message along a join-tree arc; after both passes
-/// every constrained variable's domain contains only globally consistent
-/// values.
+/// current domains of the swept endpoints and scheduled as the full
+/// reducer's two passes, each seeded sweep a directed semijoin message
+/// along a join-tree arc:
+///
+/// - **Bottom-up** (`tree.order` forwards, [`Phase::YannakakisUp`]): an
+///   atom sends only towards its parent, so a track sweeps only towards
+///   the endpoints its atom shares with `tree.parent` — forwards from the
+///   source domain to narrow a shared target, backwards from the target
+///   domain to narrow a shared source — and a root sends nothing. An
+///   endpoint that occurs twice among the atom's own tracks (a variable
+///   two tracks pass between them, or both ends of one track) is also
+///   swept towards, since a track of the atom (another one, or the same
+///   one's other direction) reads it before the top-down pass comes
+///   back.
+/// - **Top-down** (`tree.order` backwards, [`Phase::YannakakisDown`]):
+///   every track sweeps both ways, chained as in [`track_feasible_within`].
+///
+/// After both passes every constrained variable's domain contains only
+/// globally consistent values. The skipped bottom-up sweeps change
+/// nothing: an endpoint `x` not swept towards occurs in no atom the
+/// bottom-up pass visits later (running intersection), and when the
+/// top-down pass reaches its track, `D_y ∩ T(D_x ∩ S(E)) = D_y ∩ T(D_x)`
+/// for every `E ⊇ D_y` — the full reducer's output does not depend on
+/// which sound intermediate domains it passed through, so the domains
+/// equal those of sweeping every track both ways in both passes.
 ///
 /// Soundness under budgets matches `prune_domains`: the domain sets
 /// always over-approximate the answer-participating values (a seeded
@@ -446,6 +472,12 @@ pub(crate) fn yannakakis_domains<T: Tracer>(
     let nv = db.num_nodes();
     let mut sets: Vec<Option<BitSet>> = vec![None; query.num_node_vars];
     let mut scratch = SweepScratch::default();
+    let ends = |ai: usize| {
+        query.atoms[ai]
+            .endpoints
+            .iter()
+            .flat_map(|&(src, dst)| [src, dst])
+    };
     for (phase, bottom_up) in [(Phase::YannakakisUp, true), (Phase::YannakakisDown, false)] {
         let span = crate::trace::PhaseSpan::start(tracer, phase);
         let order: Vec<usize> = if bottom_up {
@@ -459,12 +491,21 @@ pub(crate) fn yannakakis_domains<T: Tracer>(
             if too_large(tracks, nv) {
                 continue; // too large to sweep; this atom constrains nothing
             }
+            let towards = |var: NodeVar| {
+                !bottom_up
+                    || tree.parent[ai].is_some_and(|p| ends(p).any(|w| w == var))
+                    || ends(ai).filter(|&w| w == var).count() > 1
+            };
             for (&(src, dst), proj) in atom.endpoints.iter().zip(tracks) {
-                let Some((sources_ok, targets_ok)) = track_feasible_within(
+                let send = [towards(src), towards(dst)];
+                if send == [false, false] {
+                    continue;
+                }
+                let Some(messages) = track_feasible_within(
                     db,
                     proj,
-                    sets[src.0 as usize].as_ref(),
-                    sets[dst.0 as usize].as_ref(),
+                    [sets[src.0 as usize].as_ref(), sets[dst.0 as usize].as_ref()],
+                    send,
                     &mut scratch,
                     governor,
                     tracer,
@@ -474,13 +515,7 @@ pub(crate) fn yannakakis_domains<T: Tracer>(
                     tripped = true;
                     break 'atoms;
                 };
-                for (var, ok) in [(src, sources_ok), (dst, targets_ok)] {
-                    let slot = &mut sets[var.0 as usize];
-                    match slot {
-                        Some(s) => s.intersect_with(&ok),
-                        None => *slot = Some(ok),
-                    }
-                }
+                narrow(&mut sets, [src, dst], messages);
             }
         }
         span.finish(tracer);
@@ -489,6 +524,18 @@ pub(crate) fn yannakakis_domains<T: Tracer>(
         }
     }
     finish_domains(sets, nv)
+}
+
+/// Intersects the messages of one track into its endpoints' domains.
+fn narrow(sets: &mut [Option<BitSet>], vars: [NodeVar; 2], messages: [Option<BitSet>; 2]) {
+    for (var, ok) in vars.into_iter().zip(messages) {
+        let Some(ok) = ok else { continue };
+        let slot = &mut sets[var.0 as usize];
+        match slot {
+            Some(s) => s.intersect_with(&ok),
+            None => *slot = Some(ok),
+        }
+    }
 }
 
 /// Whether an atom's `|Q| · |V|` track space exceeds [`MAX_TRACK_SPACE`]
@@ -522,28 +569,37 @@ fn finish_domains(sets: Vec<Option<BitSet>>, nv: usize) -> PrunedDomains {
     }
 }
 
-/// The two directed semijoin messages of one (atom, track) pair: two
-/// [`sweep`]s over the track's projection, optionally *seeded* — the
-/// forward sweep starts only from source vertices in `src_seed`, the
-/// backward sweep only from target vertices in `dst_seed` (`None` = the
-/// full vertex set, recovering the independent sweep). Returns
-/// `(sources_ok, targets_ok)`: `sources_ok` = vertices from which the
-/// projection can reach acceptance *at a `dst_seed` vertex*, and
-/// `targets_ok` = vertices where the projection can accept having
-/// *started from a `src_seed` vertex*. Returns `None` when the budget
-/// governor tripped mid-sweep (the partial sets must not be used: they
-/// under-approximate and would over-prune).
+/// The directed semijoin messages of one (atom, track) pair, sent
+/// towards the endpoints `send = [to source, to target]` selects, over
+/// the current endpoint domains `doms = [D_x, D_y]` (`None` = every
+/// vertex). Returns `[sources_ok, targets_ok]`, `None` where nothing was
+/// sent. `targets_ok` narrows `D_y` to `D_y ∩ T(D_x)`, where `T(D_x)`,
+/// the forward sweep from `D_x`, holds the vertices where the projection
+/// can accept having started in `D_x`; `sources_ok` narrows `D_x` to
+/// `D_x ∩ S(D_y)`, where `S(D_y)`, the backward sweep from `D_y`, holds
+/// the vertices from which it can reach acceptance in `D_y`.
+///
+/// Sent both ways, the two sweeps are *chained*: the direction with the
+/// smaller seed set runs first (a constrained domain beats every vertex),
+/// and the second sweep starts only from the first one's result
+/// intersected with the other endpoint's domain. That is exact,
+/// `D_x ∩ S(T(D_x) ∩ D_y) = D_x ∩ S(D_y)` — a source in `D_x` that reaches
+/// some `y ∈ D_y` puts `y` in `T(D_x)` — and symmetrically, also under
+/// the `⊥`-anywhere relaxation, because both directions walk one
+/// relation. Returns `None` when the budget governor tripped mid-sweep
+/// (the partial sets must not be used: they under-approximate and would
+/// over-prune).
 #[allow(clippy::too_many_arguments)]
 fn track_feasible_within<T: Tracer>(
     db: &GraphDb,
     proj: &Projection,
-    src_seed: Option<&BitSet>,
-    dst_seed: Option<&BitSet>,
+    doms: [Option<&BitSet>; 2],
+    send: [bool; 2],
     scratch: &mut SweepScratch,
     governor: Option<&Governor>,
     tracer: &T,
     phase: Phase,
-) -> Option<(BitSet, BitSet)> {
+) -> Option<[Option<BitSet>; 2]> {
     let mut pacer = Pacer::new(governor);
     let mut run = |direction, seeds| {
         sweep(
@@ -551,10 +607,36 @@ fn track_feasible_within<T: Tracer>(
         )
         .reached
     };
-    let targets_ok = run(Direction::Forward, Seeds::within(src_seed))?;
-    let sources_ok = run(Direction::Backward, Seeds::within(dst_seed))?;
+    let [src_dom, dst_dom] = doms;
+    let size = |dom: Option<&BitSet>| dom.map_or(usize::MAX, BitSet::len);
+    let messages = match send {
+        [true, true] if size(src_dom) <= size(dst_dom) => {
+            let targets_ok = meet(run(Direction::Forward, Seeds::within(src_dom))?, dst_dom);
+            let sources_ok = run(Direction::Backward, Seeds::Within(&targets_ok))?;
+            [Some(sources_ok), Some(targets_ok)]
+        }
+        [true, true] => {
+            let sources_ok = meet(run(Direction::Backward, Seeds::within(dst_dom))?, src_dom);
+            let targets_ok = run(Direction::Forward, Seeds::Within(&sources_ok))?;
+            [Some(sources_ok), Some(targets_ok)]
+        }
+        [true, false] => [
+            Some(run(Direction::Backward, Seeds::within(dst_dom))?),
+            None,
+        ],
+        [false, true] => [None, Some(run(Direction::Forward, Seeds::within(src_dom))?)],
+        [false, false] => [None, None],
+    };
     pacer.flush();
-    Some((sources_ok, targets_ok))
+    Some(messages)
+}
+
+/// `set ∩ dom` (`dom = None` = every vertex).
+fn meet(mut set: BitSet, dom: Option<&BitSet>) -> BitSet {
+    if let Some(dom) = dom {
+        set.intersect_with(dom);
+    }
+    set
 }
 
 #[cfg(test)]
@@ -767,6 +849,362 @@ mod tests {
         // both vertices stay allowed wherever a domain was installed
         for d in yan.domains.iter().flatten() {
             assert_eq!(d, &vec![u, v]);
+        }
+    }
+
+    /// The schedules the chained, parent-directed ones replace: every
+    /// track of the atoms in `order` swept both ways, each sweep seeded on
+    /// its own — from every vertex (`seeded = false`, the independent
+    /// pass) or from the swept endpoint's current domain.
+    fn unchained(
+        db: &GraphDb,
+        prepared: &PreparedQuery,
+        projections: &[Vec<Projection>],
+        order: impl Iterator<Item = usize>,
+        seeded: bool,
+    ) -> Vec<Option<Vec<NodeId>>> {
+        let nv = db.num_nodes();
+        let mut sets: Vec<Option<BitSet>> = vec![None; prepared.num_node_vars];
+        let mut scratch = SweepScratch::default();
+        let mut pacer = Pacer::new(None);
+        for ai in order {
+            let (atom, tracks) = (&prepared.atoms[ai], &projections[ai]);
+            for (&(src, dst), proj) in atom.endpoints.iter().zip(tracks) {
+                let mut run = |direction, var: NodeVar| {
+                    let dom = sets[var.0 as usize].as_ref().filter(|_| seeded);
+                    let tracer = &crate::trace::NoopTracer;
+                    sweep(
+                        db,
+                        proj,
+                        direction,
+                        Seeds::within(dom),
+                        None,
+                        &mut scratch,
+                        &mut pacer,
+                        tracer,
+                        Phase::Semijoin,
+                    )
+                    .reached
+                };
+                let messages = [run(Direction::Backward, dst), run(Direction::Forward, src)];
+                narrow(&mut sets, [src, dst], messages);
+            }
+        }
+        finish_domains(sets, nv).domains
+    }
+
+    /// A random graph on `3..7` vertices with `a`- and `b`-edges.
+    fn random_graph(rng: &mut rand::rngs::SmallRng) -> GraphDb {
+        use rand::Rng;
+        let n: usize = rng.gen_range(3..7);
+        let mut db = GraphDb::new();
+        db.alphabet_mut().intern('a');
+        db.alphabet_mut().intern('b');
+        let nodes: Vec<NodeId> = (0..n).map(|i| db.add_node(&format!("n{i}"))).collect();
+        for _ in 0..2 * n {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            db.add_edge(
+                nodes[u],
+                if rng.gen_bool(0.5) { 'a' } else { 'b' },
+                nodes[v],
+            );
+        }
+        db
+    }
+
+    /// Languages the random queries draw from, three of them with `ε`.
+    const LANGS: [&str; 10] = [
+        "a", "b", "ab", "a*", "aa*", "(a|b)b*", "ba*", "(ab)*", "a|bb", "b*",
+    ];
+
+    /// A random Berge-acyclic arity-1 query with every variable free:
+    /// `atoms` atoms on a chain `v₀ – v₁ – ⋯` or, with `star`, between a
+    /// centre `v₀` and one leaf each, every atom oriented at random.
+    /// Returns the query and its atoms as `(source, language, target)`.
+    fn random_acyclic_crpq(
+        db: &GraphDb,
+        atoms: usize,
+        star: bool,
+        rng: &mut rand::rngs::SmallRng,
+    ) -> (Ecrpq, Vec<(usize, Nfa<ecrpq_automata::Symbol>, usize)>) {
+        use rand::Rng;
+        let mut alphabet = db.alphabet().clone();
+        let mut q = Ecrpq::new(alphabet.clone());
+        let vars: Vec<NodeVar> = (0..=atoms).map(|i| q.node_var(&format!("v{i}"))).collect();
+        let mut out = Vec::new();
+        for i in 1..=atoms {
+            let (mut x, mut y) = (if star { 0 } else { i - 1 }, i);
+            if rng.gen_bool(0.5) {
+                (x, y) = (y, x);
+            }
+            let text = LANGS[rng.gen_range(0..LANGS.len())];
+            let lang = ecrpq_automata::Regex::compile_str(text, &mut alphabet).unwrap();
+            q.crpq_atom(vars[x], &lang, text, vars[y]);
+            out.push((x, lang, y));
+        }
+        q.set_free(&vars);
+        (q, out)
+    }
+
+    /// Brute-force answers of an arity-1 query whose every variable is
+    /// free: every assignment under which each atom `(x, L, y)` has an
+    /// `L`-labelled walk from `x` to `y`, the walks decided by a search
+    /// over (regex state, vertex) pairs.
+    fn oracle(
+        db: &GraphDb,
+        num_vars: usize,
+        atoms: &[(usize, Nfa<ecrpq_automata::Symbol>, usize)],
+    ) -> std::collections::BTreeSet<Vec<NodeId>> {
+        use std::collections::BTreeSet;
+        let n = db.num_nodes();
+        let walks: Vec<BTreeSet<(NodeId, NodeId)>> = atoms
+            .iter()
+            .map(|(_, lang, _)| {
+                let lang = lang.remove_epsilon();
+                let mut pairs = BTreeSet::new();
+                for u in 0..n as NodeId {
+                    let mut seen = BTreeSet::new();
+                    let mut stack: Vec<(StateId, NodeId)> =
+                        lang.initial_states().iter().map(|&q| (q, u)).collect();
+                    while let Some((q, v)) = stack.pop() {
+                        // lint:allow(unguarded-loop): test oracle, ≤ |Q|·|V| new pairs
+                        if !seen.insert((q, v)) {
+                            continue;
+                        }
+                        if lang.is_final(q) {
+                            pairs.insert((u, v));
+                        }
+                        for &(a, q2) in lang.transitions_from(q) {
+                            stack.extend(db.successors(v, a).iter().map(|&w| (q2, w)));
+                        }
+                    }
+                }
+                pairs
+            })
+            .collect();
+        (0..n.pow(num_vars as u32))
+            .map(|code| {
+                (0..num_vars)
+                    .map(|i| (code / n.pow(i as u32) % n) as NodeId)
+                    .collect::<Vec<_>>()
+            })
+            .filter(|a| {
+                atoms
+                    .iter()
+                    .zip(&walks)
+                    .all(|((x, _, y), w)| w.contains(&(a[*x], a[*y])))
+            })
+            .collect()
+    }
+
+    /// On random Berge-acyclic arity-1 chains and stars the full reducer
+    /// is exact: every Yannakakis domain is the projection of the answer
+    /// set. The chained independent pass equals the unchained one, and
+    /// the planner's Yannakakis dispatch — one-shot and on cached plan
+    /// tables — returns the oracle's answers at every thread count.
+    #[test]
+    fn chained_messages_keep_the_full_reducer_exact() {
+        use crate::engine::EvalOptions;
+        use crate::governor::Termination;
+        use crate::planner::{run_answers, PlanTables, Strategy};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(16);
+        let mut answered = 0;
+        const CASES: usize = 40;
+        for case in 0..CASES {
+            let db = random_graph(&mut rng);
+            let atoms = rng.gen_range(2..=4);
+            let (q, langs) = random_acyclic_crpq(&db, atoms, case % 2 == 1, &mut rng);
+            let truth = oracle(&db, atoms + 1, &langs);
+            answered += !truth.is_empty() as usize;
+            let prepared = PreparedQuery::build(&q).unwrap();
+            let projections = projections(&prepared);
+            let tree = ecrpq_analyze::acyclic_join_tree(&q).expect("acyclic");
+            let tracer = crate::trace::NoopTracer;
+            let yan = yannakakis_domains(&db, &prepared, &projections, &tree, None, &tracer);
+            for v in 0..=atoms {
+                let values: std::collections::BTreeSet<NodeId> =
+                    truth.iter().map(|t| t[v]).collect();
+                let values: Vec<NodeId> = values.into_iter().collect();
+                assert_eq!(
+                    yan.domains[v].as_deref(),
+                    Some(&values[..]),
+                    "case {case}: D(v{v})"
+                );
+            }
+            let pd = prune_domains(&db, &prepared, &projections, None, &tracer);
+            let atoms = 0..prepared.atoms.len();
+            let reference = unchained(&db, &prepared, &projections, atoms, false);
+            assert_eq!(pd.domains, reference, "case {case}");
+            let cached = PlanTables::default();
+            for threads in [1usize, 2, 4, 8] {
+                let opts = EvalOptions::with_threads(threads);
+                for reuse in [None, Some(&cached)] {
+                    let got = run_answers(
+                        &db,
+                        Strategy::Yannakakis,
+                        Some(&prepared),
+                        Some(&tree),
+                        reuse,
+                        &opts,
+                        &tracer,
+                    );
+                    let what =
+                        format!("case {case}, {threads} threads, cached {}", reuse.is_some());
+                    assert_eq!(got.termination, Termination::Complete, "{what}");
+                    assert_eq!(got.answers, truth, "{what}");
+                }
+            }
+        }
+        assert!(answered >= CASES / 4, "only {answered}/{CASES} non-empty");
+    }
+
+    /// On random α-acyclic ECRPQs — synchronized two-track atoms (some
+    /// padding), self-loop tracks, atoms sharing both endpoints — the
+    /// parent-directed, chained program leaves exactly the domains of
+    /// sweeping every track both ways, unchained, in both passes.
+    #[test]
+    fn parent_directed_schedule_keeps_the_domains() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(61);
+        let (mut acyclic, mut synchronized) = (0, 0);
+        for case in 0..300 {
+            let db = random_graph(&mut rng);
+            let m = db.alphabet().len();
+            let mut alphabet = db.alphabet().clone();
+            let mut q = Ecrpq::new(alphabet.clone());
+            let vars: Vec<NodeVar> = (0..rng.gen_range(3..=4))
+                .map(|i| q.node_var(&format!("v{i}")))
+                .collect();
+            let mut paths: Vec<ecrpq_query::PathVar> = (0..rng.gen_range(2..=4))
+                .map(|i| {
+                    let x = vars[rng.gen_range(0..vars.len())];
+                    let y = vars[rng.gen_range(0..vars.len())];
+                    q.path_atom(x, &format!("p{i}"), y)
+                })
+                .collect();
+            while let Some(p) = paths.pop() {
+                // lint:allow(unguarded-loop): at most four path atoms
+                match paths.pop() {
+                    Some(r) if rng.gen_bool(0.6) => {
+                        let rel = match rng.gen_range(0..3) {
+                            0 => relations::eq_length_min(2, m, 1),
+                            1 => relations::prefix(m),
+                            _ => {
+                                let [l, r] = [(); 2].map(|()| {
+                                    let text = LANGS[rng.gen_range(0..LANGS.len())];
+                                    ecrpq_automata::Regex::compile_str(text, &mut alphabet).unwrap()
+                                });
+                                relations::product_of_languages(&[&l, &r], m)
+                            }
+                        };
+                        q.rel_atom("sync", Arc::new(rel), &[p, r]);
+                    }
+                    r => {
+                        paths.extend(r);
+                        let text = LANGS[rng.gen_range(0..LANGS.len())];
+                        let lang = ecrpq_automata::Regex::compile_str(text, &mut alphabet).unwrap();
+                        q.rel_atom(text, Arc::new(relations::language(&lang, m)), &[p]);
+                    }
+                }
+            }
+            let Some(tree) = ecrpq_analyze::acyclic_join_tree(&q) else {
+                continue;
+            };
+            let prepared = PreparedQuery::build(&q).unwrap();
+            acyclic += 1;
+            synchronized += prepared.atoms.iter().any(|a| a.endpoints.len() > 1) as usize;
+            let projections = projections(&prepared);
+            let tracer = crate::trace::NoopTracer;
+            let yan = yannakakis_domains(&db, &prepared, &projections, &tree, None, &tracer);
+            let both_passes = tree.order.iter().chain(tree.order.iter().rev()).copied();
+            let reference = unchained(&db, &prepared, &projections, both_passes, true);
+            assert_eq!(yan.domains, reference, "case {case}: {q:?}");
+        }
+        assert!(
+            acyclic >= 100 && synchronized >= 40,
+            "{acyclic} acyclic, {synchronized} synchronized"
+        );
+    }
+
+    /// A budget of exactly the first sweep's pops trips the governor
+    /// inside the second, seeded sweep of a chained pair. `x -[a]-> y`
+    /// shares both endpoints with its parent `x -[a*]-> y`, so its
+    /// bottom-up message is the program's first pair; the domains it
+    /// leaves stay sound for the one answer `(c₄, c₅, w)`.
+    #[test]
+    fn budget_trip_inside_a_chained_pair_keeps_domains_sound() {
+        use crate::governor::{Governor, ResourceBudget, Termination};
+        use crate::trace::CollectingTracer;
+        // an `a`-cycle c₀ → ⋯ → c₃₉₉₉ → c₀ and one `b`-edge c₅ → w
+        let mut db = GraphDb::new();
+        let cycle: Vec<NodeId> = (0..4000).map(|i| db.add_node(&format!("c{i}"))).collect();
+        for (i, &c) in cycle.iter().enumerate() {
+            db.add_edge(c, 'a', cycle[(i + 1) % cycle.len()]);
+        }
+        let w = db.add_node("w");
+        db.add_edge(cycle[5], 'b', w);
+        let mut alphabet = db.alphabet().clone();
+        let mut q = Ecrpq::new(alphabet.clone());
+        let (x, y, z) = (q.node_var("x"), q.node_var("y"), q.node_var("z"));
+        for (src, text, dst) in [(x, "a", y), (x, "a*", y), (y, "b", z)] {
+            let lang = ecrpq_automata::Regex::compile_str(text, &mut alphabet).unwrap();
+            q.crpq_atom(src, &lang, text, dst);
+        }
+        q.set_free(&[x, y, z]);
+        let prepared = PreparedQuery::build(&q).unwrap();
+        let projections = projections(&prepared);
+        let tree = ecrpq_analyze::acyclic_join_tree(&q).unwrap();
+        assert_eq!((tree.order[0], tree.parent[0]), (0, Some(1)));
+        let proj = &projections[0][0];
+        let tracer = crate::trace::NoopTracer;
+        let mut scratch = SweepScratch::default();
+        let mut pacer = Pacer::new(None);
+        let mut run = |direction, seeds| {
+            sweep(
+                &db,
+                proj,
+                direction,
+                seeds,
+                None,
+                &mut scratch,
+                &mut pacer,
+                &tracer,
+                Phase::YannakakisUp,
+            )
+        };
+        let first = run(Direction::Forward, Seeds::All);
+        let second = run(
+            Direction::Backward,
+            Seeds::Within(first.reached.as_ref().unwrap()),
+        );
+        assert!(
+            second.pops > crate::governor::CHECK_INTERVAL,
+            "no check-in inside the pair"
+        );
+
+        let governor =
+            Governor::new(&ResourceBudget::unlimited().with_max_configurations(first.pops));
+        let traced = CollectingTracer::new();
+        let yan = yannakakis_domains(
+            &db,
+            &prepared,
+            &projections,
+            &tree,
+            Some(&governor),
+            &traced,
+        );
+        assert!(!matches!(governor.termination(), Termination::Complete));
+        let up = *traced.metrics().phase(Phase::YannakakisUp);
+        assert!(
+            up.items > first.pops && up.items < first.pops + second.pops,
+            "{up:?}"
+        );
+        assert_eq!(traced.metrics().phase(Phase::YannakakisDown).items, 0);
+        for (var, value) in [(x, cycle[4]), (y, cycle[5]), (z, w)] {
+            if let Some(d) = &yan.domains[var.0 as usize] {
+                assert!(d.contains(&value), "D({var:?}) lost {value}");
+            }
         }
     }
 }

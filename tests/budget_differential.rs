@@ -388,3 +388,77 @@ fn truncated_sweep_leaves_prepared_tables_clean() {
         }
     }
 }
+
+/// The Yannakakis program's chained pair under a budget. In `pair`,
+/// `x -[a]-> y` shares both endpoints with its join-tree parent
+/// `x -[a*]-> y`, so its bottom-up message comes first: a forward sweep
+/// from every vertex, then a backward sweep seeded with the first one's
+/// targets. `chain` lacks the parallel atom, so its only bottom-up
+/// message is that same forward sweep, and its bottom-up pop count is
+/// the first sweep's. A configuration cap of exactly that many pops
+/// trips the one-shot run inside the second sweep: a non-`Complete`
+/// termination, a subset of the one answer `(c₄, c₅, w)`, and no
+/// top-down pass. The query service builds its cached plan tables
+/// ungoverned, so the same cap on a cold request stores nothing
+/// truncated: the next request on the cached plan returns the answer.
+#[test]
+fn truncated_chained_sweep_leaves_plan_tables_clean() {
+    use ecrpq::eval::{CollectingTracer, Phase, QueryService};
+    use ecrpq::query::{parse_query, RelationRegistry};
+    // an `a`-cycle past the planner's tuple budget (so the service plans
+    // Yannakakis) and one `b`-edge c₅ → w
+    let mut db = ecrpq::graph::GraphDb::new();
+    let cycle: Vec<u32> = (0..8_000).map(|i| db.add_node(&format!("c{i}"))).collect();
+    for (i, &c) in cycle.iter().enumerate() {
+        db.add_edge(c, 'a', cycle[(i + 1) % cycle.len()]);
+    }
+    let w = db.add_node("w");
+    db.add_edge(cycle[5], 'b', w);
+    let planted: BTreeSet<Vec<u32>> = [vec![cycle[4], cycle[5], w]].into();
+    let chain = "q(x, y, z) :- x -[p]-> y, y -[r]-> z, p in a, r in b";
+    let pair = "q(x, y, z) :- x -[p]-> y, x -[s]-> y, y -[r]-> z, p in a, s in a*, r in b";
+    let one_shot = |text: &str, budget: ResourceBudget| {
+        let mut alphabet = db.alphabet().clone();
+        let q = parse_query(text, &mut alphabet, &RelationRegistry::new()).expect("parses");
+        let tree = ecrpq::analyze::acyclic_join_tree(&q).expect("acyclic");
+        let prepared = PreparedQuery::build(&q).expect("valid");
+        let tracer = CollectingTracer::new();
+        let opts = EvalOptions::sequential().with_budget(budget);
+        let o = engine::answers_yannakakis_governed_traced(&db, &prepared, &tree, &opts, &tracer);
+        (tree, o, tracer.metrics())
+    };
+    let (_, o, m) = one_shot(chain, ResourceBudget::unlimited());
+    assert_eq!(
+        (o.termination, o.answers),
+        (Termination::Complete, planted.clone())
+    );
+    let first = m.phase(Phase::YannakakisUp).items;
+
+    let (tree, full, _) = one_shot(pair, ResourceBudget::unlimited());
+    assert_eq!((tree.order[0], tree.parent[0]), (0, Some(1)));
+    assert_eq!(full.answers, planted);
+    let (_, cut, m) = one_shot(
+        pair,
+        ResourceBudget::unlimited().with_max_configurations(first),
+    );
+    assert!(
+        matches!(cut.termination, Termination::BudgetExhausted { .. }),
+        "{}",
+        cut.termination
+    );
+    assert!(cut.answers.is_subset(&planted));
+    let up = m.phase(Phase::YannakakisUp);
+    assert!(up.governor_aborts >= 1 && up.items > first, "{up:?}");
+    assert_eq!(m.phase(Phase::YannakakisDown).items, 0);
+
+    let service = QueryService::new(db.clone());
+    let capped = EvalOptions::sequential()
+        .with_budget(ResourceBudget::unlimited().with_max_configurations(first));
+    let r = service.execute(pair, &capped).expect("served");
+    assert!(r.answers.is_subset(&planted));
+    let r = service
+        .execute(pair, &EvalOptions::sequential())
+        .expect("served");
+    assert!(r.cached);
+    assert_eq!((r.termination, r.answers), (Termination::Complete, planted));
+}

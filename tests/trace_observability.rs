@@ -7,7 +7,8 @@
 
 use ecrpq::eval::planner::plan;
 use ecrpq::eval::{
-    answers_traced, render_phase_table, CollectingTracer, EvalOptions, Metrics, Phase,
+    answers_traced, engine, render_phase_table, CollectingTracer, EvalOptions, Metrics, Phase,
+    PreparedQuery,
 };
 use ecrpq::query::{parse_query, RelationRegistry};
 use ecrpq::workloads::{random_db, tractable_chain_query};
@@ -179,4 +180,37 @@ fn tracer_never_changes_answers() {
             );
         }
     }
+}
+
+/// Sweep pops (`yanna-up` + `yanna-down` items) of the Yannakakis program
+/// on `planted_acyclic_instance(20_000, 32, 1)` when every track swept
+/// both ways in both passes, each sweep seeded on its own: 160 514
+/// bottom-up + 60 322 top-down.
+const UNCHAINED_YANNAKAKIS_POPS: u64 = 220_836;
+
+/// Schedule guard: sending only the full reducer's messages, each pair
+/// chained, pops at most half of what the unchained schedule popped on
+/// the planted acyclic instance, and leaves the same domains (34 values
+/// kept, 60 161 pruned) and answers.
+#[test]
+fn yannakakis_sends_only_the_full_reducers_messages() {
+    let (db, q, planted) = ecrpq::workloads::planted_acyclic_instance(20_000, 32, 1);
+    let tree = ecrpq::analyze::acyclic_join_tree(&q).expect("acyclic");
+    let prepared = PreparedQuery::build(&q).expect("valid");
+    let tracer = CollectingTracer::new();
+    let o = engine::answers_yannakakis_governed_traced(
+        &db,
+        &prepared,
+        &tree,
+        &EvalOptions::sequential(),
+        &tracer,
+    );
+    assert_eq!(o.answers, planted);
+    assert_eq!((o.stats.domain_kept, o.stats.domain_pruned), (34, 60_161));
+    let m = tracer.metrics();
+    let pops = m.phase(Phase::YannakakisUp).items + m.phase(Phase::YannakakisDown).items;
+    assert!(
+        pops <= UNCHAINED_YANNAKAKIS_POPS / 2,
+        "{pops} sweep pops, unchained {UNCHAINED_YANNAKAKIS_POPS}"
+    );
 }
