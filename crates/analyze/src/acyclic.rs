@@ -41,6 +41,44 @@ impl JoinTree {
             .map(|(c, _)| c)
     }
 
+    /// The same tree with `root`'s component rooted at `root`: the arcs on
+    /// the path from `root` up to the old root turn around, and the
+    /// component's atoms are listed leaves-first again (deepest first, in
+    /// the slots of `order` they held), so every atom still comes before
+    /// its parent. Other components are left as they are, and so is the
+    /// whole tree when `root` already is one. The running intersection
+    /// property does not depend on the root, so the result is a join tree
+    /// of the same hypergraph.
+    pub fn rerooted(&self, root: usize) -> JoinTree {
+        if self.parent[root].is_none() {
+            return self.clone();
+        }
+        let mut parent = self.parent.clone();
+        let (mut prev, mut at) = (None, Some(root));
+        while let Some(i) = at {
+            at = std::mem::replace(&mut parent[i], prev);
+            prev = Some(i);
+        }
+        // (root of i's component, depth of i)
+        let climb = |mut i: usize| {
+            let mut depth = 0usize;
+            while let Some(p) = parent[i] {
+                (i, depth) = (p, depth + 1);
+            }
+            (i, depth)
+        };
+        let slots: Vec<usize> = (0..self.order.len())
+            .filter(|&s| climb(self.order[s]).0 == root)
+            .collect();
+        let mut members: Vec<usize> = slots.iter().map(|&s| self.order[s]).collect();
+        members.sort_by_key(|&i| std::cmp::Reverse(climb(i).1));
+        let mut order = self.order.clone();
+        for (s, i) in slots.into_iter().zip(members) {
+            order[s] = i;
+        }
+        JoinTree { parent, order }
+    }
+
     /// Renders the tree as `i->j` arcs (roots as `i->·`) in index order,
     /// for `Plan::explain`.
     pub fn arcs(&self) -> String {
@@ -238,6 +276,75 @@ mod tests {
         let t = gyo_join_tree(&[vec![0, 1], vec![1, 2]]).unwrap();
         let s = t.arcs();
         assert!(s == "0->1, 1->·" || s == "0->·, 1->0", "{s}");
+    }
+
+    /// Whether every atom of `t` comes before its parent in `order`, and
+    /// every atom occurs there once.
+    fn leaves_first(t: &JoinTree) -> bool {
+        let mut pos = vec![usize::MAX; t.parent.len()];
+        for (s, &i) in t.order.iter().enumerate() {
+            pos[i] = s;
+        }
+        pos.iter().all(|&s| s < t.order.len())
+            && (0..t.parent.len()).all(|i| t.parent[i].is_none_or(|p| pos[i] < pos[p]))
+    }
+
+    /// The undirected arcs of a tree.
+    fn arcs_of(t: &JoinTree) -> Vec<(usize, usize)> {
+        let mut arcs: Vec<(usize, usize)> = (0..t.parent.len())
+            .filter_map(|i| t.parent[i].map(|p| (i.min(p), i.max(p))))
+            .collect();
+        arcs.sort_unstable();
+        arcs
+    }
+
+    #[test]
+    fn rerooting_keeps_the_arcs_and_a_leaves_first_order() {
+        // a path of atoms 0 – 1 – 2 – 3, and atoms 4, 5, 6 sharing one
+        // variable
+        let edges = [
+            vec![0, 1],
+            vec![1, 2],
+            vec![2, 3],
+            vec![3, 4],
+            vec![10, 11],
+            vec![10, 12],
+            vec![10, 13],
+        ];
+        let t = gyo_join_tree(&edges).expect("acyclic");
+        let roots = |t: &JoinTree| -> Vec<usize> {
+            (0..t.parent.len())
+                .filter(|&i| t.parent[i].is_none())
+                .collect()
+        };
+        for root in 0..edges.len() {
+            let r = t.rerooted(root);
+            assert!(leaves_first(&r), "root {root}: {r:?}");
+            assert_eq!(arcs_of(&r), arcs_of(&t), "root {root}");
+            assert_eq!(r.parent[root], None);
+            // one root per component: the new one and the other's old one
+            assert_eq!(roots(&r).len(), 2, "root {root}: {r:?}");
+            assert_eq!(
+                gyo_join_tree(&edges).map(|t| t.rerooted(root)),
+                Some(r.clone())
+            );
+            // the other component keeps its parents and its slots
+            for i in 0..edges.len() {
+                let same_component = (i < 4) == (root < 4);
+                if !same_component {
+                    assert_eq!(r.parent[i], t.parent[i]);
+                }
+            }
+            for (s, &i) in t.order.iter().enumerate() {
+                if (i < 4) != (root < 4) {
+                    assert_eq!(r.order[s], i);
+                }
+            }
+        }
+        // re-rooting at the current root changes nothing
+        for &root in &roots(&t) {
+            assert_eq!(t.rerooted(root), t);
+        }
     }
 
     fn two_atom_chain_query() -> Ecrpq {

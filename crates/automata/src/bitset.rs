@@ -79,6 +79,16 @@ impl BitSet {
         self.words.fill(0);
     }
 
+    /// Inserts every value below the capacity.
+    pub fn fill(&mut self) {
+        self.words.fill(!0);
+        // bits at or beyond the capacity stay zero
+        let spare = 64 * self.words.len() - self.capacity;
+        if let Some(last) = self.words.last_mut() {
+            *last >>= spare;
+        }
+    }
+
     /// In-place union. Both sets must have equal capacity.
     pub fn union_with(&mut self, other: &BitSet) {
         assert_eq!(self.capacity, other.capacity);
@@ -247,6 +257,16 @@ mod tests {
         assert!(s.remove(3));
         assert!(!s.remove(3));
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn fill_stops_at_the_capacity() {
+        for capacity in [0, 1, 63, 64, 65, 200] {
+            let mut s = BitSet::new(capacity);
+            s.fill();
+            assert_eq!(s.len(), capacity);
+            assert_eq!(s, BitSet::from_iter_with_capacity(capacity, 0..capacity));
+        }
     }
 
     #[test]

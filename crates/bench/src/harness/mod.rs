@@ -4,10 +4,11 @@
 //! a workload (generator + params), a trial matrix, repetitions and the
 //! aggregate output; [`run_spec`] expands the matrix, skips every trial
 //! whose `result.json` is already on disk under the content-addressed
-//! key (spec hash + trial params), runs the rest through the single
-//! [`trial::run_trial`] boundary, and assembles the aggregated
-//! `BENCH_<experiment>.json` from the per-trial files. A corrupted or
-//! stale trial file is re-run, not trusted. [`diff`] compares a fresh
+//! key (spec hash + build fingerprint + trial params), runs the rest
+//! through the single [`trial::run_trial`] boundary, and assembles the
+//! aggregated `BENCH_<experiment>.json` from the per-trial files. A
+//! corrupted or stale trial file, or one another build wrote, is re-run,
+//! not trusted. [`diff`] compares a fresh
 //! aggregate against the committed trajectory with per-metric noise
 //! tolerances — the `harness diff` regression gate in `scripts/check.sh`.
 
@@ -22,7 +23,10 @@ pub use diff::{DiffReport, Tolerances};
 pub use json::Json;
 pub use spec::{Spec, SpecValue, TrialParams};
 
+use ecrpq_automata::fnv::FnvHasher;
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Options for one harness run.
 #[derive(Debug, Clone, Default)]
@@ -32,7 +36,7 @@ pub struct RunOptions {
     /// committed output path.
     pub smoke: bool,
     /// Override the results directory (default:
-    /// `target/harness/<name>[-smoke]-<spec hash>`).
+    /// `target/harness/<name>[-smoke]-<spec hash>-<build fingerprint>`).
     pub results_dir: Option<PathBuf>,
     /// Override the aggregate output path.
     pub out: Option<PathBuf>,
@@ -70,16 +74,39 @@ pub fn run_spec_path(path: &Path, opts: &RunOptions) -> Result<RunSummary, Strin
 /// per-trial JSON and the aggregate. See the module docs for the caching
 /// contract.
 pub fn run_spec(spec: &Spec, opts: &RunOptions) -> Result<RunSummary, String> {
+    run_spec_built(spec, opts, build_fingerprint())
+}
+
+/// The running build's fingerprint: the FNV-1a 64 hash of the executable's
+/// bytes as 16 hex digits (`unknown` when it cannot be read). Trials run
+/// in-process, so a rebuilt engine is a new executable and never meets
+/// the previous build's cached results.
+fn build_fingerprint() -> &'static str {
+    static FINGERPRINT: OnceLock<String> = OnceLock::new();
+    FINGERPRINT.get_or_init(|| {
+        std::env::current_exe().and_then(std::fs::read).map_or_else(
+            |_| "unknown".to_string(),
+            |bytes| {
+                let mut h = FnvHasher::default();
+                h.write(&bytes);
+                format!("{:016x}", h.finish())
+            },
+        )
+    })
+}
+
+/// [`run_spec`] as the build `build` (see [`build_fingerprint`]).
+fn run_spec_built(spec: &Spec, opts: &RunOptions, build: &str) -> Result<RunSummary, String> {
     let effective = if opts.smoke {
         spec.apply_smoke()
     } else {
         spec.clone()
     };
     let hash = effective.hash();
-    let flavor = if opts.smoke { "-smoke" } else { "" };
-    let results_dir = opts.results_dir.clone().unwrap_or_else(|| {
-        PathBuf::from("target/harness").join(format!("{}{flavor}-{hash}", effective.name))
-    });
+    let results_dir = opts
+        .results_dir
+        .clone()
+        .unwrap_or_else(|| default_results_dir(&effective.name, opts.smoke, &hash, build));
     std::fs::create_dir_all(&results_dir).map_err(|e| format!("{}: {e}", results_dir.display()))?;
     let trials = effective.trials();
     let mut executed = 0usize;
@@ -89,7 +116,7 @@ pub fn run_spec(spec: &Spec, opts: &RunOptions) -> Result<RunSummary, String> {
     for params in &trials {
         let key = Spec::trial_key(params);
         let path = results_dir.join(format!("{key}.json"));
-        let (status, result) = match load_cached_trial(&path, &hash, params) {
+        let (status, result) = match load_cached_trial(&path, &hash, build, params) {
             Some(result) => {
                 cached += 1;
                 ("cached", result)
@@ -101,6 +128,7 @@ pub fn run_spec(spec: &Spec, opts: &RunOptions) -> Result<RunSummary, String> {
                 let envelope = Json::Obj(vec![
                     ("spec".into(), Json::str(effective.name.clone())),
                     ("spec_hash".into(), Json::str(hash.clone())),
+                    ("build".into(), Json::str(build)),
                     ("params".into(), params_json(params)),
                     ("result".into(), result.clone()),
                 ]);
@@ -155,13 +183,20 @@ pub fn run_spec(spec: &Spec, opts: &RunOptions) -> Result<RunSummary, String> {
     })
 }
 
+/// `target/harness/<name>[-smoke]-<spec hash>-<build>`.
+fn default_results_dir(name: &str, smoke: bool, hash: &str, build: &str) -> PathBuf {
+    let flavor = if smoke { "-smoke" } else { "" };
+    PathBuf::from("target/harness").join(format!("{name}{flavor}-{hash}-{build}"))
+}
+
 /// A cached trial result is trusted only when the file parses and its
-/// envelope matches the current spec hash and trial params; anything
-/// else (corruption, a stale spec, hand edits) re-runs the trial.
-fn load_cached_trial(path: &Path, hash: &str, params: &TrialParams) -> Option<Json> {
+/// envelope matches the current spec hash, build and trial params;
+/// anything else (corruption, a stale spec, another build, hand edits)
+/// re-runs the trial.
+fn load_cached_trial(path: &Path, hash: &str, build: &str, params: &TrialParams) -> Option<Json> {
     let text = std::fs::read_to_string(path).ok()?;
     let envelope = json::parse(&text).ok()?;
-    if envelope.get("spec_hash")?.as_str()? != hash {
+    if envelope.get("spec_hash")?.as_str()? != hash || envelope.get("build")?.as_str()? != build {
         return None;
     }
     if envelope.get("params")? != &params_json(params) {
@@ -177,4 +212,57 @@ fn params_json(params: &TrialParams) -> Json {
             .map(|(k, v)| (k.clone(), Json::str(v.render())))
             .collect(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A budget-kind spec whose two trials run in milliseconds.
+    const TINY: &str = "name = \"tiny\"\n\
+        title = \"build key\"\n\
+        kind = \"budget\"\n\
+        output = \"BENCH_tiny.json\"\n\
+        [workload]\n\
+        generator = \"big_component_random\"\n\
+        r = 2\n\
+        labels = 2\n\
+        nodes = 12\n\
+        avg_degree = 1.5\n\
+        seed = 5\n\
+        [matrix]\n\
+        budget = [\"0.5\", \"2.0\"]\n";
+
+    /// Another build's trials are never served from the cache: the default
+    /// directory is keyed by the build, and a pinned one re-runs every
+    /// trial whose envelope names another build.
+    #[test]
+    fn another_build_misses_the_cache() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/test-harness")
+            .join(format!("build-key-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = Spec::parse(TINY).expect("tiny spec parses");
+        let opts = RunOptions {
+            smoke: false,
+            results_dir: Some(dir.join("results")),
+            out: Some(dir.join("aggregate.json")),
+            quiet: true,
+        };
+        let run = |build: &str| run_spec_built(&spec, &opts, build).expect("runs");
+        let cold = run("0000000000000001");
+        assert_eq!(cold.executed, cold.trials);
+        let warm = run("0000000000000001");
+        assert_eq!((warm.cached, warm.executed), (warm.trials, 0));
+        let rebuilt = run("0000000000000002");
+        assert_eq!((rebuilt.cached, rebuilt.recovered), (0, rebuilt.trials));
+        let hash = spec.hash();
+        assert_ne!(
+            default_results_dir("tiny", false, &hash, "0000000000000001"),
+            default_results_dir("tiny", false, &hash, "0000000000000002")
+        );
+        assert_eq!(build_fingerprint(), build_fingerprint());
+        assert_eq!(build_fingerprint().len(), 16, "{}", build_fingerprint());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

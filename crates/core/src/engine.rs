@@ -536,8 +536,12 @@ impl PreparedTables {
     /// sends only the full reducer's messages: bottom-up, each atom
     /// sweeps towards the variables it shares with its parent; top-down,
     /// every track sweeps both ways, the second sweep seeded with the
-    /// first one's result. This build is the cold cost of a never-seen
-    /// acyclic plan.
+    /// first one's result. Sweeps from an unconstrained domain start at
+    /// the carriers of the labels they read first, and where the domains
+    /// do not depend on the root, each tree component is rooted where
+    /// those sweeps seed least. This build is the cold cost of a
+    /// never-seen acyclic plan; on a query whose leaves read rare labels
+    /// it follows the data those labels carry, not `|V|`.
     pub fn build_for_tree(db: &GraphDb, query: &PreparedQuery, tree: &JoinTree) -> Self {
         PreparedTables {
             tables: SharedTables::build(db, query, Layout::Flat, None, &NoopTracer, Some(tree)),

@@ -31,13 +31,26 @@
 //! the reached set; both layouts' product BFS only run for atoms of
 //! arity ≥ 2 and for witness traces.
 //!
+//! **Carrier seeds.** A sweep "from every vertex" ([`Seeds::All`]) pushes
+//! `(q, v)` only for the *carriers* of the labels start state `q` reads:
+//! the vertices with an outgoing (forwards) or incoming (backwards) edge
+//! on such a label, which the database lists per label in its CSR freeze
+//! ([`GraphDb::label_sources`], [`GraphDb::label_targets`]). From any
+//! other vertex `q` has no move, so leaving it out changes nothing but
+//! the pops — except that a goal state `q` (a start state that accepts
+//! the empty word) reaches every vertex, and a `q` with a `⊥` move can
+//! take it anywhere, so that `q` is still seeded at every vertex. An
+//! unconstrained sweep then costs what the data on its first labels
+//! holds, not `|V|`.
+//!
 //! Every track's two sweeps are *chained* ([`track_feasible_within`]):
-//! the direction with the smaller seed set runs first, and the second
-//! sweep starts only from the first one's result intersected with the
-//! other endpoint's domain. That is exact, `D_x ∩ S(T(D_x) ∩ D_y) =
+//! the direction with the smaller seed set runs first — an unconstrained
+//! domain counting as its carrier seeds — and the second sweep starts
+//! only from the first one's result intersected with the other
+//! endpoint's domain. That is exact, `D_x ∩ S(T(D_x) ∩ D_y) =
 //! D_x ∩ S(D_y)`, where `T` and `S` are the forward and backward sweeps,
-//! so the independent pass seeds its backward sweeps from the vertices
-//! its forward sweeps reached instead of from every vertex.
+//! so the independent pass seeds its second sweep of a track from the
+//! vertices its first one reached instead of from every vertex.
 //!
 //! When the CQ reduction is α-acyclic ([`ecrpq_analyze::acyclic`]), the
 //! independent sweeps upgrade to a full *Yannakakis semijoin program*
@@ -53,13 +66,17 @@
 //! consistent — on single-track (tree-shaped) queries this is arc
 //! consistency on a tree, so the subsequent enumeration is backtrack-free
 //! and its delay is bounded by the domain sizes rather than the database
-//! size.
+//! size. Where the result provably does not depend on the root (arity-1
+//! atoms, no self-loop, one shared variable per tree arc), each join-tree
+//! component is rooted at the atom whose bottom-up pass seeds the fewest
+//! configurations from unconstrained domains, so the leaves that sweep
+//! from every vertex are the ones whose labels few vertices carry.
 
 use crate::governor::{Governor, Pacer};
 use crate::prepare::PreparedQuery;
 use crate::trace::{Phase, Tracer};
 use ecrpq_analyze::JoinTree;
-use ecrpq_automata::{BitSet, Nfa, Row, StateId, Track};
+use ecrpq_automata::{BitSet, Nfa, Row, StateId, Symbol, Track};
 use ecrpq_graph::{GraphDb, NodeId};
 use ecrpq_query::NodeVar;
 
@@ -153,6 +170,16 @@ impl Projection {
     /// Number of automaton states (the `|Q|` of the swept space).
     pub(crate) fn num_states(&self) -> usize {
         self.num_states
+    }
+
+    /// The start states, transition lists and goal flags of a sweep
+    /// forwards (`forward`) or backwards.
+    fn side(&self, forward: bool) -> (&[StateId], &StateLists, &[bool]) {
+        if forward {
+            (&self.initial, &self.fwd, &self.is_final)
+        } else {
+            (&self.finals, &self.rev, &self.is_initial)
+        }
     }
 
     /// Whether some transition reads `⊥` on this track. A forward sweep
@@ -291,11 +318,9 @@ fn sweep_in<T: Tracer, const FORWARD: bool>(
 ) -> Swept {
     let nv = db.num_nodes();
     scratch.reserve(proj.num_states * nv);
-    let (starts, lists, goal) = if FORWARD {
-        (&proj.initial, &proj.fwd, &proj.is_final)
-    } else {
-        (&proj.finals, &proj.rev, &proj.is_initial)
-    };
+    let (starts, lists, goal) = proj.side(FORWARD);
+    // a goal start state seeded from every vertex reaches every vertex
+    let mut reach_all = false;
     // the scratch vectors become locals for the loop and go back after it
     let seen = &mut scratch.seen[..];
     let mut touched = std::mem::take(&mut scratch.touched);
@@ -318,7 +343,20 @@ fn sweep_in<T: Tracer, const FORWARD: bool>(
     };
     for &q in starts {
         match seeds {
-            Seeds::All => (0..nv as NodeId).for_each(|v| push(&mut stack, q, v)),
+            // from `q` only the carriers of the labels it reads can step
+            // anywhere; every other vertex is a dead end that counts only
+            // when `q` is a goal state
+            Seeds::All => match read_labels(lists.of(q)) {
+                Some(labels) => {
+                    reach_all |= goal[q as usize];
+                    for a in labels {
+                        for &v in carriers(db, a, FORWARD) {
+                            push(&mut stack, q, v);
+                        }
+                    }
+                }
+                None => (0..nv as NodeId).for_each(|v| push(&mut stack, q, v)),
+            },
             Seeds::Within(set) => set
                 .iter_ones()
                 .for_each(|v| push(&mut stack, q, v as NodeId)),
@@ -367,11 +405,55 @@ fn sweep_in<T: Tracer, const FORWARD: bool>(
     stack.clear();
     scratch.touched = touched;
     scratch.stack = stack;
+    if reach_all {
+        reached.fill();
+    }
     Swept {
         reached: (!tripped).then_some(reached),
         pops,
         peak,
     }
+}
+
+/// The distinct labels `moves` read (sorted by track symbol, so each
+/// label's moves are adjacent and `⊥` comes last), or `None` when one of
+/// them reads `⊥`: a `⊥` step stays on its vertex, so every vertex can
+/// take it.
+fn read_labels(moves: &[(Track, StateId)]) -> Option<impl Iterator<Item = Symbol> + '_> {
+    if moves.last().is_some_and(|&(t, _)| t == Track::Pad) {
+        return None;
+    }
+    let mut last = None;
+    Some(moves.iter().filter_map(move |&(t, _)| match t {
+        Track::Sym(a) if last.replace(a) != Some(a) => Some(a),
+        _ => None,
+    }))
+}
+
+/// The vertices a sweep forwards (`forward`) or backwards can leave by an
+/// `a`-step: the label's carriers.
+fn carriers(db: &GraphDb, a: Symbol, forward: bool) -> &[NodeId] {
+    if forward {
+        db.label_sources(a)
+    } else {
+        db.label_targets(a)
+    }
+}
+
+/// How many configurations a sweep from every vertex ([`Seeds::All`])
+/// seeds: per start state, the carriers of the labels it reads, or every
+/// vertex when it has a `⊥` move.
+fn all_seeds(db: &GraphDb, proj: &Projection, direction: Direction) -> usize {
+    let forward = direction == Direction::Forward;
+    let (starts, lists, _) = proj.side(forward);
+    starts
+        .iter()
+        .map(|&q| {
+            read_labels(lists.of(q)).map_or(db.num_nodes(), |labels| {
+                labels.map(|a| carriers(db, a, forward).len()).sum()
+            })
+        })
+        .sum()
 }
 
 /// Result of the pruning pass.
@@ -447,6 +529,14 @@ pub(crate) fn prune_domains<T: Tracer>(
 /// - **Top-down** (`tree.order` backwards, [`Phase::YannakakisDown`]):
 ///   every track sweeps both ways, chained as in [`track_feasible_within`].
 ///
+/// Where the full reducer is exact, each component of `tree` is first
+/// re-rooted at the atom whose bottom-up sweeps from unconstrained
+/// domains seed the fewest configurations ([`cheapest_roots`]); elsewhere
+/// GYO's roots stay. A leaf's bottom-up sweep from an unconstrained
+/// domain is seeded from the label carriers, so with the root chosen
+/// this way a cold program costs what the data around its leaves holds,
+/// not `|Q| · |V|`.
+///
 /// After both passes every constrained variable's domain contains only
 /// globally consistent values. The skipped bottom-up sweeps change
 /// nothing: an endpoint `x` not swept towards occurs in no atom the
@@ -470,6 +560,8 @@ pub(crate) fn yannakakis_domains<T: Tracer>(
     tracer: &T,
 ) -> PrunedDomains {
     let nv = db.num_nodes();
+    let rooted = cheapest_roots(db, query, projections, tree);
+    let tree = rooted.as_ref().unwrap_or(tree);
     let mut sets: Vec<Option<BitSet>> = vec![None; query.num_node_vars];
     let mut scratch = SweepScratch::default();
     let ends = |ai: usize| {
@@ -524,6 +616,75 @@ pub(crate) fn yannakakis_domains<T: Tracer>(
         }
     }
     finish_domains(sets, nv)
+}
+
+/// `tree` with each component re-rooted ([`JoinTree::rerooted`]) at the
+/// atom whose bottom-up pass seeds the fewest configurations from
+/// unconstrained domains, or `None` where GYO's roots stay.
+///
+/// Bottom-up, a non-root atom `x -L-> y` sweeps towards the variable it
+/// shares with its parent, from the other one; that domain is still
+/// unconstrained unless a child narrowed it, and then the sweep seeds
+/// from the label carriers ([`all_seeds`]). A root is chosen only where
+/// the full reducer is exact, hence root-independent: every atom has
+/// arity 1 and no self-loop, and every tree arc shares exactly one node
+/// variable. Each message is then an exact semijoin, and the domains are
+/// the projections of the answer set whatever the root. A synchronized
+/// atom's per-track messages, a self-loop's sweeps and the per-variable
+/// messages between atoms sharing two variables only over-approximate,
+/// and their result depends on the order they run in. Ties keep GYO's
+/// root.
+fn cheapest_roots(
+    db: &GraphDb,
+    query: &PreparedQuery,
+    projections: &[Vec<Projection>],
+    tree: &JoinTree,
+) -> Option<JoinTree> {
+    let ends: Vec<[NodeVar; 2]> = query
+        .atoms
+        .iter()
+        .map(|a| match a.endpoints.as_slice() {
+            &[(x, y)] if x != y => Some([x, y]),
+            _ => None,
+        })
+        .collect::<Option<_>>()?;
+    let shared = |a: usize, b: usize| ends[a].iter().filter(|v| ends[b].contains(v)).count();
+    if (0..ends.len()).any(|a| tree.parent[a].is_some_and(|p| shared(a, p) != 1)) {
+        return None;
+    }
+    // per atom, the seeds of its forward and its backward sweep from every
+    // vertex
+    let seeds: Vec<[usize; 2]> = projections
+        .iter()
+        .map(|tracks| {
+            [Direction::Forward, Direction::Backward].map(|d| all_seeds(db, &tracks[0], d))
+        })
+        .collect();
+    let cost = |t: &JoinTree| -> usize {
+        (0..ends.len())
+            .filter_map(|a| {
+                let p = t.parent[a]?;
+                let [x, y] = ends[a];
+                // forwards from `x` to a shared `y`, else backwards from `y`
+                let (from, sweep) = if ends[p].contains(&y) { (x, 0) } else { (y, 1) };
+                let narrowed = t.children(a).any(|c| ends[c].contains(&from));
+                (!narrowed).then_some(seeds[a][sweep])
+            })
+            .sum()
+    };
+    let root_of = |t: &JoinTree, a: usize| std::iter::successors(Some(a), |&i| t.parent[i]).last();
+    let mut best = (cost(tree), None::<JoinTree>);
+    for gyo_root in (0..ends.len()).filter(|&a| tree.parent[a].is_none()) {
+        let current = best.1.clone().unwrap_or_else(|| tree.clone());
+        for root in (0..ends.len()).filter(|&a| root_of(tree, a) == Some(gyo_root)) {
+            let candidate = current.rerooted(root);
+            let c = cost(&candidate);
+            if c < best.0 {
+                best = (c, Some(candidate));
+            }
+        }
+    }
+    best.1
 }
 
 /// Intersects the messages of one track into its endpoints' domains.
@@ -608,9 +769,12 @@ fn track_feasible_within<T: Tracer>(
         .reached
     };
     let [src_dom, dst_dom] = doms;
-    let size = |dom: Option<&BitSet>| dom.map_or(usize::MAX, BitSet::len);
+    // an unconstrained domain seeds its sweep from the label carriers
+    let size = |dom: Option<&BitSet>, direction| {
+        dom.map_or_else(|| all_seeds(db, proj, direction), BitSet::len)
+    };
     let messages = match send {
-        [true, true] if size(src_dom) <= size(dst_dom) => {
+        [true, true] if size(src_dom, Direction::Forward) <= size(dst_dom, Direction::Backward) => {
             let targets_ok = meet(run(Direction::Forward, Seeds::within(src_dom))?, dst_dom);
             let sources_ok = run(Direction::Backward, Seeds::Within(&targets_ok))?;
             [Some(sources_ok), Some(targets_ok)]
@@ -1204,6 +1368,228 @@ mod tests {
         for (var, value) in [(x, cycle[4]), (y, cycle[5]), (z, w)] {
             if let Some(d) = &yan.domains[var.0 as usize] {
                 assert!(d.contains(&value), "D({var:?}) lost {value}");
+            }
+        }
+    }
+
+    /// Every track of `rel`, projected from its trimmed ε-free automaton.
+    fn tracks_of(rel: &ecrpq_automata::SyncRel) -> Vec<Projection> {
+        let nfa = rel.nfa().remove_epsilon().trim();
+        (0..rel.arity()).map(|t| Projection::new(&nfa, t)).collect()
+    }
+
+    /// One ungoverned sweep from `seeds`.
+    fn swept(db: &GraphDb, proj: &Projection, direction: Direction, seeds: Seeds<'_>) -> Swept {
+        let mut scratch = SweepScratch::default();
+        let mut pacer = Pacer::new(None);
+        let tracer = crate::trace::NoopTracer;
+        sweep(
+            db,
+            proj,
+            direction,
+            seeds,
+            None,
+            &mut scratch,
+            &mut pacer,
+            &tracer,
+            Phase::Semijoin,
+        )
+    }
+
+    /// A sweep from every vertex seeds only the label carriers of its
+    /// start states, yet reaches exactly what a sweep seeded with every
+    /// vertex reaches, on random graphs and on the tracks of random
+    /// languages (`b*` and `(ab)*` accept at their start) and synchronized
+    /// relations (whose tracks read `⊥`), in both directions.
+    #[test]
+    fn carrier_seeds_reach_what_every_vertex_reaches() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(17);
+        let (mut padded, mut accepting, mut saved) = (0, 0, 0);
+        for case in 0..300 {
+            let db = random_graph(&mut rng);
+            let m = db.alphabet().len();
+            let mut alphabet = db.alphabet().clone();
+            let mut lang = || {
+                let text = LANGS[rng.gen_range(0..LANGS.len())];
+                ecrpq_automata::Regex::compile_str(text, &mut alphabet).unwrap()
+            };
+            let rel = match case % 4 {
+                0 => relations::prefix(m),
+                1 => relations::eq_length_min(2, m, case % 3),
+                2 => relations::product_of_languages(&[&lang(), &lang()], m),
+                _ => relations::language(&lang(), m),
+            };
+            let every = BitSet::from_iter_with_capacity(db.num_nodes(), 0..db.num_nodes());
+            for proj in tracks_of(&rel) {
+                padded += proj.has_pad() as usize;
+                accepting += proj.initial.iter().any(|&q| proj.is_final[q as usize]) as usize;
+                for direction in [Direction::Forward, Direction::Backward] {
+                    let got = swept(&db, &proj, direction, Seeds::All);
+                    let want = swept(&db, &proj, direction, Seeds::Within(&every));
+                    assert_eq!(got.reached, want.reached, "case {case}, {direction:?}");
+                    assert!(got.pops <= want.pops, "case {case}, {direction:?}");
+                    saved += (got.pops < want.pops) as usize;
+                }
+            }
+        }
+        assert!(
+            padded >= 50 && accepting >= 50 && saved >= 100,
+            "{padded} padded tracks, {accepting} accepting at a start, {saved} sweeps saved pops"
+        );
+    }
+
+    /// A budget that trips inside a carrier-seeded sweep leaves no set:
+    /// half the vertices carry an `a`-cycle, the other half no edge, and
+    /// `aa*` from every vertex pops more than one check interval.
+    #[test]
+    fn budget_trip_inside_a_carrier_seeded_sweep_returns_no_set() {
+        use crate::governor::{Governor, ResourceBudget};
+        let mut db = GraphDb::new();
+        let cycle: Vec<NodeId> = (0..6000).map(|i| db.add_node(&format!("c{i}"))).collect();
+        for (i, &c) in cycle.iter().enumerate() {
+            db.add_edge(c, 'a', cycle[(i + 1) % cycle.len()]);
+        }
+        db.add_nodes_anon(6000);
+        let mut alphabet = db.alphabet().clone();
+        let lang = ecrpq_automata::Regex::compile_str("aa*", &mut alphabet).unwrap();
+        let proj = &tracks_of(&relations::language(&lang, db.alphabet().len()))[0];
+        let free = swept(&db, proj, Direction::Forward, Seeds::All);
+        let every = BitSet::from_iter_with_capacity(12_000, 0..12_000);
+        let every = swept(&db, proj, Direction::Forward, Seeds::Within(&every));
+        // the isolated half is never pushed
+        assert_eq!(free.pops + 6000, every.pops);
+        assert!(free.pops > crate::governor::CHECK_INTERVAL);
+        assert_eq!(free.reached.as_ref().map(BitSet::len), Some(6000));
+
+        let governor = Governor::new(&ResourceBudget::unlimited().with_max_configurations(1));
+        let mut scratch = SweepScratch::default();
+        let mut pacer = Pacer::new(Some(&governor));
+        let cut = sweep(
+            &db,
+            proj,
+            Direction::Forward,
+            Seeds::All,
+            None,
+            &mut scratch,
+            &mut pacer,
+            &crate::trace::NoopTracer,
+            Phase::Semijoin,
+        );
+        assert!(governor.stopped());
+        assert!(cut.reached.is_none(), "a cut sweep must not return a set");
+        assert!(cut.pops < free.pops);
+    }
+
+    /// On random Berge-acyclic arity-1 chains and stars, the program's
+    /// domains under the cost-chosen root equal those of GYO's root and
+    /// of every other root (each tree's passes swept both ways,
+    /// unchained), and they are the oracle's projections of the answers.
+    #[test]
+    fn rerooted_domains_equal_every_roots_and_the_oracles() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(23);
+        let mut rerooted = 0;
+        for case in 0..60 {
+            let db = random_graph(&mut rng);
+            let atoms = rng.gen_range(2..=4);
+            let (q, langs) = random_acyclic_crpq(&db, atoms, case % 2 == 1, &mut rng);
+            let truth = oracle(&db, atoms + 1, &langs);
+            let prepared = PreparedQuery::build(&q).unwrap();
+            let projections = projections(&prepared);
+            let tree = ecrpq_analyze::acyclic_join_tree(&q).expect("acyclic");
+            rerooted += cheapest_roots(&db, &prepared, &projections, &tree).is_some() as usize;
+            let tracer = crate::trace::NoopTracer;
+            let yan = yannakakis_domains(&db, &prepared, &projections, &tree, None, &tracer);
+            for v in 0..=atoms {
+                let values: std::collections::BTreeSet<NodeId> =
+                    truth.iter().map(|t| t[v]).collect();
+                let values: Vec<NodeId> = values.into_iter().collect();
+                assert_eq!(
+                    yan.domains[v].as_deref(),
+                    Some(&values[..]),
+                    "case {case}: D(v{v})"
+                );
+            }
+            for root in 0..prepared.atoms.len() {
+                let t = tree.rerooted(root);
+                let both_passes = t.order.iter().chain(t.order.iter().rev()).copied();
+                let reference = unchained(&db, &prepared, &projections, both_passes, true);
+                assert_eq!(yan.domains, reference, "case {case}, root {root}");
+            }
+        }
+        assert!(rerooted >= 10, "only {rerooted}/60 trees re-rooted");
+    }
+
+    /// Where the full reducer is not exact — two atoms sharing a pair of
+    /// variables, a self-loop, a synchronized atom — GYO's root stays and
+    /// the domains are GYO's. Every case ends in an atom `y -[b]-> z`
+    /// whose one `b`-edge seeds a single configuration, so the exact chain
+    /// `x -[a]-> y, y -[b]-> z` moves the root from GYO's choice, that
+    /// atom, to `x -[a]-> y`, making the cheap atom the leaf.
+    #[test]
+    fn inexact_trees_keep_gyos_root() {
+        let mut db = GraphDb::new();
+        let cycle: Vec<NodeId> = (0..50).map(|i| db.add_node(&format!("c{i}"))).collect();
+        for (i, &c) in cycle.iter().enumerate() {
+            db.add_edge(c, 'a', cycle[(i + 1) % cycle.len()]);
+        }
+        let w = db.add_node("w");
+        db.add_edge(cycle[5], 'b', w);
+        let m = db.alphabet().len();
+        let tracer = crate::trace::NoopTracer;
+        let chain = |q: &mut Ecrpq,
+                     alphabet: &mut ecrpq_automata::Alphabet,
+                     atoms: &[(NodeVar, &str, NodeVar)]| {
+            for &(src, text, dst) in atoms {
+                let lang = ecrpq_automata::Regex::compile_str(text, alphabet).unwrap();
+                q.crpq_atom(src, &lang, text, dst);
+            }
+        };
+        let mut cases = Vec::new();
+        for shape in ["pair", "loop", "sync", "exact"] {
+            let mut alphabet = db.alphabet().clone();
+            let mut q = Ecrpq::new(alphabet.clone());
+            let (x, y, z) = (q.node_var("x"), q.node_var("y"), q.node_var("z"));
+            match shape {
+                "pair" => chain(
+                    &mut q,
+                    &mut alphabet,
+                    &[(x, "a", y), (x, "a*", y), (y, "b", z)],
+                ),
+                "loop" => chain(
+                    &mut q,
+                    &mut alphabet,
+                    &[(x, "aa*", x), (x, "a", y), (y, "b", z)],
+                ),
+                "sync" => {
+                    let u = q.node_var("u");
+                    let p = q.path_atom(u, "p", x);
+                    let r = q.path_atom(x, "r", y);
+                    q.rel_atom("eq_len", Arc::new(relations::eq_length(2, m)), &[p, r]);
+                    chain(&mut q, &mut alphabet, &[(y, "b", z)]);
+                }
+                _ => chain(&mut q, &mut alphabet, &[(x, "a", y), (y, "b", z)]),
+            }
+            q.set_free(&[x, y, z]);
+            cases.push((shape, q));
+        }
+        for (shape, q) in cases {
+            let prepared = PreparedQuery::build(&q).unwrap();
+            let projections = projections(&prepared);
+            let tree = ecrpq_analyze::acyclic_join_tree(&q).expect("acyclic");
+            let leaf = prepared.atoms.len() - 1;
+            let chosen = cheapest_roots(&db, &prepared, &projections, &tree);
+            let yan = yannakakis_domains(&db, &prepared, &projections, &tree, None, &tracer);
+            let both_passes = tree.order.iter().chain(tree.order.iter().rev()).copied();
+            let gyo = unchained(&db, &prepared, &projections, both_passes, true);
+            assert_eq!(yan.domains, gyo, "{shape}");
+            if shape == "exact" {
+                // the `b`-leaf's one carrier beats every `a`-source
+                let chosen = chosen.expect("an exact tree re-roots");
+                assert!(chosen.parent[leaf].is_some() && tree.parent[leaf].is_none());
+            } else {
+                assert_eq!(chosen, None, "{shape}: {tree:?}");
             }
         }
     }

@@ -2,13 +2,19 @@
 //!
 //! Two layouts coexist. The **builder** layout is per-vertex sorted
 //! adjacency vectors (`Vec<Vec<(Symbol, NodeId)>>`), cheap to mutate and
-//! the representation every `add_*` method maintains. The **frozen** layout
-//! is a CSR (compressed sparse row) index built lazily on first query:
-//! all edges flattened into one vector with per-vertex offsets, plus a
-//! `(vertex, label) → range` index so [`GraphDb::successors`] and
+//! the representation every `add_*` method maintains, and what
+//! [`GraphDb::out_edges`] and [`GraphDb::in_edges`] return. The **frozen**
+//! layout is a CSR (compressed sparse row) index built lazily on first
+//! query: every edge's neighbour in one vector, plus a `(vertex, label) →
+//! range` index so [`GraphDb::successors`] and
 //! [`GraphDb::predecessors`] are O(1) slice lookups — the access pattern
-//! the product evaluator's BFS performs per configuration expansion. Any
-//! mutation thaws the index; the next query rebuilds it.
+//! the product evaluator's BFS performs per configuration expansion. The
+//! same freeze lists each label's *carriers*, the vertices with at least
+//! one outgoing ([`GraphDb::label_sources`]) or incoming
+//! ([`GraphDb::label_targets`]) edge on it: the only vertices a walk can
+//! leave by that label, which is where a reachability sweep over every
+//! vertex has to start. Any mutation thaws the index; the next query
+//! rebuilds it.
 
 use ecrpq_automata::fnv::FnvHashMap;
 use ecrpq_automata::{Alphabet, Symbol};
@@ -29,18 +35,18 @@ pub struct Edge {
     pub dst: NodeId,
 }
 
-/// The frozen CSR index of one adjacency direction: the flat `(label,
-/// neighbour)` pairs of all vertices, vertex offsets into them, the
-/// `(vertex, label) → range` offsets, and the neighbour column those label
-/// ranges index (so a successor lookup yields a `&[NodeId]` directly).
+/// The frozen CSR index of one adjacency direction: the neighbour column
+/// of all vertices' pairs, the `(vertex, label) → range` offsets into it
+/// (so a successor lookup yields a `&[NodeId]` directly), and per label
+/// the vertices with at least one pair on it. A vertex's `(label,
+/// neighbour)` pairs themselves are the builder's sorted list.
 #[derive(Debug, Clone, Default)]
 struct CsrSide {
-    flat: Vec<(Symbol, NodeId)>,
-    /// `flat[node[v]..node[v+1]]` = vertex `v`'s pairs.
-    node: Vec<u32>,
     /// `targets[label[v·L + a]..label[v·L + a + 1]]` = `a`-neighbours of `v`.
     label: Vec<u32>,
     targets: Vec<NodeId>,
+    /// `carriers[a]` = the vertices with an `a`-pair, ascending.
+    carriers: Vec<Vec<NodeId>>,
 }
 
 impl CsrSide {
@@ -50,12 +56,10 @@ impl CsrSide {
             total <= u32::MAX as usize,
             "edge count overflows CSR offsets"
         );
-        let mut flat = Vec::with_capacity(total);
-        let mut node = Vec::with_capacity(lists.len() + 1);
         let mut label = Vec::with_capacity(lists.len() * num_labels + 1);
         let mut targets = Vec::with_capacity(total);
-        node.push(0u32);
-        for list in lists {
+        let mut carriers = vec![Vec::new(); num_labels];
+        for (v, list) in lists.iter().enumerate() {
             // the builder's sorted inserts are what make the label ranges
             // contiguous; a violation here means a mutator skipped the
             // binary-search insert
@@ -63,29 +67,29 @@ impl CsrSide {
                 list.windows(2).all(|w| w[0] < w[1]),
                 "adjacency list not sorted/deduped"
             );
-            let base = flat.len();
+            let base = targets.len();
             let mut cursor = 0usize;
-            for a in 0..num_labels {
+            for (a, carried) in carriers.iter_mut().enumerate() {
                 while cursor < list.len() && (list[cursor].0 as usize) < a {
                     cursor += 1;
                 }
                 label.push((base + cursor) as u32);
+                if list.get(cursor).is_some_and(|&(b, _)| b as usize == a) {
+                    carried.push(v as NodeId);
+                }
             }
-            flat.extend_from_slice(list);
             targets.extend(list.iter().map(|&(_, t)| t));
-            node.push(flat.len() as u32);
         }
         label.push(total as u32);
         CsrSide {
-            flat,
-            node,
             label,
             targets,
+            carriers,
         }
     }
 
-    fn pairs(&self, v: NodeId) -> &[(Symbol, NodeId)] {
-        &self.flat[self.node[v as usize] as usize..self.node[v as usize + 1] as usize]
+    fn carriers(&self, a: Symbol) -> &[NodeId] {
+        self.carriers.get(a as usize).map_or(&[], Vec::as_slice)
     }
 
     fn neighbours(&self, v: NodeId, a: Symbol, num_labels: usize) -> &[NodeId] {
@@ -266,12 +270,12 @@ impl GraphDb {
 
     /// Outgoing `(label, dst)` pairs of `v`, sorted by label then target.
     pub fn out_edges(&self, v: NodeId) -> &[(Symbol, NodeId)] {
-        self.csr().out.pairs(v)
+        &self.out[v as usize]
     }
 
-    /// Incoming `(label, src)` pairs of `v`.
+    /// Incoming `(label, src)` pairs of `v`, sorted by label then source.
     pub fn in_edges(&self, v: NodeId) -> &[(Symbol, NodeId)] {
-        self.csr().inc.pairs(v)
+        &self.inc[v as usize]
     }
 
     /// Successors of `v` on a given label — an O(1) range lookup into the
@@ -286,6 +290,19 @@ impl GraphDb {
     pub fn predecessors(&self, v: NodeId, label: Symbol) -> &[NodeId] {
         let c = self.csr();
         c.inc.neighbours(v, label, c.num_labels)
+    }
+
+    /// The vertices with at least one outgoing `label`-edge, ascending —
+    /// the only vertices a walk can leave by a `label`-step. Built by the
+    /// CSR freeze; an out-of-alphabet label has none.
+    pub fn label_sources(&self, label: Symbol) -> &[NodeId] {
+        self.csr().out.carriers(label)
+    }
+
+    /// The vertices with at least one incoming `label`-edge, ascending —
+    /// the only vertices a backward walk can leave by a `label`-step.
+    pub fn label_targets(&self, label: Symbol) -> &[NodeId] {
+        self.csr().inc.carriers(label)
     }
 
     /// The `(start, end)` offsets of `v`'s `label`-successors inside
@@ -472,6 +489,67 @@ mod tests {
         assert!(!g.is_frozen());
         let z = g.alphabet().symbol('z').unwrap();
         assert!(g.successors(u, z).is_empty());
+    }
+
+    /// The label carriers, by a scan over every edge.
+    fn scanned_carriers(g: &GraphDb) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
+        (0..g.alphabet().len() as Symbol)
+            .map(|a| {
+                let ends = |end: fn(&Edge) -> NodeId| {
+                    let set: std::collections::BTreeSet<NodeId> = g
+                        .edges()
+                        .filter(|e| e.label == a)
+                        .map(|e| end(&e))
+                        .collect();
+                    set.into_iter().collect::<Vec<_>>()
+                };
+                (ends(|e| e.src), ends(|e| e.dst))
+            })
+            .collect()
+    }
+
+    fn indexed_carriers(g: &GraphDb) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
+        (0..g.alphabet().len() as Symbol)
+            .map(|a| (g.label_sources(a).to_vec(), g.label_targets(a).to_vec()))
+            .collect()
+    }
+
+    /// On random multigraphs the carrier lists of every label are the
+    /// sources and targets of its edges, ascending; a mutation that thaws
+    /// the index rebuilds them on the next query.
+    #[test]
+    fn label_carriers_match_an_edge_scan() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for case in 0..50 {
+            let mut g = GraphDb::new();
+            let n = 1 + next(12);
+            for i in 0..n {
+                g.add_node(&format!("n{i}"));
+            }
+            let labels = ['a', 'b', 'c'];
+            for _ in 0..next(3 * n + 1) {
+                let (u, v) = (next(n) as NodeId, next(n) as NodeId);
+                g.add_edge(u, labels[next(labels.len())], v);
+            }
+            assert_eq!(indexed_carriers(&g), scanned_carriers(&g), "case {case}");
+            let (u, v) = (next(n) as NodeId, next(n) as NodeId);
+            g.add_edge(u, 'd', v);
+            assert!(!g.is_frozen(), "case {case}: the mutation thaws the index");
+            let d = g.alphabet().symbol('d').unwrap();
+            assert_eq!(g.label_sources(d), &[u]);
+            assert_eq!(g.label_targets(d), &[v]);
+            assert_eq!(indexed_carriers(&g), scanned_carriers(&g), "case {case}");
+        }
+        // a symbol the alphabet has never interned: no carriers, no panic
+        let g = sample();
+        assert!(g.label_sources(200).is_empty());
+        assert!(g.label_targets(200).is_empty());
     }
 
     #[test]

@@ -214,3 +214,30 @@ fn yannakakis_sends_only_the_full_reducers_messages() {
         "{pops} sweep pops, unchained {UNCHAINED_YANNAKAKIS_POPS}"
     );
 }
+
+/// Carrier seeds and the cost-chosen root make the Yannakakis program's
+/// work follow the planted structure, not the graph: on
+/// `planted_acyclic_instance(n, 32, 1)` its sweeps pop exactly as often
+/// at 4·10⁴ nodes as at 2·10⁴, while the decoys double.
+#[test]
+fn yannakakis_sweep_pops_do_not_grow_with_the_decoys() {
+    let pops = |n: usize| {
+        let (db, q, planted) = ecrpq::workloads::planted_acyclic_instance(n, 32, 1);
+        let tree = ecrpq::analyze::acyclic_join_tree(&q).expect("acyclic");
+        let prepared = PreparedQuery::build(&q).expect("valid");
+        let tracer = CollectingTracer::new();
+        let o = engine::answers_yannakakis_governed_traced(
+            &db,
+            &prepared,
+            &tree,
+            &EvalOptions::sequential(),
+            &tracer,
+        );
+        assert_eq!(o.answers, planted, "n = {n}");
+        let m = tracer.metrics();
+        m.phase(Phase::YannakakisUp).items + m.phase(Phase::YannakakisDown).items
+    };
+    let small = pops(20_000);
+    assert_eq!(small, pops(40_000));
+    assert!(small < 2_000, "{small} sweep pops");
+}
