@@ -322,6 +322,21 @@ pub fn analyze(query: &Ecrpq) -> Analysis {
 /// Analyzes `query`: computes measures, classifies regimes, runs every
 /// diagnostic check.
 pub fn analyze_with(query: &Ecrpq, cfg: &AnalyzerConfig) -> Analysis {
+    analyze_minimizing(query, cfg, minimize_with).0
+}
+
+/// [`analyze_with`], handing the regime minimization behind W006 and
+/// N001 to the caller: `run` is called with `query` and `cfg` at most
+/// once, only when no check found an error, and its result comes back
+/// with the analysis. A caller that goes on to evaluate the minimized
+/// form (the planner's compile step) so searches once, and can time the
+/// search itself. With `run = minimize_with` the analysis is exactly
+/// [`analyze_with`]'s.
+pub fn analyze_minimizing(
+    query: &Ecrpq,
+    cfg: &AnalyzerConfig,
+    run: impl FnOnce(&Ecrpq, &AnalyzerConfig) -> Minimized,
+) -> (Analysis, Option<Minimized>) {
     let mut diags: Vec<Diagnostic> = Vec::new();
 
     check_validation(query, &mut diags);
@@ -349,19 +364,22 @@ pub fn analyze_with(query: &Ecrpq, cfg: &AnalyzerConfig) -> Analysis {
     check_disconnected(query, &node, &mut diags);
     check_thresholds(&normalized, &abstraction, &measures, cfg, &mut diags);
     check_unconstrained_paths(query, &mut diags);
-    if !had_errors {
+    let minimized = (!had_errors).then(|| {
         check_subsumption(query, cfg, &mut diags);
-        check_minimizable(query, cfg, &mut diags);
-    }
+        let m = run(query, cfg);
+        check_minimizable(&m, cfg, &mut diags);
+        m
+    });
 
     diags.sort_by_key(|d| (d.severity, d.span.map_or(usize::MAX, |s| s.start), d.code));
 
-    Analysis {
+    let analysis = Analysis {
         measures,
         combined: classify_combined(&measures, cfg),
         param: classify_param(&measures, cfg),
         diagnostics: diags,
-    }
+    };
+    (analysis, minimized)
 }
 
 /// Theorem 3.2, with "bounded" read as "within the configured threshold".
@@ -803,12 +821,11 @@ fn check_subsumption(query: &Ecrpq, cfg: &AnalyzerConfig, diags: &mut Vec<Diagno
     }
 }
 
-/// W006: the bounded best-first rewrite search found a verified equivalent
-/// query in the PTIME regime — report it, with the rewritten text as a
-/// machine-applicable suggestion when the query unparses. Also surfaces
-/// N001 when the search itself skipped rewrite checks on budget.
-fn check_minimizable(query: &Ecrpq, cfg: &AnalyzerConfig, diags: &mut Vec<Diagnostic>) {
-    let m = minimize::minimize_with(query, cfg);
+/// W006: the bounded best-first rewrite search `m` found a verified
+/// equivalent query in the PTIME regime — report it, with the rewritten
+/// text as a machine-applicable suggestion when the query unparses. Also
+/// surfaces N001 when the search itself skipped rewrite checks on budget.
+fn check_minimizable(m: &Minimized, cfg: &AnalyzerConfig, diags: &mut Vec<Diagnostic>) {
     if m.after_class == CombinedClass::PolynomialTime
         && m.before_class != CombinedClass::PolynomialTime
     {

@@ -19,6 +19,8 @@
 //! single relation over the component's path variables.
 
 use crate::alphabet::Symbol;
+use crate::bitset::BitSet;
+use crate::fnv::{FnvHashMap, FnvHashSet};
 use crate::nfa::{Nfa, StateId};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -337,10 +339,74 @@ impl SyncRel {
         self.project(&[1, 0])
     }
 
-    /// Whether `self ⊆ other` (both over the same arity/alphabet), via
-    /// emptiness of `self ∩ ¬other`.
+    /// Whether `self ⊆ other` (both over the same arity/alphabet): no
+    /// valid convolution accepted by `self` is rejected by `other`.
+    ///
+    /// Decided on the fly instead of through [`SyncRel::complement`]: one
+    /// search over triples (state of `self`, mask of the tracks already
+    /// padded, ε-closed subset of `other`'s states), which fails at the
+    /// first final `self` state whose subset holds no final state. The
+    /// mask is the state of [`padding_automaton`], so the answer equals
+    /// `self.intersect(&other.complement()).is_empty()` also for
+    /// [`SyncRel::from_nfa_unchecked`] automata that accept invalid
+    /// convolutions, while only the subsets `self`'s rows reach are built.
     pub fn is_subset_of(&self, other: &SyncRel) -> bool {
-        self.intersect(&other.complement()).is_empty()
+        assert_eq!(self.arity, other.arity);
+        assert_eq!(self.num_symbols, other.num_symbols);
+        assert!(self.arity <= 32, "arity out of range");
+        let a = &self.nfa;
+        let mut subsets = Subsets::new(&other.nfa);
+        let start = subsets.intern(
+            other
+                .nfa
+                .epsilon_closure(other.nfa.initial_states().iter().copied()),
+        );
+        let mut seen: FnvHashSet<(StateId, u32, u32)> = FnvHashSet::default();
+        let mut stack: Vec<(StateId, u32, u32)> = Vec::new();
+        let mut push = |stack: &mut Vec<_>, triple| {
+            if seen.insert(triple) {
+                stack.push(triple);
+            }
+        };
+        for &q in a.initial_states() {
+            push(&mut stack, (q, 0, start));
+        }
+        while let Some((q, mask, s)) = stack.pop() {
+            if a.is_final(q) && !subsets.accepting[s as usize] {
+                return false;
+            }
+            for &q2 in a.epsilon_from(q) {
+                push(&mut stack, (q2, mask, s));
+            }
+            for (row, q2) in a.transitions_from(q) {
+                // a valid column never unpads a track
+                match self.pad_mask(row) {
+                    Some(next) if next & mask == mask => {
+                        let s2 = subsets.step(s, row);
+                        push(&mut stack, (*q2, next, s2));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        true
+    }
+
+    /// The padded tracks of `row` as a bit mask, or `None` unless `row` is
+    /// a letter of the convolution alphabet (one of [`all_rows`]).
+    fn pad_mask(&self, row: &Row) -> Option<u32> {
+        if row.len() != self.arity {
+            return None;
+        }
+        let mut mask = 0u32;
+        for (i, t) in row.iter().enumerate() {
+            match t {
+                Track::Pad => mask |= 1 << i,
+                Track::Sym(s) if (*s as usize) < self.num_symbols => {}
+                Track::Sym(_) => return None,
+            }
+        }
+        (mask.count_ones() as usize != self.arity).then_some(mask)
     }
 
     /// Whether the two relations are equal as sets of tuples.
@@ -487,6 +553,58 @@ impl SyncRel {
         // pad-closure (all-`⊥` columns) and enforces suffix padding on
         // unconstrained tracks.
         SyncRel::from_nfa(total, num_symbols, out)
+    }
+}
+
+/// The subset construction of one NFA, built only as far as it is asked:
+/// ε-closed state sets interned by first reach, with memoized steps.
+struct Subsets<'a> {
+    nfa: &'a Nfa<Row>,
+    ids: FnvHashMap<BitSet, u32>,
+    sets: Vec<BitSet>,
+    /// Whether each interned set holds a final state.
+    accepting: Vec<bool>,
+    steps: FnvHashMap<(u32, &'a Row), u32>,
+}
+
+impl<'a> Subsets<'a> {
+    fn new(nfa: &'a Nfa<Row>) -> Self {
+        Subsets {
+            nfa,
+            ids: FnvHashMap::default(),
+            sets: Vec::new(),
+            accepting: Vec::new(),
+            steps: FnvHashMap::default(),
+        }
+    }
+
+    fn intern(&mut self, set: BitSet) -> u32 {
+        if let Some(&id) = self.ids.get(&set) {
+            return id;
+        }
+        let id = self.sets.len() as u32;
+        self.accepting
+            .push(set.iter().any(|p| self.nfa.is_final(p as StateId)));
+        self.ids.insert(set.clone(), id);
+        self.sets.push(set);
+        id
+    }
+
+    /// The ε-closed successor of set `s` on `row`.
+    fn step(&mut self, s: u32, row: &'a Row) -> u32 {
+        if let Some(&id) = self.steps.get(&(s, row)) {
+            return id;
+        }
+        let nfa = self.nfa;
+        let targets: Vec<StateId> = self.sets[s as usize]
+            .iter()
+            .flat_map(|p| nfa.transitions_from(p as StateId))
+            .filter(|(r, _)| r == row)
+            .map(|&(_, t)| t)
+            .collect();
+        let id = self.intern(nfa.epsilon_closure(targets));
+        self.steps.insert((s, row), id);
+        id
     }
 }
 

@@ -19,7 +19,10 @@ use crate::to_cq::ecrpq_to_cq;
 use crate::trace::{
     render_phase_table, CollectingTracer, Metrics, NoopTracer, Phase, PhaseSpan, Tracer,
 };
-use ecrpq_analyze::{analyze, minimize, render_diagnostic, Analysis, Code, JoinTree, Minimized};
+use ecrpq_analyze::{
+    analyze_minimizing, minimize_with, render_diagnostic, Analysis, AnalyzerConfig, Code, JoinTree,
+    Minimized,
+};
 use ecrpq_graph::{GraphDb, NodeId};
 use ecrpq_query::{Cq, Ecrpq, QueryMeasures, RelationalDb};
 use std::collections::BTreeSet;
@@ -293,23 +296,34 @@ pub fn plan(db: &GraphDb, query: &Ecrpq) -> Plan {
 /// The compile step: analyzer gate → verified minimization (timed under
 /// [`Phase::Minimize`] on `tracer`) → [`crate::optimize::optimize`] →
 /// measures and regimes → strategy selection → [`PreparedQuery::build`].
+///
+/// The minimizer runs once: the analyzer's W006/N001 check and the
+/// rewrite evaluation runs on share one search
+/// ([`ecrpq_analyze::analyze_minimizing`]).
 pub(crate) fn compile<T: Tracer>(db: &GraphDb, query: &Ecrpq, tracer: &T) -> Plan {
     compile_with(db, query, true, tracer)
 }
 
-/// [`compile`] with the minimization step optionally disabled.
+/// [`compile`] with the minimized form optionally left unused (the
+/// analyzer still searches, for its diagnostics).
 fn compile_with<T: Tracer>(db: &GraphDb, query: &Ecrpq, run_minimizer: bool, tracer: &T) -> Plan {
-    let analysis = analyze(query);
+    let cfg = AnalyzerConfig::default();
+    let search = |q: &Ecrpq, cfg: &AnalyzerConfig| {
+        let span = PhaseSpan::start(tracer, Phase::Minimize);
+        let m = minimize_with(q, cfg);
+        tracer.count(Phase::Minimize, m.steps.len() as u64);
+        span.finish(tracer);
+        m
+    };
+    let (analysis, searched) = analyze_minimizing(query, &cfg, search);
     let valid = !analysis.has_errors();
-    let minimized = (valid && run_minimizer)
-        .then(|| {
-            let span = PhaseSpan::start(tracer, Phase::Minimize);
-            let m = minimize(query);
-            tracer.count(Phase::Minimize, m.steps.len() as u64);
-            span.finish(tracer);
-            m
-        })
-        .filter(|m| !m.steps.is_empty());
+    // the analyzer also skips its search after a budget note of the
+    // contradiction check, which is no error
+    let minimized = match searched {
+        Some(m) => run_minimizer.then_some(m),
+        None => (valid && run_minimizer).then(|| search(query, &cfg)),
+    }
+    .filter(|m| !m.steps.is_empty());
     let effective = minimized.as_ref().map_or(query, |m| &m.query);
     let optimized = valid
         .then(|| {
@@ -916,6 +930,63 @@ mod tests {
         let text = plan(&db, &q).explain();
         assert!(text.contains("rewrite:"), "{text}");
         assert!(text.contains("subsumed"), "{text}");
+    }
+
+    /// Counts the spans a compile opens per phase.
+    #[derive(Clone, Default)]
+    struct SpanCounter(Arc<std::sync::Mutex<Vec<Phase>>>);
+
+    impl Tracer for SpanCounter {
+        const ENABLED: bool = true;
+        fn fork_worker(&self) -> Self {
+            self.clone()
+        }
+        fn count(&self, _: Phase, _: u64) {}
+        fn prune(&self, _: Phase, _: u64) {}
+        fn frontier(&self, _: Phase, _: u64) {}
+        fn governor_check(&self, _: Phase, _: u64) {}
+        fn governor_abort(&self, _: Phase) {}
+        fn time(&self, phase: Phase, _: u64) {
+            self.0.lock().unwrap().push(phase);
+        }
+        fn sample(&self, _: Phase, _: u64) {}
+    }
+
+    #[test]
+    fn compile_runs_the_minimizer_once() {
+        let mut db = GraphDb::new();
+        let u = db.add_node("u");
+        let v = db.add_node("v");
+        db.add_edge(u, 'a', v);
+        let mut q = Ecrpq::new(db.alphabet().clone());
+        let x = q.node_var("x");
+        let y = q.node_var("y");
+        let p1 = q.path_atom(x, "p1", y);
+        let p2 = q.path_atom(x, "p2", y);
+        q.set_free(&[x, y]);
+        let n = db.alphabet().len();
+        q.rel_atom("eq", Arc::new(relations::equality(n)), &[p1, p2]);
+        q.rel_atom("el", Arc::new(relations::eq_length(2, n)), &[p1, p2]);
+        let spans = SpanCounter::default();
+        let p = compile(&db, &q, &spans);
+        let minimize_spans = spans
+            .0
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|&&ph| ph == Phase::Minimize)
+            .count();
+        assert_eq!(minimize_spans, 1);
+        let reference = ecrpq_analyze::minimize(&q);
+        assert!(!reference.steps.is_empty());
+        assert_eq!(
+            format!("{:?}", p.minimize),
+            format!("{:?}", Some(reference))
+        );
+        assert_eq!(
+            format!("{:?}", p.analysis),
+            format!("{:?}", ecrpq_analyze::analyze(&q))
+        );
     }
 
     #[test]

@@ -832,9 +832,6 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         span.finish(&self.tracer);
         self.stats.configurations += swept.pops;
         self.stats.frontier_peak = self.stats.frontier_peak.max(swept.peak);
-        if T::ENABLED {
-            self.tracer.frontier(Phase::ProductBfs, swept.peak);
-        }
         let Some(reached) = swept.reached else {
             self.stats.budget_aborts += 1;
             return false;

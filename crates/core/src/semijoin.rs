@@ -278,8 +278,9 @@ pub(crate) struct Swept {
 /// target of a backward sweep; with `None` it is taken anywhere, the
 /// over-approximation the multi-source pruning sweeps use.
 ///
-/// Every pop ticks `pacer` and counts one `phase` item on `tracer`. A
-/// tripped pacer ends the sweep with `reached: None`.
+/// Every pop ticks `pacer` and counts one `phase` item on `tracer`, and
+/// the sweep's peak stack depth goes to `phase`'s frontier. A tripped
+/// pacer ends the sweep with `reached: None`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep<T: Tracer>(
     db: &GraphDb,
@@ -407,6 +408,9 @@ fn sweep_in<T: Tracer, const FORWARD: bool>(
     scratch.stack = stack;
     if reach_all {
         reached.fill();
+    }
+    if T::ENABLED {
+        tracer.frontier(phase, peak);
     }
     Swept {
         reached: (!tripped).then_some(reached),

@@ -11,6 +11,14 @@
 //! whitespace, variable spelling that round-trips identically — share a
 //! single compiled plan).
 //!
+//! The canonical rendering exists only when the query's regexes use every
+//! symbol of the database's alphabet: a reparse of the rendering must
+//! rebuild that alphabet. Otherwise the key is the trimmed source text,
+//! and `unparse` finds that out by a scan of the symbols on the regexes'
+//! automata, before it renders or verifies anything. A query over
+//! `{a, b, c, d}` that never mentions `c` is therefore keyed by its text,
+//! and its spelling variants each compile once.
+//!
 //! # What is and is not cacheable
 //!
 //! A cached entry carries only *run-independent* state: the compiled
@@ -62,7 +70,10 @@ use std::time::{Duration, Instant};
 /// State budget for the canonical-rendering verification inside key
 /// normalization: the [`ecrpq_query::unparse()`] equivalence checks refuse
 /// automata larger than this rather than trust them, in which case the
-/// cache key falls back to the trimmed source text.
+/// cache key falls back to the trimmed source text. The budget matters
+/// only for queries whose regexes use every database symbol; any other
+/// query is keyed by its trimmed text after a symbol scan, without a
+/// rendering to verify.
 const UNPARSE_STATE_BUDGET: usize = 64;
 
 /// Locks a mutex, treating a poisoned lock as still usable: every
@@ -130,12 +141,20 @@ pub const DEFAULT_PLAN_CAPACITY: usize = 256;
 /// Keys are query texts (canonical renderings plus raw-text aliases);
 /// several keys may share one [`PreparedPlan`]. Capacity counts distinct
 /// plans, not keys, and eviction removes a whole plan — the one whose
-/// most recent touch (across all of its keys) is oldest — together with
-/// every alias pointing at it. A plan's stamp is the max over its keys,
-/// so touching any spelling keeps the plan warm.
+/// most recent touch (through any of its keys) is oldest — together with
+/// every alias pointing at it. A hit is one map lookup and a stamp store;
+/// an insert keeps the plan count, so neither walks the map. Evicted
+/// plans are handed back to the caller, which drops them after releasing
+/// the lock.
 struct PlanCache {
-    /// Key → (shared plan, last-touch stamp for this key).
-    map: FnvHashMap<String, (Arc<PreparedPlan>, u64)>,
+    /// Key → index of its plan's slot.
+    keys: FnvHashMap<String, usize>,
+    /// Interned plans; `None` marks a free slot.
+    slots: Vec<Option<CacheSlot>>,
+    /// Indices of the free slots.
+    free: Vec<usize>,
+    /// Distinct plans interned (occupied slots).
+    plans: usize,
     /// Monotone logical clock; bumped on every touch or insert.
     tick: u64,
     /// Maximum distinct plans retained (≥ 1).
@@ -144,76 +163,136 @@ struct PlanCache {
     evictions: u64,
 }
 
+/// One interned plan with every key that names it.
+struct CacheSlot {
+    plan: Arc<PreparedPlan>,
+    /// The clock at the plan's last touch through any of its keys.
+    stamp: u64,
+    keys: Vec<String>,
+}
+
 impl PlanCache {
     fn new(capacity: usize) -> Self {
         PlanCache {
-            map: FnvHashMap::default(),
+            keys: FnvHashMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            plans: 0,
             tick: 0,
             capacity: capacity.max(1),
             evictions: 0,
         }
     }
 
-    /// Looks `key` up, refreshing its LRU stamp on a hit.
+    /// Looks `key` up, refreshing its plan's LRU stamp on a hit.
     fn get(&mut self, key: &str) -> Option<Arc<PreparedPlan>> {
         self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|(plan, stamp)| {
-            *stamp = tick;
-            Arc::clone(plan)
-        })
+        let slot = self.slots[*self.keys.get(key)?].as_mut()?;
+        slot.stamp = self.tick;
+        Some(Arc::clone(&slot.plan))
     }
 
     /// Interns `plan` under its canonical key plus the raw-text alias
     /// `trimmed`, returning the canonical plan (an earlier racer's plan
-    /// wins if one got there first) and evicting down to capacity.
-    fn intern(&mut self, trimmed: &str, plan: Arc<PreparedPlan>) -> Arc<PreparedPlan> {
+    /// wins if one got there first) and the plans evicted down to
+    /// capacity.
+    fn intern(
+        &mut self,
+        trimmed: &str,
+        plan: Arc<PreparedPlan>,
+    ) -> (Arc<PreparedPlan>, Vec<Arc<PreparedPlan>>) {
         self.tick += 1;
-        let tick = self.tick;
-        let canonical = match self.map.get_mut(plan.key.as_str()) {
-            Some((existing, stamp)) => {
-                *stamp = tick;
-                Arc::clone(existing)
-            }
+        let mut dropped = Vec::new();
+        let index = match self.keys.get(plan.key.as_str()) {
+            Some(&index) => index,
             None => {
-                self.map.insert(plan.key.clone(), (Arc::clone(&plan), tick));
-                plan
+                let key = plan.key.clone();
+                let index = self.occupy(plan);
+                dropped.extend(self.bind(key, index));
+                index
             }
         };
+        // lint:allow(unwrap): `keys` only names occupied slots
+        let slot = self.slots[index].as_mut().expect("occupied slot");
+        slot.stamp = self.tick;
+        let canonical = Arc::clone(&slot.plan);
         if trimmed != canonical.key {
-            self.map
-                .insert(trimmed.to_string(), (Arc::clone(&canonical), tick));
+            dropped.extend(self.bind(trimmed.to_string(), index));
         }
-        self.evict_to_capacity();
-        canonical
+        dropped.extend(self.evict_to_capacity());
+        (canonical, dropped)
     }
 
-    /// Distinct plans currently interned (aliases count once).
-    fn distinct_plans(&self) -> usize {
-        let mut ptrs: Vec<*const PreparedPlan> =
-            self.map.values().map(|(p, _)| Arc::as_ptr(p)).collect();
-        ptrs.sort_unstable();
-        ptrs.dedup();
-        ptrs.len()
+    /// Stores `plan` in a free slot, returning its index.
+    fn occupy(&mut self, plan: Arc<PreparedPlan>) -> usize {
+        let slot = Some(CacheSlot {
+            plan,
+            stamp: self.tick,
+            keys: Vec::new(),
+        });
+        self.plans += 1;
+        match self.free.pop() {
+            Some(index) => {
+                self.slots[index] = slot;
+                index
+            }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    /// Points `key` at slot `index`. A key that named another plan
+    /// leaves it; a plan left without keys is released and returned.
+    fn bind(&mut self, key: String, index: usize) -> Option<Arc<PreparedPlan>> {
+        let previous = self.keys.insert(key.clone(), index);
+        if previous == Some(index) {
+            return None;
+        }
+        // lint:allow(unwrap): `keys` only names occupied slots
+        let slot = self.slots[index].as_mut().expect("occupied slot");
+        slot.keys.push(key.clone());
+        let old = previous?;
+        // lint:allow(unwrap): `keys` only names occupied slots
+        let other = self.slots[old].as_mut().expect("occupied slot");
+        other.keys.retain(|k| *k != key);
+        other.keys.is_empty().then(|| self.release(old))
+    }
+
+    /// Frees slot `index`, returning its plan. The caller has already
+    /// unmapped the slot's keys.
+    fn release(&mut self, index: usize) -> Arc<PreparedPlan> {
+        // lint:allow(unwrap): only occupied slots are released
+        let slot = self.slots[index].take().expect("occupied slot");
+        self.free.push(index);
+        self.plans -= 1;
+        slot.plan
     }
 
     /// Evicts least-recently-touched plans (and all their aliases) until
-    /// at most `capacity` distinct plans remain. The plan interned or
-    /// touched last carries the freshest stamp, so it is never the
-    /// victim.
-    fn evict_to_capacity(&mut self) {
-        while self.distinct_plans() > self.capacity {
-            let mut last_touch: FnvHashMap<*const PreparedPlan, u64> = FnvHashMap::default();
-            for (plan, stamp) in self.map.values() {
-                let e = last_touch.entry(Arc::as_ptr(plan)).or_insert(0);
-                *e = (*e).max(*stamp);
-            }
-            let Some((&victim, _)) = last_touch.iter().min_by_key(|&(_, stamp)| *stamp) else {
-                return;
+    /// at most `capacity` distinct plans remain, returning them. The plan
+    /// interned or touched last carries the freshest stamp, so it is
+    /// never the victim.
+    fn evict_to_capacity(&mut self) -> Vec<Arc<PreparedPlan>> {
+        let mut evicted = Vec::new();
+        while self.plans > self.capacity {
+            let Some(victim) = (0..self.slots.len())
+                .filter_map(|i| Some((self.slots[i].as_ref()?.stamp, i)))
+                .min()
+                .map(|(_, i)| i)
+            else {
+                break;
             };
-            self.map.retain(|_, (plan, _)| Arc::as_ptr(plan) != victim);
+            // lint:allow(unwrap): the victim was picked among occupied slots
+            for key in std::mem::take(&mut self.slots[victim].as_mut().expect("occupied slot").keys)
+            {
+                self.keys.remove(&key);
+            }
+            evicted.push(self.release(victim));
             self.evictions += 1;
         }
+        evicted
     }
 }
 
@@ -454,11 +533,12 @@ impl QueryService {
     /// every raw-text alias pointing at it; a later request for an
     /// evicted query recompiles through the cold path and re-interns.
     pub fn with_plan_capacity(self, capacity: usize) -> Self {
-        {
+        let evicted = {
             let mut cache = lock(&self.cache);
             cache.capacity = capacity.max(1);
-            cache.evict_to_capacity();
-        }
+            cache.evict_to_capacity()
+        };
+        drop(evicted);
         self
     }
 
@@ -482,7 +562,10 @@ impl QueryService {
         let plan = Arc::new(self.prepare_cold(trimmed)?);
         // two racing misses both compile; the first to intern under the
         // canonical key wins and both requests share the winner
-        Ok((lock(&self.cache).intern(trimmed, plan), false))
+        let (plan, evicted) = lock(&self.cache).intern(trimmed, plan);
+        // the evicted plans (and their tables) are freed here, outside the lock
+        drop(evicted);
+        Ok((plan, false))
     }
 
     /// The cold path: parse, check the alphabet, normalize the cache key,
@@ -659,7 +742,7 @@ impl QueryService {
     /// Distinct compiled plans interned right now (raw-text aliases that
     /// share a canonical plan count once).
     pub fn cached_plans(&self) -> usize {
-        lock(&self.cache).distinct_plans()
+        lock(&self.cache).plans
     }
 
     /// A snapshot of the service-wide counters, latency quantiles and

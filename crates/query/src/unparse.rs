@@ -46,6 +46,9 @@ pub fn unparse(q: &Ecrpq, state_budget: usize) -> Option<String> {
             return None;
         }
     }
+    if !regexes_cover(q, alphabet) {
+        return None;
+    }
 
     let mut parts: Vec<String> = Vec::new();
     for (p, src, dst) in q.path_atoms() {
@@ -104,6 +107,32 @@ pub fn unparse(q: &Ecrpq, state_budget: usize) -> Option<String> {
     }
     let _ = reparsed;
     Some(text)
+}
+
+/// Whether the symbols on the trimmed automata of `q`'s unary atoms
+/// cover `alphabet`. The rendering can only mention those symbols: a
+/// regex's characters are the transition symbols of the trimmed NFA it
+/// is rendered from (see [`nfa_to_regex`]), and no other part of the text
+/// interns a character. So when they fall short, the fresh-alphabet
+/// reparse below would too, and the answer is `None` before any
+/// rendering or equivalence check is paid for.
+fn regexes_cover(q: &Ecrpq, alphabet: &Alphabet) -> bool {
+    let mut seen = vec![false; alphabet.len()];
+    let unary = q
+        .rel_atoms()
+        .iter()
+        .filter(|a| a.rel.arity() == 1 && a.args.len() == 1);
+    for atom in unary {
+        for row in atom.rel.nfa().trim().symbols_used() {
+            for t in row {
+                match t {
+                    Track::Sym(s) if (s as usize) < seen.len() => seen[s as usize] = true,
+                    _ => {}
+                }
+            }
+        }
+    }
+    seen.iter().all(|&b| b)
 }
 
 /// Converts a unary relation to a regex string and verifies the

@@ -17,10 +17,14 @@
 mod common;
 
 use common::{cq_answers, product_answers, product_answers_with_stats};
-use ecrpq::eval::{engine, EvalOptions, NoopTracer, PreparedQuery, ResourceBudget, Termination};
+use ecrpq::eval::{
+    engine, CollectingTracer, EvalOptions, NoopTracer, Phase, PreparedQuery, ResourceBudget,
+    Termination, Tracer,
+};
 use ecrpq::query::NodeVar;
 use ecrpq::workloads::{big_component_query, random_db};
 use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The PSPACE-regime workload: `r` equal-length paths between free `x`
@@ -389,21 +393,49 @@ fn truncated_sweep_leaves_prepared_tables_clean() {
     }
 }
 
+/// Logs the bottom-up pops at the end of each Yannakakis bottom-up
+/// sweep (a sweep reports its frontier as it ends), plus the total.
+#[derive(Clone, Default)]
+struct SweepLog(Arc<Mutex<(u64, Vec<u64>)>>);
+
+impl Tracer for SweepLog {
+    const ENABLED: bool = true;
+    fn fork_worker(&self) -> Self {
+        self.clone()
+    }
+    fn count(&self, phase: Phase, n: u64) {
+        if phase == Phase::YannakakisUp {
+            self.0.lock().unwrap().0 += n;
+        }
+    }
+    fn prune(&self, _: Phase, _: u64) {}
+    fn frontier(&self, phase: Phase, _: u64) {
+        if phase == Phase::YannakakisUp {
+            let mut log = self.0.lock().unwrap();
+            let pops = log.0;
+            log.1.push(pops);
+        }
+    }
+    fn governor_check(&self, _: Phase, _: u64) {}
+    fn governor_abort(&self, _: Phase) {}
+    fn time(&self, _: Phase, _: u64) {}
+    fn sample(&self, _: Phase, _: u64) {}
+}
+
 /// The Yannakakis program's chained pair under a budget. In `pair`,
 /// `x -[a]-> y` shares both endpoints with its join-tree parent
 /// `x -[a*]-> y`, so its bottom-up message comes first: a forward sweep
-/// from every vertex, then a backward sweep seeded with the first one's
-/// targets. `chain` lacks the parallel atom, so its only bottom-up
-/// message is that same forward sweep, and its bottom-up pop count is
-/// the first sweep's. A configuration cap of exactly that many pops
-/// trips the one-shot run inside the second sweep: a non-`Complete`
-/// termination, a subset of the one answer `(c₄, c₅, w)`, and no
-/// top-down pass. The query service builds its cached plan tables
+/// from the `a`-carriers, then a backward sweep seeded with the first
+/// one's targets. A configuration cap of exactly the first sweep's pops
+/// in the uncapped run lets that sweep finish, and the governor's next
+/// check-in trips the one-shot run inside the second, seeded sweep: a
+/// non-`Complete` termination, a subset of the one answer `(c₄, c₅, w)`,
+/// and no top-down pass. The query service builds its cached plan tables
 /// ungoverned, so the same cap on a cold request stores nothing
 /// truncated: the next request on the cached plan returns the answer.
 #[test]
 fn truncated_chained_sweep_leaves_plan_tables_clean() {
-    use ecrpq::eval::{CollectingTracer, Phase, QueryService};
+    use ecrpq::eval::QueryService;
     use ecrpq::query::{parse_query, RelationRegistry};
     // an `a`-cycle past the planner's tuple budget (so the service plans
     // Yannakakis) and one `b`-edge c₅ → w
@@ -415,45 +447,48 @@ fn truncated_chained_sweep_leaves_plan_tables_clean() {
     let w = db.add_node("w");
     db.add_edge(cycle[5], 'b', w);
     let planted: BTreeSet<Vec<u32>> = [vec![cycle[4], cycle[5], w]].into();
-    let chain = "q(x, y, z) :- x -[p]-> y, y -[r]-> z, p in a, r in b";
     let pair = "q(x, y, z) :- x -[p]-> y, x -[s]-> y, y -[r]-> z, p in a, s in a*, r in b";
-    let one_shot = |text: &str, budget: ResourceBudget| {
-        let mut alphabet = db.alphabet().clone();
-        let q = parse_query(text, &mut alphabet, &RelationRegistry::new()).expect("parses");
-        let tree = ecrpq::analyze::acyclic_join_tree(&q).expect("acyclic");
-        let prepared = PreparedQuery::build(&q).expect("valid");
-        let tracer = CollectingTracer::new();
-        let opts = EvalOptions::sequential().with_budget(budget);
-        let o = engine::answers_yannakakis_governed_traced(&db, &prepared, &tree, &opts, &tracer);
-        (tree, o, tracer.metrics())
-    };
-    let (_, o, m) = one_shot(chain, ResourceBudget::unlimited());
+    let mut alphabet = db.alphabet().clone();
+    let q = parse_query(pair, &mut alphabet, &RelationRegistry::new()).expect("parses");
+    let tree = ecrpq::analyze::acyclic_join_tree(&q).expect("acyclic");
+    assert_eq!((tree.order[0], tree.parent[0]), (0, Some(1)));
+    let prepared = PreparedQuery::build(&q).expect("valid");
+    let log = SweepLog::default();
+    let full = engine::answers_yannakakis_governed_traced(
+        &db,
+        &prepared,
+        &tree,
+        &EvalOptions::sequential(),
+        &log,
+    );
     assert_eq!(
-        (o.termination, o.answers),
+        (full.termination, full.answers),
         (Termination::Complete, planted.clone())
     );
-    let first = m.phase(Phase::YannakakisUp).items;
+    let ends = log.0.lock().unwrap().1.clone();
+    let (first, second) = (ends[0], ends[1]);
+    assert!(0 < first && first < second, "{ends:?}");
 
-    let (tree, full, _) = one_shot(pair, ResourceBudget::unlimited());
-    assert_eq!((tree.order[0], tree.parent[0]), (0, Some(1)));
-    assert_eq!(full.answers, planted);
-    let (_, cut, m) = one_shot(
-        pair,
-        ResourceBudget::unlimited().with_max_configurations(first),
-    );
+    let capped = EvalOptions::sequential()
+        .with_budget(ResourceBudget::unlimited().with_max_configurations(first));
+    let tracer = CollectingTracer::new();
+    let cut = engine::answers_yannakakis_governed_traced(&db, &prepared, &tree, &capped, &tracer);
     assert!(
         matches!(cut.termination, Termination::BudgetExhausted { .. }),
         "{}",
         cut.termination
     );
     assert!(cut.answers.is_subset(&planted));
+    let m = tracer.metrics();
     let up = m.phase(Phase::YannakakisUp);
-    assert!(up.governor_aborts >= 1 && up.items > first, "{up:?}");
+    // the trip came after the first sweep and before the second ended
+    assert!(
+        up.governor_aborts >= 1 && first < up.items && up.items < second,
+        "{up:?}, sweeps end at {ends:?}"
+    );
     assert_eq!(m.phase(Phase::YannakakisDown).items, 0);
 
     let service = QueryService::new(db.clone());
-    let capped = EvalOptions::sequential()
-        .with_budget(ResourceBudget::unlimited().with_max_configurations(first));
     let r = service.execute(pair, &capped).expect("served");
     assert!(r.answers.is_subset(&planted));
     let r = service

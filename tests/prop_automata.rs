@@ -2,6 +2,7 @@
 
 use ecrpq::automata::{Alphabet, BitSet, Nfa, Regex, Symbol};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// A strategy for small random NFAs over a 2-symbol alphabet.
 fn arb_nfa() -> impl Strategy<Value = Nfa<Symbol>> {
@@ -31,6 +32,18 @@ fn arb_nfa() -> impl Strategy<Value = Nfa<Symbol>> {
 
 fn arb_word() -> impl Strategy<Value = Vec<Symbol>> {
     proptest::collection::vec(0u8..2, 0..7)
+}
+
+/// The characters a regex mentions.
+fn regex_chars(re: &Regex, out: &mut BTreeSet<char>) {
+    match re {
+        Regex::Char(c) => {
+            out.insert(*c);
+        }
+        Regex::Concat(rs) | Regex::Alt(rs) => rs.iter().for_each(|r| regex_chars(r, out)),
+        Regex::Star(r) | Regex::Plus(r) | Regex::Opt(r) => regex_chars(r, out),
+        Regex::Empty | Regex::Epsilon | Regex::Dot => {}
+    }
 }
 
 proptest! {
@@ -271,6 +284,20 @@ proptest! {
         let d1 = n.remove_epsilon().determinize(&[0, 1]);
         let d2 = n2.remove_epsilon().determinize(&[0, 1]);
         prop_assert!(d1.equivalent(&d2), "{re} vs {back}");
+    }
+
+    /// State elimination writes exactly the transition symbols of a
+    /// trimmed NFA — what lets `unparse` give up on an alphabet those
+    /// symbols do not cover before rendering anything.
+    #[test]
+    fn nfa_to_regex_chars_are_the_trimmed_symbols(nfa in arb_nfa()) {
+        let alphabet = Alphabet::ascii_lower(2);
+        let trimmed = nfa.trim();
+        let mut chars = BTreeSet::new();
+        regex_chars(&ecrpq::automata::nfa_to_regex(&trimmed, &alphabet), &mut chars);
+        let symbols: BTreeSet<char> =
+            trimmed.symbols_used().into_iter().map(|s| alphabet.char_of(s)).collect();
+        prop_assert_eq!(chars, symbols);
     }
 
     /// State elimination also round-trips arbitrary NFAs.

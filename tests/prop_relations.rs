@@ -1,7 +1,8 @@
 //! Property-based tests for synchronous relations: the §2 claims about the
 //! class (boolean closure, convolution semantics) checked on samples.
 
-use ecrpq::automata::{convolve, deconvolve, relations, Symbol, SyncRel};
+use ecrpq::automata::sync::all_rows;
+use ecrpq::automata::{convolve, deconvolve, relations, Nfa, Row, Symbol, SyncRel, Track};
 use proptest::prelude::*;
 
 fn arb_word() -> impl Strategy<Value = Vec<Symbol>> {
@@ -10,6 +11,62 @@ fn arb_word() -> impl Strategy<Value = Vec<Symbol>> {
 
 fn arb_pair() -> impl Strategy<Value = (Vec<Symbol>, Vec<Symbol>)> {
     (arb_word(), arb_word())
+}
+
+/// The raw material of one random relation: its kind (0 = empty,
+/// 1 = normalized by [`SyncRel::from_nfa`], 2 = wrapped unchecked),
+/// labelled transitions `(from, row index, to)`, ε-moves and finals over
+/// at most five states.
+type RawRel = (u8, Vec<(u32, usize, u32)>, Vec<(u32, u32)>, Vec<u32>);
+
+fn arb_raw_rel() -> impl Strategy<Value = RawRel> {
+    (
+        0u8..3,
+        proptest::collection::vec((0u32..5, 0usize..64, 0u32..5), 0..14),
+        proptest::collection::vec((0u32..5, 0u32..5), 0..3),
+        proptest::collection::vec(0u32..5, 0..3),
+    )
+}
+
+/// Builds a relation of `arity` over two symbols from `raw`. Transitions
+/// read arbitrary letters of the convolution alphabet, so unchecked
+/// relations accept invalid convolutions (a symbol after `⊥`); their
+/// initial state is final, which keeps the shortest witness (the empty
+/// tuple) valid. `wild` adds two rows outside that alphabet, the all-`⊥`
+/// column and a column of a third symbol.
+fn build_rel(arity: usize, raw: &RawRel, wild: bool) -> SyncRel {
+    let (kind, transitions, epsilons, finals) = raw;
+    let mut rows: Vec<Row> = all_rows(arity, 2);
+    if wild {
+        rows.push(vec![Track::Pad; arity]);
+        rows.push(vec![Track::Sym(2); arity]);
+    }
+    let mut nfa: Nfa<Row> = Nfa::with_states(5);
+    if *kind == 0 {
+        return SyncRel::from_nfa_unchecked(arity, 2, nfa);
+    }
+    nfa.set_initial(0);
+    for &(q, r, t) in transitions {
+        nfa.add_transition(q, rows[r % rows.len()].clone(), t);
+    }
+    for &(q, t) in epsilons {
+        nfa.add_epsilon(q, t);
+    }
+    for &f in finals {
+        nfa.set_final(f);
+    }
+    nfa.normalize();
+    if *kind == 1 {
+        SyncRel::from_nfa(arity, 2, nfa)
+    } else {
+        nfa.set_final(0);
+        SyncRel::from_nfa_unchecked(arity, 2, nfa)
+    }
+}
+
+/// Inclusion by the textbook route: `a ∩ ¬b = ∅`.
+fn subset_by_complement(a: &SyncRel, b: &SyncRel) -> bool {
+    a.intersect(&b.complement()).is_empty()
 }
 
 proptest! {
@@ -138,6 +195,43 @@ proptest! {
         let w = r.witness().unwrap();
         let refs: Vec<&[Symbol]> = w.iter().map(|x| x.as_slice()).collect();
         prop_assert!(r.contains(&refs));
+    }
+
+    /// The on-the-fly inclusion check agrees with `a ∩ ¬b = ∅` at arity
+    /// 1–3, on empty, normalized and unchecked relations, for random
+    /// pairs and for pairs built to be included.
+    #[test]
+    fn subset_matches_complement_route(
+        arity in 1usize..4,
+        raw_a in arb_raw_rel(),
+        raw_b in arb_raw_rel(),
+    ) {
+        let a = build_rel(arity, &raw_a, false);
+        let b = build_rel(arity, &raw_b, false);
+        let pairs = [
+            (a.clone(), b.clone()),
+            (b.clone(), a.clone()),
+            (a.clone(), a.union(&b)),
+            (a.intersect(&b), b.clone()),
+            (a.clone(), a.clone()),
+        ];
+        for (x, y) in &pairs {
+            prop_assert_eq!(
+                x.is_subset_of(y),
+                subset_by_complement(x, y),
+                "arity {}: {:?} ⊆ {:?}", arity, raw_a, raw_b
+            );
+        }
+        prop_assert_eq!(
+            a.equivalent(&b),
+            subset_by_complement(&a, &b) && subset_by_complement(&b, &a)
+        );
+        // rows outside the alphabet only on the left: the complement route
+        // determinizes the right-hand side over the alphabet
+        let wild = build_rel(arity, &raw_a, true);
+        for y in [&a, &b] {
+            prop_assert_eq!(wild.is_subset_of(y), subset_by_complement(&wild, y));
+        }
     }
 
     /// eq_length_min filters by minimum length.

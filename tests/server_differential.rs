@@ -305,3 +305,25 @@ fn planner_plan_agrees_with_prepared_plan() {
         }
     }
 }
+
+/// The canonical cache key needs regexes that use every database symbol.
+/// `planted_acyclic_instance`'s database has the alphabet `{a, b, c, d}`
+/// and its query reads `aa*` and `bb*d`, so `unparse` has no rendering
+/// and the service keys the plan by its trimmed text. Mentioning `c`
+/// brings a canonical rendering back.
+#[test]
+fn plans_over_an_uncovered_alphabet_key_by_text() {
+    let (db, planted, _) = ecrpq::workloads::planted_acyclic_instance(64, 4, 1);
+    assert_eq!(db.alphabet().len(), 4);
+    assert_eq!(ecrpq::query::unparse(&planted, 64), None);
+    let service = QueryService::new(db.clone());
+    let uncovered = "q(x, z) :- x -[p]-> y, y -[r]-> z, p in aa*, r in bb*d";
+    let (plan, _) = service.prepare(uncovered).expect("prepares");
+    assert_eq!(plan.key, uncovered);
+    let covered = "q(x, z) :- x -[p]-> y,  y -[r]-> z, p in a(a|c)*, r in bb*d";
+    let mut alphabet = db.alphabet().clone();
+    let q = parse_query(covered, &mut alphabet, &RelationRegistry::new()).expect("parses");
+    let rendering = ecrpq::query::unparse(&q, 64).expect("covers the alphabet");
+    let (plan, _) = service.prepare(covered).expect("prepares");
+    assert_eq!(plan.key, rendering);
+}
