@@ -3,8 +3,8 @@
 //! configuration space of a synchronized atom of arity 2 or 3.
 //!
 //! The flat BFS ([`crate::product`]) walks configurations one at a time
-//! through a queue of heap tuples; per visited configuration it pays a
-//! stamp probe, a `Vec` clone onto the queue, and a pop. This kernel
+//! through a word queue; per visited configuration it pays a hash-set
+//! probe, a copy onto the queue, and a pop. This kernel
 //! replaces all three with bits: a configuration is one bit at index
 //! `encode(q, pos) = ((q·|V| + pos₀)·|V| + pos₁)…`, the visited set and
 //! the current/next frontiers are `u64`-word bitmaps, and a transition

@@ -11,7 +11,7 @@
 //!   `std::thread::scope` workers pull chunks from an atomic queue.
 //!   Each worker owns one search cursor (`crate::enumerate`) — wrapped in
 //!   an [`AnswerIter`] for answer sets — and restarts it per chunk, so its
-//!   feasibility memo and visited-stamp arrays stay thread-local and warm
+//!   feasibility memo and BFS visited sets stay thread-local and warm
 //!   across chunks. All workers borrow the read-only `SharedTables` —
 //!   trimmed automata, dense row-grouped transition tables,
 //!   semijoin-pruned or Yannakakis-consistent enumeration domains,
@@ -457,7 +457,7 @@ fn answers_over<T: Tracer>(
 /// parallel, each worker builds its state once (`start`) and steals
 /// first-variable chunks from a shared queue over
 /// [`product_chunk_ranges`], restarting the state on each one (`run`;
-/// the search keeps its memo and visited stamps across restarts), until
+/// the search keeps its memo and BFS buffers across restarts), until
 /// the queue drains or a chunk returns `true` — a Boolean hit or a
 /// tripped budget — which raises `stop` for every worker.
 fn steal_chunks<T: Tracer, W: Send>(

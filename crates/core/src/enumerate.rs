@@ -14,8 +14,20 @@
 //! `Evaluator` the cursor owns: a `Check` of an arity-1 atom is a bit
 //! test in the memoized single-track sweep of its anchor value, any
 //! other a memoized product BFS. A cursor can restart on a new range of
-//! its first assigned variable and keeps its memos and visited stamps
-//! when it does: that is how the engine's workers steal chunks.
+//! its first assigned variable and keeps its memos and BFS buffers when
+//! it does: that is how the engine's workers steal chunks.
+//!
+//! The search walks candidates like a join, not a nested loop. An
+//! `Assign` step that binds an endpoint of a synchronized atom, whose
+//! `Check` comes next, draws its values from the pruned domain ∩ the
+//! reachability-closure row of each track's other, already bound
+//! endpoint: the closure row when it binds the track's end, the
+//! transposed row when it binds the start. The rows are AND-ed a word at
+//! a time, and each word read counts as one cursor step. A value off a
+//! row would fail the check's closure test before the memo or any
+//! counter, so answers and `ProductStats` are those of the unjoined
+//! search; only the walk shrinks, from `|D(x)|·|D(y)|` pairs to the row
+//! hits plus the words scanned.
 //!
 //! [`AnswerIter`] is the cursor plus the free-tuple `Odometer` and the
 //! governor's per-tuple answer claim (`AnswerClaim`). After the
@@ -38,6 +50,7 @@ use crate::prepare::PreparedQuery;
 use crate::product::{Evaluator, Layout, ProductStats, SharedTables, UNASSIGNED};
 use crate::trace::{NoopTracer, Phase, PhaseSpan, Tracer};
 use ecrpq_analyze::JoinTree;
+use ecrpq_automata::BitSet;
 use ecrpq_graph::{GraphDb, NodeId};
 use ecrpq_query::NodeVar;
 use std::collections::BTreeSet;
@@ -46,8 +59,13 @@ use std::ops::Range;
 /// One instruction of the search's step program.
 #[derive(Debug, Clone)]
 enum Step<'a> {
-    /// Bind the node variable to the next value of its candidates.
-    Assign { var: u32, cands: Cands<'a> },
+    /// Bind the node variable to the next value of its candidates, or,
+    /// with a `join`, to the next of them on every joined closure row.
+    Assign {
+        var: u32,
+        cands: Cands<'a>,
+        join: Option<Join>,
+    },
     /// Run the (memoized) feasibility check of merged atom `atom` — a
     /// sweep-memo bit test at arity 1, a product BFS otherwise; on
     /// failure backtrack to the nearest `Assign` above.
@@ -90,6 +108,73 @@ impl<'a> Cands<'a> {
             Cands::Dom(d) => d[i],
             Cands::Range(r) => r.start + i as NodeId,
         }
+    }
+
+    /// The smallest range holding every candidate.
+    fn bounds(&self) -> Range<NodeId> {
+        match self {
+            Cands::Dom([]) => 0..0,
+            Cands::Dom(d) => d[0]..d[d.len() - 1] + 1,
+            Cands::Range(r) => r.clone(),
+        }
+    }
+}
+
+/// The closure join of an `Assign` step (see [`atom_assignments`]): its
+/// candidates are the step's `Cands` that lie on every joined row, found
+/// by AND-ing the rows a word at a time.
+#[derive(Debug, Clone)]
+struct Join {
+    /// The variable's pruned domain as a bit set; `None` when it has none.
+    dom: Option<BitSet>,
+    rows: Vec<RowJoin>,
+}
+
+impl Join {
+    /// The first value in `range` that is in the domain and on every
+    /// joined row under `assignment`, and the number of words read to
+    /// find it.
+    fn next(
+        &self,
+        range: Range<NodeId>,
+        tables: &SharedTables,
+        assignment: &[i64],
+    ) -> (Option<NodeId>, u64) {
+        if range.is_empty() {
+            return (None, 0);
+        }
+        let row = |j: &RowJoin| {
+            let rows = if j.forward {
+                &tables.closure
+            } else {
+                &tables.co_closure
+            };
+            // lint:allow(unwrap): a step joins only when the rows were built
+            let rows = rows.as_deref().expect("joined closure rows");
+            rows[assignment[j.other as usize] as usize].words()
+        };
+        let (lo, hi) = (range.start as usize, range.end as usize);
+        let (first, last) = (lo / 64, (hi - 1) / 64);
+        for w in first..=last {
+            let mut bits = u64::MAX;
+            if w == first {
+                bits &= u64::MAX << (lo % 64);
+            }
+            if w == last && hi % 64 != 0 {
+                bits &= (1u64 << (hi % 64)) - 1;
+            }
+            if let Some(dom) = &self.dom {
+                bits &= dom.words()[w];
+            }
+            for j in &self.rows {
+                bits &= row(j)[w];
+            }
+            if bits != 0 {
+                let value = (w * 64) as NodeId + bits.trailing_zeros();
+                return (Some(value), (w - first + 1) as u64);
+            }
+        }
+        (None, (last - first + 1) as u64)
     }
 }
 
@@ -153,10 +238,35 @@ pub(crate) fn free_values<'s>(
     })
 }
 
+/// A closure row that an `Assign` step joins its candidates with: the
+/// row of the value bound to `other`, in the reachability closure
+/// (`forward`: the step binds a track's end and `other` is its start) or
+/// in its transpose (the step binds a track's start and `other` its end).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RowJoin {
+    pub(crate) other: u32,
+    pub(crate) forward: bool,
+}
+
+/// One `Assign` step of the program's shape.
+#[derive(Debug, Clone)]
+pub(crate) struct AssignShape {
+    pub(crate) var: u32,
+    /// The closure rows the step's candidates join with.
+    pub(crate) joins: Vec<RowJoin>,
+}
+
 /// The shape of the step program: per merged atom, in atom order, the
 /// endpoint variables it assigns before its `Check` — those no earlier
-/// atom assigned, sorted and deduplicated.
-pub(crate) fn atom_assignments(query: &PreparedQuery) -> Vec<Vec<u32>> {
+/// atom assigned, sorted and deduplicated — each with its closure joins.
+///
+/// A variable of an atom of arity ≥ 2 joins, for each track, the row of
+/// the track's other endpoint when that endpoint is bound before it. The
+/// joins are exact: the atom's `Check` comes next, and it rejects a value
+/// outside any of those rows by its closure test, before the memo or any
+/// counter. Arity-1 atoms join nothing: their sweep never consults the
+/// closure.
+pub(crate) fn atom_assignments(query: &PreparedQuery) -> Vec<Vec<AssignShape>> {
     let mut assigned = vec![false; query.num_node_vars];
     query
         .atoms
@@ -170,10 +280,34 @@ pub(crate) fn atom_assignments(query: &PreparedQuery) -> Vec<Vec<u32>> {
                 .collect(); // lint:allow(materialize) — program construction, not answers
             vars.sort_unstable();
             vars.dedup();
-            for &v in &vars {
-                assigned[v as usize] = true;
-            }
-            vars
+            vars.into_iter()
+                .map(|var| {
+                    let mut joins: Vec<RowJoin> = Vec::new();
+                    for &(NodeVar(s), NodeVar(d)) in &atom.endpoints {
+                        let join = if atom.rel.arity() < 2 || s == d {
+                            None
+                        } else if d == var && assigned[s as usize] {
+                            Some(RowJoin {
+                                other: s,
+                                forward: true,
+                            })
+                        } else if s == var && assigned[d as usize] {
+                            Some(RowJoin {
+                                other: d,
+                                forward: false,
+                            })
+                        } else {
+                            None
+                        };
+                        if let Some(j) = join.filter(|j| !joins.contains(j)) {
+                            // lint:allow(materialize) — program construction, not answers
+                            joins.push(j);
+                        }
+                    }
+                    assigned[var as usize] = true;
+                    AssignShape { var, joins }
+                })
+                .collect()
         })
         .collect()
 }
@@ -199,7 +333,8 @@ pub(crate) struct SearchCursor<'a, T: Tracer = NoopTracer> {
     /// An empty database or an emptied domain: no assignment exists.
     dead: bool,
     done: bool,
-    /// Steps executed so far (the delay measure of [`AnswerIter::work`]).
+    /// Steps executed so far, closure words read included (the delay
+    /// measure of [`AnswerIter::work`]).
     steps_run: u64,
     starts_buf: Vec<NodeId>,
     ends_buf: Vec<NodeId>,
@@ -220,11 +355,19 @@ impl<'a, T: Tracer> SearchCursor<'a, T> {
         }
         let nv = db.num_nodes();
         let mut steps = Vec::new();
-        for (ai, vars) in atom_assignments(query).into_iter().enumerate() {
-            for var in vars {
+        for (ai, shape) in atom_assignments(query).into_iter().enumerate() {
+            for AssignShape { var, joins } in shape {
                 let cands = Cands::of(tables, var, 0..nv as NodeId);
+                // without the closure the check has no closure test to
+                // hoist
+                let join = (tables.closure.is_some() && !joins.is_empty()).then(|| Join {
+                    dom: tables.domain(var).map(|d| {
+                        BitSet::from_iter_with_capacity(nv, d.iter().map(|&v| v as usize))
+                    }),
+                    rows: joins,
+                });
                 // lint:allow(materialize) — program construction, not answers
-                steps.push(Step::Assign { var, cands });
+                steps.push(Step::Assign { var, cands, join });
             }
             // lint:allow(materialize) — program construction, not answers
             steps.push(Step::Check { atom: ai });
@@ -249,10 +392,10 @@ impl<'a, T: Tracer> SearchCursor<'a, T> {
 
     /// Restarts the search with the first assigned variable restricted
     /// to `range` (one chunk of a parallel run). The evaluator — memo,
-    /// visited stamps, counters, pacer — carries over.
+    /// BFS buffers, counters, pacer — carries over.
     pub(crate) fn restart(&mut self, range: Range<NodeId>) {
         let tables = self.tables;
-        if let Some(Step::Assign { var, cands }) = self
+        if let Some(Step::Assign { var, cands, .. }) = self
             .steps
             .iter_mut()
             .find(|s| matches!(s, Step::Assign { .. }))
@@ -289,12 +432,31 @@ impl<'a, T: Tracer> SearchCursor<'a, T> {
                 self.tracer.count(Phase::Enumerate, 1);
             }
             match &self.steps[self.pos] {
-                Step::Assign { var, cands } => {
+                Step::Assign { var, cands, join } => {
                     let var = *var as usize;
                     let cur = self.cursors[self.pos];
-                    if cur < cands.len() {
-                        self.assignment[var] = i64::from(cands.get(cur));
-                        self.cursors[self.pos] += 1;
+                    let value = match join {
+                        None => (cur < cands.len()).then(|| cands.get(cur)),
+                        Some(join) => {
+                            // the cursor is the offset of the next value
+                            // to scan from; every word read is a step
+                            let bounds = cands.bounds();
+                            let from = bounds.start + cur as NodeId;
+                            let (value, words) =
+                                join.next(from..bounds.end, self.tables, &self.assignment);
+                            self.steps_run += words;
+                            if T::ENABLED {
+                                self.tracer.count(Phase::Enumerate, words);
+                            }
+                            value
+                        }
+                    };
+                    if let Some(value) = value {
+                        self.assignment[var] = i64::from(value);
+                        self.cursors[self.pos] = match join {
+                            None => cur + 1,
+                            Some(_) => (value - cands.bounds().start) as usize + 1,
+                        };
                         self.pos += 1;
                     } else {
                         self.assignment[var] = UNASSIGNED;
@@ -396,8 +558,10 @@ impl<'a, T: Tracer> AnswerIter<'a, T> {
         self.done = self.search.done;
     }
 
-    /// Total backtracker steps plus odometer ticks executed so far — the
-    /// counter-based delay measure the bounded-delay proptest asserts on.
+    /// Total backtracker steps (one per step run, plus one per closure
+    /// word a joined `Assign` step reads) plus odometer ticks executed so
+    /// far — the counter-based delay measure the bounded-delay proptest
+    /// asserts on.
     pub fn work(&self) -> u64 {
         self.search.steps_run + self.odometer_ticks
     }
@@ -627,6 +791,66 @@ mod tests {
         assert_eq!(full.0, vec![vec![0, 1], vec![1, 2]]);
         assert_eq!(walk(&[0..1, 1..2, 2..3]), full);
         assert_eq!(walk(&[0..2, 2..3]), full);
+    }
+
+    /// Which closure row each `Assign` step joins: the end of a track
+    /// assigned after its start joins the start's row, a start assigned
+    /// after its end joins the end's transposed row, and only the tables
+    /// of a program with a backward join build the transpose. Arity-1
+    /// atoms join nothing.
+    #[test]
+    fn closure_joins_follow_the_assignment_order() {
+        let mut db = GraphDb::new();
+        let u = db.add_node("u");
+        let v = db.add_node("v");
+        db.add_edge(u, 'a', v);
+        let m = db.alphabet().len();
+        let shape = |names: &[&str], tracks: &[(usize, usize)]| {
+            let mut q = Ecrpq::new(db.alphabet().clone());
+            let vars: Vec<NodeVar> = names.iter().map(|n| q.node_var(n)).collect();
+            let paths: Vec<_> = tracks
+                .iter()
+                .enumerate()
+                .map(|(i, &(s, d))| q.path_atom(vars[s], &format!("p{i}"), vars[d]))
+                .collect();
+            let rel = relations::eq_length(paths.len(), m);
+            q.rel_atom("eq_len", Arc::new(rel), &paths);
+            let prepared = PreparedQuery::build(&q).unwrap();
+            let tables = SharedTables::build(&db, &prepared, Layout::Flat, None, &NoopTracer, None);
+            let joins: Vec<(u32, Vec<RowJoin>)> = atom_assignments(&prepared)
+                .into_iter()
+                .flatten()
+                .map(|a| (a.var, a.joins))
+                .collect();
+            (joins, tables.co_closure.is_some())
+        };
+        let join = |other, forward| RowJoin { other, forward };
+        // x -p0-> y, x -p1-> y: y joins x's row
+        assert_eq!(
+            shape(&["x", "y"], &[(0, 1), (0, 1)]),
+            (vec![(0, vec![]), (1, vec![join(0, true)])], false)
+        );
+        // y declared first: x joins y's transposed row
+        assert_eq!(
+            shape(&["y", "x"], &[(1, 0), (1, 0)]),
+            (vec![(0, vec![]), (1, vec![join(0, false)])], true)
+        );
+        // Example 2.1, x -p0-> y, x' -p1-> y: y joins x forward, x' joins
+        // y backward
+        assert_eq!(
+            shape(&["x", "y", "x'"], &[(0, 1), (2, 1)]),
+            (
+                vec![
+                    (0, vec![]),
+                    (1, vec![join(0, true)]),
+                    (2, vec![join(1, false)])
+                ],
+                true
+            )
+        );
+        let (_, q) = chain_db_query();
+        let unary = atom_assignments(&PreparedQuery::build(&q).unwrap());
+        assert!(unary.iter().flatten().all(|a| a.joins.is_empty()));
     }
 
     #[test]

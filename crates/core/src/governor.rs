@@ -68,8 +68,8 @@ pub struct ResourceBudget {
     /// locally, so the cap can trip early on duplicated tuples.
     pub max_answers: Option<u64>,
     /// Cap on the evaluators' tracked retained allocations (memo tables,
-    /// visited-stamp arrays, answer tuples) — an estimate, not an RSS
-    /// measurement.
+    /// BFS visited sets and queues as they grow, bitmaps, answer tuples)
+    /// — an estimate, not an RSS measurement.
     pub max_memory_bytes: Option<u64>,
 }
 

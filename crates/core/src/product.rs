@@ -16,8 +16,9 @@
 //! case `O(|V|^{#nodevars})` assignments times `O(|Q|·|V|^k)` per check —
 //! the PSPACE behaviour the paper proves unavoidable in general. The
 //! backtracking itself is the step program of
-//! [`crate::enumerate`]'s search cursor; this module holds what it calls
-//! per step.
+//! [`crate::enumerate`]'s search cursor, which joins an endpoint's
+//! candidates with the reachability closure before they reach a check;
+//! this module holds what it calls per step.
 //!
 //! An atom of arity 1 (a plain CRPQ atom `x -L-> y`) skips the product
 //! BFS: its product is `G × A_L`, so one single-track sweep
@@ -31,18 +32,23 @@
 //! The evaluator splits its state into `SharedTables` (read-only after
 //! construction: trimmed automata, dense transition tables, per-track
 //! projections, semijoin-pruned enumeration domains, arity-1 anchors, the
-//! reachability closure, stamp-array sizing) and the per-search mutable
-//! state (`Evaluator`: memos, visited stamps, counters). The split is what
-//! makes the parallel engine ([`crate::engine`]) cheap: workers borrow one
-//! `SharedTables` and each carry a thread-local search cursor with its own
-//! `Evaluator`.
+//! reachability closure and its transpose) and the per-search mutable
+//! state (`Evaluator`: memos, the visited set and queue, counters). The
+//! split is what makes the parallel engine ([`crate::engine`]) cheap:
+//! workers borrow one `SharedTables` and each carry a thread-local search
+//! cursor with its own `Evaluator`.
 //!
 //! The hot BFS of atoms of arity ≥ 2 runs on flat data ([`Layout::Flat`],
 //! the default): CSR slice lookups for successors, row-grouped dense
 //! transition tables so each distinct convolution row's successor options
-//! are computed once and shared across its target states, and an odometer
-//! over option slices so a configuration is only allocated when it is
-//! first visited. [`Layout::BitParallel`] swaps that inner loop for the
+//! are computed once and shared across its target states, an odometer
+//! over option slices, and a queue of flat `(state, p₁…p_k)` words. The
+//! visited set holds one packed `u64` per configuration (a radix-`|V|`
+//! number, or the configuration's words where that would overflow), so a
+//! check allocates and zeroes nothing sized by the configuration space:
+//! the set and the queue live in the `Evaluator`, are cleared per BFS and
+//! keep their capacity, and their growth is charged to the budget
+//! governor. [`Layout::BitParallel`] swaps that inner loop for the
 //! word-packed bitmap kernel of `crate::bitbfs` wherever an atom's space
 //! fits and its arity is 2 or 3.
 
@@ -56,7 +62,7 @@ use crate::trace::{NoopTracer, Phase, PhaseSpan, Tracer};
 use ecrpq_automata::{BitSet, Nfa, Row, StateId, Track};
 use ecrpq_graph::{Edge, GraphDb, NodeId, Path};
 use ecrpq_query::{NodeVar, PathVar};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A full satisfying assignment: node values plus one concrete path per
@@ -222,13 +228,6 @@ const CLOSURE_MAX_BITS: u128 = 1 << 27;
 /// program assigns first and keeps only that value's current sweep.
 const SWEEP_MEMO_MAX_BITS: u128 = 1 << 27;
 
-/// Size budget of one atom's generation-stamped visited array: the flat
-/// BFS indexes `(state, positions)` directly while the space has at most
-/// 2²⁷ configurations, and hashes beyond. Unlike the two bit budgets
-/// around it, this gate counts `u32` entries, not bits — up to 512 MiB
-/// per atom per worker.
-const STAMP_MAX_ENTRIES: u128 = 1 << 27;
-
 /// Bit budget of one dense configuration bitmap for
 /// [`Layout::BitParallel`]: the kernel keeps three bitmaps (visited +
 /// two frontiers), so an atom qualifies while `3·space ≤ 2²⁷` bits
@@ -239,7 +238,7 @@ const BITMAP_MAX_BITS: u128 = 1 << 27;
 /// Arity bound of the bit-parallel kernel: beyond triple convolutions the
 /// per-configuration decode (k divisions) and the odometer bookkeeping
 /// wash out the word-packing win, so wider atoms run the flat scalar path
-/// (its generation stamps are cheaper at that shape). Arity-1 atoms never
+/// (its visited set costs per configuration visited). Arity-1 atoms never
 /// reach the kernel: their checks run the single-track sweep.
 const BITMAP_MAX_ARITY: usize = 3;
 
@@ -381,10 +380,10 @@ impl DenseTables {
 pub(crate) struct SharedTables {
     /// ε-free trimmed relation automata, one per merged atom.
     automata: Vec<Nfa<Row>>,
-    /// Flat visited-array sizes per atom (`None` = an arity-1 atom, whose
-    /// only BFS is the hashed witness trace, or a space past
-    /// [`STAMP_MAX_ENTRIES`], where the BFS falls back to hashing).
-    stamp_sizes: Vec<Option<usize>>,
+    /// Per atom: whether its configurations `(q, p₁…p_k)` pack into one
+    /// radix-`|V|` `u64` (`|Q|·|V|^k ≤ 2⁶⁴`); the BFS of an atom past
+    /// that keys its visited set by the configuration's words.
+    packs: Vec<bool>,
     /// Dense-bitmap sizes per atom for [`Layout::BitParallel`] (`None` =
     /// an arity-1 atom, or the atom fails the bitmap gate and falls back
     /// to the flat scalar path; always all-`None` under [`Layout::Flat`]).
@@ -397,7 +396,11 @@ pub(crate) struct SharedTables {
     /// exceed [`CLOSURE_MAX_BITS`] (the closure is quadratic in the vertex
     /// count, so million-node graphs must skip it); skipping only loses a
     /// pruning filter, never soundness.
-    closure: Option<Vec<BitSet>>,
+    pub(crate) closure: Option<Vec<BitSet>>,
+    /// The transpose of `closure`: `co_closure[v]` = vertices that reach
+    /// `v`. Built only when the step program joins a track's start with
+    /// its already assigned end (`enumerate::atom_assignments`).
+    pub(crate) co_closure: Option<Vec<BitSet>>,
     /// Per atom, per track: the automaton projected onto the track, the
     /// input of every semijoin sweep and of the arity-1 checks.
     projections: Vec<Vec<Projection>>,
@@ -457,14 +460,16 @@ impl SharedTables {
             .map(|a| a.rel.nfa().remove_epsilon().trim())
             .collect();
         let nv = db.num_nodes().max(1) as u128;
-        let stamp_sizes: Vec<Option<usize>> = query
+        let packs: Vec<bool> = query
             .atoms
             .iter()
             .zip(&automata)
             .map(|(a, nfa)| {
-                let arity = a.rel.arity();
-                let space = nv.pow(arity as u32) * nfa.num_states() as u128;
-                (arity >= 2 && space <= STAMP_MAX_ENTRIES).then_some(space as usize)
+                // keys run up to |Q|·|V|^k − 1; a space past u128 is past
+                // u64 too
+                nv.checked_pow(a.rel.arity() as u32)
+                    .and_then(|s| s.checked_mul(nfa.num_states() as u128))
+                    .is_some_and(|space| space <= 1 << 64)
             })
             .collect();
         let bitmap_sizes: Vec<Option<usize>> = if layout == Layout::BitParallel {
@@ -493,6 +498,7 @@ impl SharedTables {
             })
             .collect();
         let n = db.num_nodes();
+        let shape = atom_assignments(query);
         let synchronized = query.atoms.iter().any(|a| a.rel.arity() >= 2);
         let closure = (synchronized && (n as u128) * (n as u128) <= CLOSURE_MAX_BITS).then(|| {
             // quadratic in |V| — skipped on large graphs (only a filter).
@@ -506,8 +512,13 @@ impl SharedTables {
                         ecrpq_graph::paths::reachable_from(db, v)
                     }
                 })
-                .collect()
+                .collect::<Vec<BitSet>>()
         });
+        let backward = shape
+            .iter()
+            .flatten()
+            .any(|a| a.joins.iter().any(|j| !j.forward));
+        let co_closure = closure.as_deref().filter(|_| backward).map(transpose);
         // freeze eagerly so the CSR build happens here, once, and not
         // inside the first worker's first BFS
         db.freeze();
@@ -531,8 +542,8 @@ impl SharedTables {
         // arity-1 anchors, from the pruned domain sizes and the order in
         // which the step program assigns the endpoints
         let mut rank = vec![usize::MAX; query.num_node_vars];
-        for (i, v) in atom_assignments(query).into_iter().flatten().enumerate() {
-            rank[v as usize] = i;
+        for (i, a) in shape.iter().flatten().enumerate() {
+            rank[a.var as usize] = i;
         }
         let size = |v: NodeVar| pruned.domains[v.0 as usize].as_ref().map(Vec::len);
         let anchors = query
@@ -554,9 +565,10 @@ impl SharedTables {
             .collect();
         SharedTables {
             automata,
-            stamp_sizes,
+            packs,
             bitmap_sizes,
             closure,
+            co_closure,
             projections,
             anchors,
             layout,
@@ -584,12 +596,111 @@ impl SharedTables {
     }
 }
 
+/// The transpose of a square bit matrix: `out[u]` holds `v` iff
+/// `rows[v]` holds `u`.
+fn transpose(rows: &[BitSet]) -> Vec<BitSet> {
+    let mut out = vec![BitSet::new(rows.len()); rows.len()];
+    for (v, row) in rows.iter().enumerate() {
+        for u in row.iter_ones() {
+            out[u].insert(v);
+        }
+    }
+    out
+}
+
+/// How the visited set and the witness parent map name a configuration
+/// `[q, p₁, …, p_k]`: one radix-`|V|` `u64` while the atom's space fits
+/// it (`SharedTables::packs`), the configuration's words otherwise.
+trait ConfigKey: Eq + std::hash::Hash + Clone {
+    /// Bytes one set entry of a `width`-word configuration holds: its
+    /// slot, the table's control byte and the key's heap words.
+    fn entry_bytes(width: usize) -> u64;
+    fn pack(cfg: &[u32], nv: u64) -> Self;
+    fn unpack(&self, nv: u64, cfg: &mut [u32]);
+}
+
+impl ConfigKey for u64 {
+    fn entry_bytes(_width: usize) -> u64 {
+        9
+    }
+
+    #[inline]
+    fn pack(cfg: &[u32], nv: u64) -> u64 {
+        cfg[1..]
+            .iter()
+            .fold(u64::from(cfg[0]), |key, &p| key * nv + u64::from(p))
+    }
+
+    fn unpack(&self, nv: u64, cfg: &mut [u32]) {
+        let mut key = *self;
+        for slot in cfg[1..].iter_mut().rev() {
+            *slot = (key % nv) as u32;
+            key /= nv;
+        }
+        cfg[0] = key as u32;
+    }
+}
+
+impl ConfigKey for Box<[u32]> {
+    fn entry_bytes(width: usize) -> u64 {
+        17 + 4 * width as u64
+    }
+
+    #[inline]
+    fn pack(cfg: &[u32], _nv: u64) -> Box<[u32]> {
+        cfg.into()
+    }
+
+    fn unpack(&self, _nv: u64, cfg: &mut [u32]) {
+        cfg.copy_from_slice(self);
+    }
+}
+
+/// A visited set of the flat BFS, cleared per BFS and keeping its
+/// capacity, with the bytes of that capacity charged to the governor.
+#[derive(Default)]
+struct Visited<K> {
+    set: FnvHashSet<K>,
+    charged: u64,
+}
+
+/// The flat BFS's visited sets, one per key shape.
+#[derive(Default)]
+struct VisitedSets {
+    packed: Visited<u64>,
+    wide: Visited<Box<[u32]>>,
+}
+
+/// The flat BFS's reusable buffers: the FIFO queue of `(state, p₁…p_k)`
+/// words (and the bytes of its capacity charged to the governor), the
+/// popped and the candidate configuration, and the odometer over
+/// successor options.
+#[derive(Default)]
+struct BfsBuffers {
+    queue: Vec<u32>,
+    queue_charged: u64,
+    cur: Vec<u32>,
+    next: Vec<u32>,
+    odometer: Vec<usize>,
+}
+
+/// Charges the part of `bytes` of kept capacity that `charged` does not
+/// cover yet. Capacity outlives a search, so only growth is charged.
+fn charge_growth(governor: &Governor, charged: &mut u64, bytes: u64) {
+    if bytes > *charged {
+        governor.charge_memory(bytes - *charged);
+        *charged = bytes;
+    }
+}
+
 pub(crate) struct Evaluator<'a, T: Tracer = NoopTracer> {
     db: &'a GraphDb,
     pub(crate) query: &'a PreparedQuery,
     tables: &'a SharedTables,
-    /// Verdicts of atoms of arity ≥ 2, per (atom, starts, ends).
-    memo: FnvHashMap<(usize, Vec<NodeId>, Vec<NodeId>), bool>,
+    /// Verdicts of atoms of arity ≥ 2, per atom, keyed by `starts ++ ends`.
+    memo: Vec<FnvHashMap<Box<[NodeId]>, bool>>,
+    /// The `starts ++ ends` key of the current memo lookup.
+    memo_key: Vec<NodeId>,
     /// Per atom: the reached sets of its arity-1 sweeps, per anchor value
     /// (at most one entry when the atom's [`Anchor`] keeps only the
     /// current sweep; empty for atoms of arity ≥ 2).
@@ -599,18 +710,14 @@ pub(crate) struct Evaluator<'a, T: Tracer = NoopTracer> {
     pub(crate) stats: ProductStats,
     /// Configuration trace of the last witness-mode BFS.
     last_witness_configs: Option<Vec<(StateId, Vec<NodeId>)>>,
-    /// Per-atom generation-stamped visited arrays for flat-indexable
-    /// configuration spaces (`None` for arity-1 atoms and when the space
-    /// is too large, in which case the BFS falls back to hashing). Under
-    /// [`Layout::BitParallel`] a stamp is only allocated for atoms that
-    /// *fell back* to the flat scalar path — bitmap-kernel atoms never
-    /// touch it.
-    stamps: Vec<Option<Vec<u32>>>,
+    /// Visited sets and buffers of the flat BFS, sized by the largest
+    /// BFS run so far rather than by any atom's configuration space.
+    visited: VisitedSets,
+    bfs: BfsBuffers,
     /// Per-atom bitmap kernel scratch (visited/frontier/next bitmaps +
     /// word lists) under [`Layout::BitParallel`]; `None` for fallback
     /// atoms and under [`Layout::Flat`].
     bit_scratch: Vec<Option<BitScratch>>,
-    generation: u32,
     /// Cooperative cancellation for parallel Boolean search: checked at
     /// every step of the search cursor; a worker that finds a satisfying
     /// assignment sets it and the others abandon their chunks.
@@ -634,22 +741,6 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         tables: &'a SharedTables,
         tracer: T,
     ) -> Self {
-        // a bitmap-kernel atom never consults its stamp array, so skip the
-        // allocation for it; fallback atoms (and the flat layout) get
-        // their stamps as before — this is the "downgrade still allocates
-        // stamps" path whose bytes `set_governor` must see
-        let stamps: Vec<Option<Vec<u32>>> = tables
-            .stamp_sizes
-            .iter()
-            .zip(&tables.bitmap_sizes)
-            .map(|(size, bitmap)| {
-                if bitmap.is_some() {
-                    None
-                } else {
-                    size.map(|s| vec![0u32; s])
-                }
-            })
-            .collect();
         let bit_scratch = tables
             .bitmap_sizes
             .iter()
@@ -666,7 +757,8 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
             db,
             query,
             tables,
-            memo: FnvHashMap::default(),
+            memo: vec![FnvHashMap::default(); query.atoms.len()],
+            memo_key: Vec::new(),
             sweeps: vec![FnvHashMap::default(); query.atoms.len()],
             sweep_scratch: sweep_space.map(SweepScratch::new).unwrap_or_default(),
             stats: ProductStats {
@@ -675,9 +767,9 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
                 ..ProductStats::default()
             },
             last_witness_configs: None,
-            stamps,
+            visited: VisitedSets::default(),
+            bfs: BfsBuffers::default(),
             bit_scratch,
-            generation: 0,
             stop: None,
             pacer: Pacer::new(None),
             tracer,
@@ -690,28 +782,19 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
     }
 
     /// Installs the shared budget governor and charges this worker's
-    /// fixed allocations to the tracked-memory estimate: the visited-stamp
-    /// arrays, the bit-parallel bitmaps and the sweep bitmap. The stamp
-    /// sum is computed from the arrays actually allocated, not from
-    /// `tables.stamp_sizes` — under a `BitParallel` per-atom downgrade the
-    /// fallback atoms carry stamps even though the layout nominally
-    /// doesn't, and deriving the charge from the layout would let those
-    /// bytes slip past the budget (the regression in
-    /// `tests/budget_differential.rs` pins this).
+    /// fixed allocations to the tracked-memory estimate: the bit-parallel
+    /// bitmaps and the sweep bitmap. The flat BFS's visited sets and queue
+    /// are charged as they grow (`charge_growth`), so an atom the
+    /// bit-parallel layout downgrades to the flat path pays for the
+    /// configurations its searches hold, not for its space.
     pub(crate) fn set_governor(&mut self, governor: &'a Governor) {
-        let stamp_bytes: u64 = self
-            .stamps
-            .iter()
-            .flatten()
-            .map(|s| 4 * s.len() as u64)
-            .sum();
         let bitmap_bytes: u64 = self
             .bit_scratch
             .iter()
             .flatten()
             .map(BitScratch::bytes)
             .sum();
-        governor.charge_memory(stamp_bytes + bitmap_bytes + self.sweep_scratch.bytes());
+        governor.charge_memory(bitmap_bytes + self.sweep_scratch.bytes());
         self.pacer = Pacer::new(Some(governor));
     }
 
@@ -775,8 +858,10 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
                 return false;
             }
         }
-        let key = (atom_idx, starts.to_vec(), ends.to_vec());
-        if let Some(&r) = self.memo.get(&key) {
+        self.memo_key.clear();
+        self.memo_key.extend_from_slice(starts);
+        self.memo_key.extend_from_slice(ends);
+        if let Some(&r) = self.memo[atom_idx].get(self.memo_key.as_slice()) {
             self.stats.cache_hits += 1;
             return r;
         }
@@ -792,11 +877,11 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
             return false;
         }
         if let Some(g) = self.pacer.governor() {
-            // coarse per-entry estimate: two endpoint vectors + value +
+            // coarse per-entry estimate: the endpoint key + value +
             // hash-table overhead
             g.charge_memory(64 + 8 * starts.len() as u64);
         }
-        self.memo.insert(key, result);
+        self.memo[atom_idx].insert(self.memo_key.as_slice().into(), result);
         result
     }
 
@@ -931,16 +1016,54 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         self.product_bfs_flat(atom_idx, starts, ends, want_witness)
     }
 
+    /// The flat-layout BFS, on the visited set whose keys fit the atom's
+    /// configuration space.
+    fn product_bfs_flat(
+        &mut self,
+        atom_idx: usize,
+        starts: &[NodeId],
+        ends: &[NodeId],
+        want_witness: bool,
+    ) -> Option<Vec<Row>> {
+        let mut visited = std::mem::take(&mut self.visited);
+        let mut bufs = std::mem::take(&mut self.bfs);
+        let rows = if self.tables.packs[atom_idx] {
+            self.bfs_on(
+                &mut visited.packed,
+                &mut bufs,
+                atom_idx,
+                starts,
+                ends,
+                want_witness,
+            )
+        } else {
+            self.bfs_on(
+                &mut visited.wide,
+                &mut bufs,
+                atom_idx,
+                starts,
+                ends,
+                want_witness,
+            )
+        };
+        self.visited = visited;
+        self.bfs = bufs;
+        rows
+    }
+
     /// The flat-layout BFS inner loop. Per popped configuration it walks
     /// the state's row-class groups; per group it assembles the successor
     /// option **slices** (CSR lookups, no allocation; a `⊥` track's only
     /// option is its — already reached — target), then drives an odometer
-    /// over the slices, reusing one scratch combination vector. A
-    /// configuration is cloned onto the queue only when it is first
-    /// visited, and the row options are shared by every target state of
-    /// the group.
-    fn product_bfs_flat(
+    /// over the slices, writing each combination into one scratch
+    /// configuration. A configuration is copied onto the word queue only
+    /// when it is first visited, and the row options are shared by every
+    /// target state of the group. Nothing here allocates once the
+    /// evaluator's buffers have grown, except the witness parent map.
+    fn bfs_on<K: ConfigKey>(
         &mut self,
+        visited: &mut Visited<K>,
+        bufs: &mut BfsBuffers,
         atom_idx: usize,
         starts: &[NodeId],
         ends: &[NodeId],
@@ -952,65 +1075,59 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         let atom = &tables.dense.atoms[atom_idx];
         let dense = &tables.dense;
         let k = starts.len();
-        let nv = db.num_nodes().max(1);
-        type Config = (StateId, Vec<NodeId>);
-        let encode = |q: StateId, pos: &[NodeId]| -> usize {
-            let mut idx = q as usize;
-            for &p in pos {
-                idx = idx * nv + p as usize;
-            }
-            idx
-        };
-        // Flat generation-stamped visited array when the space fits (the
-        // common case); hashing otherwise or in witness mode.
-        let mut stamp = if want_witness {
-            None
-        } else {
-            self.stamps[atom_idx].take()
-        };
-        if stamp.is_some() {
-            self.generation += 1;
-        }
-        let generation = self.generation;
-        let mut seen: FnvHashSet<Config> = FnvHashSet::default();
-        let mut mark = |q: StateId, pos: &[NodeId], seen: &mut FnvHashSet<Config>| -> bool {
-            match &mut stamp {
-                Some(s) => {
-                    let idx = encode(q, pos);
-                    if s[idx] == generation {
-                        false
-                    } else {
-                        s[idx] = generation;
-                        true
-                    }
-                }
-                None => seen.insert((q, pos.to_vec())),
-            }
-        };
-        let mut parent: FnvHashMap<Config, (Config, u32)> = FnvHashMap::default();
-        let mut queue: VecDeque<Config> = VecDeque::new();
+        let width = k + 1;
+        let nv = db.num_nodes().max(1) as u64;
+        let BfsBuffers {
+            queue,
+            queue_charged,
+            cur,
+            next,
+            odometer,
+        } = bufs;
+        let seen = &mut visited.set;
+        seen.clear();
+        queue.clear();
+        cur.clear();
+        cur.resize(width, 0);
+        next.clear();
+        next.resize(width, 0);
+        odometer.clear();
+        odometer.resize(k, 0);
+        // witness mode only: each configuration's parent and the row that
+        // reached it
+        let mut parent: FnvHashMap<K, (K, u32)> = FnvHashMap::default();
+        next[1..].copy_from_slice(starts);
         for &q in nfa.initial_states() {
-            if mark(q, starts, &mut seen) {
-                queue.push_back((q, starts.to_vec()));
+            next[0] = q;
+            if seen.insert(K::pack(next, nv)) {
+                queue.extend_from_slice(next);
             }
         }
-        let mut peak = queue.len() as u64;
+        let mut head = 0;
+        let mut peak = (queue.len() / width) as u64;
         let mut opts: Vec<&[NodeId]> = Vec::with_capacity(k);
-        let mut odometer: Vec<usize> = vec![0; k];
-        let mut combo: Vec<NodeId> = vec![0; k];
-        let mut goal: Option<Config> = None;
-        'bfs: while let Some((q, pos)) = queue.pop_front() {
+        let mut goal: Option<K> = None;
+        'bfs: while head < queue.len() {
+            cur.copy_from_slice(&queue[head..head + width]);
+            head += width;
             self.stats.configurations += 1;
             if T::ENABLED {
                 self.tracer.count(Phase::ProductBfs, 1);
+            }
+            if let Some(g) = self.pacer.governor() {
+                let set_bytes = seen.capacity() as u64 * K::entry_bytes(width);
+                charge_growth(g, &mut visited.charged, set_bytes);
+                charge_growth(g, queue_charged, 4 * queue.capacity() as u64);
             }
             // cooperative budget check, amortized to every ~4k configs
             if self.pacer.tick_traced(&self.tracer, Phase::ProductBfs) {
                 self.stats.budget_aborts += 1;
                 break 'bfs;
             }
+            let q = cur[0];
+            let pos = &cur[1..];
             if nfa.is_final(q) && pos == ends {
-                goal = Some((q, pos));
+                goal = Some(K::pack(cur, nv));
                 break 'bfs;
             }
             let gs = atom.state_offsets[q as usize] as usize
@@ -1038,16 +1155,17 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
                 let targets = &atom.targets[g.targets_start as usize..g.targets_end as usize];
                 for (i, o) in opts.iter().enumerate() {
                     odometer[i] = 0;
-                    combo[i] = o[0];
+                    next[i + 1] = o[0];
                 }
                 'combos: loop {
                     for &q2 in targets {
-                        if mark(q2, &combo, &mut seen) {
-                            let c: Config = (q2, combo.clone());
-                            if want_witness {
-                                parent.insert(c.clone(), ((q, pos.clone()), g.row));
-                            }
-                            queue.push_back(c);
+                        next[0] = q2;
+                        let key = K::pack(next, nv);
+                        if want_witness && !seen.contains(&key) {
+                            parent.insert(key.clone(), (K::pack(cur, nv), g.row));
+                        }
+                        if seen.insert(key) {
+                            queue.extend_from_slice(next);
                         }
                     }
                     let mut i = 0;
@@ -1057,18 +1175,17 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
                         }
                         odometer[i] += 1;
                         if odometer[i] < opts[i].len() {
-                            combo[i] = opts[i][odometer[i]];
+                            next[i + 1] = opts[i][odometer[i]];
                             break;
                         }
                         odometer[i] = 0;
-                        combo[i] = opts[i][0];
+                        next[i + 1] = opts[i][0];
                         i += 1;
                     }
                 }
             }
-            peak = peak.max(queue.len() as u64);
+            peak = peak.max(((queue.len() - head) / width) as u64);
         }
-        self.stamps[atom_idx] = stamp;
         self.stats.frontier_peak = self.stats.frontier_peak.max(peak);
         if T::ENABLED {
             self.tracer.frontier(Phase::ProductBfs, peak);
@@ -1079,16 +1196,23 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         }
         // reconstruct configuration trace + rows
         let mut rows: Vec<Row> = Vec::new();
-        let mut configs: Vec<Config> = vec![goal.clone()];
-        let mut cur = goal;
-        while let Some((prev, rid)) = parent.get(&cur) {
+        let mut keys: Vec<K> = vec![goal.clone()];
+        let mut at = goal;
+        while let Some((prev, rid)) = parent.get(&at) {
             // lint:allow(unguarded-loop): O(path-length) trace rebuild
             rows.push(dense.row_of(*rid).to_vec());
-            configs.push(prev.clone());
-            cur = prev.clone();
+            keys.push(prev.clone());
+            at = prev.clone();
         }
         rows.reverse();
-        configs.reverse();
+        let configs = keys
+            .iter()
+            .rev()
+            .map(|key| {
+                key.unpack(nv, cur);
+                (cur[0], cur[1..].to_vec())
+            })
+            .collect();
         self.last_witness_configs = Some(configs);
         Some(rows)
     }
@@ -1217,8 +1341,9 @@ mod tests {
         assert!(oversized.closure.is_none());
 
         // an arity-4 atom exceeds `BITMAP_MAX_ARITY` on any graph; the
-        // downgrade keeps the scalar stamp array (whose bytes the governor
-        // must still see — tests/budget_differential.rs pins that end)
+        // downgrade runs the scalar BFS on packed keys (whose visited-set
+        // bytes the governor must still see — tests/budget_differential.rs
+        // pins that end)
         let mut q4 = Ecrpq::new(db.alphabet().clone());
         let x = q4.node_var("x");
         let y = q4.node_var("y");
@@ -1233,7 +1358,53 @@ mod tests {
         let p4 = prepare(&q4);
         let t4 = tables(&db, &p4, Layout::BitParallel);
         assert!(t4.bitmap_sizes.iter().all(Option::is_none));
-        assert!(t4.stamp_sizes.iter().all(Option::is_some));
+        assert_eq!(t4.packs, vec![true]);
+    }
+
+    /// Past `|Q|·|V|^k = 2⁶⁴` configurations the BFS keys its visited set
+    /// and witness parents by the configuration's words. On a chain with
+    /// 70 000 isolated vertices beside it, an arity-4 atom is past that
+    /// bound, and its checks and witnesses must match those on the bare
+    /// chain, whose keys pack.
+    #[test]
+    fn wide_keys_decide_like_packed_keys() {
+        let run = |isolated: usize| {
+            let mut db = GraphDb::new();
+            let u = db.add_node("u");
+            let v = db.add_node("v");
+            let w = db.add_node("w");
+            db.add_edge(u, 'a', v);
+            db.add_edge(v, 'a', w);
+            db.add_nodes_anon(isolated);
+            let mut q = Ecrpq::new(db.alphabet().clone());
+            let x = q.node_var("x");
+            let y = q.node_var("y");
+            let ps: Vec<_> = (0..4)
+                .map(|i| q.path_atom(x, &format!("p{i}"), y))
+                .collect();
+            let rel = relations::eq_length(4, db.alphabet().len());
+            q.rel_atom("eq4", Arc::new(rel), &ps);
+            let p = prepare(&q);
+            let t = tables(&db, &p, Layout::Flat);
+            let mut search = SearchCursor::new(&db, &p, &t, None, NoopTracer);
+            let verdicts = [
+                search.ev.feasible(0, &[u; 4], &[w; 4]),
+                search.ev.feasible(0, &[u; 4], &[v, v, v, w]),
+            ];
+            let witness = search.ev.witness(vec![u, w]);
+            for (_, path) in &witness.paths {
+                assert!(path.is_valid_in(&db));
+                assert_eq!((path.source(), path.target(), path.len()), (u, w, 2));
+            }
+            (t.packs.clone(), verdicts, search.ev.stats)
+        };
+        let (packed, packed_verdicts, packed_stats) = run(0);
+        let (wide, wide_verdicts, wide_stats) = run(70_000);
+        assert_eq!((packed, wide), (vec![true], vec![false]));
+        assert_eq!(packed_verdicts, [true, false]);
+        assert_eq!(wide_verdicts, packed_verdicts);
+        assert_eq!(wide_stats.configurations, packed_stats.configurations);
+        assert_eq!(wide_stats.frontier_peak, packed_stats.frontier_peak);
     }
 
     /// An unsatisfiable word-relation atom (`aaa` on a 2-edge chain)
@@ -1499,9 +1670,9 @@ mod tests {
         assert_eq!(choose_anchor(None, None, nv, true, true), current(false));
     }
 
-    /// Arity-1 atoms get an anchor and neither a stamp array nor a bitmap
-    /// under either layout, and a query of only arity-1 atoms builds no
-    /// closure; one synchronized atom brings the closure back.
+    /// Arity-1 atoms get an anchor and no bitmap under either layout, and
+    /// a query of only arity-1 atoms builds no closure; one synchronized
+    /// atom brings the closure back.
     #[test]
     fn unary_atoms_get_anchors_and_no_bfs_scratch() {
         let (db, _) = fan_db(5, false);
@@ -1516,11 +1687,9 @@ mod tests {
                 })],
                 "{layout:?}: five sources against one sink anchors on the sink"
             );
-            assert_eq!(t.stamp_sizes, vec![None]);
             assert_eq!(t.bitmap_sizes, vec![None]);
             assert!(t.closure.is_none(), "{layout:?}");
             let ev = Evaluator::with_tables_traced(&db, &p, &t, NoopTracer);
-            assert!(ev.stamps.iter().all(Option::is_none));
             assert!(ev.bit_scratch.iter().all(Option::is_none));
         }
         let q2 = example_2_1_query(&two_chain_db());

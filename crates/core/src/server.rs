@@ -57,7 +57,7 @@ use crate::governor::{Outcome, ResourceBudget, Termination};
 use crate::planner::{self, CombinedRegime, ParamRegime, PlanTables, Strategy};
 use crate::prepare::PreparedQuery;
 use crate::product::ProductStats;
-use crate::trace::{CollectingTracer, Metrics, NoopTracer};
+use crate::trace::{CollectingTracer, Metrics, NoopTracer, PhaseCells};
 use crate::FnvHashMap;
 use ecrpq_analyze::{Analysis, JoinTree};
 use ecrpq_graph::{GraphDb, NodeId};
@@ -76,10 +76,9 @@ use std::time::{Duration, Instant};
 /// rendering to verify.
 const UNPARSE_STATE_BUDGET: usize = 64;
 
-/// Locks a mutex, treating a poisoned lock as still usable: every
-/// protected structure here (cache map, folded metrics) is valid after
-/// any partial mutation, so a panicking worker must not wedge the
-/// service.
+/// Locks a mutex, treating a poisoned lock as still usable: the plan
+/// cache is valid after any partial mutation, so a panicking worker must
+/// not wedge the service.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -501,7 +500,9 @@ pub struct QueryService {
     misses: AtomicU64,
     requests: AtomicU64,
     histogram: LatencyHistogram,
-    metrics: Mutex<Metrics>,
+    /// Per-phase totals over every served execution, folded in by atomic
+    /// adds: the plan cache is the only lock a request takes.
+    metrics: PhaseCells,
 }
 
 impl QueryService {
@@ -523,7 +524,7 @@ impl QueryService {
             misses: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             histogram: LatencyHistogram::new(),
-            metrics: Mutex::new(Metrics::default()),
+            metrics: PhaseCells::new(),
         }
     }
 
@@ -642,7 +643,7 @@ impl QueryService {
         let latency = start.elapsed();
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.histogram.record(latency);
-        lock(&self.metrics).merge(&metrics);
+        self.metrics.fold(&metrics);
         Ok(Response {
             answers: outcome.answers,
             stats: outcome.stats,
@@ -756,7 +757,7 @@ impl QueryService {
             cache_evictions: lock(&self.cache).evictions,
             p50: self.histogram.quantile(0.5),
             p99: self.histogram.quantile(0.99),
-            metrics: *lock(&self.metrics),
+            metrics: self.metrics.snapshot(),
         }
     }
 }
@@ -1036,6 +1037,28 @@ mod tests {
             assert_eq!(r.answers, planner_answers(&db, text), "{text}");
         }
         assert_eq!(service.stats().requests, 4);
+    }
+
+    /// The service totals are the fold of every response's metrics, even
+    /// when four workers fold into them at once.
+    #[test]
+    fn service_metrics_fold_every_response() {
+        let service = QueryService::new(small_db());
+        let texts = [
+            "q(x, y) :- x -[p]-> y, p in a*b",
+            "q(x, y) :- x -[p]-> y, p in b*a",
+            "q(x, y) :- x -[p1]-> y, x -[p2]-> y, eq_len(p1, p2)",
+            "q(x, z) :- x -[p]-> y, y -[r]-> z, p in a, r in (a|b)*",
+        ];
+        let requests: Vec<(&str, EvalOptions)> = (0..32)
+            .map(|i| (texts[i % texts.len()], EvalOptions::sequential()))
+            .collect();
+        let mut sum = Metrics::default();
+        for r in service.serve(&requests, 4) {
+            sum.merge(&r.expect("executes").metrics);
+        }
+        assert!(sum.total_items() > 0);
+        assert_eq!(service.stats().metrics, sum);
     }
 
     #[test]

@@ -197,16 +197,18 @@ const SLOT_ABORTS: usize = 5;
 const SLOT_SAMPLES: usize = 6;
 const SLOTS: usize = 7;
 
-/// One worker's counter block: `Phase::COUNT × SLOTS` atomics. The owning
-/// worker writes with relaxed ordering (it is the only writer); the fold
-/// in [`CollectingTracer::metrics`] reads after the workers joined.
+/// A block of `Phase::COUNT × SLOTS` atomic counters: one tracing
+/// worker's (the owning worker writes with relaxed ordering, and the fold
+/// in [`CollectingTracer::metrics`] reads after the workers joined), or a
+/// service's running totals, which any number of requests fold into at
+/// once without a lock.
 #[derive(Debug)]
-struct PhaseCells {
+pub(crate) struct PhaseCells {
     cells: Vec<AtomicU64>,
 }
 
 impl PhaseCells {
-    fn new() -> PhaseCells {
+    pub(crate) fn new() -> PhaseCells {
         PhaseCells {
             cells: (0..Phase::COUNT * SLOTS)
                 .map(|_| AtomicU64::new(0))
@@ -226,6 +228,38 @@ impl PhaseCells {
 
     fn get(&self, phase: Phase, slot: usize) -> u64 {
         self.cells[phase.index() * SLOTS + slot].load(Ordering::Relaxed)
+    }
+
+    /// Adds a snapshot in, with the [`Metrics::merge`] fold: counters and
+    /// times sum, frontier peaks max.
+    pub(crate) fn fold(&self, m: &Metrics) {
+        for phase in Phase::ALL {
+            let p = m.phase(phase);
+            self.add(phase, SLOT_NANOS, p.nanos);
+            self.add(phase, SLOT_ITEMS, p.items);
+            self.add(phase, SLOT_PRUNED, p.pruned);
+            self.max(phase, SLOT_FRONTIER, p.frontier_peak);
+            self.add(phase, SLOT_CHECKS, p.governor_checks);
+            self.add(phase, SLOT_ABORTS, p.governor_aborts);
+            self.add(phase, SLOT_SAMPLES, p.samples);
+        }
+    }
+
+    /// The counters as a [`Metrics`] snapshot.
+    pub(crate) fn snapshot(&self) -> Metrics {
+        let mut m = Metrics::default();
+        for phase in Phase::ALL {
+            *m.phase_mut(phase) = PhaseMetrics {
+                nanos: self.get(phase, SLOT_NANOS),
+                items: self.get(phase, SLOT_ITEMS),
+                pruned: self.get(phase, SLOT_PRUNED),
+                frontier_peak: self.get(phase, SLOT_FRONTIER),
+                governor_checks: self.get(phase, SLOT_CHECKS),
+                governor_aborts: self.get(phase, SLOT_ABORTS),
+                samples: self.get(phase, SLOT_SAMPLES),
+            };
+        }
+        m
     }
 }
 
@@ -262,16 +296,7 @@ impl CollectingTracer {
         };
         let mut m = Metrics::default();
         for cells in workers.iter() {
-            for phase in Phase::ALL {
-                let p = &mut m.phases[phase.index()];
-                p.nanos += cells.get(phase, SLOT_NANOS);
-                p.items += cells.get(phase, SLOT_ITEMS);
-                p.pruned += cells.get(phase, SLOT_PRUNED);
-                p.frontier_peak = p.frontier_peak.max(cells.get(phase, SLOT_FRONTIER));
-                p.governor_checks += cells.get(phase, SLOT_CHECKS);
-                p.governor_aborts += cells.get(phase, SLOT_ABORTS);
-                p.samples += cells.get(phase, SLOT_SAMPLES);
-            }
+            m.merge(&cells.snapshot());
         }
         m
     }

@@ -273,42 +273,66 @@ fn governed_bitparallel_matches_flat() {
 }
 
 /// Regression (memory accounting): under `Layout::BitParallel` an arity-4
-/// atom exceeds the kernel's arity gate and is downgraded to the scalar
-/// path, which still allocates its visited-stamp array even though the
-/// layout nominally replaces stamps with bitmaps. Those bytes must reach
-/// the governor: a memory cap smaller than the stamp array has to trip.
-/// (The fix computes the charge from the arrays actually allocated rather
-/// than from the layout, which would let the downgraded bytes slip past.)
+/// atom exceeds the kernel's arity gate and is downgraded to the flat
+/// path, whose visited set and word queue grow with the configurations
+/// its searches hold — nothing is allocated for it up front. Those bytes
+/// must reach the governor as they grow. The test measures the run's
+/// whole charge as the smallest cap it completes under, checks that the
+/// part the memo and the answers do not explain covers the set and the
+/// queue at the search's peak, and that a cap one byte below the charge
+/// trips `Memory`.
 #[test]
-fn memory_cap_sees_stamps_of_downgraded_atoms() {
+fn memory_cap_sees_visited_set_and_queue_of_downgraded_atoms() {
     use ecrpq::eval::{ExhaustedResource, Layout};
     let mut q = big_component_query(4, 2);
     q.set_free(&[NodeVar(0), NodeVar(1)]);
     let db = random_db(10, 2.0, 2, 97);
     let prepared = PreparedQuery::build(&q).expect("valid");
-    // arity 4 > the bitmap arity gate: the atom runs scalar and keeps
-    // stamps of 10⁴ × |Q| u32 slots ≈ 80 kB — above the 64 KiB cap, while
-    // the run's other tracked allocations stay well below it
-    let cap_opts = |bytes: u64| {
-        EvalOptions::sequential()
+    let run = |bytes: u64| {
+        let opts = EvalOptions::sequential()
             .with_layout(Layout::BitParallel)
-            .with_budget(ResourceBudget::unlimited().with_max_memory_bytes(bytes))
+            .with_budget(ResourceBudget::unlimited().with_max_memory_bytes(bytes));
+        engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer)
     };
-    let o =
-        engine::answers_product_governed_traced(&db, &prepared, &cap_opts(64 << 10), &NoopTracer);
+    // a roomy cap completes and matches flat
+    let roomy = run(1 << 30);
+    assert!(roomy.termination.is_complete());
+    let full = product_answers(&db, &prepared, &EvalOptions::sequential());
+    assert_eq!(roomy.answers, full);
+    // a sequential run charges the same bytes in the same order, so it
+    // completes exactly under caps at or above its total charge
+    let (mut tripped, mut complete) = (0u64, 1u64 << 30);
+    while complete - tripped > 1 {
+        let mid = tripped + (complete - tripped) / 2;
+        if run(mid).termination.is_complete() {
+            complete = mid;
+        } else {
+            tripped = mid;
+        }
+    }
+    let charge = complete;
     assert_eq!(
-        o.termination,
+        run(charge - 1).termination,
         Termination::BudgetExhausted {
             resource: ExhaustedResource::Memory
         },
-        "downgraded stamp bytes slipped past the memory cap"
+        "a cap below the measured charge must trip"
     );
-    // a cap that accommodates the stamps completes and matches flat
-    let o =
-        engine::answers_product_governed_traced(&db, &prepared, &cap_opts(1 << 30), &NoopTracer);
-    assert!(o.termination.is_complete());
-    let full = product_answers(&db, &prepared, &EvalOptions::sequential());
-    assert_eq!(o.answers, full);
+    assert_eq!(run(charge).answers, full);
+    // the memo charges 64 + 8k bytes per verdict (k = 4 tracks) and the
+    // answer set 24 + 4 bytes per column per tuple; the rest is the flat
+    // BFS's buffers, which at the peak hold `frontier_peak` queued
+    // configurations: a packed `u64` key plus a control byte in the
+    // visited set, and k + 1 `u32` words in the queue, each
+    let stats = roomy.stats;
+    let explained = stats.checks * (64 + 8 * 4) + full.len() as u64 * (24 + 4 * 2);
+    let floor = stats.frontier_peak * (8 + 1 + 4 * 5);
+    assert!(stats.frontier_peak > 0);
+    assert!(
+        charge >= explained + floor,
+        "visited-set and queue bytes slipped past the governor: charge {charge}, \
+         memo and answers {explained}, buffers at the peak {floor}"
+    );
 }
 
 /// Tree-decomposition and plain CQ governed paths obey the same subset /

@@ -90,3 +90,57 @@ pub fn unary_query(db: &GraphDb, i: usize, boolean: bool) -> ecrpq::query::Ecrpq
     }
     q
 }
+
+/// `count` disjoint strongly connected components of `size` vertices
+/// each, over labels `a`, `b`: a directed cycle whose labels follow a
+/// per-component pattern, plus one chord. Reachability stays inside a
+/// component, so a reachability-closure row holds `size` of the graph's
+/// `count · size` vertices.
+pub fn scc_union_db(count: usize, size: usize) -> GraphDb {
+    let mut db = GraphDb::new();
+    let first = db.add_nodes_anon(count * size);
+    for c in 0..count {
+        let node = |i: usize| first + (c * size + i % size) as NodeId;
+        for i in 0..size {
+            let label = if (c + i) % 3 == 0 { 'b' } else { 'a' };
+            db.add_edge(node(i), label, node(i + 1));
+        }
+        db.add_edge(node(c), 'b', node(c + size / 2));
+    }
+    db
+}
+
+/// The closure-joined search shapes over [`scc_union_db`]: the served
+/// `hamming<=1` shape with `p in a(a|b)*` and `r in (a|b)*b`, once with
+/// the end variable `y` assigned after its start `x`, so that `y` joins
+/// `x`'s closure row (forward), and once with `y` declared, and so
+/// assigned, first, so that `x` joins the transposed row of `y`
+/// (backward).
+pub fn closure_join_queries(db: &GraphDb) -> [(&'static str, ecrpq::query::Ecrpq); 2] {
+    use ecrpq::automata::{relations, Regex};
+    use std::sync::Arc;
+    let m = db.alphabet().len();
+    let lang = |re: &str| {
+        let mut alphabet = db.alphabet().clone();
+        let nfa = Regex::compile_str(re, &mut alphabet).expect("regex");
+        Arc::new(relations::language(&nfa, m))
+    };
+    let shape = |end_first: bool| {
+        let mut q = ecrpq::query::Ecrpq::new(db.alphabet().clone());
+        let (x, y) = if end_first {
+            let y = q.node_var("y");
+            (q.node_var("x"), y)
+        } else {
+            let x = q.node_var("x");
+            (x, q.node_var("y"))
+        };
+        let p = q.path_atom(x, "p", y);
+        let r = q.path_atom(x, "r", y);
+        q.rel_atom("a(a|b)*", lang("a(a|b)*"), &[p]);
+        q.rel_atom("(a|b)*b", lang("(a|b)*b"), &[r]);
+        q.rel_atom("hamming<=1", Arc::new(relations::hamming_le(1, m)), &[p, r]);
+        q.set_free(&[x, y]);
+        q
+    };
+    [("forward", shape(false)), ("backward", shape(true))]
+}

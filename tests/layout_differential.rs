@@ -68,8 +68,9 @@ fn empty_database_evaluates_cleanly() {
 /// space overflows the bitmap budget, `Layout::BitParallel` must downgrade
 /// every atom to the scalar BFS and still agree with `Flat` at every
 /// thread count. 9 000 vertices × the 2-state eq-length automaton is
-/// 1.6·10⁸ configurations — past the stamp gate *and* the (tighter)
-/// three-bitmap gate, so the fallback runs the memoized scalar path. The
+/// 1.6·10⁸ configurations — past the three-bitmap gate, so the fallback
+/// runs the memoized scalar path, whose visited set holds only the
+/// configurations each search reaches. The
 /// graph is nearly edgeless to keep the run cheap; a single `a`-edge makes
 /// the Boolean query satisfiable.
 #[test]

@@ -25,8 +25,8 @@ use std::collections::BTreeSet;
 mod common;
 
 use common::{
-    complete, cq_answers, cq_treedec_answers, product_answers, product_answers_with_stats,
-    product_sat,
+    closure_join_queries, complete, cq_answers, cq_treedec_answers, product_answers,
+    product_answers_with_stats, product_sat, scc_union_db,
 };
 
 /// One complete enumeration run: answers and merged counters.
@@ -232,6 +232,36 @@ fn merged_stats_equal_sequential_totals() {
         for threads in [2usize, 4, 8] {
             let par = yannakakis(&db, &prepared, &tree, threads);
             assert_totals(&format!("planted seed {seed}"), threads, &seq, &par);
+        }
+    }
+}
+
+/// The closure-joined search shapes — a forward join of the end's
+/// candidates with the start's closure row, and a backward join of the
+/// start's with the end's transposed row — on disjoint strongly connected
+/// components: every thread count and layout returns the sequential
+/// answers and asks the same feasibility questions.
+#[test]
+fn closure_joined_shapes_match_sequential() {
+    let db = scc_union_db(24, 6);
+    for (name, q) in closure_join_queries(&db) {
+        let prepared = PreparedQuery::build(&q).unwrap();
+        let seq = product_answers_with_stats(&db, &prepared, &EvalOptions::sequential());
+        assert!(!seq.0.is_empty(), "{name}");
+        for threads in [1usize, 2, 4] {
+            for layout in [Layout::Flat, Layout::BitParallel] {
+                let opts = EvalOptions::with_threads(threads).with_layout(layout);
+                let par = product_answers_with_stats(&db, &prepared, &opts);
+                let label = format!("{name} threads={threads} {layout:?}");
+                assert_eq!(par.0, seq.0, "{label}");
+                assert_eq!(
+                    par.1.checks + par.1.cache_hits,
+                    seq.1.checks + seq.1.cache_hits,
+                    "{label}"
+                );
+                assert_eq!(par.1.assignments, seq.1.assignments, "{label}");
+                assert!(product_sat(&db, &prepared, &opts), "{label}");
+            }
         }
     }
 }
