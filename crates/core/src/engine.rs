@@ -21,8 +21,12 @@
 //! * the **CQ** evaluators ([`answers_cq_governed_traced`],
 //!   [`answers_cq_treedec_governed_traced`]) — the
 //!   backtracking join is partitioned by stride over the first atom's
-//!   candidate tuples, and tree-decomposition bag population fans out
-//!   bag-per-worker before the (sequential) semijoin passes.
+//!   candidate tuples. The tree-decomposition evaluator builds the
+//!   query's [`ReducedCq`] — bag population fans out bag-per-worker
+//!   before the (sequential) semijoin passes — and walks its reduced bags
+//!   sequentially, in time linear in the output. A prepared plan keeps
+//!   the instance its first complete build made, so later executions only
+//!   walk it.
 //!
 //! Workers merge their [`ProductStats`] with saturating adds at join, and
 //! answer sets are `BTreeSet`s merged by union — so parallel runs return
@@ -41,7 +45,7 @@
 //! [`crate::trace::NoopTracer`]. The `_prepared_` variants run over
 //! [`PreparedTables`] built once and reused.
 
-use crate::cq_eval;
+use crate::cq_eval::{CqJoin, ReducedCq};
 use crate::enumerate::{AnswerIter, SearchCursor};
 use crate::governor::{Governor, Outcome, ResourceBudget, Termination};
 use crate::prepare::PreparedQuery;
@@ -53,6 +57,7 @@ use ecrpq_query::{Cq, RelationalDb};
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Work-queue granularity: chunks per worker. More than 1 so a worker that
 /// drew an easy slice of the domain can steal further chunks; small enough
@@ -610,8 +615,9 @@ pub fn eval_cq_governed(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> Outcom
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
     let workers = cq_workers(db, q, opts);
+    let join = CqJoin::new(db, q);
     let found = if workers <= 1 {
-        cq_eval::eval_cq_part(db, q, None, governor, &NoopTracer)
+        join.holds(None, governor, &NoopTracer)
     } else {
         let stop = AtomicBool::new(false);
         let hits = on_workers(workers, &NoopTracer, |p, _| {
@@ -619,7 +625,7 @@ pub fn eval_cq_governed(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> Outcom
                 return false;
             }
             let part = Some((workers, p));
-            let hit = cq_eval::eval_cq_part(db, q, part, governor, &NoopTracer);
+            let hit = join.holds(part, governor, &NoopTracer);
             if hit {
                 stop.store(true, Ordering::Relaxed);
             }
@@ -630,17 +636,18 @@ pub fn eval_cq_governed(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> Outcom
     boolean_outcome(found, governed_cq_stats(governor), governor)
 }
 
-/// Boolean tree-decomposition evaluation: bag population fans out across
-/// workers; the semijoin passes stay sequential (they are linear in the
-/// already-reduced bag sizes). The Yannakakis reduction only certifies
-/// satisfiability when it ran to completion, so a run cut short by the
-/// budget never returns `true` — `false` under a non-complete termination
-/// means "not proven".
+/// Boolean tree-decomposition evaluation: the query holds iff its
+/// [`ReducedCq`] is satisfiable. Bag population fans out across workers;
+/// the semijoin passes stay sequential (they are linear in the bag
+/// sizes). The reduction only certifies satisfiability when it ran to
+/// completion, so a run cut short by the budget never returns `true` —
+/// `false` under a non-complete termination means "not proven".
 pub fn eval_cq_treedec_governed(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> Outcome<bool> {
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
     let threads = opts.effective_threads();
-    let sat = cq_eval::eval_cq_treedec_threads(db, q, threads, governor, &NoopTracer);
+    let sat = ReducedCq::build_governed(db, q, threads, governor, &NoopTracer)
+        .is_some_and(|r| r.is_satisfiable());
     boolean_outcome(sat, governed_cq_stats(governor), governor)
 }
 
@@ -656,19 +663,31 @@ pub fn answers_cq_governed_traced<T: Tracer>(
 ) -> Outcome<BTreeSet<Vec<u32>>> {
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
-    let answers = cq_answers_over(db, q, opts, governor, tracer);
+    let workers = cq_workers(db, q, opts);
+    let join = CqJoin::new(db, q);
+    let run = |part: Option<(usize, usize)>, worker_tracer: T| {
+        let mut mine = BTreeSet::new();
+        join.answers_into(part, governor, &worker_tracer, &mut mine);
+        (mine, ProductStats::default())
+    };
+    let answers = if workers <= 1 {
+        run(None, tracer.fork_worker()).0
+    } else {
+        merge_workers(on_workers(workers, tracer, |p, worker_tracer| {
+            run(Some((workers, p)), worker_tracer)
+        }))
+        .0
+    };
     governed_outcome(answers, governed_cq_stats(governor), governor)
 }
 
-/// Tree-decomposition answer enumeration: parallel bag population,
-/// sequential semijoins, then stride-parallel enumeration of the reduced
-/// acyclic join — identical output to
-/// [`crate::cq_eval::answers_cq_treedec`] when the run completes. One
-/// governor spans bag population, the semijoin reduction and the final
-/// join, so a deadline covers the whole pipeline; a run cut short during
-/// reduction enumerates over under-filled bags, which can only shrink the
-/// answer set. Bag population is reported under
-/// [`crate::trace::Phase::TreedecBags`], the final enumeration under
+/// Tree-decomposition answer enumeration: builds the query's
+/// [`ReducedCq`] — parallel bag population, sequential semijoins — and
+/// walks it; identical output to [`crate::cq_eval::answers_cq_treedec`]
+/// when the run completes. One governor spans the build and the walk, so
+/// a deadline covers the whole pipeline; a run cut short during the build
+/// returns no answers. Bag population is reported under
+/// [`crate::trace::Phase::TreedecBags`], the walk under
 /// [`crate::trace::Phase::CqJoin`] / [`crate::trace::Phase::Odometer`].
 pub fn answers_cq_treedec_governed_traced<T: Tracer>(
     db: &RelationalDb,
@@ -676,41 +695,38 @@ pub fn answers_cq_treedec_governed_traced<T: Tracer>(
     opts: &EvalOptions,
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<u32>>> {
-    let governor = run_governor(&opts.budget);
-    let governor = governor.as_ref();
     let threads = opts.effective_threads();
-    let answers = match cq_eval::treedec_join_instance(db, q, threads, governor, tracer) {
-        Some((jdb, jq)) => cq_answers_over(&jdb, &jq, opts, governor, tracer),
-        None => BTreeSet::new(),
-    };
-    governed_outcome(answers, governed_cq_stats(governor), governor)
+    answers_reduced_cq_traced(
+        &OnceLock::new(),
+        |governor| ReducedCq::build_governed(db, q, threads, governor, tracer),
+        opts,
+        tracer,
+    )
 }
 
-/// The governed CQ enumeration body (also the tail of the
-/// tree-decomposition pipeline, which reuses one governor across both
-/// phases so the deadline spans the whole run).
-fn cq_answers_over<T: Tracer>(
-    db: &RelationalDb,
-    q: &Cq,
+/// The one tree-decomposition answer pipeline. Takes the reduced
+/// instance from `slot` when an earlier run stored it; otherwise builds
+/// it with `build` under this run's fresh governor and stores it when the
+/// build was not stopped (a tripped build serves this run only: with no
+/// answers). Then walks it under the same governor. A prepared plan
+/// passes its own slot, so only its first complete build pays for bag
+/// population and the semijoins; a one-shot run passes an empty one.
+pub(crate) fn answers_reduced_cq_traced<T: Tracer>(
+    slot: &OnceLock<ReducedCq>,
+    build: impl FnOnce(Option<&Governor>) -> Option<ReducedCq>,
     opts: &EvalOptions,
-    governor: Option<&Governor>,
     tracer: &T,
-) -> BTreeSet<Vec<u32>> {
-    let workers = cq_workers(db, q, opts);
-    let run = |part: Option<(usize, usize)>, worker_tracer: T| {
-        let mut mine = BTreeSet::new();
-        if !stopped(governor) {
-            cq_eval::answers_cq_part(db, q, part, governor, &worker_tracer, &mut mine);
-        }
-        (mine, ProductStats::default())
-    };
-    if workers <= 1 {
-        return run(None, tracer.fork_worker()).0;
-    }
-    merge_workers(on_workers(workers, tracer, |p, worker_tracer| {
-        run(Some((workers, p)), worker_tracer)
-    }))
-    .0
+) -> Outcome<BTreeSet<Vec<u32>>> {
+    let governor = run_governor(&opts.budget);
+    let governor = governor.as_ref();
+    let reduced = slot.get().or_else(|| {
+        // a concurrent run may have stored its build first: both are
+        // complete, and the loser's is dropped
+        let _ = slot.set(build(governor)?);
+        slot.get()
+    });
+    let answers = reduced.map_or_else(BTreeSet::new, |r| r.enumerate(governor, tracer));
+    governed_outcome(answers, governed_cq_stats(governor), governor)
 }
 
 #[cfg(test)]

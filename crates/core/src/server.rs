@@ -39,7 +39,12 @@
 //! budget tripping mid-build truncates closure rows and semijoin domains,
 //! which is sound for the single run that reports a non-complete
 //! [`Termination`] but silently lossy forever if the truncated tables were
-//! reused. Only the per-execution search region is governed.
+//! reused. Only the per-execution search region is governed. The one
+//! exception is the semijoin-reduced tree-decomposition instance of a
+//! [`Strategy::CqTreedec`] plan ([`crate::cq_eval::ReducedCq`]): the
+//! first request builds it under its own governor and is charged for its
+//! bytes, and the plan keeps it only when that governor did not stop — a
+//! tripped build serves that request alone and is dropped.
 //!
 //! # Admission control
 //!
@@ -332,8 +337,8 @@ pub struct PreparedPlan {
     /// The GYO join tree, present exactly when `strategy` is
     /// [`Strategy::Yannakakis`].
     join_tree: Option<JoinTree>,
-    /// Lazily-built tables and Lemma 4.3 reduction, reused by every
-    /// execution of this plan.
+    /// Lazily-built tables and the reduced Lemma 4.3 CQ instance, reused
+    /// by every execution of this plan.
     tables: PlanTables,
 }
 

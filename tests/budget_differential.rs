@@ -521,3 +521,100 @@ fn truncated_chained_sweep_leaves_plan_tables_clean() {
     assert!(r.cached);
     assert_eq!((r.termination, r.answers), (Termination::Complete, planted));
 }
+
+/// A query the planner serves with [`ecrpq::eval::Strategy::CqTreedec`]
+/// on a small graph, and that graph.
+fn treedec_instance() -> (ecrpq::graph::GraphDb, &'static str) {
+    let db = random_db(40, 1.8, 2, 0x7DEC);
+    db.freeze();
+    (
+        db,
+        "q(x, z) :- x -[p]-> y, y -[r]-> z, p in a(a|b)*, r in b",
+    )
+}
+
+/// Bag tuples a served execution populated: zero exactly when it walked
+/// its plan's cached reduced instance.
+fn bags_populated(r: &ecrpq::eval::Response) -> u64 {
+    r.metrics.phase(Phase::TreedecBags).items
+}
+
+/// The planner's (unbudgeted, one-shot) answers to `text` over `db`.
+fn planner_answers(db: &ecrpq::graph::GraphDb, text: &str) -> BTreeSet<Vec<u32>> {
+    let mut alphabet = db.alphabet().clone();
+    let registry = ecrpq::query::RelationRegistry::new();
+    let q = ecrpq::query::parse_query(text, &mut alphabet, &registry).expect("parses");
+    ecrpq::eval::planner::answers(db, &q)
+}
+
+/// A cached CqTreedec plan whose first request trips its budget while
+/// the reduced instance is built keeps no instance: that request ends
+/// non-`Complete` with no answers, the next, unbudgeted request builds
+/// the instance afresh (it populates bags), completes and equals
+/// `planner::answers`, and only the request after that walks a cached
+/// instance.
+#[test]
+fn tripped_treedec_build_leaves_the_plan_slot_empty() {
+    let (db, text) = treedec_instance();
+    let expected = planner_answers(&db, text);
+    assert!(!expected.is_empty());
+    let service = ecrpq::eval::QueryService::new(db);
+    let capped = EvalOptions::sequential()
+        .with_budget(ResourceBudget::unlimited().with_max_configurations(1));
+    let cut = service.execute(text, &capped).expect("admitted");
+    assert_eq!(cut.plan.strategy, ecrpq::eval::Strategy::CqTreedec);
+    assert!(
+        matches!(cut.termination, Termination::BudgetExhausted { .. }),
+        "{}",
+        cut.termination
+    );
+    assert!(cut.answers.is_empty(), "a cut-short build serves no answer");
+    assert!(bags_populated(&cut) > 0);
+    let full = service
+        .execute(text, &EvalOptions::sequential())
+        .expect("admitted");
+    assert!(full.cached, "the plan itself was cached");
+    assert_eq!(full.termination, Termination::Complete);
+    assert_eq!(full.answers, expected);
+    assert!(bags_populated(&full) > 0, "the tripped build was kept");
+    let warm = service
+        .execute(text, &EvalOptions::sequential())
+        .expect("admitted");
+    assert_eq!(warm.termination, Termination::Complete);
+    assert_eq!(warm.answers, expected);
+    assert_eq!(bags_populated(&warm), 0, "the complete build was not kept");
+}
+
+/// The reduced instance's bytes reach the governor of the request that
+/// builds it: a memory cap one byte below them trips the build, on the
+/// one-shot path and on a cold cached plan alike, and the plan keeps no
+/// instance.
+#[test]
+fn treedec_instance_bytes_are_charged_to_the_building_request() {
+    use ecrpq::eval::cq_eval::ReducedCq;
+    use ecrpq::eval::{ecrpq_to_cq, ExhaustedResource};
+    let (db, text) = treedec_instance();
+    let mut alphabet = db.alphabet().clone();
+    let registry = ecrpq::query::RelationRegistry::new();
+    let q = ecrpq::query::parse_query(text, &mut alphabet, &registry).expect("parses");
+    let (cq, rdb, _) = ecrpq_to_cq(&db, &PreparedQuery::build(&q).expect("valid"));
+    let bytes = ReducedCq::build(&rdb, &cq).bytes();
+    assert!(bytes > 0);
+    let below = EvalOptions::sequential()
+        .with_budget(ResourceBudget::unlimited().with_max_memory_bytes(bytes - 1));
+    let memory = Termination::BudgetExhausted {
+        resource: ExhaustedResource::Memory,
+    };
+    let one_shot = engine::answers_cq_treedec_governed_traced(&rdb, &cq, &below, &NoopTracer);
+    assert_eq!(one_shot.termination, memory);
+    assert!(one_shot.answers.is_empty());
+    let service = ecrpq::eval::QueryService::new(db);
+    let cold = service.execute(text, &below).expect("admitted");
+    assert_eq!(cold.termination, memory);
+    assert!(cold.answers.is_empty(), "the build, not the walk, tripped");
+    let next = service
+        .execute(text, &EvalOptions::sequential())
+        .expect("admitted");
+    assert_eq!(next.termination, Termination::Complete);
+    assert!(bags_populated(&next) > 0, "the tripped build was kept");
+}

@@ -144,3 +144,101 @@ pub fn closure_join_queries(db: &GraphDb) -> [(&'static str, ecrpq::query::Ecrpq
     };
     [("forward", shape(false)), ("backward", shape(true))]
 }
+
+/// What a [`random_cq_instance`] exercises, for coverage checks.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CqShape {
+    /// The query has no free variable.
+    pub boolean: bool,
+    /// Some free variable occurs in no atom.
+    pub unconstrained_free: bool,
+    /// Some atom repeats a variable.
+    pub repeated_var: bool,
+    /// Some atom reads `Nope`, a relation the database lacks.
+    pub unknown_relation: bool,
+}
+
+/// A random CQ with a projection over a random database on 2–5 elements:
+/// relations `U` (unary), `E`, `F` (binary) and `T` (ternary), and up to
+/// five atoms over up to five variables, drawn with repetition, so atoms
+/// may repeat a variable and variables may occur in no atom. One atom in
+/// twelve reads the unknown relation `Nope`. The free variables are a
+/// random selection in random order (none for one query in five).
+pub fn random_cq_instance(seed: u64) -> (RelationalDb, Cq, CqShape) {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let n = rng.gen_range(2..6usize);
+    let mut db = RelationalDb::new(n);
+    let relations = [
+        ("U", 1usize, 0.5),
+        ("E", 2, 0.35),
+        ("F", 2, 0.35),
+        ("T", 3, 0.15),
+    ];
+    for &(name, arity, p) in &relations {
+        db.declare(name, arity);
+        let mut t = vec![0u32; arity];
+        for code in 0..n.pow(arity as u32) {
+            let mut c = code;
+            for slot in t.iter_mut() {
+                *slot = (c % n) as u32;
+                c /= n;
+            }
+            if rng.gen_bool(p) {
+                db.insert(name, &t);
+            }
+        }
+    }
+    let num_vars = rng.gen_range(1..6usize);
+    let mut q = Cq::new(num_vars);
+    let mut shape = CqShape::default();
+    for _ in 0..rng.gen_range(1..6usize) {
+        let (name, arity) = if rng.gen_range(0..12u32) == 0 {
+            shape.unknown_relation = true;
+            ("Nope", 2)
+        } else {
+            let (name, arity, _) = relations[rng.gen_range(0..relations.len())];
+            (name, arity)
+        };
+        let vars: Vec<usize> = (0..arity).map(|_| rng.gen_range(0..num_vars)).collect();
+        shape.repeated_var |= (1..vars.len()).any(|i| vars[..i].contains(&vars[i]));
+        q.atom(name, &vars);
+    }
+    if rng.gen_range(0..5u32) > 0 {
+        let mut free: Vec<usize> = (0..num_vars).filter(|_| rng.gen_bool(0.6)).collect();
+        for i in (1..free.len()).rev() {
+            free.swap(i, rng.gen_range(0..i + 1));
+        }
+        q.free = free;
+    }
+    shape.boolean = q.free.is_empty();
+    shape.unconstrained_free = q
+        .free
+        .iter()
+        .any(|v| q.atoms.iter().all(|a| !a.vars.contains(v)));
+    (db, q, shape)
+}
+
+/// The answers of `q` over `db` by brute force: every assignment of the
+/// domain to the variables, kept when every atom holds, projected on the
+/// free variables. Independent of both CQ evaluators; exponential, so
+/// for small instances only.
+pub fn brute_force_cq_answers(db: &RelationalDb, q: &Cq) -> BTreeSet<Vec<u32>> {
+    let n = db.domain_size() as u32;
+    let mut out = BTreeSet::new();
+    let mut values = vec![0u32; q.num_vars];
+    loop {
+        if q.atoms.iter().all(|a| {
+            let t: Vec<u32> = a.vars.iter().map(|&v| values[v]).collect();
+            db.holds(&a.relation, &t)
+        }) {
+            out.insert(q.free.iter().map(|&v| values[v]).collect());
+        }
+        let Some(i) = values.iter().position(|&x| x + 1 < n) else {
+            return out;
+        };
+        values[i] += 1;
+        values[..i].fill(0);
+    }
+}

@@ -14,6 +14,10 @@ use ecrpq::eval::{ecrpq_to_cq, eval_product, PreparedQuery};
 use ecrpq::query::NodeVar;
 use ecrpq::workloads::{random_db, random_ecrpq, RandomQueryParams};
 
+mod common;
+
+use common::{brute_force_cq_answers, random_cq_instance, CqShape};
+
 #[test]
 fn boolean_evaluators_agree_on_random_instances() {
     let params = RandomQueryParams {
@@ -184,4 +188,42 @@ fn empty_and_single_node_databases() {
             assert_eq!(direct, eval_cq_treedec(&rdb, &cq), "seed {seed}, n={n}");
         }
     }
+}
+
+/// The tree-decomposition evaluator — its reduced-bag walk for answer
+/// sets — and the backtracking join against brute force on random CQs
+/// with projections:
+/// Boolean queries, free variables in no atom, variables repeated in one
+/// atom, an unknown (empty) relation and unsatisfiable instances all
+/// occur, and the run checks that each did.
+#[test]
+fn reduced_walk_matches_backtracking_on_random_cqs() {
+    let mut seen = CqShape::default();
+    let (mut unsat, mut projected) = (0, 0);
+    for seed in 0..400u64 {
+        let (db, q, shape) = random_cq_instance(seed);
+        let expected = brute_force_cq_answers(&db, &q);
+        assert_eq!(answers_cq(&db, &q), expected, "seed {seed}: {q:?}");
+        assert_eq!(answers_cq_treedec(&db, &q), expected, "seed {seed}: {q:?}");
+        assert_eq!(
+            eval_cq_treedec(&db, &q),
+            eval_cq(&db, &q),
+            "seed {seed}: {q:?}"
+        );
+        assert_eq!(eval_cq(&db, &q), !expected.is_empty(), "seed {seed}");
+        seen.boolean |= shape.boolean;
+        seen.unconstrained_free |= shape.unconstrained_free;
+        seen.repeated_var |= shape.repeated_var;
+        seen.unknown_relation |= shape.unknown_relation;
+        unsat += usize::from(expected.is_empty());
+        projected += usize::from(q.free.len() < q.num_vars && !q.free.is_empty());
+    }
+    assert!(
+        seen.boolean && seen.unconstrained_free && seen.repeated_var && seen.unknown_relation,
+        "{seen:?}"
+    );
+    assert!(
+        unsat > 20 && projected > 50,
+        "unsat {unsat}, projected {projected}"
+    );
 }

@@ -26,7 +26,7 @@ mod common;
 
 use common::{
     closure_join_queries, complete, cq_answers, cq_treedec_answers, product_answers,
-    product_answers_with_stats, product_sat, scc_union_db,
+    product_answers_with_stats, product_sat, random_cq_instance, scc_union_db,
 };
 
 /// One complete enumeration run: answers and merged counters.
@@ -302,6 +302,83 @@ fn bitparallel_word_chunks_match_sequential() {
             assert!(
                 product_sat(&db, &prepared, &opts),
                 "seed {seed} threads {threads}"
+            );
+        }
+    }
+}
+
+/// The reduced-bag walk at 1, 2 and 4 threads against the sequential
+/// backtracking join, on the CQ shapes it has to get right: a Boolean
+/// query, a free variable in no atom, variables repeated in one atom, an
+/// atom over an unknown (empty) relation, and an unsatisfiable instance —
+/// then on random CQs with projections.
+#[test]
+fn reduced_walk_edge_cases_match_backtracking_at_every_thread_count() {
+    use ecrpq::query::{Cq, RelationalDb};
+    let mut db = RelationalDb::new(5);
+    for (a, b) in [(0, 1), (1, 2), (2, 0), (2, 3), (3, 3), (4, 1)] {
+        db.insert("E", &[a, b]);
+    }
+    for (a, b, c) in [(0, 1, 0), (1, 2, 1), (4, 3, 4), (2, 0, 1)] {
+        db.insert("T", &[a, b, c]);
+    }
+    let cq = |num_vars: usize, atoms: &[(&str, &[usize])], free: &[usize]| {
+        let mut q = Cq::new(num_vars);
+        for &(rel, vars) in atoms {
+            q.atom(rel, vars);
+        }
+        q.free = free.to_vec();
+        q
+    };
+    let cases = [
+        (
+            "boolean triangle",
+            cq(3, &[("E", &[0, 1]), ("E", &[1, 2]), ("E", &[2, 0])], &[]),
+        ),
+        ("free var in no atom", cq(3, &[("E", &[0, 1])], &[2, 0])),
+        (
+            "repeated vars",
+            cq(2, &[("E", &[0, 0]), ("T", &[1, 0, 1])], &[1, 0]),
+        ),
+        (
+            "unknown relation",
+            cq(2, &[("E", &[0, 1]), ("Nope", &[1, 0])], &[0]),
+        ),
+        (
+            "unsatisfiable",
+            cq(
+                2,
+                &[("E", &[0, 1]), ("E", &[1, 0]), ("T", &[0, 1, 0])],
+                &[0, 1],
+            ),
+        ),
+    ];
+    let random = (0..40u64).map(|seed| {
+        let (db, q, _) = random_cq_instance(seed.wrapping_mul(7919));
+        (db, q)
+    });
+    let fixed = cases.into_iter().map(|(what, q)| {
+        let expected = answers_cq_seq(&db, &q);
+        match what {
+            "boolean triangle" => assert_eq!(expected, BTreeSet::from([vec![]])),
+            "unknown relation" | "unsatisfiable" => assert!(expected.is_empty(), "{what}"),
+            _ => assert!(!expected.is_empty(), "{what}"),
+        }
+        (db.clone(), q)
+    });
+    for (i, (db, q)) in fixed.chain(random).enumerate() {
+        let expected = answers_cq_seq(&db, &q);
+        for threads in [1usize, 2, 4] {
+            let opts = EvalOptions::with_threads(threads);
+            assert_eq!(
+                cq_treedec_answers(&db, &q, &opts),
+                expected,
+                "case {i} threads {threads}: {q:?}"
+            );
+            assert_eq!(
+                complete(engine::eval_cq_treedec_governed(&db, &q, &opts)).0,
+                !expected.is_empty(),
+                "case {i} threads {threads}: {q:?}"
             );
         }
     }

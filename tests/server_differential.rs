@@ -327,3 +327,31 @@ fn plans_over_an_uncovered_alphabet_key_by_text() {
     let (plan, _) = service.prepare(covered).expect("prepares");
     assert_eq!(plan.key, rendering);
 }
+
+/// A warm execution of a cached CqTreedec plan only walks the reduced
+/// instance the first execution built: it populates no bag (zero
+/// `treedec-bags` items), completes, and returns the first execution's
+/// answers — at one thread and at several.
+#[test]
+fn warm_treedec_execution_populates_no_bag() {
+    use ecrpq::eval::Phase;
+    let db = random_db(60, 1.5, 2, 0xD1FF);
+    db.freeze();
+    let service = QueryService::new(db.clone());
+    for text in &CORPUS[..2] {
+        let opts = EvalOptions::sequential().with_budget(generous());
+        let first = service.execute(text, &opts).expect("cold");
+        assert_eq!(first.plan.strategy, Strategy::CqTreedec, "{text}");
+        assert!(first.termination.is_complete());
+        assert_eq!(first.answers, reference(&db, text), "{text}");
+        assert!(first.metrics.phase(Phase::TreedecBags).items > 0, "{text}");
+        for threads in [1usize, 2] {
+            let opts = EvalOptions::with_threads(threads).with_budget(generous());
+            let warm = service.execute(text, &opts).expect("warm");
+            assert!(warm.cached);
+            assert_eq!(warm.metrics.phase(Phase::TreedecBags).items, 0, "{text}");
+            assert!(warm.termination.is_complete(), "{text}");
+            assert_eq!(warm.answers, first.answers, "{text}");
+        }
+    }
+}
