@@ -4,9 +4,7 @@
 //! (no experiment arguments = run everything). Each experiment prints a
 //! markdown table plus the fitted log–log slopes used to check the paper's
 //! complexity predictions. `--threads N` sets the worker count used by the
-//! parallel-engine experiment E14 (default: all available cores). E15
-//! compares the product-search data layouts (flat scalar BFS vs the
-//! bit-parallel kernel) on the E14 workload.
+//! parallel-engine experiment E14 (default: all available cores).
 
 use ecrpq_bench::{
     complete, fmt_duration, loglog_slope, product_answers_with_stats, time_median, Table,
@@ -84,9 +82,6 @@ fn main() {
     }
     if want("E14") {
         e14_thread_scaling(threads);
-    }
-    if want("E15") {
-        e15_layout();
     }
     if want("E17") {
         e17_budget();
@@ -169,25 +164,25 @@ fn e20_yannakakis() {
     run_harness("experiments/e20.toml");
 }
 
-/// E19 — Flat vs BitParallel configs/s on the planted power-law instance,
-/// at 1/2/4/8 worker threads, driven by the declarative spec at
+/// E19 — configs/s on the planted power-law instance at 1/2/4/8 worker
+/// threads, driven by the declarative spec at
 /// `experiments/e19.toml` (the CI smoke run passes `--smoke` to the
 /// harness instead).
 fn e19_bitparallel() {
-    println!("## E19 — Bit-parallel product BFS: configs/s, flat vs bit-parallel");
+    println!("## E19 — Arity-1 sweep on a million-node graph: configs/s by thread count");
     println!();
     println!("The planted power-law reachability instance: a scale-free core over");
     println!("labels {{a, b}}, 8 source vertices entering the hub by a `c`-edge and");
     println!("one sink behind a 64-vertex chain tail, queried with");
     println!("`q(x) :- x -[p]-> y, p in c(a|b)*d`. The semijoin prunes the");
-    println!("endpoint domains to the 8 sources and the single sink, so each run");
-    println!("is 8 product-BFS sweeps over essentially the whole core — the");
-    println!("configs/s column measures the BFS inner loop. The serial table");
-    println!("build (closure, dense tables, semijoin sweep) is hoisted into a");
-    println!("per-layout `PreparedTables` outside the timed region, so the");
-    println!("threads column shows the scaling of the parallel search alone");
-    println!("(the build cost is reported separately below). Answer sets are");
-    println!("asserted identical across both layouts and every thread count.");
+    println!("endpoint domains to the 8 sources and the single sink; the atom");
+    println!("has arity 1, so each worker decides it by one single-track sweep");
+    println!("backwards from the sink over essentially the whole core. The");
+    println!("serial table build (dense tables, semijoin sweep) is hoisted into");
+    println!("a `PreparedTables` outside the timed region, so the threads column");
+    println!("shows the scaling of the parallel search alone (the build cost is");
+    println!("reported separately below). Answer sets are asserted identical at");
+    println!("every thread count.");
     println!();
     run_harness("experiments/e19.toml");
 }
@@ -202,13 +197,13 @@ fn e18_observability() {
     println!("clique is also routed through the CQ join, and the PSPACE flower");
     println!("lives in the product BFS (direct strategy). Part B measures the");
     println!("cost of the tracer");
-    println!("itself on the E15 flat-layout instance: `NoopTracer` is a");
+    println!("itself on the E14 flower instance: `NoopTracer` is a");
     println!("monomorphized no-op and serves as the baseline;");
     println!("`CollectingTracer` pays relaxed atomic increments.");
     println!();
     // Part A — phase split per regime, driven by the declarative spec.
     run_harness("experiments/e18.toml");
-    // Part B — tracer overhead on the E15 flat-layout instance.
+    // Part B — tracer overhead on the E14 flower instance.
     let r = 3usize;
     let alphabet = ecrpq_automata::Alphabet::ascii_lower(2);
     let (langs, _) = planted_ine(r, 4, 2, 3, 31 + r as u64);
@@ -310,20 +305,6 @@ fn fmt_rate(configs: u64, d: Duration) -> String {
     } else {
         format!("{rate:.0}/s")
     }
-}
-
-fn e15_layout() {
-    println!("## E15 — Data layout of the product search: flat vs bitparallel");
-    println!();
-    println!("The E14 flower instance (r=3 planted-intersection NFAs, all node");
-    println!("variables free), enumerated sequentially under each product-search");
-    println!("data layout. `flat` is the scalar BFS over CSR slice lookups, dense");
-    println!("row-grouped transition tables and semijoin-pruned endpoint domains;");
-    println!("`bitparallel` swaps its inner loop for the word-packed bitmap kernel");
-    println!("on the arity > 1 atoms of this instance. Answer sets are asserted");
-    println!("identical across layouts; ns/config isolates per-configuration cost.");
-    println!();
-    run_harness("experiments/e15.toml");
 }
 
 fn e14_thread_scaling(threads: usize) {

@@ -26,7 +26,6 @@ pub fn aggregate(spec: &Spec, results: &[(TrialParams, Json)]) -> Result<Json, S
         "yannakakis" => agg_yannakakis(spec, results),
         "minimize" => agg_minimize(spec, results),
         "server" => agg_server(spec, results),
-        "layout" => agg_layout(spec, results),
         "budget" => agg_budget(spec, results),
         "observability" => agg_observability(results),
         other => Err(format!("spec `{}`: unknown kind `{other}`", spec.name)),
@@ -129,7 +128,6 @@ fn agg_bitparallel(spec: &Spec, results: &[(TrialParams, Json)]) -> Result<Json,
     let mut rows = Vec::new();
     for (_, r) in results {
         rows.push(Json::Obj(vec![
-            ("layout".into(), get_raw(r, "layout")?),
             ("threads".into(), get_raw(r, "threads")?),
             ("configs".into(), get_raw(r, "configs")?),
             (
@@ -138,8 +136,8 @@ fn agg_bitparallel(spec: &Spec, results: &[(TrialParams, Json)]) -> Result<Json,
             ),
         ]));
     }
-    // Planted-answer checksums must agree across every layout and thread
-    // count (the cross-trial form of E19's baseline assertion).
+    // Planted-answer checksums must agree across every thread count (the
+    // cross-trial form of E19's baseline assertion).
     let fnv0 = get_raw(first, "answers_fnv")?;
     for (params, r) in results {
         if get_raw(r, "answers_fnv")? != fnv0 {
@@ -155,26 +153,26 @@ fn agg_bitparallel(spec: &Spec, results: &[(TrialParams, Json)]) -> Result<Json,
         .find(|(axis, _)| axis == "threads")
         .map(|(_, values)| values.iter().map(SpecValue::render).collect())
         .unwrap_or_default();
-    let rate_at = |layout: &str, threads: &str| -> Result<f64, String> {
+    let rate_at = |threads: &str| {
         getf(
-            by_axes(results, &[("layout", layout), ("threads", threads)])?,
+            by_axes(results, &[("threads", threads)])?,
             "configs_per_sec",
         )
     };
-    let speedup_at = |threads: &str| -> Result<f64, String> {
-        Ok(rate_at("bitparallel", threads)? / rate_at("flat", threads)?.max(1e-9))
-    };
-    let mut best = 0f64;
-    for threads in &threads_axis {
-        best = best.max(speedup_at(threads)?);
-    }
     let single = threads_axis.first().ok_or("threads axis is empty")?;
     let t8 = threads_axis
         .iter()
         .find(|t| *t == "8")
         .unwrap_or(threads_axis.last().ok_or("threads axis is empty")?);
-    let flat1 = by_axes(results, &[("layout", "flat"), ("threads", single)])?;
-    let bp1 = by_axes(results, &[("layout", "bitparallel"), ("threads", single)])?;
+    // thread scaling: configs/s at a thread count over configs/s at the
+    // first (single) one
+    let speedup_at = |threads: &str| -> Result<f64, String> {
+        Ok(rate_at(threads)? / rate_at(single)?.max(1e-9))
+    };
+    let mut best = 0f64;
+    for threads in &threads_axis {
+        best = best.max(speedup_at(threads)?);
+    }
     Ok(Json::Obj(vec![
         ("experiment".into(), Json::str("E19")),
         ("nodes".into(), get_raw(first, "nodes")?),
@@ -183,16 +181,11 @@ fn agg_bitparallel(spec: &Spec, results: &[(TrialParams, Json)]) -> Result<Json,
         ("sources".into(), get_raw(first, "answers")?),
         ("rows".into(), Json::Arr(rows)),
         (
-            "prepare_flat_ms".into(),
-            Json::fixed(getf(flat1, "prepare_ms")?, 2),
-        ),
-        (
-            "prepare_bitparallel_ms".into(),
-            Json::fixed(getf(bp1, "prepare_ms")?, 2),
-        ),
-        (
-            "speedup_single_thread".into(),
-            Json::fixed(speedup_at(single)?, 2),
+            "prepare_ms".into(),
+            Json::fixed(
+                getf(by_axes(results, &[("threads", single)])?, "prepare_ms")?,
+                2,
+            ),
         ),
         ("speedup_t8".into(), Json::fixed(speedup_at(t8)?, 2)),
         ("speedup_best".into(), Json::fixed(best, 2)),
@@ -290,52 +283,6 @@ fn agg_server(spec: &Spec, results: &[(TrialParams, Json)]) -> Result<Json, Stri
         ("cache_misses".into(), get_raw(cached, "cache_misses")?),
         ("cached_plans".into(), get_raw(cached, "cached_plans")?),
         ("speedup_cached_over_cold".into(), Json::fixed(speedup, 2)),
-    ]))
-}
-
-fn agg_layout(spec: &Spec, results: &[(TrialParams, Json)]) -> Result<Json, String> {
-    let first = &results[0].1;
-    // Cross-layout answer equality, checksum form.
-    let fnv0 = get_raw(first, "answers_fnv")?;
-    let mut rows = Vec::new();
-    for (params, r) in results {
-        if get_raw(r, "answers_fnv")? != fnv0 {
-            return Err(format!(
-                "layout {} changed the answer set",
-                Spec::trial_key(params)
-            ));
-        }
-        rows.push(Json::Obj(vec![
-            ("layout".into(), get_raw(r, "layout")?),
-            ("answers".into(), get_raw(r, "answers")?),
-            ("configs".into(), get_raw(r, "configs")?),
-            ("time_ms".into(), Json::fixed(getf(r, "time_ms")?, 3)),
-            (
-                "ns_per_config".into(),
-                Json::fixed(getf(r, "ns_per_config")?, 0),
-            ),
-            (
-                "configs_per_sec".into(),
-                Json::fixed(getf(r, "configs_per_sec")?, 0),
-            ),
-        ]));
-    }
-    let flat = by_axes(results, &[("layout", "flat")])?;
-    let bitpar = by_axes(results, &[("layout", "bitparallel")])?;
-    Ok(Json::Obj(vec![
-        ("experiment".into(), Json::str("E15")),
-        ("nodes".into(), get_raw(first, "nodes")?),
-        ("edges".into(), get_raw(first, "edges")?),
-        ("seed".into(), spec_seed(spec)?),
-        ("threads".into(), Json::int(1)),
-        ("rows".into(), Json::Arr(rows)),
-        (
-            "speedup_bitparallel_over_flat".into(),
-            Json::fixed(
-                getf(flat, "time_ms")? / getf(bitpar, "time_ms")?.max(1e-6),
-                2,
-            ),
-        ),
     ]))
 }
 

@@ -334,9 +334,8 @@ impl Spec {
     }
 
     /// Expands the matrix into the trial list: the cartesian product of
-    /// the axes with the *first* axis varying slowest (so the committed
-    /// row order — e.g. E19's "both layouts at 1 thread, then both at
-    /// 2, …" — is expressed by axis order in the spec). A spec with no
+    /// the axes with the *first* axis varying slowest (so a committed row
+    /// order is expressed by axis order in the spec). A spec with no
     /// matrix has exactly one trial with empty params.
     pub fn trials(&self) -> Vec<TrialParams> {
         let mut trials: Vec<TrialParams> = vec![Vec::new()];

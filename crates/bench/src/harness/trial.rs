@@ -31,7 +31,6 @@ pub fn run_trial(spec: &Spec, params: &TrialParams) -> Result<Json, String> {
         "yannakakis" => trial_yannakakis(spec, params),
         "minimize" => trial_minimize(spec, params),
         "server" => trial_server(spec, params),
-        "layout" => trial_layout(spec, params),
         "budget" => trial_budget(spec, params),
         "observability" => trial_observability(spec, params),
         other => Err(format!("spec `{}`: unknown kind `{other}`", spec.name)),
@@ -65,14 +64,6 @@ fn generate_workload(spec: &Spec, params: &TrialParams) -> Result<registry::Gene
     registry::generate(&name, &gen_params)
 }
 
-fn layout_by_name(name: &str) -> Result<Layout, String> {
-    match name {
-        "flat" => Ok(Layout::Flat),
-        "bitparallel" => Ok(Layout::BitParallel),
-        other => Err(format!("unknown layout `{other}`")),
-    }
-}
-
 /// Full-precision float (f64 shortest round-trip rendering; the
 /// aggregation layer applies the artifact rounding).
 fn num(v: f64) -> Json {
@@ -99,13 +90,11 @@ fn answers_checksum(answers: &BTreeSet<Vec<u32>>) -> Json {
     Json::str(format!("{h:016x}"))
 }
 
-/// E19 — flat vs bit-parallel configs/s at a (threads, layout) point of
-/// the matrix, on the planted power-law reachability instance. The
-/// serial table build is timed separately (`prepare_ms`).
+/// E19 — configs/s at one thread count of the matrix, on the planted
+/// power-law reachability instance. The serial table build is timed
+/// separately (`prepare_ms`).
 fn trial_bitparallel(spec: &Spec, params: &TrialParams) -> Result<Json, String> {
     let threads = axis_usize(params, "threads")?;
-    let layout_name = axis_str(params, "layout")?;
-    let layout = layout_by_name(&layout_name)?;
     let generated = generate_workload(spec, params)?;
     let q = generated.query.ok_or("workload produced no query")?;
     let expected = generated.expected.ok_or("workload produced no answers")?;
@@ -114,9 +103,9 @@ fn trial_bitparallel(spec: &Spec, params: &TrialParams) -> Result<Json, String> 
     // lint:allow(unwrap): generated workload queries are well-formed by construction
     let prepared = PreparedQuery::build(&q).expect("valid");
     let start = std::time::Instant::now();
-    let tables = PreparedTables::build(&db, &prepared, layout);
+    let tables = PreparedTables::build(&db, &prepared, Layout::Flat);
     let prepare_ms = start.elapsed().as_secs_f64() * 1e3;
-    let opts = EvalOptions::with_threads(threads).with_layout(layout);
+    let opts = EvalOptions::with_threads(threads);
     let run = || {
         complete(engine::answers_product_governed_prepared_traced(
             &db,
@@ -129,12 +118,11 @@ fn trial_bitparallel(spec: &Spec, params: &TrialParams) -> Result<Json, String> 
     let (answers, stats) = run();
     assert_eq!(
         answers, expected,
-        "{layout_name} at {threads} threads diverged from the planted answers"
+        "{threads} threads diverged from the planted answers"
     );
     let d = time_median(spec.reps, run);
     let rate = stats.configurations as f64 / d.as_secs_f64().max(1e-9);
     Ok(Json::Obj(vec![
-        ("layout".into(), Json::str(layout_name)),
         ("threads".into(), Json::int(threads)),
         ("answers".into(), Json::int(answers.len())),
         ("configs".into(), Json::int(stats.configurations)),
@@ -159,7 +147,7 @@ fn trial_yannakakis(spec: &Spec, params: &TrialParams) -> Result<Json, String> {
     let expected = generated.expected.ok_or("workload produced no answers")?;
     let db = generated.db;
     db.freeze();
-    let opts = EvalOptions::sequential().with_layout(Layout::Flat);
+    let opts = EvalOptions::sequential();
     // the join tree and the compiled query come from one plan, so the
     // tree's atom indices name the atoms being run
     let plan = planner::plan(&db, &q);
@@ -480,37 +468,6 @@ fn trial_server(spec: &Spec, params: &TrialParams) -> Result<Json, String> {
         ("rounds".into(), Json::int(rounds)),
         ("nodes".into(), Json::int(db.num_nodes())),
         ("edges".into(), Json::int(db.num_edges())),
-    ]))
-}
-
-/// E15 — one product-search data layout on the flower embedding
-/// instance; the aggregator asserts the answer checksum matches across
-/// the layout axis.
-fn trial_layout(spec: &Spec, params: &TrialParams) -> Result<Json, String> {
-    let layout_name = axis_str(params, "layout")?;
-    let layout = layout_by_name(&layout_name)?;
-    let generated = generate_workload(spec, params)?;
-    let q = generated.query.ok_or("workload produced no query")?;
-    let db = generated.db;
-    // lint:allow(unwrap): generated workload queries are well-formed by construction
-    let prepared = PreparedQuery::build(&q).expect("valid");
-    let opts = EvalOptions::sequential().with_layout(layout);
-    let (answers, stats) = product_answers_with_stats(&db, &prepared, &opts);
-    let d = time_median(spec.reps, || {
-        product_answers_with_stats(&db, &prepared, &opts)
-    });
-    let ns_per_config = d.as_nanos() as f64 / stats.configurations.max(1) as f64;
-    let rate = stats.configurations as f64 / d.as_secs_f64().max(1e-9);
-    Ok(Json::Obj(vec![
-        ("layout".into(), Json::str(layout_name)),
-        ("answers".into(), Json::int(answers.len())),
-        ("configs".into(), Json::int(stats.configurations)),
-        ("time_ms".into(), num(d.as_secs_f64() * 1e3)),
-        ("ns_per_config".into(), num(ns_per_config)),
-        ("configs_per_sec".into(), num(rate)),
-        ("nodes".into(), Json::int(db.num_nodes())),
-        ("edges".into(), Json::int(db.num_edges())),
-        ("answers_fnv".into(), answers_checksum(&answers)),
     ]))
 }
 

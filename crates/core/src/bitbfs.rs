@@ -1,6 +1,6 @@
-//! The [`Layout::BitParallel`] product-BFS kernel: word-packed
-//! frontier/visited bitmaps over the dense `(state, positions)`
-//! configuration space of a synchronized atom of arity 2 or 3.
+//! The bitmap product-BFS kernel: word-packed frontier/visited bitmaps
+//! over the dense `(state, positions)` configuration space of a
+//! synchronized atom of arity 2 or 3.
 //!
 //! The flat BFS ([`crate::product`]) walks configurations one at a time
 //! through a word queue; per visited configuration it pays a hash-set
@@ -15,19 +15,16 @@
 //! call's cost is proportional to the configurations it actually reached
 //! — never to the configuration space.
 //!
-//! The kernel is only entered for atoms of arity 2–3 whose space fits the
-//! dense-bitmap gate, and only in non-witness mode; witness traces and
-//! over-large or wider spaces fall back to the flat scalar path, and
-//! arity-1 atoms are decided by the single-track sweep of
-//! [`crate::semijoin`] under both layouts. That is why
-//! `Layout::BitParallel` is answer-bit-identical to `Layout::Flat` by
-//! construction on the shared enumeration machinery.
+//! The product tables choose the kernel per atom: arity 2–3 and a space
+//! that fits the dense-bitmap gate, and only in non-witness mode. Witness
+//! traces and over-large or wider spaces run the flat BFS, and arity-1
+//! atoms are decided by the single-track sweep of [`crate::semijoin`].
+//! Both BFS routines run over the same domains, step program and memo, so
+//! which one decides a check never changes an answer.
 //!
 //! This module is bit-parallel-hot (xtask lint rule 7): per-element map
 //! probes (`.get(`/`.insert(`) are forbidden here — state must live in
 //! word ops over bitmaps or in index arithmetic, not hash probes.
-//!
-//! [`Layout::BitParallel`]: crate::product::Layout::BitParallel
 
 use crate::governor::Pacer;
 use crate::product::{DenseAtom, DenseTables, ProductStats};
@@ -96,6 +93,9 @@ pub(crate) struct BitScratch {
     cur_words: Vec<u32>,
     /// Nonzero words of `next`, deduplicated.
     nxt_words: Vec<u32>,
+    /// Bit indices of the accepting configurations `(final state, ends)`
+    /// of the current call.
+    goals: Vec<usize>,
     /// Odometer / decode scratch of the expansion step.
     arena: BumpArena,
 }
@@ -109,6 +109,7 @@ impl BitScratch {
             touched: Vec::new(),
             cur_words: Vec::new(),
             nxt_words: Vec::new(),
+            goals: Vec::new(),
             arena: BumpArena::new(),
         }
     }
@@ -117,6 +118,12 @@ impl BitScratch {
     /// ledger is charged when a worker installs a budget.
     pub(crate) fn bytes(&self) -> u64 {
         3 * 8 * self.visited.words().len() as u64
+    }
+
+    /// Whether some accepting configuration of the current call is
+    /// visited.
+    fn goal_reached(&self) -> bool {
+        self.goals.iter().any(|&g| self.visited.contains(g))
     }
 }
 
@@ -167,16 +174,15 @@ fn set_one(
     1
 }
 
-/// Whether some accepting configuration `(final state, ends)` is visited.
-fn accepting_reached(nfa: &Nfa<Row>, ends: &[NodeId], nv: usize, visited: &BitSet) -> bool {
-    (0..nfa.num_states() as StateId)
-        .any(|q| nfa.is_final(q) && visited.contains(encode(q, ends, nv)))
-}
-
 /// Runs the bit-parallel level-synchronous BFS for one atom with fixed
 /// endpoints. Returns `true` iff an accepting configuration is reached;
 /// a `false` under a tripped pacer is unproven (the caller never memoizes
 /// it — same contract as the flat path).
+///
+/// Acceptance is tested after every frontier-word batch, so the search
+/// stops inside the level whose expansion reaches the goal. The flat BFS
+/// pops that whole level and then part of the next before it pops the
+/// goal, so the kernel never charges the governor more work.
 ///
 /// Counter semantics: `configurations` counts **first visits** (seed and
 /// insert time), not pops — so `frontier_peak`, the maximum level
@@ -206,6 +212,12 @@ pub(crate) fn run<T: Tracer>(
     scratch.cur_words.clear();
     scratch.nxt_words.clear();
     scratch.arena.reset();
+    scratch.goals.clear();
+    scratch.goals.extend(
+        (0..nfa.num_states() as StateId)
+            .filter(|&q| nfa.is_final(q))
+            .map(|q| encode(q, input.ends, nv)),
+    );
 
     // seed the first level: one bit per initial state at `starts`
     let mut seeded = 0u64;
@@ -223,7 +235,7 @@ pub(crate) fn run<T: Tracer>(
         tracer.count(Phase::ProductBfs, seeded);
     }
     let mut peak = seeded;
-    let mut goal = accepting_reached(nfa, input.ends, nv, &scratch.visited);
+    let mut goal = scratch.goal_reached();
 
     // decode/odometer scratch, carved from the bump arena
     let scratch_range = scratch.arena.alloc(3 * k);
@@ -249,13 +261,16 @@ pub(crate) fn run<T: Tracer>(
                 let idx = (w << 6) | b;
                 inserted += expand(input, scratch, csr, idx, scratch_range.clone());
             }
+            if scratch.goal_reached() {
+                goal = true;
+                break;
+            }
         }
         stats.configurations += inserted;
         if T::ENABLED {
             tracer.count(Phase::ProductBfs, inserted);
         }
         peak = peak.max(inserted);
-        goal = accepting_reached(nfa, input.ends, nv, &scratch.visited);
         // level flip: `next` becomes the frontier, the old (now empty)
         // frontier becomes the scatter target
         scratch.cur_words.clear();

@@ -45,6 +45,10 @@ pub(crate) struct CqJoin<'q> {
     q: &'q Cq,
     domain: usize,
     plan: JoinPlan,
+    /// The query has a variable but the domain is empty, so it has no
+    /// assignment. The join alone would miss this when no atom holds the
+    /// variable: it completes without consulting the domain.
+    vacuous: bool,
 }
 
 impl<'q> CqJoin<'q> {
@@ -54,6 +58,7 @@ impl<'q> CqJoin<'q> {
             q,
             domain: db.domain_size(),
             plan: JoinPlan::new(db, q, [vars.as_slice()]),
+            vacuous: db.domain_size() == 0 && q.num_vars > 0,
         }
     }
 
@@ -68,6 +73,9 @@ impl<'q> CqJoin<'q> {
         governor: Option<&Governor>,
         tracer: &T,
     ) -> bool {
+        if self.vacuous {
+            return false;
+        }
         let mut found = false;
         let span = PhaseSpan::start(tracer, Phase::CqJoin);
         self.plan
@@ -92,6 +100,9 @@ impl<'q> CqJoin<'q> {
         tracer: &T,
         out: &mut BTreeSet<Vec<u32>>,
     ) {
+        if self.vacuous {
+            return;
+        }
         let covered = &self.plan.joins[0].covered;
         let mut claim = AnswerClaim::new(governor);
         let mut odometer = Odometer::default();
@@ -1124,6 +1135,24 @@ mod tests {
         let q = Cq::new(0);
         assert!(eval_cq(&db, &q));
         assert!(eval_cq_treedec(&db, &q));
+    }
+
+    /// `∃x. true` over the empty domain is false, and the empty
+    /// conjunction with no variable is true, for both evaluators and in
+    /// answer mode too.
+    #[test]
+    fn empty_domain_has_no_assignment() {
+        let db = RelationalDb::new(0);
+        for free in [vec![], vec![0]] {
+            let mut q = Cq::new(1);
+            q.free = free;
+            assert!(!eval_cq(&db, &q), "{q:?}");
+            assert!(!eval_cq_treedec(&db, &q), "{q:?}");
+            assert!(answers_cq(&db, &q).is_empty(), "{q:?}");
+            assert!(answers_cq_treedec(&db, &q).is_empty(), "{q:?}");
+        }
+        assert!(eval_cq(&db, &Cq::new(0)));
+        assert!(eval_cq_treedec(&db, &Cq::new(0)));
     }
 
     #[test]

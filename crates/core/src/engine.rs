@@ -6,9 +6,8 @@
 //!   [`answers_product_governed_traced`] and the Yannakakis entry
 //!   points) — one worker body, `steal_chunks`, serves Boolean search and
 //!   answer enumeration under both strategies. The domain of the first
-//!   node variable the search assigns is cut into `threads × 4` chunks
-//!   (finer, 64-id word-aligned ones under [`Layout::BitParallel`]), and
-//!   `std::thread::scope` workers pull chunks from an atomic queue.
+//!   node variable the search assigns is cut into `threads × 4` chunks,
+//!   and `std::thread::scope` workers pull chunks from an atomic queue.
 //!   Each worker owns one search cursor (`crate::enumerate`) — wrapped in
 //!   an [`AnswerIter`] for answer sets — and restarts it per chunk, so its
 //!   feasibility memo and BFS visited sets stay thread-local and warm
@@ -76,10 +75,9 @@ pub struct EvalOptions {
     /// its `*_governed` entry points and the query service substitute
     /// the regime default when it is unlimited.
     pub budget: ResourceBudget,
-    /// Product-evaluator data layout ([`Layout::Flat`] by default). The CQ
-    /// entry points ignore it. [`Layout::BitParallel`] additionally
-    /// switches the worker pool to word-granular chunk stealing so chunk
-    /// boundaries line up with the kernel's 64-configuration bitmap words.
+    /// Read by no code: each atom's BFS routine is chosen when its tables
+    /// are built. Kept only because the served-request benchmark names
+    /// it; the next change to that benchmark removes it (see [`Layout`]).
     pub layout: Layout,
 }
 
@@ -106,12 +104,6 @@ impl EvalOptions {
         self
     }
 
-    /// Returns these options with `layout` installed (builder style).
-    pub fn with_layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
-        self
-    }
-
     /// The concrete worker count: resolves `threads == 0` to the machine's
     /// available parallelism (1 if that is unknown).
     pub fn effective_threads(&self) -> usize {
@@ -123,44 +115,6 @@ impl EvalOptions {
             self.threads
         }
     }
-}
-
-/// Node-id width of one bitmap word in the bit-parallel kernel: chunk
-/// boundaries for [`Layout::BitParallel`] runs are aligned to 64-id
-/// multiples so a steal unit matches the kernel's word-wide unit of work.
-const WORD_IDS: usize = 64;
-
-/// Chunks per worker under word-granular stealing: finer than
-/// [`CHUNKS_PER_THREAD`] because word-aligned chunks can only be balanced
-/// in whole-word steps, so load evening relies on the steal queue instead
-/// of the remainder spread.
-const WORD_CHUNKS_PER_THREAD: usize = 16;
-
-/// First-variable domain partition for the product worker pool. The flat
-/// layout uses the plain [`chunk_ranges`] split; the bit-parallel layout
-/// replaces it with word-granular ranges — every chunk a whole number of
-/// 64-id words (the last absorbs the remainder) and
-/// [`WORD_CHUNKS_PER_THREAD`] chunks per worker for finer stealing.
-fn product_chunk_ranges(domain: usize, workers: usize, layout: Layout) -> Vec<Range<NodeId>> {
-    if layout != Layout::BitParallel {
-        return chunk_ranges(domain, workers * CHUNKS_PER_THREAD);
-    }
-    if domain == 0 {
-        return Vec::new();
-    }
-    let words = domain.div_ceil(WORD_IDS);
-    let parts = (workers * WORD_CHUNKS_PER_THREAD).clamp(1, words);
-    let base = words / parts;
-    let extra = words % parts;
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    for i in 0..parts {
-        let len = (base + usize::from(i < extra)) * WORD_IDS;
-        let end = (start + len).min(domain);
-        ranges.push(start as NodeId..end as NodeId);
-        start = end;
-    }
-    ranges
 }
 
 /// Splits `0..domain` into at most `parts` non-empty contiguous ranges.
@@ -313,7 +267,7 @@ pub fn eval_product_governed(
 ) -> Outcome<bool> {
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
-    let tables = SharedTables::build(db, query, opts.layout, governor, &NoopTracer, None);
+    let tables = SharedTables::build(db, query, governor, &NoopTracer, None);
     let workers = product_workers(db, query, opts);
     eval_over(db, query, &tables, workers, governor)
 }
@@ -332,7 +286,7 @@ pub fn eval_yannakakis_governed(
 ) -> Outcome<bool> {
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
-    let tables = SharedTables::build(db, query, Layout::Flat, governor, &NoopTracer, Some(tree));
+    let tables = SharedTables::build(db, query, governor, &NoopTracer, Some(tree));
     eval_over(db, query, &tables, 1, governor)
 }
 
@@ -348,7 +302,6 @@ fn eval_over(
     let stop = AtomicBool::new(false);
     let parts = steal_chunks(
         db.num_nodes(),
-        tables.layout,
         workers,
         &stop,
         &NoopTracer,
@@ -396,7 +349,7 @@ pub fn answers_product_governed_traced<T: Tracer>(
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
-    let tables = SharedTables::build(db, query, opts.layout, governor, tracer, None);
+    let tables = SharedTables::build(db, query, governor, tracer, None);
     let workers = product_workers(db, query, opts);
     answers_over(db, query, &tables, workers, governor, tracer)
 }
@@ -417,7 +370,7 @@ pub fn answers_yannakakis_governed_traced<T: Tracer>(
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
-    let tables = SharedTables::build(db, query, Layout::Flat, governor, tracer, Some(tree));
+    let tables = SharedTables::build(db, query, governor, tracer, Some(tree));
     let workers = product_workers(db, query, opts);
     answers_over(db, query, &tables, workers, governor, tracer)
 }
@@ -440,7 +393,6 @@ fn answers_over<T: Tracer>(
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
     let parts = steal_chunks(
         db.num_nodes(),
-        tables.layout,
         workers,
         &AtomicBool::new(false),
         tracer,
@@ -460,14 +412,13 @@ fn answers_over<T: Tracer>(
 /// The one product worker body. Sequentially (`workers <= 1`) it runs
 /// one search state over the full range on the calling thread. In
 /// parallel, each worker builds its state once (`start`) and steals
-/// first-variable chunks from a shared queue over
-/// [`product_chunk_ranges`], restarting the state on each one (`run`;
-/// the search keeps its memo and BFS buffers across restarts), until
-/// the queue drains or a chunk returns `true` — a Boolean hit or a
-/// tripped budget — which raises `stop` for every worker.
+/// first-variable chunks from a shared queue over [`chunk_ranges`],
+/// restarting the state on each one (`run`; the search keeps its memo
+/// and BFS buffers across restarts), until the queue drains or a chunk
+/// returns `true` — a Boolean hit or a tripped budget — which raises
+/// `stop` for every worker.
 fn steal_chunks<T: Tracer, W: Send>(
     nv: usize,
-    layout: Layout,
     workers: usize,
     stop: &AtomicBool,
     tracer: &T,
@@ -479,7 +430,7 @@ fn steal_chunks<T: Tracer, W: Send>(
         run(&mut w, None);
         return vec![w];
     }
-    let ranges = product_chunk_ranges(nv, workers, layout);
+    let ranges = chunk_ranges(nv, workers * CHUNKS_PER_THREAD);
     let next = AtomicUsize::new(0);
     on_workers(workers, tracer, |_, worker_tracer| {
         let mut w = start(worker_tracer);
@@ -515,29 +466,25 @@ fn steal_chunks<T: Tracer, W: Send>(
 /// [`Termination`], but silently lossy if ever reused. Per-execution
 /// budgets are enforced by the governed prepared entry points, which
 /// construct a fresh `Governor` on every call.
-///
-/// The tables carry the layout they were built for (bitmap sizing is
-/// layout-specific), so prepared executions run on it whatever
-/// [`EvalOptions::layout`] says.
 pub struct PreparedTables {
     tables: SharedTables,
 }
 
 impl PreparedTables {
-    /// Builds the shared evaluation tables for `query` over `db` under
-    /// `layout` (no join tree: the semijoin sweep prunes per-variable
-    /// domains pairwise, as the direct-product strategy does). Also
-    /// freezes the database's CSR index, so no later execution pays for
-    /// it.
-    pub fn build(db: &GraphDb, query: &PreparedQuery, layout: Layout) -> Self {
+    /// Builds the shared evaluation tables for `query` over `db` (no join
+    /// tree: the semijoin sweep prunes per-variable domains pairwise, as
+    /// the direct-product strategy does). Also freezes the database's CSR
+    /// index, so no later execution pays for it. `_layout` is read by no
+    /// code; it stays only because the served-request benchmark passes
+    /// it, and the next change to that benchmark removes it.
+    pub fn build(db: &GraphDb, query: &PreparedQuery, _layout: Layout) -> Self {
         PreparedTables {
-            tables: SharedTables::build(db, query, layout, None, &NoopTracer, None),
+            tables: SharedTables::build(db, query, None, &NoopTracer, None),
         }
     }
 
     /// Builds tables whose domains are made globally consistent by the
-    /// two-pass Yannakakis semijoin program over `tree` (always the flat
-    /// layout, matching the planner's Yannakakis dispatch). The program
+    /// two-pass Yannakakis semijoin program over `tree`. The program
     /// sends only the full reducer's messages: bottom-up, each atom
     /// sweeps towards the variables it shares with its parent; top-down,
     /// every track sweeps both ways, the second sweep seeded with the
@@ -549,7 +496,7 @@ impl PreparedTables {
     /// it follows the data those labels carry, not `|V|`.
     pub fn build_for_tree(db: &GraphDb, query: &PreparedQuery, tree: &JoinTree) -> Self {
         PreparedTables {
-            tables: SharedTables::build(db, query, Layout::Flat, None, &NoopTracer, Some(tree)),
+            tables: SharedTables::build(db, query, None, &NoopTracer, Some(tree)),
         }
     }
 }
@@ -794,31 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn word_chunk_ranges_partition_and_align() {
-        for domain in [1usize, 63, 64, 65, 1000, 4097] {
-            for workers in [1usize, 2, 8] {
-                let ranges = product_chunk_ranges(domain, workers, Layout::BitParallel);
-                let mut expect = 0u32;
-                for (i, r) in ranges.iter().enumerate() {
-                    assert_eq!(r.start, expect, "contiguous");
-                    assert!(r.end > r.start, "non-empty");
-                    assert_eq!(r.start as usize % WORD_IDS, 0, "word-aligned start");
-                    if i + 1 < ranges.len() {
-                        assert_eq!((r.end - r.start) as usize % WORD_IDS, 0, "whole words");
-                    }
-                    expect = r.end;
-                }
-                assert_eq!(expect as usize, domain, "covers domain");
-            }
-        }
-        // the flat layout keeps the plain split
-        assert_eq!(
-            product_chunk_ranges(100, 2, Layout::Flat),
-            chunk_ranges(100, 2 * CHUNKS_PER_THREAD)
-        );
-    }
-
-    #[test]
     fn zero_atom_cq_not_duplicated() {
         let db = RelationalDb::new(3);
         let mut q = Cq::new(1);
@@ -835,23 +757,16 @@ mod tests {
         let db = chain_with_branches();
         let q = eq_len_query(&db);
         let p = PreparedQuery::build(&q).unwrap();
-        for layout in [Layout::Flat, Layout::BitParallel] {
-            let opts = EvalOptions::sequential().with_layout(layout);
-            let one_shot = complete(answers_product_governed_traced(&db, &p, &opts, &NoopTracer));
-            let tables = PreparedTables::build(&db, &p, layout);
-            for threads in [1usize, 2, 4] {
-                let opts = EvalOptions::with_threads(threads).with_layout(layout);
-                // repeated executions over the same tables stay identical
-                for _ in 0..2 {
-                    let o = answers_product_governed_prepared_traced(
-                        &db,
-                        &p,
-                        &tables,
-                        &opts,
-                        &NoopTracer,
-                    );
-                    assert_eq!(complete(o), one_shot, "layout={layout:?} threads={threads}");
-                }
+        let opts = EvalOptions::sequential();
+        let one_shot = complete(answers_product_governed_traced(&db, &p, &opts, &NoopTracer));
+        let tables = PreparedTables::build(&db, &p, Layout::Flat);
+        for threads in [1usize, 2, 4] {
+            let opts = EvalOptions::with_threads(threads);
+            // repeated executions over the same tables stay identical
+            for _ in 0..2 {
+                let o =
+                    answers_product_governed_prepared_traced(&db, &p, &tables, &opts, &NoopTracer);
+                assert_eq!(complete(o), one_shot, "threads={threads}");
             }
         }
     }

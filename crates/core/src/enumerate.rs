@@ -47,7 +47,7 @@
 use crate::engine::run_governor;
 use crate::governor::{AnswerClaim, Claim, Governor, ResourceBudget, Termination};
 use crate::prepare::PreparedQuery;
-use crate::product::{Evaluator, Layout, ProductStats, SharedTables, UNASSIGNED};
+use crate::product::{Evaluator, ProductStats, SharedTables, UNASSIGNED};
 use crate::trace::{NoopTracer, Phase, PhaseSpan, Tracer};
 use ecrpq_analyze::JoinTree;
 use ecrpq_automata::BitSet;
@@ -658,8 +658,8 @@ pub struct Enumerator<'a> {
 }
 
 impl<'a> Enumerator<'a> {
-    /// Prepares the streaming evaluation with the default flat layout and
-    /// independent semijoin pruning, no budget.
+    /// Prepares the streaming evaluation with independent semijoin
+    /// pruning, no budget.
     pub fn new(db: &'a GraphDb, query: &'a PreparedQuery) -> Self {
         Self::with_budget(db, query, &ResourceBudget::unlimited())
     }
@@ -684,7 +684,7 @@ impl<'a> Enumerator<'a> {
         Self::prepare(db, query, Some(tree), budget)
     }
 
-    /// The flat-layout tables under `budget`'s governor (none when the
+    /// The product tables under `budget`'s governor (none when the
     /// budget is unlimited), made Yannakakis-consistent over `tree` if
     /// one is given.
     fn prepare(
@@ -694,14 +694,7 @@ impl<'a> Enumerator<'a> {
         budget: &ResourceBudget,
     ) -> Self {
         let governor = run_governor(budget);
-        let tables = SharedTables::build(
-            db,
-            query,
-            Layout::Flat,
-            governor.as_ref(),
-            &NoopTracer,
-            tree,
-        );
+        let tables = SharedTables::build(db, query, governor.as_ref(), &NoopTracer, tree);
         Enumerator {
             db,
             query,
@@ -771,7 +764,7 @@ mod tests {
     fn restarted_chunks_walk_the_full_search() {
         let (db, q) = chain_db_query();
         let prepared = PreparedQuery::build(&q).unwrap();
-        let tables = SharedTables::build(&db, &prepared, Layout::Flat, None, &NoopTracer, None);
+        let tables = SharedTables::build(&db, &prepared, None, &NoopTracer, None);
         let walk = |chunks: &[Range<NodeId>]| {
             let mut search = SearchCursor::new(&db, &prepared, &tables, None, NoopTracer);
             let mut got = Vec::new();
@@ -816,7 +809,7 @@ mod tests {
             let rel = relations::eq_length(paths.len(), m);
             q.rel_atom("eq_len", Arc::new(rel), &paths);
             let prepared = PreparedQuery::build(&q).unwrap();
-            let tables = SharedTables::build(&db, &prepared, Layout::Flat, None, &NoopTracer, None);
+            let tables = SharedTables::build(&db, &prepared, None, &NoopTracer, None);
             let joins: Vec<(u32, Vec<RowJoin>)> = atom_assignments(&prepared)
                 .into_iter()
                 .flatten()

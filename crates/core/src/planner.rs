@@ -15,7 +15,7 @@ use crate::cq_eval::ReducedCq;
 use crate::engine::{self, EvalOptions, PreparedTables};
 use crate::governor::{Governor, Outcome, ResourceBudget, Termination};
 use crate::prepare::PreparedQuery;
-use crate::product::ProductStats;
+use crate::product::{Layout, ProductStats};
 use crate::to_cq::ecrpq_to_cq;
 use crate::trace::{
     render_phase_table, CollectingTracer, Metrics, NoopTracer, Phase, PhaseSpan, Tracer,
@@ -425,8 +425,7 @@ fn short_circuit<A>(answers: A) -> Outcome<A> {
 }
 
 /// Lazily-built evaluation state a cached plan reuses across executions:
-/// the direct-product tables (one slot per [`crate::product::Layout`],
-/// indexed by discriminant), the tree-driven Yannakakis tables and the
+/// the direct-product tables, the tree-driven Yannakakis tables and the
 /// semijoin-reduced tree-decomposition instance of the Lemma 4.3
 /// reduction. The tables are built ungoverned (see [`PreparedTables`]).
 /// The reduced instance is built by the first request under that
@@ -436,7 +435,7 @@ fn short_circuit<A>(answers: A) -> Outcome<A> {
 /// One-shot runs keep none of it and build governed instead.
 #[derive(Default)]
 pub(crate) struct PlanTables {
-    product: [OnceLock<Arc<PreparedTables>>; 2],
+    product: OnceLock<Arc<PreparedTables>>,
     yannakakis: OnceLock<Arc<PreparedTables>>,
     cq: OnceLock<ReducedCq>,
 }
@@ -490,8 +489,9 @@ pub(crate) fn run_answers<T: Tracer>(
         }
         Strategy::DirectProduct => match reuse {
             Some(r) => {
-                let tables = r.product[opts.layout as usize]
-                    .get_or_init(|| Arc::new(PreparedTables::build(db, prepared, opts.layout)));
+                let tables = r
+                    .product
+                    .get_or_init(|| Arc::new(PreparedTables::build(db, prepared, Layout::Flat)));
                 engine::answers_product_governed_prepared_traced(db, prepared, tables, opts, tracer)
             }
             None => engine::answers_product_governed_traced(db, prepared, opts, tracer),

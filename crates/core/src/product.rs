@@ -38,19 +38,21 @@
 //! workers borrow one `SharedTables` and each carry a thread-local search
 //! cursor with its own `Evaluator`.
 //!
-//! The hot BFS of atoms of arity ≥ 2 runs on flat data ([`Layout::Flat`],
-//! the default): CSR slice lookups for successors, row-grouped dense
+//! The hot BFS of atoms of arity ≥ 2 has two routines, chosen per atom
+//! when the tables are built. An atom of arity 2 or 3 whose dense
+//! configuration space fits `BITMAP_MAX_BITS` runs the word-packed bitmap
+//! kernel of `crate::bitbfs`. Every other atom, and every witness search,
+//! runs the flat BFS: CSR slice lookups for successors, row-grouped dense
 //! transition tables so each distinct convolution row's successor options
 //! are computed once and shared across its target states, an odometer
-//! over option slices, and a queue of flat `(state, p₁…p_k)` words. The
+//! over option slices, and a queue of flat `(state, p₁…p_k)` words. Its
 //! visited set holds one packed `u64` per configuration (a radix-`|V|`
 //! number, or the configuration's words where that would overflow), so a
 //! check allocates and zeroes nothing sized by the configuration space:
 //! the set and the queue live in the `Evaluator`, are cleared per BFS and
 //! keep their capacity, and their growth is charged to the budget
-//! governor. [`Layout::BitParallel`] swaps that inner loop for the
-//! word-packed bitmap kernel of `crate::bitbfs` wherever an atom's space
-//! fits and its arity is 2 or 3.
+//! governor. Both routines share the domains, the step program and the
+//! memo, so the choice never changes an answer.
 
 use crate::bitbfs::{self, BitBfsInput, BitScratch};
 use crate::enumerate::{atom_assignments, free_values, AnswerIter, Odometer, SearchCursor};
@@ -125,24 +127,17 @@ impl ProductStats {
     }
 }
 
-/// Which data layout the product evaluator runs on. [`Layout::Flat`] is
-/// the default everywhere; [`Layout::BitParallel`] is selected through
-/// `EvalOptions::layout`. Both run the same semijoin pruning, so their
-/// answer sets are identical by construction.
+/// The data layout of the product evaluator: CSR adjacency, dense
+/// row-grouped transition tables and semijoin-pruned domains. It has one
+/// variant, and the BFS routine is chosen per atom, not by this value.
+/// The type, `EvalOptions::layout` and `PreparedTables::build`'s layout
+/// argument stay only because the served-request benchmark names them;
+/// the next change to that benchmark removes all three.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Layout {
-    /// CSR adjacency + dense row-grouped transition tables + semijoin
-    /// endpoint pruning (the production path).
+    /// The one layout.
     #[default]
     Flat,
-    /// The flat layout with the BFS inner loop replaced by the word-packed
-    /// bitmap kernel of `crate::bitbfs`: dense `(state, positions)`
-    /// bitmaps, CSR OR-scatter transition steps, no per-configuration
-    /// allocation. Atoms whose configuration space does not fit the dense
-    /// bitmaps (or exceeds the kernel's arity bound) fall back per-atom to
-    /// the flat scalar path, so answers stay bit-identical to
-    /// [`Layout::Flat`] on every input.
-    BitParallel,
 }
 
 /// Evaluates a prepared Boolean query on `db` via the product algorithm.
@@ -155,7 +150,7 @@ pub fn eval_product(db: &GraphDb, query: &PreparedQuery) -> bool {
 
 /// As [`eval_product`], returning the work counters.
 pub fn eval_product_with_stats(db: &GraphDb, query: &PreparedQuery) -> (bool, ProductStats) {
-    let tables = SharedTables::build(db, query, Layout::Flat, None, &NoopTracer, None);
+    let tables = SharedTables::build(db, query, None, &NoopTracer, None);
     let mut search = SearchCursor::new(db, query, &tables, None, NoopTracer);
     let found = search.next_assignment().is_some();
     (found, search.ev.stats)
@@ -164,7 +159,7 @@ pub fn eval_product_with_stats(db: &GraphDb, query: &PreparedQuery) -> (bool, Pr
 /// All answers (tuples over the free node variables), via the product
 /// algorithm.
 pub fn answers_product(db: &GraphDb, query: &PreparedQuery) -> BTreeSet<Vec<NodeId>> {
-    let tables = SharedTables::build(db, query, Layout::Flat, None, &NoopTracer, None);
+    let tables = SharedTables::build(db, query, None, &NoopTracer, None);
     let mut it = AnswerIter::with_parts(db, query, &tables, None, NoopTracer);
     it.run();
     it.into_parts().0
@@ -173,7 +168,7 @@ pub fn answers_product(db: &GraphDb, query: &PreparedQuery) -> BTreeSet<Vec<Node
 /// A witness for a Boolean query, if satisfiable. Variables no atom
 /// constrains default to vertex 0.
 pub fn witness_product(db: &GraphDb, query: &PreparedQuery) -> Option<Witness> {
-    let tables = SharedTables::build(db, query, Layout::Flat, None, &NoopTracer, None);
+    let tables = SharedTables::build(db, query, None, &NoopTracer, None);
     let mut search = SearchCursor::new(db, query, &tables, None, NoopTracer);
     let nodes = search
         .next_assignment()?
@@ -186,7 +181,7 @@ pub fn witness_product(db: &GraphDb, query: &PreparedQuery) -> Option<Witness> {
 /// All answers, each with one concrete witness (node assignment + paths).
 /// The per-answer witness uses the first satisfying assignment found.
 pub fn answers_with_witnesses(db: &GraphDb, query: &PreparedQuery) -> Vec<(Vec<NodeId>, Witness)> {
-    let tables = SharedTables::build(db, query, Layout::Flat, None, &NoopTracer, None);
+    let tables = SharedTables::build(db, query, None, &NoopTracer, None);
     let mut search = SearchCursor::new(db, query, &tables, None, NoopTracer);
     let nv = db.num_nodes();
     // one full assignment per distinct free tuple
@@ -228,14 +223,14 @@ const CLOSURE_MAX_BITS: u128 = 1 << 27;
 /// program assigns first and keeps only that value's current sweep.
 const SWEEP_MEMO_MAX_BITS: u128 = 1 << 27;
 
-/// Bit budget of one dense configuration bitmap for
-/// [`Layout::BitParallel`]: the kernel keeps three bitmaps (visited +
-/// two frontiers), so an atom qualifies while `3·space ≤ 2²⁷` bits
-/// (16 MiB of scratch per worker). 10⁷ nodes × a 4-state unary automaton
-/// is 4·10⁷ configurations — comfortably inside.
+/// Bit budget of the bitmap kernel's scratch: it keeps three bitmaps
+/// (visited + two frontiers) over an atom's `|Q|·|V|^k` configurations,
+/// so an atom runs the kernel while `3·|Q|·|V|^k ≤ 2²⁷` bits (16 MiB of
+/// scratch per worker). A one-state arity-2 atom fits up to about 6.7k
+/// vertices, an arity-3 one up to about 355.
 const BITMAP_MAX_BITS: u128 = 1 << 27;
 
-/// Arity bound of the bit-parallel kernel: beyond triple convolutions the
+/// Arity bound of the bitmap kernel: beyond triple convolutions the
 /// per-configuration decode (k divisions) and the odometer bookkeeping
 /// wash out the word-packing win, so wider atoms run the flat scalar path
 /// (its visited set costs per configuration visited). Arity-1 atoms never
@@ -384,9 +379,9 @@ pub(crate) struct SharedTables {
     /// radix-`|V|` `u64` (`|Q|·|V|^k ≤ 2⁶⁴`); the BFS of an atom past
     /// that keys its visited set by the configuration's words.
     packs: Vec<bool>,
-    /// Dense-bitmap sizes per atom for [`Layout::BitParallel`] (`None` =
-    /// an arity-1 atom, or the atom fails the bitmap gate and falls back
-    /// to the flat scalar path; always all-`None` under [`Layout::Flat`]).
+    /// Per atom: the configuration count of its bitmap kernel, or `None`
+    /// when it runs the flat BFS (arity outside 2–3, or a space past
+    /// [`BITMAP_MAX_BITS`]). Arity-1 atoms run neither: their sweep.
     bitmap_sizes: Vec<Option<usize>>,
     /// Label-oblivious reachability closure: `closure[v]` = vertices
     /// reachable from `v`. A necessary condition checked before any
@@ -406,8 +401,6 @@ pub(crate) struct SharedTables {
     projections: Vec<Vec<Projection>>,
     /// Per atom: how its checks sweep (`Some` exactly for arity 1).
     anchors: Vec<Option<Anchor>>,
-    /// Which data layout the BFS and the worker pool's chunking run on.
-    pub(crate) layout: Layout,
     /// Dense row-grouped transition tables.
     dense: DenseTables,
     /// Semijoin-pruned (or, over a join tree, Yannakakis-consistent)
@@ -419,7 +412,7 @@ pub(crate) struct SharedTables {
 }
 
 impl SharedTables {
-    /// Builds the tables of `query` over `db` under `layout`, reporting the
+    /// Builds the tables of `query` over `db`, reporting the
     /// preparation work (closure rows, dense tables) under
     /// [`Phase::Prepare`] and the endpoint-domain sweeps under
     /// [`Phase::Semijoin`] to `tracer`. With `join_tree` the independent
@@ -439,7 +432,6 @@ impl SharedTables {
     pub(crate) fn build<T: Tracer>(
         db: &GraphDb,
         query: &PreparedQuery,
-        layout: Layout,
         governor: Option<&Governor>,
         tracer: &T,
         join_tree: Option<&ecrpq_analyze::JoinTree>,
@@ -472,21 +464,17 @@ impl SharedTables {
                     .is_some_and(|space| space <= 1 << 64)
             })
             .collect();
-        let bitmap_sizes: Vec<Option<usize>> = if layout == Layout::BitParallel {
-            query
-                .atoms
-                .iter()
-                .zip(&automata)
-                .map(|(a, nfa)| {
-                    let arity = a.rel.arity();
-                    let space = nv.pow(arity as u32) * nfa.num_states() as u128;
-                    ((2..=BITMAP_MAX_ARITY).contains(&arity) && 3 * space <= BITMAP_MAX_BITS)
-                        .then_some(space as usize)
-                })
-                .collect()
-        } else {
-            vec![None; query.atoms.len()]
-        };
+        let bitmap_sizes: Vec<Option<usize>> = query
+            .atoms
+            .iter()
+            .zip(&automata)
+            .map(|(a, nfa)| {
+                let arity = a.rel.arity();
+                let space = nv.pow(arity as u32) * nfa.num_states() as u128;
+                ((2..=BITMAP_MAX_ARITY).contains(&arity) && 3 * space <= BITMAP_MAX_BITS)
+                    .then_some(space as usize)
+            })
+            .collect();
         let projections: Vec<Vec<Projection>> = query
             .atoms
             .iter()
@@ -525,8 +513,6 @@ impl SharedTables {
         let dense = DenseTables::build(&automata);
         tracer.count(Phase::Prepare, n as u64);
         prepare_span.finish(tracer);
-        // BitParallel prunes exactly like Flat: identical domains are what
-        // make the two layouts' answer sets bit-identical by construction
         let pruned = if let Some(tree) = join_tree {
             let pruned =
                 semijoin::yannakakis_domains(db, query, &projections, tree, governor, tracer);
@@ -571,7 +557,6 @@ impl SharedTables {
             co_closure,
             projections,
             anchors,
-            layout,
             dense,
             domains: pruned.domains,
             domain_kept: pruned.kept,
@@ -583,6 +568,14 @@ impl SharedTables {
     #[inline]
     pub(crate) fn domain(&self, var: u32) -> Option<&[NodeId]> {
         self.domains.get(var as usize).and_then(|d| d.as_deref())
+    }
+
+    /// These tables with every atom on the flat BFS: the reference the
+    /// bitmap kernel is tested against.
+    #[cfg(test)]
+    pub(crate) fn flat_only(mut self) -> Self {
+        self.bitmap_sizes.fill(None);
+        self
     }
 
     /// Whether the semijoin pass emptied some variable's domain. Pruning is
@@ -715,8 +708,7 @@ pub(crate) struct Evaluator<'a, T: Tracer = NoopTracer> {
     visited: VisitedSets,
     bfs: BfsBuffers,
     /// Per-atom bitmap kernel scratch (visited/frontier/next bitmaps +
-    /// word lists) under [`Layout::BitParallel`]; `None` for fallback
-    /// atoms and under [`Layout::Flat`].
+    /// word lists); `None` for atoms that run the flat BFS.
     bit_scratch: Vec<Option<BitScratch>>,
     /// Cooperative cancellation for parallel Boolean search: checked at
     /// every step of the search cursor; a worker that finds a satisfying
@@ -782,11 +774,11 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
     }
 
     /// Installs the shared budget governor and charges this worker's
-    /// fixed allocations to the tracked-memory estimate: the bit-parallel
+    /// fixed allocations to the tracked-memory estimate: the kernel's
     /// bitmaps and the sweep bitmap. The flat BFS's visited sets and queue
-    /// are charged as they grow (`charge_growth`), so an atom the
-    /// bit-parallel layout downgrades to the flat path pays for the
-    /// configurations its searches hold, not for its space.
+    /// are charged as they grow (`charge_growth`), so an atom past the
+    /// bitmap gate pays for the configurations its searches hold, not for
+    /// its space.
     pub(crate) fn set_governor(&mut self, governor: &'a Governor) {
         let bitmap_bytes: u64 = self
             .bit_scratch
@@ -975,8 +967,7 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
     /// an accepting configuration is reachable (empty rows vector when the
     /// initial configuration accepts); in witness mode also stores the
     /// configuration trace in `self.last_witness_configs`. Runs the
-    /// bitmap kernel for atoms that have scratch (bit-parallel layout),
-    /// the flat scalar BFS otherwise.
+    /// bitmap kernel for atoms that have scratch, the flat BFS otherwise.
     fn product_bfs(
         &mut self,
         atom_idx: usize,
@@ -1016,7 +1007,7 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         self.product_bfs_flat(atom_idx, starts, ends, want_witness)
     }
 
-    /// The flat-layout BFS, on the visited set whose keys fit the atom's
+    /// The flat BFS, on the visited set whose keys fit the atom's
     /// configuration space.
     fn product_bfs_flat(
         &mut self,
@@ -1051,7 +1042,7 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         rows
     }
 
-    /// The flat-layout BFS inner loop. Per popped configuration it walks
+    /// The flat BFS inner loop. Per popped configuration it walks
     /// the state's row-class groups; per group it assembles the successor
     /// option **slices** (CSR lookups, no allocation; a `⊥` track's only
     /// option is its — already reached — target), then drives an odometer
@@ -1229,22 +1220,20 @@ mod tests {
         PreparedQuery::build(q).unwrap()
     }
 
-    /// Ungoverned, untraced tables under `layout`.
-    fn tables(db: &GraphDb, p: &PreparedQuery, layout: Layout) -> SharedTables {
-        SharedTables::build(db, p, layout, None, &NoopTracer, None)
+    /// Ungoverned, untraced tables.
+    fn tables(db: &GraphDb, p: &PreparedQuery) -> SharedTables {
+        SharedTables::build(db, p, None, &NoopTracer, None)
     }
 
-    /// Sequential answers and counters under `layout`, through the engine
-    /// entry point that `EvalOptions::layout` selects a layout on.
+    /// Sequential answers and counters over `tables`.
     fn answers_on(
         db: &GraphDb,
         p: &PreparedQuery,
-        layout: Layout,
+        tables: &SharedTables,
     ) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-        let opts = crate::EvalOptions::sequential().with_layout(layout);
-        let o = crate::engine::answers_product_governed_traced(db, p, &opts, &NoopTracer);
-        assert!(o.termination.is_complete());
-        (o.answers, o.stats)
+        let mut it = AnswerIter::with_parts(db, p, tables, None, NoopTracer);
+        it.run();
+        it.into_parts()
     }
 
     /// Two parallel chains of equal length from s: the Example 2.1 query
@@ -1303,8 +1292,10 @@ mod tests {
         let db = two_chain_db();
         let q = example_2_1_query(&db);
         let p = prepare(&q);
-        let (flat, flat_stats) = answers_on(&db, &p, Layout::Flat);
-        let (bitpar, bitpar_stats) = answers_on(&db, &p, Layout::BitParallel);
+        let kernel = tables(&db, &p);
+        assert!(kernel.bitmap_sizes.iter().all(Option::is_some));
+        let (bitpar, bitpar_stats) = answers_on(&db, &p, &kernel);
+        let (flat, flat_stats) = answers_on(&db, &p, &tables(&db, &p).flat_only());
         // the Lemma 4.3 reduction runs its own BFS: an independent reference
         let (cq, rdb, _) = crate::to_cq::ecrpq_to_cq(&db, &p);
         assert_eq!(flat, crate::cq_eval::answers_cq(&rdb, &cq));
@@ -1315,33 +1306,68 @@ mod tests {
         assert!(bitpar_stats.frontier_peak > 0);
     }
 
-    /// The bit-parallel size gate, inspected directly on the shared
-    /// tables: a small dense space gets a bitmap, an oversized space or a
-    /// wide atom is downgraded to the scalar path — per atom, and only
-    /// under `Layout::BitParallel`.
+    /// The flat BFS is the kernel's reference: on random graphs, with each
+    /// synchronized relation the parser names (`prefix` has `⊥` rows) and
+    /// arities 2 and 3, the kernel's tables give the flat-only tables'
+    /// answers and ask the same feasibility questions.
+    #[test]
+    fn kernel_matches_flat_bfs_on_random_graphs() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let texts = [
+            "q(x, y) :- x -[p]-> y, x -[r]-> y, eq(p, r)",
+            "q(x, x2) :- x -[p]-> y, x2 -[r]-> y, eq_len(p, r)",
+            "q(y, z) :- x -[p]-> y, x -[r]-> z, prefix(p, r), p in a*",
+            "q(x) :- x -[p]-> y, y -[r]-> z, x -[s]-> z, eq_len(p, r, s)",
+        ];
+        for seed in 0..24u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut db = GraphDb::with_alphabet(Alphabet::ascii_lower(2));
+            let n = rng.gen_range(2..7u32);
+            db.add_nodes_anon(n as usize);
+            for _ in 0..rng.gen_range(n..3 * n) {
+                let label = if rng.gen_bool(0.5) { 'a' } else { 'b' };
+                db.add_edge(rng.gen_range(0..n), label, rng.gen_range(0..n));
+            }
+            for text in texts {
+                let p = parsed(&db, text);
+                let kernel = tables(&db, &p);
+                assert!(kernel.bitmap_sizes.iter().any(Option::is_some), "{text}");
+                let (got, stats) = answers_on(&db, &p, &kernel);
+                let (want, flat) = answers_on(&db, &p, &tables(&db, &p).flat_only());
+                let what = format!("seed {seed}: {text}");
+                assert_eq!(got, want, "{what}");
+                assert_eq!(
+                    (stats.checks, stats.cache_hits, stats.assignments),
+                    (flat.checks, flat.cache_hits, flat.assignments),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    /// The bitmap gate, inspected directly on the shared tables: a small
+    /// dense space gets a bitmap, an oversized space or a wide atom runs
+    /// the flat BFS — per atom.
     #[test]
     fn bitmap_gate_downgrades_oversized_and_wide_atoms() {
         let db = two_chain_db();
         let q = example_2_1_query(&db);
         let p = prepare(&q);
         // 6 nodes × a few states: comfortably inside the gate
-        let bitpar = tables(&db, &p, Layout::BitParallel);
-        assert!(bitpar.bitmap_sizes.iter().all(Option::is_some));
-        // the flat layout never allocates bitmaps, whatever the size
-        let flat = tables(&db, &p, Layout::Flat);
-        assert!(flat.bitmap_sizes.iter().all(Option::is_none));
+        assert!(tables(&db, &p).bitmap_sizes.iter().all(Option::is_some));
 
         // 300k vertices push the arity-2 space to states × 9·10¹⁰
         // configurations — far past `BITMAP_MAX_BITS`, so every atom must
         // fall back (and the closure gate skips the all-pairs table too)
         let mut big = GraphDb::with_alphabet(db.alphabet().clone());
         big.add_nodes_anon(300_000);
-        let oversized = tables(&big, &p, Layout::BitParallel);
+        let oversized = tables(&big, &p);
         assert!(oversized.bitmap_sizes.iter().all(Option::is_none));
         assert!(oversized.closure.is_none());
 
         // an arity-4 atom exceeds `BITMAP_MAX_ARITY` on any graph; the
-        // downgrade runs the scalar BFS on packed keys (whose visited-set
+        // downgrade runs the flat BFS on packed keys (whose visited-set
         // bytes the governor must still see — tests/budget_differential.rs
         // pins that end)
         let mut q4 = Ecrpq::new(db.alphabet().clone());
@@ -1356,9 +1382,49 @@ mod tests {
             &ps,
         );
         let p4 = prepare(&q4);
-        let t4 = tables(&db, &p4, Layout::BitParallel);
+        let t4 = tables(&db, &p4);
         assert!(t4.bitmap_sizes.iter().all(Option::is_none));
         assert_eq!(t4.packs, vec![true]);
+    }
+
+    /// The kernel stops at the word batch that reaches an accepting
+    /// configuration, so a Boolean check charges the governor no more
+    /// work than the flat BFS on the same tables. `x` steps by `a` to `m`,
+    /// whose `a`-step reaches `y`, and to 20 decoys that step on: from
+    /// `(x, x)` to `(y, y)` under `eq` the goal lies on level 2, behind a
+    /// level 1 of 21² configurations that the flat BFS pops in full.
+    #[test]
+    fn kernel_charges_no_more_work_than_flat_bfs() {
+        use crate::governor::{Governor, ResourceBudget};
+        let mut db = GraphDb::new();
+        let x = db.add_node("x");
+        let m = db.add_node("m");
+        let y = db.add_node("y");
+        db.add_edge(x, 'a', m);
+        db.add_edge(m, 'a', y);
+        for i in 0..20 {
+            let w = db.add_node(&format!("w{i}"));
+            let z = db.add_node(&format!("z{i}"));
+            db.add_edge(x, 'a', w);
+            db.add_edge(w, 'a', z);
+        }
+        let p = parsed(&db, "q(s, t) :- s -[p]-> t, s -[r]-> t, eq(p, r)");
+        let charged = |t: &SharedTables| {
+            let budget = ResourceBudget::default().with_max_configurations(u64::MAX);
+            let governor = Governor::new(&budget);
+            let mut search = SearchCursor::new(&db, &p, t, Some(&governor), NoopTracer);
+            assert!(search.ev.feasible(0, &[x, x], &[y, y]));
+            search.ev.flush_budget();
+            governor.work_charged()
+        };
+        let kernel_tables = tables(&db, &p);
+        assert!(kernel_tables.bitmap_sizes[0].is_some());
+        let kernel = charged(&kernel_tables);
+        let flat = charged(&tables(&db, &p).flat_only());
+        assert!(kernel <= flat, "kernel charged {kernel}, flat BFS {flat}");
+        // expanding all of level 1 before testing acceptance would charge
+        // the check, the seed and 441 configurations
+        assert!(kernel < 441, "kernel charged {kernel}: it finished level 1");
     }
 
     /// Past `|Q|·|V|^k = 2⁶⁴` configurations the BFS keys its visited set
@@ -1385,7 +1451,7 @@ mod tests {
             let rel = relations::eq_length(4, db.alphabet().len());
             q.rel_atom("eq4", Arc::new(rel), &ps);
             let p = prepare(&q);
-            let t = tables(&db, &p, Layout::Flat);
+            let t = tables(&db, &p);
             let mut search = SearchCursor::new(&db, &p, &t, None, NoopTracer);
             let verdicts = [
                 search.ev.feasible(0, &[u; 4], &[w; 4]),
@@ -1442,7 +1508,7 @@ mod tests {
         assert_eq!(stats.domain_kept, 2); // u for x, w for y
         assert!(stats.domain_pruned >= 6); // z and t fully emptied
                                            // answers and witness short-circuit the same way
-        let (ans, astats) = answers_on(&db, &prepared, Layout::Flat);
+        let (ans, astats) = answers_on(&db, &prepared, &tables(&db, &prepared));
         assert!(ans.is_empty());
         assert_eq!(astats.assignments, 0);
         assert!(witness_product(&db, &prepared).is_none());
@@ -1670,38 +1736,36 @@ mod tests {
         assert_eq!(choose_anchor(None, None, nv, true, true), current(false));
     }
 
-    /// Arity-1 atoms get an anchor and no bitmap under either layout, and
-    /// a query of only arity-1 atoms builds no closure; one synchronized
-    /// atom brings the closure back.
+    /// Arity-1 atoms get an anchor and no bitmap, and a query of only
+    /// arity-1 atoms builds no closure; one synchronized atom brings the
+    /// closure back.
     #[test]
     fn unary_atoms_get_anchors_and_no_bfs_scratch() {
         let (db, _) = fan_db(5, false);
         let p = parsed(&db, "q(x) :- x -[p]-> y, p in ab");
-        for layout in [Layout::Flat, Layout::BitParallel] {
-            let t = tables(&db, &p, layout);
-            assert_eq!(
-                t.anchors,
-                vec![Some(Anchor {
-                    forward: false,
-                    memo_all: true
-                })],
-                "{layout:?}: five sources against one sink anchors on the sink"
-            );
-            assert_eq!(t.bitmap_sizes, vec![None]);
-            assert!(t.closure.is_none(), "{layout:?}");
-            let ev = Evaluator::with_tables_traced(&db, &p, &t, NoopTracer);
-            assert!(ev.bit_scratch.iter().all(Option::is_none));
-        }
+        let t = tables(&db, &p);
+        assert_eq!(
+            t.anchors,
+            vec![Some(Anchor {
+                forward: false,
+                memo_all: true
+            })],
+            "five sources against one sink anchors on the sink"
+        );
+        assert_eq!(t.bitmap_sizes, vec![None]);
+        assert!(t.closure.is_none());
+        let ev = Evaluator::with_tables_traced(&db, &p, &t, NoopTracer);
+        assert!(ev.bit_scratch.iter().all(Option::is_none));
         let q2 = example_2_1_query(&two_chain_db());
-        let t2 = tables(&two_chain_db(), &prepare(&q2), Layout::Flat);
+        let t2 = tables(&two_chain_db(), &prepare(&q2));
         assert!(t2.closure.is_some());
         assert!(t2.anchors.iter().all(Option::is_none));
     }
 
     /// One sweep per anchor value: `fan` assignments of the fanned
     /// endpoint share the single endpoint's sweep, backwards from one sink
-    /// or forwards from one source, under both layouts — the product BFS
-    /// never runs (its entry asserts so in debug builds).
+    /// or forwards from one source — the product BFS never runs (its
+    /// entry asserts so in debug builds).
     #[test]
     fn unary_checks_sweep_once_per_anchor_value() {
         for (reverse, text) in [
@@ -1710,16 +1774,14 @@ mod tests {
         ] {
             let (db, fanned) = fan_db(5, reverse);
             let p = parsed(&db, text);
-            let forward = tables(&db, &p, Layout::Flat).anchors[0].map(|a| a.forward);
-            assert_eq!(forward, Some(reverse));
-            for layout in [Layout::Flat, Layout::BitParallel] {
-                let (answers, stats) = answers_on(&db, &p, layout);
-                let expect: BTreeSet<Vec<NodeId>> = fanned.iter().map(|&f| vec![f]).collect();
-                assert_eq!(answers, expect, "reverse={reverse}, {layout:?}");
-                assert_eq!(stats.checks, 1, "reverse={reverse}, {layout:?}");
-                assert_eq!(stats.cache_hits, 4, "reverse={reverse}, {layout:?}");
-                assert!(stats.frontier_peak >= 1 && stats.frontier_peak <= stats.configurations);
-            }
+            let t = tables(&db, &p);
+            assert_eq!(t.anchors[0].map(|a| a.forward), Some(reverse));
+            let (answers, stats) = answers_on(&db, &p, &t);
+            let expect: BTreeSet<Vec<NodeId>> = fanned.iter().map(|&f| vec![f]).collect();
+            assert_eq!(answers, expect, "reverse={reverse}");
+            assert_eq!(stats.checks, 1, "reverse={reverse}");
+            assert_eq!(stats.cache_hits, 4, "reverse={reverse}");
+            assert!(stats.frontier_peak >= 1 && stats.frontier_peak <= stats.configurations);
             let (sat, stats) = eval_product_with_stats(&db, &p);
             assert!(sat);
             assert_eq!((stats.checks, stats.cache_hits), (1, 0));
@@ -1738,7 +1800,7 @@ mod tests {
             db.add_edge(first + i, 'a', first + i + 1);
         }
         let p = parsed(&db, "q(x, y) :- x -[p]-> y, p in a*");
-        let t = tables(&db, &p, Layout::Flat);
+        let t = tables(&db, &p);
         let last = first + 9_999;
         let governor = Governor::new(&ResourceBudget::default().with_max_configurations(1));
         let mut cut = SearchCursor::new(&db, &p, &t, Some(&governor), NoopTracer);

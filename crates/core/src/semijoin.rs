@@ -28,7 +28,7 @@
 //! projection's product, so a single-source sweep from one endpoint value
 //! decides every pair sharing that value exactly. The product evaluator
 //! (`crate::product`) runs one such sweep per anchor value and memoizes
-//! the reached set; both layouts' product BFS only run for atoms of
+//! the reached set; the product BFS routines only run for atoms of
 //! arity ≥ 2 and for witness traces.
 //!
 //! **Carrier seeds.** A sweep "from every vertex" ([`Seeds::All`]) pushes

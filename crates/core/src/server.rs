@@ -25,7 +25,7 @@
 //! [`PreparedQuery`], the [`Analysis`] and complexity regimes, the
 //! minimized form's step count, the per-regime default [`ResourceBudget`]
 //! (an inert description of limits), and lazily-built
-//! [`crate::PreparedTables`] per layout. It **never** carries a
+//! [`crate::PreparedTables`]. It **never** carries a
 //! `Governor` or a deadline `Instant`:
 //! a governor captures `Instant::now() + deadline` at construction and
 //! latches a one-way stop flag when any limit trips, so caching one would

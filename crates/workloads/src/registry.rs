@@ -14,13 +14,10 @@
 use crate::graphs::{
     planted_acyclic_instance, planted_power_law_instance, planted_regime_shift_instance, random_db,
 };
-use crate::ine::planted_ine;
 use crate::queries::{big_component_query, clique_query, tractable_chain_query};
 use ecrpq_automata::Alphabet;
 use ecrpq_graph::{GraphDb, NodeId};
 use ecrpq_query::{Ecrpq, NodeVar};
-use ecrpq_reductions::ine_to_ecrpq_big_component;
-use ecrpq_structure::TwoLevelGraph;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Generator names [`generate`] dispatches on, for error messages and
@@ -30,7 +27,6 @@ pub const GENERATOR_NAMES: &[&str] = &[
     "planted_power_law",
     "planted_acyclic",
     "planted_regime_shift",
-    "ine_flower",
     "big_component_random",
     "tractable_chain_random",
     "clique_random",
@@ -74,20 +70,6 @@ fn f64_param(params: &GenParams, key: &str) -> Result<f64, String> {
     param(params, key)?
         .parse()
         .map_err(|e| format!("generator parameter `{key}` is not a number: {e}"))
-}
-
-/// Flower 2L graph: r parallel edges chained into one component (the
-/// Lemma 5.1 case-1 embedding target of E3/E14/E15).
-fn flower_graph(r: usize) -> TwoLevelGraph {
-    let mut g = TwoLevelGraph::new(2);
-    let edges: Vec<usize> = (0..r).map(|_| g.add_edge(0, 1)).collect();
-    for w in edges.windows(2) {
-        g.add_hyperedge(w);
-    }
-    if r == 1 {
-        g.add_hyperedge(&[edges[0]]);
-    }
-    g
 }
 
 /// Frees the first `free` node variables of `q` (`0` leaves the query's
@@ -154,30 +136,6 @@ pub fn generate(name: &str, params: &GenParams) -> Result<Generated, String> {
                 db,
                 query: Some(q),
                 expected: Some(expected),
-            })
-        }
-        // r, nfa_states, labels, word_len, seed — the E15 flower
-        // embedding: r planted-intersection NFAs through the Lemma 5.1
-        // reduction, all node variables free
-        "ine_flower" => {
-            let r = usize_param(params, "r")?;
-            let labels = usize_param(params, "labels")?;
-            let alphabet = Alphabet::ascii_lower(labels);
-            let (langs, _) = planted_ine(
-                r,
-                usize_param(params, "nfa_states")?,
-                labels,
-                usize_param(params, "word_len")?,
-                u64_param(params, "seed")?,
-            );
-            let g = flower_graph(r);
-            let (mut q, db) = ine_to_ecrpq_big_component(&langs, &alphabet, &g)?;
-            let all_vars = q.num_node_vars();
-            set_free_prefix(&mut q, all_vars);
-            Ok(Generated {
-                db,
-                query: Some(q),
-                expected: None,
             })
         }
         // r, labels, nodes, avg_degree, seed [, free] — the PSPACE-regime
@@ -283,16 +241,6 @@ mod tests {
             (
                 "planted_regime_shift",
                 params(&[("nodes", "24"), ("seed", "7")]),
-            ),
-            (
-                "ine_flower",
-                params(&[
-                    ("r", "2"),
-                    ("nfa_states", "4"),
-                    ("labels", "2"),
-                    ("word_len", "3"),
-                    ("seed", "33"),
-                ]),
             ),
             (
                 "big_component_random",

@@ -240,13 +240,12 @@ fn planner_governed_matches_ungoverned_when_complete() {
     }
 }
 
-/// Governed bit-parallel runs obey the same soundness contract as flat:
+/// Governed runs of the bitmap kernel obey the soundness contract:
 /// subset answers under truncation, bit-identical answers on `Complete` —
-/// at every thread count, with the bitmap kernel actually engaged (the
-/// arity-3 workload sits inside both bit-parallel gates).
+/// at every thread count, with the kernel actually engaged (the arity-3
+/// workload sits inside its gate).
 #[test]
-fn governed_bitparallel_matches_flat() {
-    use ecrpq::eval::Layout;
+fn governed_kernel_runs_match_unbudgeted() {
     let (db, q) = workload(3, 14);
     let prepared = PreparedQuery::build(&q).expect("valid");
     let full = product_answers(&db, &prepared, &EvalOptions::sequential());
@@ -255,7 +254,6 @@ fn governed_bitparallel_matches_flat() {
     for threads in [1usize, 2, 4, 8] {
         for cap in [200u64, u64::MAX / 4] {
             let opts = EvalOptions::with_threads(threads)
-                .with_layout(Layout::BitParallel)
                 .with_budget(ResourceBudget::unlimited().with_max_configurations(cap));
             let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
             assert!(
@@ -272,9 +270,8 @@ fn governed_bitparallel_matches_flat() {
     assert!(saw_truncated, "the small cap must actually truncate");
 }
 
-/// Regression (memory accounting): under `Layout::BitParallel` an arity-4
-/// atom exceeds the kernel's arity gate and is downgraded to the flat
-/// path, whose visited set and word queue grow with the configurations
+/// Regression (memory accounting): an arity-4 atom exceeds the bitmap
+/// kernel's arity gate and runs the flat BFS, whose visited set and word queue grow with the configurations
 /// its searches hold — nothing is allocated for it up front. Those bytes
 /// must reach the governor as they grow. The test measures the run's
 /// whole charge as the smallest cap it completes under, checks that the
@@ -283,18 +280,17 @@ fn governed_bitparallel_matches_flat() {
 /// trips `Memory`.
 #[test]
 fn memory_cap_sees_visited_set_and_queue_of_downgraded_atoms() {
-    use ecrpq::eval::{ExhaustedResource, Layout};
+    use ecrpq::eval::ExhaustedResource;
     let mut q = big_component_query(4, 2);
     q.set_free(&[NodeVar(0), NodeVar(1)]);
     let db = random_db(10, 2.0, 2, 97);
     let prepared = PreparedQuery::build(&q).expect("valid");
     let run = |bytes: u64| {
         let opts = EvalOptions::sequential()
-            .with_layout(Layout::BitParallel)
             .with_budget(ResourceBudget::unlimited().with_max_memory_bytes(bytes));
         engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer)
     };
-    // a roomy cap completes and matches flat
+    // a roomy cap completes and matches the unbudgeted run
     let roomy = run(1 << 30);
     assert!(roomy.termination.is_complete());
     let full = product_answers(&db, &prepared, &EvalOptions::sequential());
@@ -373,7 +369,7 @@ fn governed_cq_paths_are_sound() {
 /// `c(a|b)*d` reachability query: one backward sweep from the sink covers
 /// ~10⁴ configurations, past the cap and past the first check-in) ends
 /// the run non-`Complete` with a subset of the answers, at every thread
-/// count and layout. The next, unlimited run on the same `PreparedTables`
+/// count. The next, unlimited run on the same `PreparedTables`
 /// returns the instance's planted answer set — its provable ground truth
 /// — so no truncated sweep leaked into anything the runs share.
 #[test]
@@ -383,37 +379,34 @@ fn truncated_sweep_leaves_prepared_tables_clean() {
     let (db, q, sources) = ecrpq::workloads::planted_power_law_instance(4_000, 8, 3);
     let prepared = PreparedQuery::build(&q).expect("valid");
     let planted: BTreeSet<Vec<u32>> = sources.iter().map(|&s| vec![s]).collect();
-    for layout in [Layout::Flat, Layout::BitParallel] {
-        let tables = PreparedTables::build(&db, &prepared, layout);
-        for threads in [1usize, 2, 4, 8] {
-            let opts = EvalOptions::with_threads(threads).with_layout(layout);
-            let capped =
-                opts.with_budget(ResourceBudget::unlimited().with_max_configurations(6_000));
-            let cut = engine::answers_product_governed_prepared_traced(
-                &db,
-                &prepared,
-                &tables,
-                &capped,
-                &NoopTracer,
-            );
-            let what = format!("{threads} threads, {layout:?}");
-            assert!(
-                matches!(cut.termination, Termination::BudgetExhausted { .. }),
-                "{what}: {}",
-                cut.termination
-            );
-            assert!(cut.answers.is_subset(&planted), "{what}");
-            assert!(cut.stats.budget_aborts >= 1, "{what}: no sweep was cut");
-            let full = engine::answers_product_governed_prepared_traced(
-                &db,
-                &prepared,
-                &tables,
-                &opts,
-                &NoopTracer,
-            );
-            assert_eq!(full.termination, Termination::Complete, "{what}");
-            assert_eq!(full.answers, planted, "{what}");
-        }
+    let tables = PreparedTables::build(&db, &prepared, Layout::Flat);
+    for threads in [1usize, 2, 4, 8] {
+        let opts = EvalOptions::with_threads(threads);
+        let capped = opts.with_budget(ResourceBudget::unlimited().with_max_configurations(6_000));
+        let cut = engine::answers_product_governed_prepared_traced(
+            &db,
+            &prepared,
+            &tables,
+            &capped,
+            &NoopTracer,
+        );
+        let what = format!("{threads} threads");
+        assert!(
+            matches!(cut.termination, Termination::BudgetExhausted { .. }),
+            "{what}: {}",
+            cut.termination
+        );
+        assert!(cut.answers.is_subset(&planted), "{what}");
+        assert!(cut.stats.budget_aborts >= 1, "{what}: no sweep was cut");
+        let full = engine::answers_product_governed_prepared_traced(
+            &db,
+            &prepared,
+            &tables,
+            &opts,
+            &NoopTracer,
+        );
+        assert_eq!(full.termination, Termination::Complete, "{what}");
+        assert_eq!(full.answers, planted, "{what}");
     }
 }
 

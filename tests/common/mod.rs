@@ -156,9 +156,12 @@ pub struct CqShape {
     pub repeated_var: bool,
     /// Some atom reads `Nope`, a relation the database lacks.
     pub unknown_relation: bool,
+    /// The database's domain is empty.
+    pub empty_domain: bool,
 }
 
-/// A random CQ with a projection over a random database on 2–5 elements:
+/// A random CQ with a projection over a random database on 2–5 elements
+/// (or, for one instance in ten, on none):
 /// relations `U` (unary), `E`, `F` (binary) and `T` (ternary), and up to
 /// five atoms over up to five variables, drawn with repetition, so atoms
 /// may repeat a variable and variables may occur in no atom. One atom in
@@ -168,7 +171,11 @@ pub fn random_cq_instance(seed: u64) -> (RelationalDb, Cq, CqShape) {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     let mut rng = SmallRng::seed_from_u64(seed);
-    let n = rng.gen_range(2..6usize);
+    let n = if rng.gen_range(0..10u32) == 0 {
+        0
+    } else {
+        rng.gen_range(2..6usize)
+    };
     let mut db = RelationalDb::new(n);
     let relations = [
         ("U", 1usize, 0.5),
@@ -213,6 +220,7 @@ pub fn random_cq_instance(seed: u64) -> (RelationalDb, Cq, CqShape) {
         q.free = free;
     }
     shape.boolean = q.free.is_empty();
+    shape.empty_domain = n == 0;
     shape.unconstrained_free = q
         .free
         .iter()
@@ -227,6 +235,9 @@ pub fn random_cq_instance(seed: u64) -> (RelationalDb, Cq, CqShape) {
 pub fn brute_force_cq_answers(db: &RelationalDb, q: &Cq) -> BTreeSet<Vec<u32>> {
     let n = db.domain_size() as u32;
     let mut out = BTreeSet::new();
+    if n == 0 && q.num_vars > 0 {
+        return out; // no assignment exists
+    }
     let mut values = vec![0u32; q.num_vars];
     loop {
         if q.atoms.iter().all(|a| {

@@ -186,6 +186,7 @@ fn empty_and_single_node_databases() {
             let direct = eval_product(&db, &prepared);
             let (cq, rdb, _) = ecrpq_to_cq(&db, &prepared);
             assert_eq!(direct, eval_cq_treedec(&rdb, &cq), "seed {seed}, n={n}");
+            assert_eq!(direct, eval_cq(&rdb, &cq), "seed {seed}, n={n}");
         }
     }
 }
@@ -194,8 +195,8 @@ fn empty_and_single_node_databases() {
 /// sets — and the backtracking join against brute force on random CQs
 /// with projections:
 /// Boolean queries, free variables in no atom, variables repeated in one
-/// atom, an unknown (empty) relation and unsatisfiable instances all
-/// occur, and the run checks that each did.
+/// atom, an unknown (empty) relation, an empty domain and unsatisfiable
+/// instances all occur, and the run checks that each did.
 #[test]
 fn reduced_walk_matches_backtracking_on_random_cqs() {
     let mut seen = CqShape::default();
@@ -215,11 +216,16 @@ fn reduced_walk_matches_backtracking_on_random_cqs() {
         seen.unconstrained_free |= shape.unconstrained_free;
         seen.repeated_var |= shape.repeated_var;
         seen.unknown_relation |= shape.unknown_relation;
+        seen.empty_domain |= shape.empty_domain;
         unsat += usize::from(expected.is_empty());
         projected += usize::from(q.free.len() < q.num_vars && !q.free.is_empty());
     }
     assert!(
-        seen.boolean && seen.unconstrained_free && seen.repeated_var && seen.unknown_relation,
+        seen.boolean
+            && seen.unconstrained_free
+            && seen.repeated_var
+            && seen.unknown_relation
+            && seen.empty_domain,
         "{seen:?}"
     );
     assert!(

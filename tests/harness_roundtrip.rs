@@ -41,15 +41,13 @@ fn golden_parse_of_committed_e19_spec() {
     );
     assert_eq!(spec.workload_usize("nodes", 0), 1_000_000);
     assert_eq!(spec.workload_usize("sources", 0), 8);
-    // matrix: threads varies slowest, layout fastest — 8 trials in the
-    // committed row order (flat t1, bitparallel t1, flat t2, ...)
+    // matrix: one threads axis — 4 trials in the committed row order
     let axes: Vec<&str> = spec.matrix.iter().map(|(a, _)| a.as_str()).collect();
-    assert_eq!(axes, ["threads", "layout"]);
+    assert_eq!(axes, ["threads"]);
     let trials = spec.trials();
-    assert_eq!(trials.len(), 8);
-    assert_eq!(Spec::trial_key(&trials[0]), "threads-1_layout-flat");
-    assert_eq!(Spec::trial_key(&trials[1]), "threads-1_layout-bitparallel");
-    assert_eq!(Spec::trial_key(&trials[7]), "threads-8_layout-bitparallel");
+    assert_eq!(trials.len(), 4);
+    assert_eq!(Spec::trial_key(&trials[0]), "threads-1");
+    assert_eq!(Spec::trial_key(&trials[3]), "threads-8");
     // smoke overrides shrink the workload and change the cache key
     let smoke = spec.apply_smoke();
     assert_eq!(smoke.workload_usize("nodes", 0), 20_000);
@@ -59,7 +57,7 @@ fn golden_parse_of_committed_e19_spec() {
 
 #[test]
 fn every_committed_spec_parses_and_canonicalizes() {
-    for name in ["e15", "e17", "e18", "e19", "e20", "e21", "e22"] {
+    for name in ["e17", "e18", "e19", "e20", "e21", "e22"] {
         let path = repo_path(&format!("experiments/{name}.toml"));
         let spec = Spec::load(&path).expect("spec parses");
         assert_eq!(spec.name, name);

@@ -1,11 +1,11 @@
-//! Differential testing of the product data layouts: the CSR adjacency
-//! index must agree with a naive filter over the edge list on random
-//! graphs, and both product layouts (flat and bit-parallel), at every
-//! thread count, must return answer sets bit-identical to the
-//! CQ-reduction evaluator — whose Lemma 4.3 BFS shares no code with the
-//! product kernels — on random graphs and queries.
+//! Differential testing of the product search's data layout: the CSR
+//! adjacency index must agree with a naive filter over the edge list on
+//! random graphs, and the product search — the bitmap kernel for atoms
+//! inside its gate, the flat BFS for the rest — must return, at every
+//! thread count, answer sets bit-identical to the CQ-reduction evaluator,
+//! whose Lemma 4.3 BFS shares no code with either, on random graphs and
+//! queries.
 
-use ecrpq::eval::product::Layout;
 use ecrpq::eval::{ecrpq_to_cq, Enumerator, EvalOptions, PreparedQuery, ResourceBudget};
 use ecrpq::graph::GraphDb;
 use ecrpq::query::NodeVar;
@@ -17,7 +17,6 @@ mod common;
 
 use common::{cq_answers, product_answers, product_answers_with_stats, product_sat};
 
-const LAYOUTS: [Layout; 2] = [Layout::Flat, Layout::BitParallel];
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// The independent reference: the Lemma 4.3 reduction, evaluated by the
@@ -40,7 +39,7 @@ fn params() -> RandomQueryParams {
 /// Regression: a database with zero nodes must not panic anywhere in the
 /// pipeline — CSR freeze, flat-table construction, semijoin sweeps, chunk
 /// partitioning — and must return the empty answer set (respectively
-/// `false`) at every layout and thread count, as the CQ reduction does.
+/// `false`) at every thread count, as the CQ reduction does.
 #[test]
 fn empty_database_evaluates_cleanly() {
     let mut q = random_ecrpq(&params(), 1234);
@@ -52,41 +51,35 @@ fn empty_database_evaluates_cleanly() {
     assert!(reference.is_empty());
     assert!(!ecrpq::eval::product::eval_product(&db, &prepared));
     for threads in THREADS {
-        for layout in LAYOUTS {
-            let opts = EvalOptions::with_threads(threads).with_layout(layout);
-            let got = product_answers(&db, &prepared, &opts);
-            assert_eq!(got, reference, "{threads} threads, {layout:?}");
-            assert!(
-                !product_sat(&db, &prepared, &opts),
-                "{threads} threads, {layout:?}"
-            );
-        }
+        let opts = EvalOptions::with_threads(threads);
+        let got = product_answers(&db, &prepared, &opts);
+        assert_eq!(got, reference, "{threads} threads");
+        assert!(!product_sat(&db, &prepared, &opts), "{threads} threads");
     }
 }
 
-/// Regression for the bit-parallel size gate: when the dense configuration
-/// space overflows the bitmap budget, `Layout::BitParallel` must downgrade
-/// every atom to the scalar BFS and still agree with `Flat` at every
-/// thread count. 9 000 vertices × the 2-state eq-length automaton is
-/// 1.6·10⁸ configurations — past the three-bitmap gate, so the fallback
-/// runs the memoized scalar path, whose visited set holds only the
-/// configurations each search reaches. The
-/// graph is nearly edgeless to keep the run cheap; a single `a`-edge makes
-/// the Boolean query satisfiable.
+/// Regression for the bitmap kernel's size gate: when the dense
+/// configuration space overflows the bitmap budget, the atom runs the
+/// flat BFS and agrees with the sequential run at every thread count.
+/// 9 000 vertices × the 2-state eq-length automaton is 1.6·10⁸
+/// configurations — past the three-bitmap gate, so the flat BFS runs,
+/// whose visited set holds only the configurations each search reaches.
+/// The graph is nearly edgeless to keep the run cheap; a single `a`-edge
+/// makes the Boolean query satisfiable.
 #[test]
-fn bitparallel_falls_back_on_oversized_config_space() {
+fn oversized_config_space_runs_flat_bfs() {
     use ecrpq::workloads::big_component_query;
     let q = big_component_query(2, 2); // free vars default to none: Boolean
     let mut db = GraphDb::with_alphabet(q.alphabet().clone());
     let first = db.add_nodes_anon(9_000);
     db.add_edge(first, 'a', first + 1);
     let prepared = PreparedQuery::build(&q).unwrap();
-    let flat = product_answers(&db, &prepared, &EvalOptions::sequential());
-    assert_eq!(flat.len(), 1, "satisfiable Boolean query: one empty tuple");
+    let seq = product_answers(&db, &prepared, &EvalOptions::sequential());
+    assert_eq!(seq.len(), 1, "satisfiable Boolean query: one empty tuple");
     for threads in THREADS {
-        let opts = EvalOptions::with_threads(threads).with_layout(Layout::BitParallel);
+        let opts = EvalOptions::with_threads(threads);
         let par = product_answers(&db, &prepared, &opts);
-        assert_eq!(par, flat, "{threads} threads");
+        assert_eq!(par, seq, "{threads} threads");
         assert!(product_sat(&db, &prepared, &opts), "{threads} threads");
     }
 }
@@ -140,9 +133,8 @@ fn yannakakis_streaming_has_bounded_delay() {
 
 /// Plain CRPQ queries (every atom of arity 1, decided by the sweep) on
 /// graphs with uneven endpoint domains — both anchor directions, a
-/// self-loop atom, shared variables — in answer and Boolean mode: both
-/// layouts at every thread count return the CQ reduction's answers, and
-/// sequentially ask the same checks with the same memo hits.
+/// self-loop atom, shared variables — in answer and Boolean mode: every
+/// thread count returns the CQ reduction's answers.
 #[test]
 fn unary_sweeps_match_cq_reduction() {
     for i in 0..common::UNARY_TEXTS.len() {
@@ -153,27 +145,16 @@ fn unary_sweeps_match_cq_reduction() {
                 let prepared = PreparedQuery::build(&q).unwrap();
                 let reference = via_cq(&db, &prepared);
                 for threads in THREADS {
-                    for layout in LAYOUTS {
-                        let opts = EvalOptions::with_threads(threads).with_layout(layout);
-                        let what = format!("query {i}, seed {seed}, boolean {boolean}, {threads} threads, {layout:?}");
-                        assert_eq!(product_answers(&db, &prepared, &opts), reference, "{what}");
-                        assert_eq!(
-                            product_sat(&db, &prepared, &opts),
-                            !reference.is_empty(),
-                            "{what}"
-                        );
-                    }
+                    let opts = EvalOptions::with_threads(threads);
+                    let what =
+                        format!("query {i}, seed {seed}, boolean {boolean}, {threads} threads");
+                    assert_eq!(product_answers(&db, &prepared, &opts), reference, "{what}");
+                    assert_eq!(
+                        product_sat(&db, &prepared, &opts),
+                        !reference.is_empty(),
+                        "{what}"
+                    );
                 }
-                let seq = |layout| {
-                    let opts = EvalOptions::sequential().with_layout(layout);
-                    product_answers_with_stats(&db, &prepared, &opts).1
-                };
-                let (flat, bitpar) = (seq(Layout::Flat), seq(Layout::BitParallel));
-                assert_eq!(
-                    (flat.checks, flat.cache_hits, flat.configurations),
-                    (bitpar.checks, bitpar.cache_hits, bitpar.configurations),
-                    "query {i}, seed {seed}: both layouts run the same sweeps"
-                );
             }
         }
     }
@@ -209,8 +190,8 @@ proptest! {
 
     /// Regression: zero free variables makes the query *Boolean* — the
     /// enumeration must yield exactly one empty tuple iff the query is
-    /// satisfiable (per the CQ reduction), identically across both layouts
-    /// and any thread count (a buggy odometer could emit the empty tuple
+    /// satisfiable (per the CQ reduction), identically at any thread
+    /// count (a buggy odometer could emit the empty tuple
     /// once per satisfying assignment or chunk, or never).
     #[test]
     fn boolean_query_yields_one_empty_tuple(seed in 0..100_000u64) {
@@ -222,15 +203,13 @@ proptest! {
         let sat = !reference.is_empty();
         prop_assert_eq!(ecrpq::eval::product::eval_product(&db, &prepared), sat, "seed={}", seed);
         for threads in THREADS {
-            for layout in LAYOUTS {
-                let opts = EvalOptions::with_threads(threads).with_layout(layout);
-                let par = product_answers(&db, &prepared, &opts);
-                if sat {
-                    prop_assert_eq!(par.len(), 1, "threads={} layout={:?} seed={}", threads, layout, seed);
-                    prop_assert!(par.contains(&Vec::new()));
-                } else {
-                    prop_assert!(par.is_empty(), "threads={} layout={:?} seed={}", threads, layout, seed);
-                }
+            let opts = EvalOptions::with_threads(threads);
+            let par = product_answers(&db, &prepared, &opts);
+            if sat {
+                prop_assert_eq!(par.len(), 1, "threads={} seed={}", threads, seed);
+                prop_assert!(par.contains(&Vec::new()));
+            } else {
+                prop_assert!(par.is_empty(), "threads={} seed={}", threads, seed);
             }
         }
     }
@@ -268,37 +247,29 @@ proptest! {
         }
     }
 
-    /// Both product layouts, at every thread count, must return the CQ
-    /// reduction's answer set bit-for-bit. The bit-parallel layout shares
-    /// the flat layout's pruned domains and memo and only swaps the BFS
-    /// inner loop, so sequentially the two ask the same feasibility
-    /// questions and get the same verdicts.
+    /// The product search, at every thread count, must return the CQ
+    /// reduction's answer set bit-for-bit, and a parallel run asks the
+    /// sequential run's feasibility questions.
     #[test]
-    fn layouts_agree_on_answers(seed in 0..100_000u64) {
+    fn product_matches_cq_reduction_at_every_thread_count(seed in 0..100_000u64) {
         let mut q = random_ecrpq(&params(), seed.wrapping_add(55_000));
         q.set_free(&[NodeVar(0), NodeVar(1)]);
         let db = random_db(5, 1.6, 2, seed.wrapping_mul(29).wrapping_add(11));
         let prepared = PreparedQuery::build(&q).map_err(TestCaseError::fail)?;
         let reference = via_cq(&db, &prepared);
+        let seq = product_answers_with_stats(&db, &prepared, &EvalOptions::sequential()).1;
         for threads in THREADS {
-            for layout in LAYOUTS {
-                let opts = EvalOptions::with_threads(threads).with_layout(layout);
-                let got = product_answers(&db, &prepared, &opts);
-                prop_assert_eq!(&got, &reference, "threads={} layout={:?} seed={}", threads, layout, seed);
-            }
+            let opts = EvalOptions::with_threads(threads);
+            let (got, stats) = product_answers_with_stats(&db, &prepared, &opts);
+            prop_assert_eq!(&got, &reference, "threads={} seed={}", threads, seed);
+            prop_assert_eq!(stats.checks + stats.cache_hits, seq.checks + seq.cache_hits, "threads={} seed={}", threads, seed);
+            prop_assert_eq!(stats.assignments, seq.assignments, "threads={} seed={}", threads, seed);
+            prop_assert_eq!(stats.domain_kept, seq.domain_kept, "threads={} seed={}", threads, seed);
         }
-        let seq = |layout| {
-            product_answers_with_stats(&db, &prepared, &EvalOptions::sequential().with_layout(layout)).1
-        };
-        let (flat, bitpar) = (seq(Layout::Flat), seq(Layout::BitParallel));
-        prop_assert_eq!(flat.checks, bitpar.checks, "seed={}", seed);
-        prop_assert_eq!(flat.cache_hits, bitpar.cache_hits, "seed={}", seed);
-        prop_assert_eq!(flat.assignments, bitpar.assignments, "seed={}", seed);
-        prop_assert_eq!(flat.domain_kept, bitpar.domain_kept, "seed={}", seed);
     }
 
     /// Pruned product answers vs the independent Lemma 4.3 CQ reduction
-    /// (which runs its own BFS, untouched by the layout work).
+    /// (which runs its own BFS, shared with neither product routine).
     #[test]
     fn pruned_product_matches_cq_reduction(seed in 0..100_000u64) {
         let mut q = random_ecrpq(&params(), seed.wrapping_add(77_000));

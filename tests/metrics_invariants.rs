@@ -8,7 +8,7 @@
 
 use ecrpq::eval::engine;
 use ecrpq::eval::{
-    CollectingTracer, EvalOptions, Layout, NoopTracer, Phase, PreparedQuery, ResourceBudget,
+    CollectingTracer, EvalOptions, NoopTracer, Phase, PreparedQuery, ResourceBudget,
 };
 use ecrpq::query::NodeVar;
 use ecrpq::workloads::{env_seed, random_db, random_ecrpq, RandomQueryParams};
@@ -68,20 +68,18 @@ fn frontier_peak_bounded_by_configurations() {
         q.set_free(&[NodeVar(0)]);
         let db = random_db(10, 1.8, 2, seed * 29 + 1);
         let prepared = PreparedQuery::build(&q).unwrap();
-        for layout in [Layout::Flat, Layout::BitParallel] {
-            let opts = EvalOptions::sequential().with_layout(layout);
-            let (_, stats) = common::product_answers_with_stats(&db, &prepared, &opts);
-            assert!(
-                stats.frontier_peak <= stats.configurations,
-                "seed {seed}, {layout:?}: frontier {} > configurations {}",
-                stats.frontier_peak,
-                stats.configurations
-            );
-        }
+        let opts = EvalOptions::sequential();
+        let (_, stats) = common::product_answers_with_stats(&db, &prepared, &opts);
+        assert!(
+            stats.frontier_peak <= stats.configurations,
+            "seed {seed}: frontier {} > configurations {}",
+            stats.frontier_peak,
+            stats.configurations
+        );
     }
 }
 
-/// The bit-parallel kernel defines `frontier_peak` as the popcount of the
+/// The bitmap kernel defines `frontier_peak` as the popcount of the
 /// densest BFS level (configurations *inserted* per level), merged across
 /// workers by max. The kernel only runs synchronized atoms (arity 2–3),
 /// so the query ties two paths over the same chain by `eq`: one arity-2
@@ -90,7 +88,7 @@ fn frontier_peak_bounded_by_configurations() {
 /// exactly 1 at every thread count — a sum-merge across workers, or
 /// counting a whole word instead of its popcount, would exceed 1.
 #[test]
-fn bitparallel_frontier_peak_is_max_of_level_popcounts() {
+fn kernel_frontier_peak_is_max_of_level_popcounts() {
     use ecrpq::automata::Alphabet;
     use ecrpq::graph::GraphDb;
     use ecrpq::query::{parse_query, RelationRegistry};
@@ -115,7 +113,7 @@ fn bitparallel_frontier_peak_is_max_of_level_popcounts() {
     assert_eq!(prepared.atoms.len(), 1);
     assert_eq!(prepared.atoms[0].rel.arity(), 2, "one synchronized atom");
     for threads in [1usize, 2, 4, 8] {
-        let opts = EvalOptions::with_threads(threads).with_layout(Layout::BitParallel);
+        let opts = EvalOptions::with_threads(threads);
         let (answers, stats) = common::product_answers_with_stats(&db, &prepared, &opts);
         // nodes 0..=10 of each chain reach the b-edge
         assert_eq!(answers.len(), 44, "{threads} threads");
@@ -213,27 +211,25 @@ fn parallel_fold_loses_no_counts() {
     let prepared = PreparedQuery::build(&q).unwrap();
     let mut expected = None;
     for threads in [1usize, 2, 4, 8] {
-        for layout in [Layout::Flat, Layout::BitParallel] {
-            let tracer = CollectingTracer::new();
-            let opts = EvalOptions::with_threads(threads).with_layout(layout);
-            let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &tracer);
-            let (answers, stats) = common::complete(o);
-            let m = tracer.metrics();
-            assert_eq!(
-                m.phase(Phase::ProductBfs).items,
-                stats.configurations,
-                "{threads} threads, {layout:?}: fold dropped BFS work (base seed {base})"
-            );
-            assert_eq!(
-                m.phase(Phase::ProductBfs).frontier_peak,
-                stats.frontier_peak,
-                "{threads} threads, {layout:?}: frontier fold"
-            );
-            // answers are bit-identical at every thread count and layout
-            match &expected {
-                None => expected = Some(answers),
-                Some(e) => assert_eq!(&answers, e, "{threads} threads, {layout:?}"),
-            }
+        let tracer = CollectingTracer::new();
+        let opts = EvalOptions::with_threads(threads);
+        let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &tracer);
+        let (answers, stats) = common::complete(o);
+        let m = tracer.metrics();
+        assert_eq!(
+            m.phase(Phase::ProductBfs).items,
+            stats.configurations,
+            "{threads} threads: fold dropped BFS work (base seed {base})"
+        );
+        assert_eq!(
+            m.phase(Phase::ProductBfs).frontier_peak,
+            stats.frontier_peak,
+            "{threads} threads: frontier fold"
+        );
+        // answers are bit-identical at every thread count
+        match &expected {
+            None => expected = Some(answers),
+            Some(e) => assert_eq!(&answers, e, "{threads} threads"),
         }
     }
 }

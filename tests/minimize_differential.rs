@@ -3,8 +3,8 @@
 //! Every rewrite the minimizer applies is verified internally by a
 //! two-way containment check, but this suite re-checks the end result
 //! from the outside: the minimized query must be *answer-identical* to
-//! the original on concrete databases, under every layout of the product
-//! search and at 1/2/4 threads, and both must agree with the PR-5
+//! the original on concrete databases, under the product search at 1/2/4
+//! threads, and both must agree with the PR-5
 //! brute-force oracle. A final regression pins the `analyze --fix`
 //! contract: `fix_source` is idempotent on the committed query corpus.
 //!
@@ -12,7 +12,7 @@
 //! printed in every assertion message.
 
 use ecrpq::analyze::{fix_source, minimize};
-use ecrpq::eval::{planner, EvalOptions, Layout, PreparedQuery};
+use ecrpq::eval::{planner, EvalOptions, PreparedQuery};
 use ecrpq::graph::NodeId;
 use ecrpq::query::{parse_query, Ecrpq, NodeVar, RelationRegistry};
 use ecrpq::workloads::{
@@ -46,14 +46,9 @@ const SHRINKABLE: &[&str] = &[
 /// Evaluate `q` with the product search, bypassing the planner's own
 /// minimization pass, so original-vs-minimized comparisons are between
 /// two genuinely different pipelines over two genuinely different ASTs.
-fn product_answers(
-    db: &ecrpq::graph::GraphDb,
-    q: &Ecrpq,
-    layout: Layout,
-    threads: usize,
-) -> BTreeSet<Vec<NodeId>> {
+fn product_answers(db: &ecrpq::graph::GraphDb, q: &Ecrpq, threads: usize) -> BTreeSet<Vec<NodeId>> {
     let prepared = PreparedQuery::build(q).unwrap_or_else(|e| panic!("prepare: {e}"));
-    let opts = EvalOptions::with_threads(threads).with_layout(layout);
+    let opts = EvalOptions::with_threads(threads);
     common::product_answers(db, &prepared, &opts)
 }
 
@@ -76,25 +71,23 @@ fn minimized_queries_are_answer_identical_on_shrinkable_corpus() {
             rewrites += m.steps.len();
             let truth = oracle_answers(&db, &q, MAX_LEN);
             let exact = oracle_answers(&db, &q, MAX_LEN - 2) == truth;
-            for layout in [Layout::Flat, Layout::BitParallel] {
-                for threads in [1usize, 2, 4] {
-                    let orig = product_answers(&db, &q, layout, threads);
-                    let mini = product_answers(&db, &m.query, layout, threads);
+            for threads in [1usize, 2, 4] {
+                let orig = product_answers(&db, &q, threads);
+                let mini = product_answers(&db, &m.query, threads);
+                assert_eq!(
+                    orig, mini,
+                    "query {i}, seed {seed}, {threads} thread(s): \
+                     minimized query changed the answer set"
+                );
+                assert!(
+                    truth.is_subset(&mini),
+                    "query {i}, seed {seed}: minimized query missed oracle answers"
+                );
+                if exact {
                     assert_eq!(
-                        orig, mini,
-                        "query {i}, seed {seed}, {layout:?}, {threads} thread(s): \
-                         minimized query changed the answer set"
+                        mini, truth,
+                        "query {i}, seed {seed}: minimized query reported extra answers"
                     );
-                    assert!(
-                        truth.is_subset(&mini),
-                        "query {i}, seed {seed}: minimized query missed oracle answers"
-                    );
-                    if exact {
-                        assert_eq!(
-                            mini, truth,
-                            "query {i}, seed {seed}: minimized query reported extra answers"
-                        );
-                    }
                 }
             }
         }
@@ -126,22 +119,20 @@ fn minimized_random_queries_are_answer_identical() {
         let db = random_db(4, 1.5, 2, seed * 29 + 7);
         let truth = oracle_answers(&db, &q, MAX_LEN);
         let exact = oracle_answers(&db, &q, MAX_LEN - 2) == truth;
-        let orig = product_answers(&db, &q, Layout::Flat, 1);
-        for layout in [Layout::Flat, Layout::BitParallel] {
-            for threads in [1usize, 2, 4] {
-                let mini = product_answers(&db, &m.query, layout, threads);
-                assert_eq!(
-                    orig, mini,
-                    "seed {seed}, {layout:?}, {threads} thread(s): \
-                     minimized random query changed the answer set"
-                );
-                assert!(
-                    truth.is_subset(&mini),
-                    "seed {seed}: minimized query missed oracle answers"
-                );
-                if exact {
-                    assert_eq!(mini, truth, "seed {seed}: extra answers");
-                }
+        let orig = product_answers(&db, &q, 1);
+        for threads in [1usize, 2, 4] {
+            let mini = product_answers(&db, &m.query, threads);
+            assert_eq!(
+                orig, mini,
+                "seed {seed}, {threads} thread(s): \
+                 minimized random query changed the answer set"
+            );
+            assert!(
+                truth.is_subset(&mini),
+                "seed {seed}: minimized query missed oracle answers"
+            );
+            if exact {
+                assert_eq!(mini, truth, "seed {seed}: extra answers");
             }
         }
     }

@@ -17,7 +17,7 @@ use ecrpq::eval::cq_eval::{answers_cq, answers_cq_treedec};
 use ecrpq::eval::engine;
 use ecrpq::eval::product::answers_product;
 use ecrpq::eval::NoopTracer;
-use ecrpq::eval::{ecrpq_to_cq, eval_product, EvalOptions, Layout, PreparedQuery};
+use ecrpq::eval::{ecrpq_to_cq, eval_product, EvalOptions, PreparedQuery, PreparedTables};
 use ecrpq::graph::NodeId;
 use ecrpq::query::{Ecrpq, NodeVar, RelationRegistry};
 use ecrpq::workloads::{
@@ -59,18 +59,16 @@ fn oracle_agrees_with_every_answer_evaluator() {
         let exact = converged(&db, &q, &truth);
         settled += exact as usize;
 
-        // every layout of the product search at every thread count
+        // the product search at every thread count
         for threads in [1usize, 2, 4, 8] {
-            for layout in [Layout::Flat, Layout::BitParallel] {
-                let opts = EvalOptions::with_threads(threads).with_layout(layout);
-                let got = common::product_answers(&db, &prepared, &opts);
-                check(
-                    &truth,
-                    &got,
-                    exact,
-                    &format!("seed {seed}: {threads} thread(s), {layout:?}"),
-                );
-            }
+            let opts = EvalOptions::with_threads(threads);
+            let got = common::product_answers(&db, &prepared, &opts);
+            check(
+                &truth,
+                &got,
+                exact,
+                &format!("seed {seed}: {threads} thread(s)"),
+            );
         }
         // the Lemma 4.3 reduction, backtracking and treedec
         let (cq, rdb, _) = ecrpq_to_cq(&db, &prepared);
@@ -150,10 +148,60 @@ fn oracle_agrees_with_yannakakis_streaming() {
     );
 }
 
+/// A synchronized atom on the Yannakakis route: the merged `eq_len` atom
+/// over `(x, y)` fits the bitmap kernel's gate on these graphs, so its
+/// checks run the kernel over the join tree's consistent domains. Both
+/// the one-shot entry point and the prepared tables of `build_for_tree`
+/// must give the oracle's answers at every thread count.
+#[test]
+fn oracle_agrees_with_yannakakis_over_the_kernel() {
+    let base = env_seed(0);
+    let text = "q(x, z) :- x -[p]-> y, x -[r]-> y, eq_len(p, r), y -(b)-> z";
+    let mut settled = 0usize;
+    const CASES: u64 = 8;
+    for case in 0..CASES {
+        let seed = base + case;
+        let db = random_db(5, 1.6, 2, seed * 29 + 7);
+        let mut alphabet = db.alphabet().clone();
+        let q = ecrpq::query::parse_query(text, &mut alphabet, &RelationRegistry::new()).unwrap();
+        let tree = ecrpq::analyze::acyclic_join_tree(&q).expect("acyclic");
+        let prepared = PreparedQuery::build(&q).unwrap();
+        assert!(prepared.atoms.iter().any(|a| a.rel.arity() == 2));
+        let truth = oracle_answers(&db, &q, MAX_LEN);
+        let exact = converged(&db, &q, &truth);
+        settled += exact as usize;
+        let tables = PreparedTables::build_for_tree(&db, &prepared, &tree);
+        for threads in [1usize, 2, 4, 8] {
+            let opts = EvalOptions::with_threads(threads);
+            let (one_shot, _) = common::complete(engine::answers_yannakakis_governed_traced(
+                &db,
+                &prepared,
+                &tree,
+                &opts,
+                &NoopTracer,
+            ));
+            let what = format!("seed {seed}: {threads} thread(s)");
+            check(&truth, &one_shot, exact, &format!("{what}, one-shot"));
+            let (warm, _) = common::complete(engine::answers_yannakakis_governed_prepared_traced(
+                &db,
+                &prepared,
+                &tables,
+                &opts,
+                &NoopTracer,
+            ));
+            assert_eq!(warm, one_shot, "{what}: prepared vs one-shot");
+        }
+    }
+    assert!(
+        settled as u64 >= CASES - 2,
+        "oracle converged on only {settled}/{CASES} cases (base seed {base})"
+    );
+}
+
 /// Plain CRPQ queries, whose arity-1 atoms the product search decides by
 /// memoized single-track sweeps, on graphs with uneven endpoint domains
 /// (both anchor directions, a self-loop atom, shared variables), in
-/// answer and Boolean mode, at every thread count and layout.
+/// answer and Boolean mode, at every thread count.
 #[test]
 fn oracle_agrees_on_unary_sweeps() {
     let base = env_seed(0);
@@ -172,16 +220,13 @@ fn oracle_agrees_on_unary_sweeps() {
                 settled += exact as usize;
                 cases += 1;
                 for threads in [1usize, 2, 4, 8] {
-                    for layout in [Layout::Flat, Layout::BitParallel] {
-                        let opts = EvalOptions::with_threads(threads).with_layout(layout);
-                        let what = format!(
-                            "query {i}, seed {seed}, boolean {boolean}: {threads} thread(s), {layout:?}"
-                        );
-                        let got = common::product_answers(&db, &prepared, &opts);
-                        check(&truth, &got, exact, &what);
-                        let sat = common::product_sat(&db, &prepared, &opts);
-                        assert_eq!(sat, !got.is_empty(), "{what}: Boolean vs answers");
-                    }
+                    let opts = EvalOptions::with_threads(threads);
+                    let what =
+                        format!("query {i}, seed {seed}, boolean {boolean}: {threads} thread(s)");
+                    let got = common::product_answers(&db, &prepared, &opts);
+                    check(&truth, &got, exact, &what);
+                    let sat = common::product_sat(&db, &prepared, &opts);
+                    assert_eq!(sat, !got.is_empty(), "{what}: Boolean vs answers");
                 }
             }
         }

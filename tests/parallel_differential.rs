@@ -8,8 +8,8 @@ use ecrpq::analyze::{acyclic_join_tree, JoinTree};
 use ecrpq::eval::cq_eval::{
     answers_cq as answers_cq_seq, answers_cq_treedec as answers_cq_treedec_seq,
 };
+use ecrpq::eval::product::answers_product as answers_product_seq;
 use ecrpq::eval::product::ProductStats;
-use ecrpq::eval::product::{answers_product as answers_product_seq, Layout};
 use ecrpq::eval::{
     ecrpq_to_cq, engine, EvalOptions, NoopTracer, PreparedQuery, ResourceBudget, Termination,
 };
@@ -53,13 +53,11 @@ proptest! {
         let prepared = PreparedQuery::build(&q).map_err(TestCaseError::fail)?;
         let seq = answers_product_seq(&db, &prepared);
         for threads in [1usize, 2, 4, 8] {
-            for layout in [Layout::Flat, Layout::BitParallel] {
-                let opts = EvalOptions::with_threads(threads).with_layout(layout);
-                let par = product_answers(&db, &prepared, &opts);
-                prop_assert_eq!(&par, &seq, "threads={} {:?} seed={}", threads, layout, seed);
-                let par_bool = product_sat(&db, &prepared, &opts);
-                prop_assert_eq!(par_bool, !seq.is_empty(), "boolean threads={} {:?} seed={}", threads, layout, seed);
-            }
+            let opts = EvalOptions::with_threads(threads);
+            let par = product_answers(&db, &prepared, &opts);
+            prop_assert_eq!(&par, &seq, "threads={} seed={}", threads, seed);
+            let par_bool = product_sat(&db, &prepared, &opts);
+            prop_assert_eq!(par_bool, !seq.is_empty(), "boolean threads={} seed={}", threads, seed);
         }
     }
 
@@ -239,8 +237,8 @@ fn merged_stats_equal_sequential_totals() {
 /// The closure-joined search shapes — a forward join of the end's
 /// candidates with the start's closure row, and a backward join of the
 /// start's with the end's transposed row — on disjoint strongly connected
-/// components: every thread count and layout returns the sequential
-/// answers and asks the same feasibility questions.
+/// components: every thread count returns the sequential answers and
+/// asks the same feasibility questions.
 #[test]
 fn closure_joined_shapes_match_sequential() {
     let db = scc_union_db(24, 6);
@@ -249,19 +247,17 @@ fn closure_joined_shapes_match_sequential() {
         let seq = product_answers_with_stats(&db, &prepared, &EvalOptions::sequential());
         assert!(!seq.0.is_empty(), "{name}");
         for threads in [1usize, 2, 4] {
-            for layout in [Layout::Flat, Layout::BitParallel] {
-                let opts = EvalOptions::with_threads(threads).with_layout(layout);
-                let par = product_answers_with_stats(&db, &prepared, &opts);
-                let label = format!("{name} threads={threads} {layout:?}");
-                assert_eq!(par.0, seq.0, "{label}");
-                assert_eq!(
-                    par.1.checks + par.1.cache_hits,
-                    seq.1.checks + seq.1.cache_hits,
-                    "{label}"
-                );
-                assert_eq!(par.1.assignments, seq.1.assignments, "{label}");
-                assert!(product_sat(&db, &prepared, &opts), "{label}");
-            }
+            let opts = EvalOptions::with_threads(threads);
+            let par = product_answers_with_stats(&db, &prepared, &opts);
+            let label = format!("{name} threads={threads}");
+            assert_eq!(par.0, seq.0, "{label}");
+            assert_eq!(
+                par.1.checks + par.1.cache_hits,
+                seq.1.checks + seq.1.cache_hits,
+                "{label}"
+            );
+            assert_eq!(par.1.assignments, seq.1.assignments, "{label}");
+            assert!(product_sat(&db, &prepared, &opts), "{label}");
         }
     }
 }
@@ -281,19 +277,19 @@ fn extreme_thread_counts() {
     }
 }
 
-/// Bit-parallel runs split the first variable's domain on 64-id word
-/// boundaries and share one stop flag across workers: on planted graphs
-/// spanning several words, answers and the Boolean search must match the
-/// sequential evaluator at every thread count.
+/// Parallel runs split the first variable's domain into chunks and share
+/// one stop flag across workers: on planted graphs of a few hundred
+/// vertices, answers and the Boolean search must match the sequential
+/// evaluator at every thread count.
 #[test]
-fn bitparallel_word_chunks_match_sequential() {
+fn planted_chunks_match_sequential() {
     for seed in 0..3u64 {
         let (db, q, planted) = planted_power_law_instance(300, 3, seed);
         let prepared = PreparedQuery::build(&q).unwrap();
         let seq = answers_product_seq(&db, &prepared);
         assert!(!seq.is_empty() && !planted.is_empty(), "seed {seed}");
         for threads in [2usize, 4, 8] {
-            let opts = EvalOptions::with_threads(threads).with_layout(Layout::BitParallel);
+            let opts = EvalOptions::with_threads(threads);
             assert_eq!(
                 product_answers(&db, &prepared, &opts),
                 seq,
