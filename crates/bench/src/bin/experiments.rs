@@ -143,23 +143,19 @@ fn e21_minimize() {
     run_harness("experiments/e21.toml");
 }
 
-/// E20 — Yannakakis semijoin program + streaming enumeration vs the flat
-/// product search, sequentially, on the planted acyclic low-output
-/// instance, driven by the declarative spec at `experiments/e20.toml`
-/// (the CI smoke run passes `--smoke` to the harness instead).
+/// E20 — the product route's Yannakakis full reducer + streaming
+/// enumeration, sequentially, on the planted acyclic low-output instance,
+/// driven by the declarative spec at `experiments/e20.toml` (the CI smoke
+/// run passes `--smoke` to the harness instead).
 fn e20_yannakakis() {
-    println!("## E20 — Acyclicity-aware planning: Yannakakis + streaming vs product search");
+    println!("## E20 — Acyclicity-aware planning: Yannakakis + streaming on the product route");
     println!();
     println!("The planted acyclic instance: `n` decoy vertices in `a`-cycles plus a");
     println!("planted chain of `k` heads reaching the sink through a `b`-chain,");
     println!("queried with `q(x, z) :- x -[p]-> y, y -[r]-> z, p in aa*, r in bb*d`.");
-    println!("Independent per-atom semijoin sweeps keep every decoy in D(x) — each");
-    println!("has aa* paths, just none reaching the join vertex — so the flat");
-    println!("product baseline pays one cycle-sweeping BFS per decoy. The");
-    println!("Yannakakis top-down pass shrinks D(x) to the k chain heads, making");
-    println!("the run output-sensitive: its cost scales with k, not n. Both");
-    println!("strategies run at 1 thread; answer sets are asserted identical to");
-    println!("the planted ground truth at every output size.");
+    println!("The query has a join tree, so the product tables run the Yannakakis");
+    println!("full reducer, which shrinks D(x) to the k chain heads: the sequential");
+    println!("run's cost scales with k, not n. Answers are checked at every k.");
     println!();
     run_harness("experiments/e20.toml");
 }

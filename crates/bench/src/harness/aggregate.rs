@@ -194,28 +194,17 @@ fn agg_bitparallel(spec: &Spec, results: &[(TrialParams, Json)]) -> Result<Json,
 
 fn agg_yannakakis(spec: &Spec, results: &[(TrialParams, Json)]) -> Result<Json, String> {
     let mut rows = Vec::new();
-    let mut headline = 0f64;
-    for (params, r) in results {
-        let flat_ms = getf(r, "flat_ms")?;
-        let yan_ms = getf(r, "yannakakis_ms")?;
-        let speedup = flat_ms / yan_ms.max(1e-6);
-        let k = params
-            .iter()
-            .find(|(axis, _)| axis == "k")
-            .map(|(_, v)| v.render());
-        if k.as_deref() == Some("8") {
-            headline = speedup;
-        }
+    for (_, r) in results {
         rows.push(Json::Obj(vec![
             ("answers".into(), get_raw(r, "answers")?),
-            ("flat_ms".into(), Json::fixed(flat_ms, 2)),
-            ("yannakakis_ms".into(), Json::fixed(yan_ms, 2)),
-            ("flat_configs".into(), get_raw(r, "flat_configs")?),
+            (
+                "yannakakis_ms".into(),
+                Json::fixed(getf(r, "yannakakis_ms")?, 2),
+            ),
             (
                 "yannakakis_configs".into(),
                 get_raw(r, "yannakakis_configs")?,
             ),
-            ("speedup".into(), Json::fixed(speedup, 2)),
         ]));
     }
     let last = &results[results.len() - 1].1;
@@ -226,7 +215,6 @@ fn agg_yannakakis(spec: &Spec, results: &[(TrialParams, Json)]) -> Result<Json, 
         ("seed".into(), spec_seed(spec)?),
         ("threads".into(), Json::int(1)),
         ("rows".into(), Json::Arr(rows)),
-        ("speedup_single_thread".into(), Json::fixed(headline, 2)),
     ]))
 }
 

@@ -115,7 +115,7 @@ impl BitScratch {
     }
 
     /// Resident bytes of the three bitmaps — what the governor's memory
-    /// ledger is charged when a worker installs a budget.
+    /// ledger is charged when an atom's first kernel check allocates them.
     pub(crate) fn bytes(&self) -> u64 {
         3 * 8 * self.visited.words().len() as u64
     }
@@ -149,7 +149,7 @@ fn encode(q: StateId, pos: &[NodeId], nv: usize) -> usize {
 }
 
 /// Sets bit `idx` in `visited` and mirrors the newly-set bit into `next`,
-/// maintaining both word lists. Returns 1 when the configuration is new.
+/// maintaining both word lists.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn set_one(
@@ -158,20 +158,19 @@ fn set_one(
     next: &mut BitSet,
     touched: &mut Vec<u32>,
     nxt_words: &mut Vec<u32>,
-) -> u64 {
+) {
     let (w, mask) = (idx >> 6, 1u64 << (idx & 63));
     if visited.words()[w] == 0 {
         touched.push(w as u32);
     }
     let newly = visited.or_word(w, mask);
     if newly == 0 {
-        return 0;
+        return;
     }
     if next.words()[w] == 0 {
         nxt_words.push(w as u32);
     }
     next.or_word(w, newly);
-    1
 }
 
 /// Runs the bit-parallel level-synchronous BFS for one atom with fixed
@@ -184,12 +183,14 @@ fn set_one(
 /// pops that whole level and then part of the next before it pops the
 /// goal, so the kernel never charges the governor more work.
 ///
-/// Counter semantics: `configurations` counts **first visits** (seed and
-/// insert time), not pops — so `frontier_peak`, the maximum level
-/// popcount, is bounded by `configurations` even on early-accept runs.
-/// The pacer is charged per frontier-word batch (the popcount of each
-/// expanded word), keeping the governor's work ledger within one word of
-/// the flat path's per-configuration accounting.
+/// Counter semantics: `configurations` counts the configurations the
+/// kernel **expands**, one frontier word at a time: the word's popcount,
+/// which is also the work the pacer is charged for that batch. Stats,
+/// the tracer's `ProductBfs` items and the governor's work ledger thus
+/// share one unit, and a check that reaches no accepting configuration
+/// expands every configuration it visits — exactly the pops of the flat
+/// BFS. `frontier_peak` is the most configurations expanded from one
+/// level, so it never exceeds `configurations`.
 pub(crate) fn run<T: Tracer>(
     input: &BitBfsInput<'_>,
     scratch: &mut BitScratch,
@@ -220,9 +221,8 @@ pub(crate) fn run<T: Tracer>(
     );
 
     // seed the first level: one bit per initial state at `starts`
-    let mut seeded = 0u64;
     for &q in nfa.initial_states() {
-        seeded += set_one(
+        set_one(
             encode(q, input.starts, nv),
             &mut scratch.visited,
             &mut scratch.frontier,
@@ -230,11 +230,7 @@ pub(crate) fn run<T: Tracer>(
             &mut scratch.cur_words,
         );
     }
-    stats.configurations += seeded;
-    if T::ENABLED {
-        tracer.count(Phase::ProductBfs, seeded);
-    }
-    let mut peak = seeded;
+    let mut peak = 0u64;
     let mut goal = scratch.goal_reached();
 
     // decode/odometer scratch, carved from the bump arena
@@ -242,15 +238,22 @@ pub(crate) fn run<T: Tracer>(
     let csr = input.db.csr_targets();
 
     'bfs: while !goal && !scratch.cur_words.is_empty() {
-        let mut inserted = 0u64;
+        let mut level = 0u64;
         for wi in 0..scratch.cur_words.len() {
             let w = scratch.cur_words[wi] as usize;
             let fword = scratch.frontier.words()[w];
             scratch.frontier.clear_word(w);
-            // cooperative budget check, one per word batch; the batch's
-            // popcount is the work charged, so the shared ledger matches
-            // the flat path's one-unit-per-configuration accounting
-            if pacer.tick_batch_traced(u64::from(fword.count_ones()), tracer, Phase::ProductBfs) {
+            // one count and one cooperative budget check per word batch:
+            // the batch's popcount, as the flat path counts and charges
+            // one unit per popped configuration
+            let batch = u64::from(fword.count_ones());
+            stats.configurations += batch;
+            if T::ENABLED {
+                tracer.count(Phase::ProductBfs, batch);
+            }
+            level += batch;
+            peak = peak.max(level);
+            if pacer.tick_batch_traced(batch, tracer, Phase::ProductBfs) {
                 stats.budget_aborts += 1;
                 break 'bfs;
             }
@@ -259,18 +262,13 @@ pub(crate) fn run<T: Tracer>(
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let idx = (w << 6) | b;
-                inserted += expand(input, scratch, csr, idx, scratch_range.clone());
+                expand(input, scratch, csr, idx, scratch_range.clone());
             }
             if scratch.goal_reached() {
                 goal = true;
                 break;
             }
         }
-        stats.configurations += inserted;
-        if T::ENABLED {
-            tracer.count(Phase::ProductBfs, inserted);
-        }
-        peak = peak.max(inserted);
         // level flip: `next` becomes the frontier, the old (now empty)
         // frontier becomes the scatter target
         scratch.cur_words.clear();
@@ -296,7 +294,7 @@ fn expand(
     csr: &[NodeId],
     idx: usize,
     buf: Range<usize>,
-) -> u64 {
+) {
     let nv = input.nv;
     let k = input.starts.len();
     let atom = input.atom;
@@ -310,7 +308,6 @@ fn expand(
         rem /= nv;
     }
     let q = rem as StateId;
-    let mut inserted = 0u64;
     let gs = atom.state_offsets[q as usize] as usize..atom.state_offsets[q as usize + 1] as usize;
     'groups: for g in &atom.groups[gs] {
         let row = input.dense.row_of(g.row);
@@ -350,7 +347,7 @@ fn expand(
                 for &c in combo.iter() {
                     idx2 = idx2 * nv + c as usize;
                 }
-                inserted += set_one(
+                set_one(
                     idx2,
                     &mut scratch.visited,
                     &mut scratch.next,
@@ -381,7 +378,6 @@ fn expand(
             }
         }
     }
-    inserted
 }
 
 #[cfg(test)]

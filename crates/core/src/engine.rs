@@ -3,20 +3,22 @@
 //! Multi-threaded front-ends for the two evaluator families:
 //!
 //! * the **product** family ([`eval_product_governed`],
-//!   [`answers_product_governed_traced`] and the Yannakakis entry
-//!   points) — one worker body, `steal_chunks`, serves Boolean search and
-//!   answer enumeration under both strategies. The domain of the first
+//!   [`answers_product_governed_traced`] and their prepared variant) —
+//!   one worker body, `steal_chunks`, serves Boolean search and answer
+//!   enumeration. The domain of the first
 //!   node variable the search assigns is cut into `threads × 4` chunks,
 //!   and `std::thread::scope` workers pull chunks from an atomic queue.
 //!   Each worker owns one search cursor (`crate::enumerate`) — wrapped in
 //!   an [`AnswerIter`] for answer sets — and restarts it per chunk, so its
 //!   feasibility memo and BFS visited sets stay thread-local and warm
 //!   across chunks. All workers borrow the read-only `SharedTables` —
-//!   trimmed automata, dense row-grouped transition tables,
-//!   semijoin-pruned or Yannakakis-consistent enumeration domains,
-//!   reachability closure — built once up front (the build also freezes
-//!   the database's CSR index, so no worker pays for it). One thread runs
-//!   the same body inline over the full range;
+//!   trimmed automata, dense row-grouped transition tables, enumeration
+//!   domains, reachability closure — built once up front (the build also
+//!   freezes the database's CSR index, so no worker pays for it). One
+//!   thread runs the same body inline over the full range. The domain
+//!   program is the query's, not the caller's: a query with a join tree
+//!   ([`PreparedQuery::join_tree`]) gets the Yannakakis full reducer on
+//!   every entry point, any other the independent semijoin sweeps;
 //! * the **CQ** evaluators ([`answers_cq_governed_traced`],
 //!   [`answers_cq_treedec_governed_traced`]) — the
 //!   backtracking join is partitioned by stride over the first atom's
@@ -244,7 +246,7 @@ fn boolean_outcome(found: bool, stats: ProductStats, governor: Option<&Governor>
 }
 
 // ---------------------------------------------------------------------------
-// Product family: direct product search and the Yannakakis strategy
+// Product family
 // ---------------------------------------------------------------------------
 
 /// Boolean product evaluation. With `threads > 1` the domain of the first
@@ -267,46 +269,17 @@ pub fn eval_product_governed(
 ) -> Outcome<bool> {
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
-    let tables = SharedTables::build(db, query, governor, &NoopTracer, None);
-    let workers = product_workers(db, query, opts);
-    eval_over(db, query, &tables, workers, governor)
-}
-
-/// Boolean evaluation under the Yannakakis preparation: the two semijoin
-/// passes over `tree` make every domain globally consistent before the
-/// (sequential — Boolean search exits on first success anyway) product
-/// search runs over them. Preparation and search check in with one
-/// governor, and a budget tripped mid-pass keeps the domains sound
-/// (over-approximate), so `true` is always definitive.
-pub fn eval_yannakakis_governed(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tree: &JoinTree,
-    opts: &EvalOptions,
-) -> Outcome<bool> {
-    let governor = run_governor(&opts.budget);
-    let governor = governor.as_ref();
-    let tables = SharedTables::build(db, query, governor, &NoopTracer, Some(tree));
-    eval_over(db, query, &tables, 1, governor)
-}
-
-/// The Boolean product search over built tables: one search cursor per
-/// worker, all sharing a stop flag that the first success raises.
-fn eval_over(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tables: &SharedTables,
-    workers: usize,
-    governor: Option<&Governor>,
-) -> Outcome<bool> {
+    let tables = SharedTables::build(db, query, governor, &NoopTracer);
+    // one search cursor per worker, all sharing a stop flag that the
+    // first success raises
     let stop = AtomicBool::new(false);
     let parts = steal_chunks(
         db.num_nodes(),
-        workers,
+        product_workers(db, query, opts),
         &stop,
         &NoopTracer,
         |_| {
-            let mut search = SearchCursor::new(db, query, tables, governor, NoopTracer);
+            let mut search = SearchCursor::new(db, query, &tables, governor, NoopTracer);
             search.ev.set_stop(&stop);
             (search, false)
         },
@@ -349,28 +322,7 @@ pub fn answers_product_governed_traced<T: Tracer>(
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
-    let tables = SharedTables::build(db, query, governor, tracer, None);
-    let workers = product_workers(db, query, opts);
-    answers_over(db, query, &tables, workers, governor, tracer)
-}
-
-/// Answer enumeration under the Yannakakis strategy: semijoin program
-/// over the join tree, then streaming enumeration over the globally
-/// consistent domains, both under one governor. Parallel runs share the
-/// product family's chunk-stealing workers. The returned set is a subset
-/// of the unbudgeted answers, bit-identical when [`Outcome::termination`]
-/// is [`Termination::Complete`]; `max_answers` stops the streaming
-/// enumeration exactly at the cap.
-pub fn answers_yannakakis_governed_traced<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tree: &JoinTree,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    let governor = run_governor(&opts.budget);
-    let governor = governor.as_ref();
-    let tables = SharedTables::build(db, query, governor, tracer, Some(tree));
+    let tables = SharedTables::build(db, query, governor, tracer);
     let workers = product_workers(db, query, opts);
     answers_over(db, query, &tables, workers, governor, tracer)
 }
@@ -452,8 +404,9 @@ fn steal_chunks<T: Tracer, W: Send>(
 
 /// Pre-built read-only evaluation state for the product-family entry
 /// points: the `SharedTables` — trimmed automata, reachability closure,
-/// dense row-grouped transition tables, semijoin-pruned enumeration
-/// domains — that every engine call otherwise rebuilds serially before
+/// dense row-grouped transition tables, enumeration domains (the full
+/// reducer's over the query's join tree, the independent sweeps'
+/// otherwise) — that every engine call otherwise rebuilds serially before
 /// its workers spawn. Building them once and executing many times is what
 /// a prepared-plan cache amortizes, and it is also what makes thread
 /// scaling visible end-to-end: the serial build no longer dilutes the
@@ -471,41 +424,42 @@ pub struct PreparedTables {
 }
 
 impl PreparedTables {
-    /// Builds the shared evaluation tables for `query` over `db` (no join
-    /// tree: the semijoin sweep prunes per-variable domains pairwise, as
-    /// the direct-product strategy does). Also freezes the database's CSR
-    /// index, so no later execution pays for it. `_layout` is read by no
-    /// code; it stays only because the served-request benchmark passes
-    /// it, and the next change to that benchmark removes it.
+    /// Builds the shared evaluation tables for `query` over `db`. Over the
+    /// query's join tree the domains are made globally consistent by the
+    /// two-pass Yannakakis semijoin program, which sends only the full
+    /// reducer's messages: bottom-up, each atom sweeps towards the
+    /// variables it shares with its parent; top-down, every track sweeps
+    /// both ways, the second sweep seeded with the first one's result.
+    /// Sweeps from an unconstrained domain start at the carriers of the
+    /// labels they read first, and where the domains do not depend on the
+    /// root, each tree component is rooted where those sweeps seed least,
+    /// so on a query whose leaves read rare labels the build follows the
+    /// data those labels carry, not `|V|`. Without a tree the semijoin
+    /// sweeps prune each atom's endpoint domains independently. Also
+    /// freezes the database's CSR index, so no later execution pays for
+    /// it. `_layout` is read by no code; it stays only because the
+    /// served-request benchmark passes it, and the next change to that
+    /// benchmark removes it.
     pub fn build(db: &GraphDb, query: &PreparedQuery, _layout: Layout) -> Self {
         PreparedTables {
-            tables: SharedTables::build(db, query, None, &NoopTracer, None),
+            tables: SharedTables::build(db, query, None, &NoopTracer),
         }
     }
 
-    /// Builds tables whose domains are made globally consistent by the
-    /// two-pass Yannakakis semijoin program over `tree`. The program
-    /// sends only the full reducer's messages: bottom-up, each atom
-    /// sweeps towards the variables it shares with its parent; top-down,
-    /// every track sweeps both ways, the second sweep seeded with the
-    /// first one's result. Sweeps from an unconstrained domain start at
-    /// the carriers of the labels they read first, and where the domains
-    /// do not depend on the root, each tree component is rooted where
-    /// those sweeps seed least. This build is the cold cost of a
-    /// never-seen acyclic plan; on a query whose leaves read rare labels
-    /// it follows the data those labels carry, not `|V|`.
-    pub fn build_for_tree(db: &GraphDb, query: &PreparedQuery, tree: &JoinTree) -> Self {
-        PreparedTables {
-            tables: SharedTables::build(db, query, None, &NoopTracer, Some(tree)),
-        }
+    /// [`PreparedTables::build`]: the domain program follows the query's
+    /// own join tree, so `_tree` is read by no code. Kept only because the
+    /// served-request benchmark names it; the next change to that
+    /// benchmark removes it.
+    pub fn build_for_tree(db: &GraphDb, query: &PreparedQuery, _tree: &JoinTree) -> Self {
+        Self::build(db, query, Layout::Flat)
     }
 }
 
-/// Resource-governed answer enumeration over pre-built tables, for the
-/// direct-product strategy. A **fresh** `Governor` is constructed on
-/// every call — deadlines are measured from this call's entry, and no
-/// stop flag or termination survives into the next execution, so a cached
-/// plan whose previous run tripped its budget starts the next run clean.
+/// Resource-governed answer enumeration over pre-built tables. A
+/// **fresh** `Governor` is constructed on every call — deadlines are
+/// measured from this call's entry, and no stop flag or termination
+/// survives into the next execution, so a cached plan whose previous run
+/// tripped its budget starts the next run clean.
 /// Unlike [`answers_product_governed_traced`], the table build is not
 /// governed (it already happened, ungoverned, in
 /// [`PreparedTables::build`]); the budget covers the search region only.
@@ -522,13 +476,9 @@ pub fn answers_product_governed_prepared_traced<T: Tracer>(
     answers_over(db, query, &tables.tables, workers, governor, tracer)
 }
 
-/// Resource-governed streaming enumeration over tables prepared with
-/// [`PreparedTables::build_for_tree`]: the Yannakakis execution tail
-/// with a fresh per-call `Governor`, mirroring
-/// [`answers_yannakakis_governed_traced`] minus the semijoin program it
-/// already paid for at preparation time. Over consistent domains the
-/// enumeration is the direct-product one, so this is
-/// [`answers_product_governed_prepared_traced`].
+/// [`answers_product_governed_prepared_traced`]. Kept only because the
+/// served-request benchmark names it; the next change to that benchmark
+/// removes it.
 pub fn answers_yannakakis_governed_prepared_traced<T: Tracer>(
     db: &GraphDb,
     query: &PreparedQuery,

@@ -31,17 +31,18 @@
 //!
 //! [`AnswerIter`] is the cursor plus the free-tuple `Odometer` and the
 //! governor's per-tuple answer claim (`AnswerClaim`). After the
-//! preparation phase (tables, closure, semijoin or Yannakakis domains)
-//! it yields answers one at a time with *bounded delay* — the work
+//! preparation phase (tables, closure, and the query's domain program:
+//! the Yannakakis full reducer over its join tree, the independent
+//! semijoin sweeps otherwise) it yields answers one at a time with *bounded delay* — the work
 //! between consecutive yields is bounded by the cursor's step count over
 //! the pruned domains, not by the answer count. A `max_answers` cap
 //! therefore terminates the enumeration exactly at the cap: the iterator
 //! simply stops being polled (or the governor refuses the claim), and no
 //! further configuration is explored.
 //!
-//! Under a Yannakakis preparation on a single-track acyclic query the
-//! domains are globally consistent, the backtracker never fails a check
-//! on tree-consistent prefixes, and the delay bound tightens to
+//! On a single-track query with a join tree the reduced domains are
+//! globally consistent, the backtracker never fails a check on
+//! tree-consistent prefixes, and the delay bound tightens to
 //! `O(Σ_v |D(v)|)` steps per answer (see DESIGN.md §13).
 
 use crate::engine::run_governor;
@@ -49,7 +50,6 @@ use crate::governor::{AnswerClaim, Claim, Governor, ResourceBudget, Termination}
 use crate::prepare::PreparedQuery;
 use crate::product::{Evaluator, ProductStats, SharedTables, UNASSIGNED};
 use crate::trace::{NoopTracer, Phase, PhaseSpan, Tracer};
-use ecrpq_analyze::JoinTree;
 use ecrpq_automata::BitSet;
 use ecrpq_graph::{GraphDb, NodeId};
 use ecrpq_query::NodeVar;
@@ -658,8 +658,10 @@ pub struct Enumerator<'a> {
 }
 
 impl<'a> Enumerator<'a> {
-    /// Prepares the streaming evaluation with independent semijoin
-    /// pruning, no budget.
+    /// Prepares the streaming evaluation, no budget: the query's domain
+    /// program (the Yannakakis full reducer over
+    /// [`PreparedQuery::join_tree`], the independent semijoin sweeps
+    /// without one), then the tables the iterators share.
     pub fn new(db: &'a GraphDb, query: &'a PreparedQuery) -> Self {
         Self::with_budget(db, query, &ResourceBudget::unlimited())
     }
@@ -669,32 +671,8 @@ impl<'a> Enumerator<'a> {
     /// `max_answers` (or any other tripped budget axis). An unlimited
     /// budget installs no governor.
     pub fn with_budget(db: &'a GraphDb, query: &'a PreparedQuery, budget: &ResourceBudget) -> Self {
-        Self::prepare(db, query, None, budget)
-    }
-
-    /// As [`Enumerator::with_budget`], upgrading the preparation to the
-    /// Yannakakis semijoin program over `tree` (globally consistent
-    /// domains; low-delay enumeration on acyclic queries).
-    pub fn yannakakis(
-        db: &'a GraphDb,
-        query: &'a PreparedQuery,
-        tree: &JoinTree,
-        budget: &ResourceBudget,
-    ) -> Self {
-        Self::prepare(db, query, Some(tree), budget)
-    }
-
-    /// The product tables under `budget`'s governor (none when the
-    /// budget is unlimited), made Yannakakis-consistent over `tree` if
-    /// one is given.
-    fn prepare(
-        db: &'a GraphDb,
-        query: &'a PreparedQuery,
-        tree: Option<&JoinTree>,
-        budget: &ResourceBudget,
-    ) -> Self {
         let governor = run_governor(budget);
-        let tables = SharedTables::build(db, query, governor.as_ref(), &NoopTracer, tree);
+        let tables = SharedTables::build(db, query, governor.as_ref(), &NoopTracer);
         Enumerator {
             db,
             query,
@@ -764,7 +742,7 @@ mod tests {
     fn restarted_chunks_walk_the_full_search() {
         let (db, q) = chain_db_query();
         let prepared = PreparedQuery::build(&q).unwrap();
-        let tables = SharedTables::build(&db, &prepared, None, &NoopTracer, None);
+        let tables = SharedTables::build(&db, &prepared, None, &NoopTracer);
         let walk = |chunks: &[Range<NodeId>]| {
             let mut search = SearchCursor::new(&db, &prepared, &tables, None, NoopTracer);
             let mut got = Vec::new();
@@ -809,7 +787,7 @@ mod tests {
             let rel = relations::eq_length(paths.len(), m);
             q.rel_atom("eq_len", Arc::new(rel), &paths);
             let prepared = PreparedQuery::build(&q).unwrap();
-            let tables = SharedTables::build(&db, &prepared, None, &NoopTracer, None);
+            let tables = SharedTables::build(&db, &prepared, None, &NoopTracer);
             let joins: Vec<(u32, Vec<RowJoin>)> = atom_assignments(&prepared)
                 .into_iter()
                 .flatten()
@@ -942,13 +920,10 @@ mod tests {
         q.rel_atom("lb", a_word, &[r]);
         q.set_free(&[x, z]);
         let prepared = PreparedQuery::build(&q).unwrap();
-        let tree = ecrpq_analyze::acyclic_join_tree(&q).unwrap();
-        let flat: BTreeSet<Vec<NodeId>> = Enumerator::new(&db, &prepared).iter().collect();
-        let yan: BTreeSet<Vec<NodeId>> =
-            Enumerator::yannakakis(&db, &prepared, &tree, &ResourceBudget::default())
-                .iter()
-                .collect();
-        assert_eq!(flat, yan);
+        assert!(prepared.join_tree().is_some(), "two-atom chain is acyclic");
+        let yan: BTreeSet<Vec<NodeId>> = Enumerator::new(&db, &prepared).iter().collect();
+        let (cq, rdb, _) = crate::to_cq::ecrpq_to_cq(&db, &prepared);
+        assert_eq!(yan, crate::cq_eval::answers_cq(&rdb, &cq));
         assert_eq!(yan, BTreeSet::from([vec![u, w]]));
     }
 }

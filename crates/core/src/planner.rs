@@ -7,9 +7,12 @@
 //!
 //! For a *single* query all measures are finite, so the planner uses them
 //! quantitatively: it estimates the cost of the Lemma 4.3 materialization
-//! (`≈ |V|^{2·cc_vertex}` tuples) and falls back to the direct product
-//! search when materialization would be larger than the configuration
-//! space the search visits.
+//! (`≈ |V|^{2·cc_vertex}` tuples) and falls back to the product search
+//! when materialization would be larger than the configuration space the
+//! search visits. The product search has one route: its domain program
+//! (the Yannakakis full reducer over the join tree, or the independent
+//! semijoin sweeps) follows from the compiled query, not from the plan,
+//! and [`Strategy`] only labels which of the two the query gets.
 
 use crate::cq_eval::ReducedCq;
 use crate::engine::{self, EvalOptions, PreparedTables};
@@ -21,8 +24,7 @@ use crate::trace::{
     render_phase_table, CollectingTracer, Metrics, NoopTracer, Phase, PhaseSpan, Tracer,
 };
 use ecrpq_analyze::{
-    analyze_minimizing, minimize_with, render_diagnostic, Analysis, AnalyzerConfig, Code, JoinTree,
-    Minimized,
+    analyze_minimizing, minimize_with, render_diagnostic, Analysis, AnalyzerConfig, Code, Minimized,
 };
 use ecrpq_graph::{GraphDb, NodeId};
 use ecrpq_query::{Ecrpq, QueryMeasures};
@@ -146,22 +148,26 @@ pub fn regime_budget(regime: CombinedRegime) -> ResourceBudget {
     }
 }
 
-/// Evaluation strategies the planner can pick.
+/// Evaluation strategies the planner can pick. `Yannakakis` and
+/// `DirectProduct` run one route, the product search; they label which
+/// domain program its tables build, and that follows from the compiled
+/// query ([`PreparedQuery::join_tree`]), so the same query gets the same
+/// program on every product entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Lemma 4.3 materialization + tree-decomposition CQ evaluation (the
     /// tractable pipeline of Theorem 3.2(3)).
     CqTreedec,
-    /// Yannakakis semijoin program over the join tree of the α-acyclic CQ
-    /// reduction, followed by output-sensitive streaming enumeration —
-    /// used when materialization is too large but the reduction is
-    /// acyclic, so globally consistent domains are computable by two
-    /// semijoin passes without materializing any relation.
+    /// Product search whose query has a join tree: materialization is too
+    /// large, but the CQ reduction is α-acyclic with at least two merged
+    /// atoms, so the Yannakakis semijoin program makes every domain
+    /// globally consistent without materializing any relation, and the
+    /// enumeration streams output-sensitively over them.
     Yannakakis,
-    /// Direct product search (the Prop. 2.2 algorithm) — used when
-    /// materialization would be too large and the CQ reduction is cyclic
-    /// (or a single merged atom, which the independent sweeps already
-    /// handle optimally).
+    /// Product search (the Prop. 2.2 algorithm) over independently pruned
+    /// domains: materialization would be too large and the CQ reduction
+    /// is cyclic (or a single merged atom, which the independent sweeps
+    /// already handle optimally).
     DirectProduct,
 }
 
@@ -191,18 +197,15 @@ pub struct Plan {
     /// the query unsatisfiable and [`evaluate`]/[`answers`] return their
     /// empty result without touching the database.
     pub analysis: Analysis,
-    /// The GYO join tree of the CQ reduction, present exactly when
-    /// [`Plan::strategy`] is [`Strategy::Yannakakis`]. Atom indices match
-    /// the merged-atom indices of [`Plan::prepared`].
-    pub join_tree: Option<JoinTree>,
     /// The verified regime-minimization result, present exactly when at
     /// least one rewrite step applied. When present, every other plan
-    /// field ([`Plan::measures`], regimes, strategy, budget, join tree)
-    /// describes the *minimized* query — the one evaluation runs.
+    /// field ([`Plan::measures`], regimes, strategy, budget, compiled
+    /// query) describes the *minimized* query — the one evaluation runs.
     pub minimize: Option<Minimized>,
     /// The compiled query, `None` when the analyzer or the optimizer
     /// proved it unsatisfiable (evaluation returns the empty result
-    /// without touching the database).
+    /// without touching the database). It carries the query's join tree
+    /// ([`PreparedQuery::join_tree`]).
     pub prepared: Option<PreparedQuery>,
     /// The text the query was parsed from, for caret rendering in
     /// [`Plan::explain`] (`None` for programmatic queries).
@@ -232,17 +235,19 @@ impl Plan {
                 "strategy: Lemma 4.1 merge → Lemma 4.3 materialization (≈{:.1e} tuples) → tree-decomposition CQ evaluation\n",
                 self.estimated_tuples
             )),
-            Strategy::Yannakakis => out.push_str(&format!(
-                "strategy: Yannakakis semijoin program on the acyclic CQ reduction (materialization of ≈{:.1e} tuples over budget) → streaming enumeration\n",
-                self.estimated_tuples
-            )),
+            Strategy::Yannakakis => {
+                out.push_str(&format!(
+                    "strategy: Yannakakis semijoin program on the acyclic CQ reduction (materialization of ≈{:.1e} tuples over budget) → streaming enumeration\n",
+                    self.estimated_tuples
+                ));
+                if let Some(tree) = self.prepared.as_ref().and_then(PreparedQuery::join_tree) {
+                    out.push_str(&format!("join tree (merged-atom arcs): {}\n", tree.arcs()));
+                }
+            }
             Strategy::DirectProduct => out.push_str(&format!(
                 "strategy: direct product search (materialization of ≈{:.1e} tuples over budget)\n",
                 self.estimated_tuples
             )),
-        }
-        if let Some(tree) = &self.join_tree {
-            out.push_str(&format!("join tree (merged-atom arcs): {}\n", tree.arcs()));
         }
         if let Some(m) = &self.minimize {
             for s in &m.steps {
@@ -347,7 +352,7 @@ fn compile_with<T: Tracer>(db: &GraphDb, query: &Ecrpq, run_minimizer: bool, tra
         cc_hedge: Some(measures.cc_hedge),
         treewidth: Some(measures.treewidth),
     };
-    let (strategy, estimated_tuples, join_tree) = choose_strategy(db, run, &measures);
+    let (strategy, estimated_tuples) = choose_strategy(db, run, &measures);
     // lint:allow(unwrap): the optimizer only emits valid queries
     let prepared = optimized.map(|q| PreparedQuery::build(&q).expect("invalid query"));
     Plan {
@@ -358,7 +363,6 @@ fn compile_with<T: Tracer>(db: &GraphDb, query: &Ecrpq, run_minimizer: bool, tra
         estimated_tuples,
         default_budget: regime_budget(budget_regime(&measures)),
         analysis,
-        join_tree,
         minimize: minimized,
         prepared,
         source: query.source().map(str::to_owned),
@@ -367,22 +371,16 @@ fn compile_with<T: Tracer>(db: &GraphDb, query: &Ecrpq, run_minimizer: bool, tra
 
 /// Strategy selection: the CQ pipeline materializes ≈ `|V|^{2k}` tuples
 /// per component — affordable under the tuple budget (the Theorem 3.2(3)
-/// pipeline). Over budget, structure decides: an α-acyclic CQ reduction
-/// with at least two merged atoms gets the Yannakakis semijoin program
-/// with streaming enumeration, everything else the direct product search.
-fn choose_strategy(
-    db: &GraphDb,
-    query: &Ecrpq,
-    measures: &QueryMeasures,
-) -> (Strategy, f64, Option<JoinTree>) {
+/// pipeline). Over budget, the product search runs, labelled by
+/// [`large_db_strategy`].
+fn choose_strategy(db: &GraphDb, query: &Ecrpq, measures: &QueryMeasures) -> (Strategy, f64) {
     const TUPLE_BUDGET: f64 = 5e7;
     let nv = db.num_nodes().max(1) as f64;
     let estimated_tuples = nv.powi(2 * measures.cc_vertex.max(1) as i32);
     if estimated_tuples <= TUPLE_BUDGET {
-        return (Strategy::CqTreedec, estimated_tuples, None);
+        return (Strategy::CqTreedec, estimated_tuples);
     }
-    let (strategy, tree) = large_db_plan(query);
-    (strategy, estimated_tuples, tree)
+    (large_db_strategy(query), estimated_tuples)
 }
 
 /// The strategy the planner picks when the database is too large for the
@@ -390,16 +388,13 @@ fn choose_strategy(
 /// (no database needed): [`Strategy::Yannakakis`] when the CQ reduction
 /// is α-acyclic with at least two merged atoms (a single atom gains
 /// nothing over the independent semijoin sweeps), otherwise
-/// [`Strategy::DirectProduct`].
+/// [`Strategy::DirectProduct`]. This is exactly when the compiled query
+/// has a join tree ([`PreparedQuery::join_tree`]), so the label names
+/// the domain program the product tables run.
 pub fn large_db_strategy(query: &Ecrpq) -> Strategy {
-    large_db_plan(query).0
-}
-
-/// [`large_db_strategy`] plus the join tree that licenses Yannakakis.
-fn large_db_plan(query: &Ecrpq) -> (Strategy, Option<JoinTree>) {
     match ecrpq_analyze::acyclic_join_tree(query) {
-        Some(tree) if tree.parent.len() >= 2 => (Strategy::Yannakakis, Some(tree)),
-        _ => (Strategy::DirectProduct, None),
+        Some(tree) if tree.parent.len() >= 2 => Strategy::Yannakakis,
+        _ => Strategy::DirectProduct,
     }
 }
 
@@ -425,18 +420,17 @@ fn short_circuit<A>(answers: A) -> Outcome<A> {
 }
 
 /// Lazily-built evaluation state a cached plan reuses across executions:
-/// the direct-product tables, the tree-driven Yannakakis tables and the
-/// semijoin-reduced tree-decomposition instance of the Lemma 4.3
-/// reduction. The tables are built ungoverned (see [`PreparedTables`]).
-/// The reduced instance is built by the first request under that
-/// request's governor and kept only if the governor did not stop, so a
-/// warm request only walks it. The materialized relations it came from
-/// are never kept, so each request whose build trips materializes again.
-/// One-shot runs keep none of it and build governed instead.
+/// the product tables and the semijoin-reduced tree-decomposition
+/// instance of the Lemma 4.3 reduction. The tables are built ungoverned
+/// (see [`PreparedTables`]). The reduced instance is built by the first
+/// request under that request's governor and kept only if the governor
+/// did not stop, so a warm request only walks it. The materialized
+/// relations it came from are never kept, so each request whose build
+/// trips materializes again. One-shot runs keep none of it and build
+/// governed instead.
 #[derive(Default)]
 pub(crate) struct PlanTables {
     product: OnceLock<Arc<PreparedTables>>,
-    yannakakis: OnceLock<Arc<PreparedTables>>,
     cq: OnceLock<ReducedCq>,
 }
 
@@ -451,7 +445,6 @@ pub(crate) fn run_answers<T: Tracer>(
     db: &GraphDb,
     strategy: Strategy,
     prepared: Option<&PreparedQuery>,
-    join_tree: Option<&JoinTree>,
     reuse: Option<&PlanTables>,
     opts: &EvalOptions,
     tracer: &T,
@@ -470,24 +463,7 @@ pub(crate) fn run_answers<T: Tracer>(
             let slot = reuse.map_or(&fresh, |r| &r.cq);
             engine::answers_reduced_cq_traced(slot, build, opts, tracer)
         }
-        Strategy::Yannakakis => {
-            // lint:allow(unwrap): Yannakakis is only chosen with a tree
-            let tree = join_tree.expect("join tree");
-            match reuse {
-                Some(r) => {
-                    let tables = r.yannakakis.get_or_init(|| {
-                        Arc::new(PreparedTables::build_for_tree(db, prepared, tree))
-                    });
-                    engine::answers_yannakakis_governed_prepared_traced(
-                        db, prepared, tables, opts, tracer,
-                    )
-                }
-                None => {
-                    engine::answers_yannakakis_governed_traced(db, prepared, tree, opts, tracer)
-                }
-            }
-        }
-        Strategy::DirectProduct => match reuse {
+        Strategy::Yannakakis | Strategy::DirectProduct => match reuse {
             Some(r) => {
                 let tables = r
                     .product
@@ -510,12 +486,9 @@ fn run_boolean(db: &GraphDb, plan: &Plan, opts: &EvalOptions) -> Outcome<bool> {
             let (cq, rdb, _) = ecrpq_to_cq(db, prepared);
             engine::eval_cq_treedec_governed(&rdb, &cq, opts)
         }
-        Strategy::Yannakakis => {
-            // lint:allow(unwrap): Yannakakis is only chosen with a tree
-            let tree = plan.join_tree.as_ref().expect("join tree");
-            engine::eval_yannakakis_governed(db, prepared, tree, opts)
+        Strategy::Yannakakis | Strategy::DirectProduct => {
+            engine::eval_product_governed(db, prepared, opts)
         }
-        Strategy::DirectProduct => engine::eval_product_governed(db, prepared, opts),
     }
 }
 
@@ -526,8 +499,14 @@ fn run_plan<T: Tracer>(
     opts: &EvalOptions,
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    let (prepared, tree) = (plan.prepared.as_ref(), plan.join_tree.as_ref());
-    run_answers(db, plan.strategy, prepared, tree, None, opts, tracer)
+    run_answers(
+        db,
+        plan.strategy,
+        plan.prepared.as_ref(),
+        None,
+        opts,
+        tracer,
+    )
 }
 
 /// Evaluates a Boolean ECRPQ: compiles it (analyzer errors and a
@@ -880,20 +859,14 @@ mod tests {
         let (db, q) = chain_db_acyclic_query();
         let p = plan(&db, &q);
         assert_eq!(p.strategy, Strategy::Yannakakis);
-        let tree = p.join_tree.as_ref().expect("join tree on the plan");
+        let tree = p
+            .prepared
+            .as_ref()
+            .and_then(PreparedQuery::join_tree)
+            .expect("join tree on the compiled query");
         assert_eq!(tree.parent.len(), 2);
         assert!(p.explain().contains("Yannakakis"), "{}", p.explain());
         assert!(p.explain().contains("join tree"), "{}", p.explain());
-    }
-
-    #[test]
-    fn yannakakis_answers_match_direct_product() {
-        let (db, q) = chain_db_acyclic_query();
-        let prepared = PreparedQuery::build(&q).unwrap();
-        let direct = crate::product::answers_product(&db, &prepared);
-        assert!(!direct.is_empty());
-        assert_eq!(answers(&db, &q), direct);
-        assert!(evaluate(&db, &q));
     }
 
     #[test]

@@ -8,7 +8,14 @@
 //! relation has arity at most `cc_vertex(G)` and its automaton has at most
 //! `∏ᵢ |Qᵢ|` states, which is the source of the PSPACE upper bound (and of
 //! polynomiality when the measures are constant).
+//!
+//! Acyclicity is a property of the merged query too: [`PreparedQuery::build`]
+//! runs GYO ear removal over the merged atoms (atom `i`'s hyperedge is the
+//! set of its endpoint node variables) and keeps the join tree when the
+//! hypergraph is α-acyclic with at least two atoms. Every product-family
+//! evaluation of the query then runs the full semijoin reducer over it.
 
+use ecrpq_analyze::{gyo_join_tree, JoinTree};
 use ecrpq_query::{Ecrpq, NodeVar, PathVar, QueryError};
 
 use ecrpq_automata::SyncRel;
@@ -39,6 +46,11 @@ pub struct PreparedQuery {
     pub atoms: Vec<MergedAtom>,
     /// Alphabet size the relations are over.
     pub num_symbols: usize,
+    /// GYO join tree of the merged atoms' hypergraph, when it is
+    /// α-acyclic with at least two atoms (a single atom gains nothing over
+    /// the independent semijoin sweeps). Private: it is a property of the
+    /// atoms, so nothing but [`PreparedQuery::build`] sets it.
+    join_tree: Option<JoinTree>,
 }
 
 impl PreparedQuery {
@@ -91,12 +103,30 @@ impl PreparedQuery {
                 source_atoms: member_atoms.iter().map(|a| a.name.clone()).collect(),
             });
         }
+        let hyperedges: Vec<Vec<usize>> = atoms
+            .iter()
+            .map(|a| {
+                a.endpoints
+                    .iter()
+                    .flat_map(|&(s, d)| [s.0 as usize, d.0 as usize])
+                    .collect()
+            })
+            .collect();
+        let join_tree = gyo_join_tree(&hyperedges).filter(|t| t.parent.len() >= 2);
         Ok(PreparedQuery {
             num_node_vars: query.num_node_vars(),
             free: query.free_vars().to_vec(),
             atoms,
             num_symbols: query.alphabet().len(),
+            join_tree,
         })
+    }
+
+    /// The join tree of the merged atoms: `Some` exactly when the query's
+    /// CQ reduction is α-acyclic with at least two merged atoms. Atom
+    /// indices match [`PreparedQuery::atoms`].
+    pub fn join_tree(&self) -> Option<&JoinTree> {
+        self.join_tree.as_ref()
     }
 
     /// As [`PreparedQuery::build`], additionally canonically minimizing

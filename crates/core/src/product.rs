@@ -31,12 +31,15 @@
 //!
 //! The evaluator splits its state into `SharedTables` (read-only after
 //! construction: trimmed automata, dense transition tables, per-track
-//! projections, semijoin-pruned enumeration domains, arity-1 anchors, the
-//! reachability closure and its transpose) and the per-search mutable
+//! projections, enumeration domains, arity-1 anchors, the reachability
+//! closure and its transpose) and the per-search mutable
 //! state (`Evaluator`: memos, the visited set and queue, counters). The
 //! split is what makes the parallel engine ([`crate::engine`]) cheap:
 //! workers borrow one `SharedTables` and each carry a thread-local search
-//! cursor with its own `Evaluator`.
+//! cursor with its own `Evaluator`. The domains come from the query's own
+//! domain program: the Yannakakis full reducer over its join tree
+//! (`PreparedQuery::join_tree`), the independent semijoin sweeps without
+//! one — so every entry point evaluates an acyclic query the same way.
 //!
 //! The hot BFS of atoms of arity ≥ 2 has two routines, chosen per atom
 //! when the tables are built. An atom of arity 2 or 3 whose dense
@@ -52,7 +55,11 @@
 //! the set and the queue live in the `Evaluator`, are cleared per BFS and
 //! keep their capacity, and their growth is charged to the budget
 //! governor. Both routines share the domains, the step program and the
-//! memo, so the choice never changes an answer.
+//! memo, so the choice never changes an answer, and both count a
+//! configuration when they expand it: the flat BFS per pop, the kernel
+//! per frontier word (its popcount) — the unit the governor is charged.
+//! A worker allocates an atom's kernel bitmaps, and charges them to the
+//! governor, on the atom's first kernel check.
 
 use crate::bitbfs::{self, BitBfsInput, BitScratch};
 use crate::enumerate::{atom_assignments, free_values, AnswerIter, Odometer, SearchCursor};
@@ -81,8 +88,10 @@ pub struct Witness {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProductStats {
     /// Product configurations expanded across all feasibility checks:
-    /// product BFS configurations for atoms of arity ≥ 2, sweep pops for
-    /// arity-1 atoms (the same count as the tracer's `ProductBfs` items).
+    /// product BFS expansions for atoms of arity ≥ 2 (flat BFS pops, or
+    /// the bitmap kernel's expanded frontier bits), sweep pops for arity-1
+    /// atoms — the same count as the tracer's `ProductBfs` items and the
+    /// BFS work charged to the governor.
     pub configurations: u64,
     /// Feasibility checks actually run (memo misses): product BFS runs
     /// plus arity-1 sweeps.
@@ -150,7 +159,7 @@ pub fn eval_product(db: &GraphDb, query: &PreparedQuery) -> bool {
 
 /// As [`eval_product`], returning the work counters.
 pub fn eval_product_with_stats(db: &GraphDb, query: &PreparedQuery) -> (bool, ProductStats) {
-    let tables = SharedTables::build(db, query, None, &NoopTracer, None);
+    let tables = SharedTables::build(db, query, None, &NoopTracer);
     let mut search = SearchCursor::new(db, query, &tables, None, NoopTracer);
     let found = search.next_assignment().is_some();
     (found, search.ev.stats)
@@ -159,7 +168,7 @@ pub fn eval_product_with_stats(db: &GraphDb, query: &PreparedQuery) -> (bool, Pr
 /// All answers (tuples over the free node variables), via the product
 /// algorithm.
 pub fn answers_product(db: &GraphDb, query: &PreparedQuery) -> BTreeSet<Vec<NodeId>> {
-    let tables = SharedTables::build(db, query, None, &NoopTracer, None);
+    let tables = SharedTables::build(db, query, None, &NoopTracer);
     let mut it = AnswerIter::with_parts(db, query, &tables, None, NoopTracer);
     it.run();
     it.into_parts().0
@@ -168,7 +177,7 @@ pub fn answers_product(db: &GraphDb, query: &PreparedQuery) -> BTreeSet<Vec<Node
 /// A witness for a Boolean query, if satisfiable. Variables no atom
 /// constrains default to vertex 0.
 pub fn witness_product(db: &GraphDb, query: &PreparedQuery) -> Option<Witness> {
-    let tables = SharedTables::build(db, query, None, &NoopTracer, None);
+    let tables = SharedTables::build(db, query, None, &NoopTracer);
     let mut search = SearchCursor::new(db, query, &tables, None, NoopTracer);
     let nodes = search
         .next_assignment()?
@@ -181,7 +190,7 @@ pub fn witness_product(db: &GraphDb, query: &PreparedQuery) -> Option<Witness> {
 /// All answers, each with one concrete witness (node assignment + paths).
 /// The per-answer witness uses the first satisfying assignment found.
 pub fn answers_with_witnesses(db: &GraphDb, query: &PreparedQuery) -> Vec<(Vec<NodeId>, Witness)> {
-    let tables = SharedTables::build(db, query, None, &NoopTracer, None);
+    let tables = SharedTables::build(db, query, None, &NoopTracer);
     let mut search = SearchCursor::new(db, query, &tables, None, NoopTracer);
     let nv = db.num_nodes();
     // one full assignment per distinct free tuple
@@ -403,8 +412,9 @@ pub(crate) struct SharedTables {
     anchors: Vec<Option<Anchor>>,
     /// Dense row-grouped transition tables.
     dense: DenseTables,
-    /// Semijoin-pruned (or, over a join tree, Yannakakis-consistent)
-    /// per-variable enumeration domains; `None` = the full vertex range.
+    /// Semijoin-pruned (or, over the query's join tree,
+    /// Yannakakis-consistent) per-variable enumeration domains; `None` =
+    /// the full vertex range.
     domains: Vec<Option<Vec<NodeId>>>,
     /// Totals behind `domains`, surfaced into [`ProductStats`].
     domain_kept: u64,
@@ -414,11 +424,12 @@ pub(crate) struct SharedTables {
 impl SharedTables {
     /// Builds the tables of `query` over `db`, reporting the
     /// preparation work (closure rows, dense tables) under
-    /// [`Phase::Prepare`] and the endpoint-domain sweeps under
-    /// [`Phase::Semijoin`] to `tracer`. With `join_tree` the independent
-    /// semijoin sweeps upgrade to the full Yannakakis semijoin program over
-    /// it (the `Strategy::Yannakakis` preparation: globally consistent
-    /// domains instead of per-atom ones).
+    /// [`Phase::Prepare`] and the endpoint-domain sweeps to `tracer`. The
+    /// domain program follows the query: over its join tree
+    /// ([`PreparedQuery::join_tree`]) the full Yannakakis semijoin program
+    /// runs ([`Phase::YannakakisUp`]/[`Phase::YannakakisDown`]; globally
+    /// consistent domains), otherwise the independent sweeps of
+    /// [`Phase::Semijoin`] (per-atom domains).
     ///
     /// With a `governor`, the closure build and the semijoin sweeps check
     /// in cooperatively. When the budget trips mid-build, the remaining
@@ -434,7 +445,6 @@ impl SharedTables {
         query: &PreparedQuery,
         governor: Option<&Governor>,
         tracer: &T,
-        join_tree: Option<&ecrpq_analyze::JoinTree>,
     ) -> Self {
         let prepare_span = PhaseSpan::start(tracer, Phase::Prepare);
         assert_eq!(
@@ -513,7 +523,7 @@ impl SharedTables {
         let dense = DenseTables::build(&automata);
         tracer.count(Phase::Prepare, n as u64);
         prepare_span.finish(tracer);
-        let pruned = if let Some(tree) = join_tree {
+        let pruned = if let Some(tree) = query.join_tree() {
             let pruned =
                 semijoin::yannakakis_domains(db, query, &projections, tree, governor, tracer);
             tracer.prune(Phase::YannakakisDown, pruned.pruned);
@@ -708,7 +718,9 @@ pub(crate) struct Evaluator<'a, T: Tracer = NoopTracer> {
     visited: VisitedSets,
     bfs: BfsBuffers,
     /// Per-atom bitmap kernel scratch (visited/frontier/next bitmaps +
-    /// word lists); `None` for atoms that run the flat BFS.
+    /// word lists), allocated (and charged to the governor) by the atom's
+    /// first kernel check; `None` before it and for atoms that run the
+    /// flat BFS.
     bit_scratch: Vec<Option<BitScratch>>,
     /// Cooperative cancellation for parallel Boolean search: checked at
     /// every step of the search cursor; a worker that finds a satisfying
@@ -733,11 +745,6 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         tables: &'a SharedTables,
         tracer: T,
     ) -> Self {
-        let bit_scratch = tables
-            .bitmap_sizes
-            .iter()
-            .map(|size| size.map(BitScratch::new))
-            .collect();
         let sweep_space = tables
             .anchors
             .iter()
@@ -761,7 +768,7 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
             last_witness_configs: None,
             visited: VisitedSets::default(),
             bfs: BfsBuffers::default(),
-            bit_scratch,
+            bit_scratch: (0..query.atoms.len()).map(|_| None).collect(),
             stop: None,
             pacer: Pacer::new(None),
             tracer,
@@ -774,19 +781,13 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
     }
 
     /// Installs the shared budget governor and charges this worker's
-    /// fixed allocations to the tracked-memory estimate: the kernel's
-    /// bitmaps and the sweep bitmap. The flat BFS's visited sets and queue
-    /// are charged as they grow (`charge_growth`), so an atom past the
-    /// bitmap gate pays for the configurations its searches hold, not for
-    /// its space.
+    /// fixed allocation to the tracked-memory estimate: the sweep bitmap.
+    /// An atom's kernel bitmaps are charged when its first kernel check
+    /// allocates them, and the flat BFS's visited sets and queue as they
+    /// grow (`charge_growth`), so a search pays for the atoms it checks,
+    /// not for every atom inside the gate.
     pub(crate) fn set_governor(&mut self, governor: &'a Governor) {
-        let bitmap_bytes: u64 = self
-            .bit_scratch
-            .iter()
-            .flatten()
-            .map(BitScratch::bytes)
-            .sum();
-        governor.charge_memory(bitmap_bytes + self.sweep_scratch.bytes());
+        governor.charge_memory(self.sweep_scratch.bytes());
         self.pacer = Pacer::new(Some(governor));
     }
 
@@ -967,7 +968,7 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
     /// an accepting configuration is reachable (empty rows vector when the
     /// initial configuration accepts); in witness mode also stores the
     /// configuration trace in `self.last_witness_configs`. Runs the
-    /// bitmap kernel for atoms that have scratch, the flat BFS otherwise.
+    /// bitmap kernel for atoms inside its gate, the flat BFS otherwise.
     fn product_bfs(
         &mut self,
         atom_idx: usize,
@@ -980,10 +981,16 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
             "arity-1 checks run the sweep, not the product BFS"
         );
         // the bitmap kernel holds no parent links, so witness mode always
-        // runs the scalar path; fallback atoms (no scratch) do too
+        // runs the scalar path; atoms past the gate do too
         if !want_witness {
-            if let Some(scratch) = self.bit_scratch[atom_idx].take() {
-                let mut scratch = scratch;
+            if let Some(space) = self.tables.bitmap_sizes[atom_idx] {
+                let mut scratch = self.bit_scratch[atom_idx].take().unwrap_or_else(|| {
+                    let scratch = BitScratch::new(space);
+                    if let Some(g) = self.pacer.governor() {
+                        g.charge_memory(scratch.bytes());
+                    }
+                    scratch
+                });
                 let input = BitBfsInput {
                     db: self.db,
                     nfa: &self.tables.automata[atom_idx],
@@ -1222,7 +1229,7 @@ mod tests {
 
     /// Ungoverned, untraced tables.
     fn tables(db: &GraphDb, p: &PreparedQuery) -> SharedTables {
-        SharedTables::build(db, p, None, &NoopTracer, None)
+        SharedTables::build(db, p, None, &NoopTracer)
     }
 
     /// Sequential answers and counters over `tables`.
@@ -1309,7 +1316,11 @@ mod tests {
     /// The flat BFS is the kernel's reference: on random graphs, with each
     /// synchronized relation the parser names (`prefix` has `⊥` rows) and
     /// arities 2 and 3, the kernel's tables give the flat-only tables'
-    /// answers and ask the same feasibility questions.
+    /// answers and ask the same feasibility questions. On random single
+    /// checks both give the same verdict, and an infeasible check counts
+    /// the same configurations: every configuration it visits is expanded
+    /// by the kernel and popped by the flat BFS. A feasible one never
+    /// counts more on the kernel.
     #[test]
     fn kernel_matches_flat_bfs_on_random_graphs() {
         use rand::rngs::SmallRng;
@@ -1320,6 +1331,7 @@ mod tests {
             "q(y, z) :- x -[p]-> y, x -[r]-> z, prefix(p, r), p in a*",
             "q(x) :- x -[p]-> y, y -[r]-> z, x -[s]-> z, eq_len(p, r, s)",
         ];
+        let mut searched = 0;
         for seed in 0..24u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut db = GraphDb::with_alphabet(Alphabet::ascii_lower(2));
@@ -1342,8 +1354,33 @@ mod tests {
                     (flat.checks, flat.cache_hits, flat.assignments),
                     "{what}"
                 );
+                let flat_tables = tables(&db, &p).flat_only();
+                let mut kev = Evaluator::with_tables_traced(&db, &p, &kernel, NoopTracer);
+                let mut fev = Evaluator::with_tables_traced(&db, &p, &flat_tables, NoopTracer);
+                let arity = p.atoms[0].rel.arity();
+                for _ in 0..16 {
+                    let mut pick =
+                        || -> Vec<NodeId> { (0..arity).map(|_| rng.gen_range(0..n)).collect() };
+                    let (starts, ends) = (pick(), pick());
+                    let before = (kev.stats.configurations, fev.stats.configurations);
+                    let hit = kev.feasible(0, &starts, &ends);
+                    assert_eq!(hit, fev.feasible(0, &starts, &ends), "{what}");
+                    let expanded = kev.stats.configurations - before.0;
+                    let popped = fev.stats.configurations - before.1;
+                    if hit {
+                        // the kernel stops at the batch that reaches the goal
+                        assert!(expanded <= popped, "{what}: {starts:?} -> {ends:?}");
+                    } else {
+                        assert_eq!(expanded, popped, "{what}: {starts:?} -> {ends:?}");
+                        searched += usize::from(expanded > 0);
+                    }
+                }
             }
         }
+        assert!(
+            searched > 100,
+            "only {searched} infeasible checks ran a BFS"
+        );
     }
 
     /// The bitmap gate, inspected directly on the shared tables: a small
@@ -1425,6 +1462,45 @@ mod tests {
         // expanding all of level 1 before testing acceptance would charge
         // the check, the seed and 441 configurations
         assert!(kernel < 441, "kernel charged {kernel}: it finished level 1");
+    }
+
+    /// An atom's kernel bitmaps are allocated, and charged to the
+    /// governor, by its first kernel check. `p in bbb` has no path on the
+    /// two chains, so the semijoin empties the domains and a governed
+    /// search never checks the gated atom: it charges no byte and
+    /// completes under a zero-byte cap. A check of the atom charges its
+    /// bitmaps before the BFS runs, which trips the same cap and leaves
+    /// the check unproven.
+    #[test]
+    fn kernel_bitmaps_are_charged_by_the_first_check() {
+        use crate::governor::{Governor, ResourceBudget, Termination};
+        let db = two_chain_db();
+        let zero = ResourceBudget::unlimited().with_max_memory_bytes(0);
+        let (s1, t) = (0, 2);
+        for (text, checked) in [
+            (
+                "q(x, y) :- x -[p]-> y, x -[r]-> y, eq(p, r), p in bbb",
+                false,
+            ),
+            ("q(x, y) :- x -[p]-> y, x -[r]-> y, eq(p, r)", true),
+        ] {
+            let p = parsed(&db, text);
+            let tables = tables(&db, &p);
+            assert!(tables.bitmap_sizes[0].is_some(), "{text}");
+            let governor = Governor::new(&zero);
+            let mut search = SearchCursor::new(&db, &p, &tables, Some(&governor), NoopTracer);
+            assert_eq!(governor.termination(), Termination::Complete, "{text}");
+            if checked {
+                assert!(!search.ev.feasible(0, &[s1, s1], &[t, t]));
+                let mut ungoverned = SearchCursor::new(&db, &p, &tables, None, NoopTracer);
+                assert!(ungoverned.ev.feasible(0, &[s1, s1], &[t, t]));
+            } else {
+                assert!(tables.unsatisfiable() && search.next_assignment().is_none());
+            }
+            assert_eq!(search.ev.bit_scratch[0].is_some(), checked, "{text}");
+            let complete = governor.termination() == Termination::Complete;
+            assert_eq!(complete, !checked, "{text}");
+        }
     }
 
     /// Past `|Q|·|V|^k = 2⁶⁴` configurations the BFS keys its visited set
@@ -1600,17 +1676,25 @@ mod tests {
         assert!(answers_product(&db, &p).is_empty());
     }
 
+    /// The Boolean run's first check, `x = x'` with empty paths, accepts
+    /// at its seed configuration and expands none; the enumeration's
+    /// checks expand configurations.
     #[test]
     fn stats_are_populated() {
         let db = two_chain_db();
-        let mut q = example_2_1_query(&db);
-        q.set_free(&[]);
-        let (res, stats) = eval_product_with_stats(&db, &prepare(&q));
-        assert!(res);
+        let q = example_2_1_query(&db);
+        let p = prepare(&q);
+        let (answers, stats) = answers_on(&db, &p, &tables(&db, &p));
+        assert!(!answers.is_empty());
         assert!(stats.checks > 0);
         assert!(stats.configurations > 0);
         assert!(stats.frontier_peak > 0);
         assert!(stats.domain_kept + stats.domain_pruned > 0);
+        let mut boolean = q;
+        boolean.set_free(&[]);
+        let (res, stats) = eval_product_with_stats(&db, &prepare(&boolean));
+        assert!(res);
+        assert_eq!((stats.checks, stats.configurations), (1, 0));
     }
 
     #[test]
@@ -1754,8 +1838,6 @@ mod tests {
         );
         assert_eq!(t.bitmap_sizes, vec![None]);
         assert!(t.closure.is_none());
-        let ev = Evaluator::with_tables_traced(&db, &p, &t, NoopTracer);
-        assert!(ev.bit_scratch.iter().all(Option::is_none));
         let q2 = example_2_1_query(&two_chain_db());
         let t2 = tables(&two_chain_db(), &prepare(&q2));
         assert!(t2.closure.is_some());

@@ -52,9 +52,11 @@
 //! so the independent pass seeds its second sweep of a track from the
 //! vertices its first one reached instead of from every vertex.
 //!
-//! When the CQ reduction is α-acyclic ([`ecrpq_analyze::acyclic`]), the
-//! independent sweeps upgrade to a full *Yannakakis semijoin program*
-//! ([`yannakakis_domains`]): the same sweeps, but *seeded* with the
+//! When the CQ reduction is α-acyclic with at least two merged atoms —
+//! the compiled query then carries its join tree
+//! ([`PreparedQuery::join_tree`]) — the product tables run a full
+//! *Yannakakis semijoin program* ([`yannakakis_domains`]) instead of the
+//! independent sweeps: the same sweeps, but *seeded* with the
 //! current domain of the swept endpoint, run bottom-up then top-down over
 //! the join tree. A seeded forward sweep computes exactly the semijoin
 //! message "targets reachable from the currently-allowed sources"; the
@@ -1168,7 +1170,7 @@ mod tests {
     /// On random Berge-acyclic arity-1 chains and stars the full reducer
     /// is exact: every Yannakakis domain is the projection of the answer
     /// set. The chained independent pass equals the unchained one, and
-    /// the planner's Yannakakis dispatch — one-shot and on cached plan
+    /// the planner's product dispatch — one-shot and on cached plan
     /// tables — returns the oracle's answers at every thread count.
     #[test]
     fn chained_messages_keep_the_full_reducer_exact() {
@@ -1212,7 +1214,6 @@ mod tests {
                         &db,
                         Strategy::Yannakakis,
                         Some(&prepared),
-                        Some(&tree),
                         reuse,
                         &opts,
                         &tracer,

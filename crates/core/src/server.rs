@@ -334,9 +334,6 @@ pub struct PreparedPlan {
     /// optimizer proved the query unsatisfiable (executions then return
     /// the empty set without touching the database).
     prepared: Option<PreparedQuery>,
-    /// The GYO join tree, present exactly when `strategy` is
-    /// [`Strategy::Yannakakis`].
-    join_tree: Option<JoinTree>,
     /// Lazily-built tables and the reduced Lemma 4.3 CQ instance, reused
     /// by every execution of this plan.
     tables: PlanTables,
@@ -349,10 +346,12 @@ impl PreparedPlan {
         self.prepared.is_none()
     }
 
-    /// The GYO join tree the plan executes, present exactly when
-    /// [`PreparedPlan::strategy`] is [`Strategy::Yannakakis`].
+    /// The join tree of the compiled query
+    /// ([`PreparedQuery::join_tree`]), whose full reducer the product
+    /// route runs; a product plan with one is labelled
+    /// [`Strategy::Yannakakis`].
     pub fn join_tree(&self) -> Option<&JoinTree> {
-        self.join_tree.as_ref()
+        self.prepared.as_ref().and_then(PreparedQuery::join_tree)
     }
 }
 
@@ -603,7 +602,6 @@ impl QueryService {
             analysis: plan.analysis,
             minimize_steps: plan.minimize.map_or(0, |m| m.steps.len()),
             prepared: plan.prepared,
-            join_tree: plan.join_tree,
             tables: PlanTables::default(),
         })
     }
@@ -675,7 +673,6 @@ impl QueryService {
             db,
             plan.strategy,
             plan.prepared.as_ref(),
-            plan.join_tree.as_ref(),
             Some(&plan.tables),
             &planner::with_default_budget(opts, plan.default_budget),
             &tracer,

@@ -188,16 +188,17 @@ const ACYCLIC_MID: usize = 32;
 /// q(x, z) :- x -[p]-> y, y -[r]-> z, p ∈ aa*, r ∈ bb*d
 /// ```
 ///
-/// has the α-acyclic CQ reduction `{x,y} – {y,z}`, so on a large database
-/// the planner runs the Yannakakis semijoin program with streaming
-/// enumeration. The database is `n` decoy vertices arranged in `a`-cycles
-/// (with random intra-cycle chords), plus a planted `a`-chain of `k`
-/// heads `c_0 → ⋯ → c_{k−1}` entering a `b`-chain that ends in the single
-/// `d`-edge to the sink. Independent per-atom semijoin sweeps keep every
-/// decoy in `D(x)` — each has `aa*` paths, just none that reach the join
-/// vertex — so the product baseline pays one cycle-sweeping BFS per decoy;
-/// the Yannakakis top-down pass propagates `D(y)` backwards and shrinks
-/// `D(x)` to the `k` chain heads before enumeration starts. The answer set
+/// has the α-acyclic CQ reduction `{x,y} – {y,z}`, so its compiled form
+/// has a join tree and every product evaluation runs the Yannakakis
+/// semijoin program with streaming enumeration. The database is `n` decoy
+/// vertices arranged in `a`-cycles (with random intra-cycle chords), plus
+/// a planted `a`-chain of `k` heads `c_0 → ⋯ → c_{k−1}` entering a
+/// `b`-chain that ends in the single `d`-edge to the sink. Independent
+/// per-atom semijoin sweeps would keep every decoy in `D(x)` — each has
+/// `aa*` paths, just none that reach the join vertex — and pay one
+/// cycle-sweeping BFS per decoy; the Yannakakis top-down pass propagates
+/// `D(y)` backwards and shrinks `D(x)` to the `k` chain heads before
+/// enumeration starts. The answer set
 /// is exactly `{(c_i, sink)}` and is returned as the third component.
 pub fn planted_acyclic_instance(
     n: usize,
@@ -513,7 +514,9 @@ mod tests {
         let answers = ecrpq_core::product::answers_product(&g, &prepared);
         assert_eq!(answers, expected);
         // the CQ reduction is α-acyclic with two merged atoms, so the
-        // large-database strategy is the Yannakakis semijoin program
+        // compiled query has a join tree and the large-database label is
+        // Yannakakis
+        assert!(prepared.join_tree().is_some());
         assert_eq!(
             ecrpq_core::large_db_strategy(&q),
             ecrpq_core::Strategy::Yannakakis

@@ -467,17 +467,12 @@ fn truncated_chained_sweep_leaves_plan_tables_clean() {
     let pair = "q(x, y, z) :- x -[p]-> y, x -[s]-> y, y -[r]-> z, p in a, s in a*, r in b";
     let mut alphabet = db.alphabet().clone();
     let q = parse_query(pair, &mut alphabet, &RelationRegistry::new()).expect("parses");
-    let tree = ecrpq::analyze::acyclic_join_tree(&q).expect("acyclic");
-    assert_eq!((tree.order[0], tree.parent[0]), (0, Some(1)));
     let prepared = PreparedQuery::build(&q).expect("valid");
+    let tree = prepared.join_tree().expect("acyclic");
+    assert_eq!((tree.order[0], tree.parent[0]), (0, Some(1)));
     let log = SweepLog::default();
-    let full = engine::answers_yannakakis_governed_traced(
-        &db,
-        &prepared,
-        &tree,
-        &EvalOptions::sequential(),
-        &log,
-    );
+    let full =
+        engine::answers_product_governed_traced(&db, &prepared, &EvalOptions::sequential(), &log);
     assert_eq!(
         (full.termination, full.answers),
         (Termination::Complete, planted.clone())
@@ -489,7 +484,7 @@ fn truncated_chained_sweep_leaves_plan_tables_clean() {
     let capped = EvalOptions::sequential()
         .with_budget(ResourceBudget::unlimited().with_max_configurations(first));
     let tracer = CollectingTracer::new();
-    let cut = engine::answers_yannakakis_governed_traced(&db, &prepared, &tree, &capped, &tracer);
+    let cut = engine::answers_product_governed_traced(&db, &prepared, &capped, &tracer);
     assert!(
         matches!(cut.termination, Termination::BudgetExhausted { .. }),
         "{}",

@@ -6,7 +6,7 @@
 //! whose Lemma 4.3 BFS shares no code with either, on random graphs and
 //! queries.
 
-use ecrpq::eval::{ecrpq_to_cq, Enumerator, EvalOptions, PreparedQuery, ResourceBudget};
+use ecrpq::eval::{ecrpq_to_cq, Enumerator, EvalOptions, PreparedQuery};
 use ecrpq::graph::GraphDb;
 use ecrpq::query::NodeVar;
 use ecrpq::workloads::{planted_acyclic_instance, random_db, random_ecrpq, RandomQueryParams};
@@ -85,49 +85,30 @@ fn oversized_config_space_runs_flat_bfs() {
 }
 
 /// Counter-based bounded-delay check on the planted acyclic instance:
-/// after the Yannakakis up/down passes every domain is globally
-/// consistent, so the streaming enumerator never dead-ends — the
+/// the compiled query has a join tree, so the enumerator's preparation
+/// runs the Yannakakis up/down passes and every domain is globally
+/// consistent. The streaming enumerator then never dead-ends — the
 /// backtracker work between consecutive answers is a small constant,
-/// independent of the decoy count. The independently-pruned preparation
-/// keeps every decoy in D(x), so its first answer only arrives after the
-/// enumerator has waded through all of them.
+/// independent of the decoy count.
 #[test]
 fn yannakakis_streaming_has_bounded_delay() {
     let (db, q, expected) = planted_acyclic_instance(600, 4, 7);
     let prepared = PreparedQuery::build(&q).unwrap();
-    let tree = ecrpq::analyze::acyclic_join_tree(&q).expect("reduction is acyclic");
-
-    let delays = |e: &Enumerator| -> (Vec<u64>, BTreeSet<Vec<u32>>) {
-        let mut it = e.iter();
-        let mut got = BTreeSet::new();
-        let mut last = it.work();
-        let mut delays = Vec::new();
-        while let Some(t) = it.next() {
-            delays.push(it.work() - last);
-            last = it.work();
-            got.insert(t);
-        }
-        delays.push(it.work() - last); // exhaustion tail
-        (delays, got)
-    };
-
-    let yan = Enumerator::yannakakis(&db, &prepared, &tree, &ResourceBudget::unlimited());
-    let (yan_delays, yan_got) = delays(&yan);
-    assert_eq!(yan_got, expected);
-    let yan_max = yan_delays.iter().copied().max().unwrap();
+    assert!(prepared.join_tree().is_some(), "reduction is acyclic");
+    let enumerator = Enumerator::new(&db, &prepared);
+    let mut it = enumerator.iter();
+    let (mut got, mut last, mut max_delay) = (BTreeSet::new(), it.work(), 0);
+    while let Some(t) = it.next() {
+        max_delay = max_delay.max(it.work() - last);
+        last = it.work();
+        got.insert(t);
+    }
+    // the exhaustion tail counts too
+    max_delay = max_delay.max(it.work() - last);
+    assert_eq!(got, expected);
     assert!(
-        yan_max <= 64,
-        "yannakakis delay {yan_max} steps — not output-sensitive"
-    );
-
-    let flat = Enumerator::new(&db, &prepared);
-    let (flat_delays, flat_got) = delays(&flat);
-    assert_eq!(flat_got, expected, "preparations disagree");
-    let flat_max = flat_delays.iter().copied().max().unwrap();
-    assert!(
-        flat_max >= 600,
-        "independent sweeps pruned the decoys ({flat_max} steps)? — \
-         the instance no longer exercises the delay gap"
+        max_delay <= 64,
+        "yannakakis delay {max_delay} steps — not output-sensitive"
     );
 }
 
@@ -164,9 +145,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The streaming enumerator must produce exactly the materialized
-    /// answer set — same tuples, no duplicates — under both the
-    /// independent-sweep preparation and (when the CQ reduction is
-    /// acyclic) the Yannakakis preparation.
+    /// answer set and the CQ reduction's — same tuples, no duplicates —
+    /// under either domain program: the independent sweeps, or the
+    /// Yannakakis program when the compiled query has a join tree.
     #[test]
     fn streamed_answers_match_materialized(seed in 0..100_000u64) {
         let mut q = random_ecrpq(&params(), seed.wrapping_add(33_000));
@@ -179,13 +160,7 @@ proptest! {
         let as_set: BTreeSet<Vec<u32>> = streamed.iter().cloned().collect();
         prop_assert_eq!(streamed.len(), as_set.len(), "duplicate tuples, seed={}", seed);
         prop_assert_eq!(&as_set, &materialized, "streamed vs materialized seed={}", seed);
-        if let Some(tree) = ecrpq::analyze::acyclic_join_tree(&q) {
-            let ey = Enumerator::yannakakis(&db, &prepared, &tree, &ResourceBudget::unlimited());
-            let sy: Vec<Vec<u32>> = ey.iter().collect();
-            let sy_set: BTreeSet<Vec<u32>> = sy.iter().cloned().collect();
-            prop_assert_eq!(sy.len(), sy_set.len(), "yannakakis duplicates, seed={}", seed);
-            prop_assert_eq!(&sy_set, &materialized, "yannakakis stream seed={}", seed);
-        }
+        prop_assert_eq!(&as_set, &via_cq(&db, &prepared), "streamed vs CQ seed={}", seed);
     }
 
     /// Regression: zero free variables makes the query *Boolean* — the

@@ -79,12 +79,12 @@ fn frontier_peak_bounded_by_configurations() {
     }
 }
 
-/// The bitmap kernel defines `frontier_peak` as the popcount of the
-/// densest BFS level (configurations *inserted* per level), merged across
-/// workers by max. The kernel only runs synchronized atoms (arity 2–3),
-/// so the query ties two paths over the same chain by `eq`: one arity-2
-/// atom whose tracks walk the chain in lockstep. On single-file chains
-/// every level inserts exactly one configuration, so the peak must be
+/// The bitmap kernel defines `frontier_peak` as the most configurations
+/// it expanded from one BFS level, merged across workers by max. The
+/// kernel only runs synchronized atoms (arity 2–3), so the query ties two
+/// paths over the same chain by `eq`: one arity-2 atom whose tracks walk
+/// the chain in lockstep. On single-file chains every level holds
+/// exactly one configuration, so the peak must be
 /// exactly 1 at every thread count — a sum-merge across workers, or
 /// counting a whole word instead of its popcount, would exceed 1.
 #[test]
@@ -155,9 +155,10 @@ fn budget_aborts_bounded_by_budget_checks() {
 }
 
 /// The tracer's per-phase counters must agree with the `ProductStats`
-/// fields that count the same events: BFS items are configurations,
-/// semijoin prunes are the pruned domain values, the folded frontier
-/// peak is the stats frontier peak.
+/// fields that count the same events: BFS items are configurations, the
+/// domain program's prunes (the semijoin sweeps', or the Yannakakis
+/// program's when the query has a join tree) are the pruned domain
+/// values, the folded frontier peak is the stats frontier peak.
 #[test]
 fn traced_counters_match_product_stats() {
     let base = env_seed(0);
@@ -178,9 +179,9 @@ fn traced_counters_match_product_stats() {
             "seed {seed}: BFS items vs configurations"
         );
         assert_eq!(
-            m.phase(Phase::Semijoin).pruned,
+            m.phase(Phase::Semijoin).pruned + m.phase(Phase::YannakakisDown).pruned,
             stats.domain_pruned,
-            "seed {seed}: semijoin prunes vs domain_pruned"
+            "seed {seed}: domain-program prunes vs domain_pruned"
         );
         assert_eq!(
             m.phase(Phase::ProductBfs).frontier_peak,

@@ -17,7 +17,7 @@ use ecrpq::eval::cq_eval::{answers_cq, answers_cq_treedec};
 use ecrpq::eval::engine;
 use ecrpq::eval::product::answers_product;
 use ecrpq::eval::NoopTracer;
-use ecrpq::eval::{ecrpq_to_cq, eval_product, EvalOptions, PreparedQuery, PreparedTables};
+use ecrpq::eval::{ecrpq_to_cq, eval_product, EvalOptions, Layout, PreparedQuery, PreparedTables};
 use ecrpq::graph::NodeId;
 use ecrpq::query::{Ecrpq, NodeVar, RelationRegistry};
 use ecrpq::workloads::{
@@ -47,7 +47,7 @@ fn oracle_agrees_with_every_answer_evaluator() {
         max_arity: 2,
         num_symbols: 2,
     };
-    let mut settled = 0usize;
+    let (mut settled, mut trees) = (0usize, 0u64);
     const CASES: u64 = 15;
     for case in 0..CASES {
         let seed = base + case;
@@ -55,6 +55,7 @@ fn oracle_agrees_with_every_answer_evaluator() {
         q.set_free(&[NodeVar(0), NodeVar(1)]);
         let db = random_db(4, 1.5, 2, seed * 23 + 5);
         let prepared = PreparedQuery::build(&q).unwrap();
+        trees += u64::from(prepared.join_tree().is_some());
         let truth = oracle_answers(&db, &q, MAX_LEN);
         let exact = converged(&db, &q, &truth);
         settled += exact as usize;
@@ -90,69 +91,19 @@ fn oracle_agrees_with_every_answer_evaluator() {
         "oracle converged on only {settled}/{CASES} cases (base seed {base}) — \
          raise MAX_LEN or shrink the instances"
     );
-}
-
-/// The Yannakakis semijoin program + streaming enumerator vs the oracle
-/// and the product search, at every thread count. Only queries whose CQ
-/// reduction is α-acyclic qualify (the planner's own gate); the suite
-/// asserts that the random workload keeps producing enough of them.
-#[test]
-fn oracle_agrees_with_yannakakis_streaming() {
-    let base = env_seed(0);
-    let params = RandomQueryParams {
-        node_vars: 3,
-        path_atoms: 2,
-        rel_atoms: 2,
-        max_arity: 2,
-        num_symbols: 2,
-    };
-    let mut acyclic = 0usize;
-    const CASES: u64 = 15;
-    for case in 0..CASES {
-        let seed = base + case;
-        let mut q = random_ecrpq(&params, seed + 8000);
-        q.set_free(&[NodeVar(0), NodeVar(1)]);
-        let db = random_db(4, 1.5, 2, seed * 19 + 3);
-        let Some(tree) = ecrpq::analyze::acyclic_join_tree(&q) else {
-            continue;
-        };
-        acyclic += 1;
-        let prepared = PreparedQuery::build(&q).unwrap();
-        let truth = oracle_answers(&db, &q, MAX_LEN);
-        let exact = converged(&db, &q, &truth);
-        let product = answers_product(&db, &prepared);
-        for threads in [1usize, 2, 4, 8] {
-            let opts = EvalOptions::with_threads(threads);
-            let (got, _) = common::complete(engine::answers_yannakakis_governed_traced(
-                &db,
-                &prepared,
-                &tree,
-                &opts,
-                &NoopTracer,
-            ));
-            check(
-                &truth,
-                &got,
-                exact,
-                &format!("seed {seed}: yannakakis, {threads} thread(s)"),
-            );
-            assert_eq!(
-                got, product,
-                "seed {seed}: yannakakis vs product at {threads} thread(s)"
-            );
-        }
-    }
+    // both domain programs of the product search: the Yannakakis one on
+    // queries with a join tree, the independent sweeps on the rest
     assert!(
-        acyclic as u64 >= CASES / 2,
-        "only {acyclic}/{CASES} acyclic cases (base seed {base}) — workload drifted"
+        (1..CASES).contains(&trees),
+        "{trees}/{CASES} cases with a join tree (base seed {base}) — workload drifted"
     );
 }
 
 /// A synchronized atom on the Yannakakis route: the merged `eq_len` atom
 /// over `(x, y)` fits the bitmap kernel's gate on these graphs, so its
 /// checks run the kernel over the join tree's consistent domains. Both
-/// the one-shot entry point and the prepared tables of `build_for_tree`
-/// must give the oracle's answers at every thread count.
+/// the one-shot entry point and prepared tables must give the oracle's
+/// answers at every thread count.
 #[test]
 fn oracle_agrees_with_yannakakis_over_the_kernel() {
     let base = env_seed(0);
@@ -164,25 +115,19 @@ fn oracle_agrees_with_yannakakis_over_the_kernel() {
         let db = random_db(5, 1.6, 2, seed * 29 + 7);
         let mut alphabet = db.alphabet().clone();
         let q = ecrpq::query::parse_query(text, &mut alphabet, &RelationRegistry::new()).unwrap();
-        let tree = ecrpq::analyze::acyclic_join_tree(&q).expect("acyclic");
         let prepared = PreparedQuery::build(&q).unwrap();
+        assert!(prepared.join_tree().is_some(), "acyclic");
         assert!(prepared.atoms.iter().any(|a| a.rel.arity() == 2));
         let truth = oracle_answers(&db, &q, MAX_LEN);
         let exact = converged(&db, &q, &truth);
         settled += exact as usize;
-        let tables = PreparedTables::build_for_tree(&db, &prepared, &tree);
+        let tables = PreparedTables::build(&db, &prepared, Layout::Flat);
         for threads in [1usize, 2, 4, 8] {
             let opts = EvalOptions::with_threads(threads);
-            let (one_shot, _) = common::complete(engine::answers_yannakakis_governed_traced(
-                &db,
-                &prepared,
-                &tree,
-                &opts,
-                &NoopTracer,
-            ));
+            let one_shot = common::product_answers(&db, &prepared, &opts);
             let what = format!("seed {seed}: {threads} thread(s)");
             check(&truth, &one_shot, exact, &format!("{what}, one-shot"));
-            let (warm, _) = common::complete(engine::answers_yannakakis_governed_prepared_traced(
+            let (warm, _) = common::complete(engine::answers_product_governed_prepared_traced(
                 &db,
                 &prepared,
                 &tables,

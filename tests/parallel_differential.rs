@@ -4,16 +4,15 @@
 //! counters must account for exactly the sequential amount of feasibility
 //! work.
 
-use ecrpq::analyze::{acyclic_join_tree, JoinTree};
 use ecrpq::eval::cq_eval::{
-    answers_cq as answers_cq_seq, answers_cq_treedec as answers_cq_treedec_seq,
+    answers_cq as answers_cq_seq, answers_cq_treedec as answers_cq_treedec_seq, eval_cq,
 };
-use ecrpq::eval::product::answers_product as answers_product_seq;
 use ecrpq::eval::product::ProductStats;
+use ecrpq::eval::product::{answers_product as answers_product_seq, eval_product};
 use ecrpq::eval::{
     ecrpq_to_cq, engine, EvalOptions, NoopTracer, PreparedQuery, ResourceBudget, Termination,
 };
-use ecrpq::graph::{GraphDb, NodeId};
+use ecrpq::graph::NodeId;
 use ecrpq::query::NodeVar;
 use ecrpq::workloads::{
     planted_acyclic_instance, planted_power_law_instance, random_db, random_ecrpq,
@@ -161,9 +160,8 @@ proptest! {
 /// of (atom, endpoints) questions regardless of how the search space is
 /// partitioned, so merged `checks + cache_hits` (and `assignments`) match
 /// the sequential counters exactly. Only the hit/miss split may shift,
-/// because each worker warms its own memo. Direct-product and Yannakakis
-/// enumeration share the chunk-stealing workers, so both are pinned: the
-/// latter on random instances whose reduction is acyclic and on small
+/// because each worker warms its own memo. The pin covers both domain
+/// programs: random instances with and without a join tree, and small
 /// planted acyclic instances.
 #[test]
 fn merged_stats_equal_sequential_totals() {
@@ -179,15 +177,6 @@ fn merged_stats_equal_sequential_totals() {
             "{label} threads {threads}: assignments"
         );
     };
-    let yannakakis = |db: &GraphDb, prepared: &PreparedQuery, tree: &JoinTree, threads: usize| {
-        complete(engine::answers_yannakakis_governed_traced(
-            db,
-            prepared,
-            tree,
-            &EvalOptions::with_threads(threads),
-            &NoopTracer,
-        ))
-    };
     let mut covered = 0;
     let mut acyclic = 0;
     for seed in 0..12u64 {
@@ -201,18 +190,11 @@ fn merged_stats_equal_sequential_totals() {
             continue; // nothing feasible to measure on this instance
         }
         covered += 1;
-        for threads in [2usize, 4] {
+        acyclic += usize::from(prepared.join_tree().is_some());
+        for threads in [2usize, 4, 8] {
             let par =
                 product_answers_with_stats(&db, &prepared, &EvalOptions::with_threads(threads));
             assert_totals(&format!("product seed {seed}"), threads, &seq, &par);
-        }
-        if let Some(tree) = acyclic_join_tree(&q) {
-            acyclic += 1;
-            let seq = yannakakis(&db, &prepared, &tree, 1);
-            for threads in [2usize, 4, 8] {
-                let par = yannakakis(&db, &prepared, &tree, threads);
-                assert_totals(&format!("yannakakis seed {seed}"), threads, &seq, &par);
-            }
         }
     }
     assert!(
@@ -223,15 +205,68 @@ fn merged_stats_equal_sequential_totals() {
     for seed in 0..3u64 {
         let (db, q, planted) = planted_acyclic_instance(80, 3, seed);
         let prepared = PreparedQuery::build(&q).unwrap();
-        let tree = acyclic_join_tree(&q).expect("planted reduction is acyclic");
-        let seq = yannakakis(&db, &prepared, &tree, 1);
+        assert!(
+            prepared.join_tree().is_some(),
+            "planted reduction is acyclic"
+        );
+        let run = |threads| {
+            product_answers_with_stats(&db, &prepared, &EvalOptions::with_threads(threads))
+        };
+        let seq = run(1);
         assert_eq!(seq.0, planted, "planted seed {seed}");
         assert!(seq.1.checks + seq.1.cache_hits > 0, "planted seed {seed}");
         for threads in [2usize, 4, 8] {
-            let par = yannakakis(&db, &prepared, &tree, threads);
-            assert_totals(&format!("planted seed {seed}"), threads, &seq, &par);
+            assert_totals(
+                &format!("planted seed {seed}"),
+                threads,
+                &seq,
+                &run(threads),
+            );
         }
     }
+}
+
+/// Boolean search on acyclic queries runs the product route's parallel
+/// workers over the Yannakakis domains of the compiled query's join tree.
+/// At every thread count the verdict equals the sequential run's and the
+/// Lemma 4.3 CQ reduction's, on random acyclic queries and the planted
+/// acyclic instances, made Boolean; both verdicts must occur.
+#[test]
+fn parallel_boolean_on_acyclic_queries_matches_sequential_and_cq() {
+    let random = (0..40u64).map(|seed| {
+        let q = random_ecrpq(&params(), seed + 50_000);
+        (
+            format!("seed {seed}"),
+            random_db(5, 1.6, 2, seed * 17 + 9),
+            q,
+        )
+    });
+    let planted = (0..3u64).map(|seed| {
+        let (db, q, _) = planted_acyclic_instance(80, 3, seed);
+        (format!("planted seed {seed}"), db, q)
+    });
+    let (mut acyclic, mut sat) = (0, 0);
+    for (label, db, mut q) in random.chain(planted) {
+        q.set_free(&[]);
+        let prepared = PreparedQuery::build(&q).unwrap();
+        if prepared.join_tree().is_none() {
+            continue;
+        }
+        acyclic += 1;
+        let seq = eval_product(&db, &prepared);
+        let (cq, rdb, _) = ecrpq_to_cq(&db, &prepared);
+        assert_eq!(seq, eval_cq(&rdb, &cq), "{label}: sequential vs CQ");
+        for threads in [1usize, 2, 4, 8] {
+            let par = product_sat(&db, &prepared, &EvalOptions::with_threads(threads));
+            assert_eq!(par, seq, "{label}: {threads} thread(s)");
+        }
+        sat += usize::from(seq);
+    }
+    assert!(acyclic >= 11, "too few acyclic instances ({acyclic})");
+    assert!(
+        0 < sat && sat < acyclic,
+        "both verdicts must occur ({sat} of {acyclic} satisfiable)"
+    );
 }
 
 /// The closure-joined search shapes — a forward join of the end's

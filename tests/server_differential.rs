@@ -7,7 +7,7 @@
 
 use ecrpq::eval::planner;
 use ecrpq::eval::{
-    EvalOptions, QueryService, ResourceBudget, ServerError, SessionBudget, Strategy,
+    EvalOptions, PreparedQuery, QueryService, ResourceBudget, ServerError, SessionBudget, Strategy,
 };
 use ecrpq::graph::GraphDb;
 use ecrpq::query::{parse_query, RelationRegistry};
@@ -238,13 +238,8 @@ fn small_db_plans_report_strategy_and_regime() {
     assert_eq!(format!("{:?}", plan.combined), "PspaceComplete");
 }
 
-/// `planner::plan` and the service's cached plan come out of one compile
-/// step, so they agree on everything `Plan::explain` reports — strategy,
-/// measures, default budget and join-tree arcs — for every E22 corpus
-/// text and every `queries/*.ecrpq` line, on a graph small enough for the
-/// CQ pipeline and on one past the tuple budget.
-#[test]
-fn planner_plan_agrees_with_prepared_plan() {
+/// Every E22 corpus text and every `queries/*.ecrpq` line.
+fn served_texts() -> Vec<String> {
     let mut texts: Vec<String> = ecrpq_bench::harness::trial::server_corpus()
         .into_iter()
         .map(|(_, _, text)| text.to_string())
@@ -266,6 +261,17 @@ fn planner_plan_agrees_with_prepared_plan() {
                 .map(str::to_string),
         );
     }
+    texts
+}
+
+/// `planner::plan` and the service's cached plan come out of one compile
+/// step, so they agree on everything `Plan::explain` reports — strategy,
+/// measures, default budget and join-tree arcs — for every served text,
+/// on a graph small enough for the CQ pipeline and on one past the tuple
+/// budget.
+#[test]
+fn planner_plan_agrees_with_prepared_plan() {
+    let texts = served_texts();
     assert!(texts.len() >= 12, "corpus shrank to {} texts", texts.len());
     for nodes in [60usize, 20_000] {
         let service = QueryService::new(random_db(nodes, 1.5, 2, 0xA9EE));
@@ -280,11 +286,8 @@ fn planner_plan_agrees_with_prepared_plan() {
             assert_eq!(plan.strategy, prepared.strategy, "{at}");
             assert_eq!(plan.measures, prepared.measures, "{at}");
             assert_eq!(plan.default_budget, prepared.default_budget, "{at}");
-            assert_eq!(
-                plan.join_tree.as_ref().map(|t| t.arcs()),
-                prepared.join_tree().map(|t| t.arcs()),
-                "{at}"
-            );
+            let tree = plan.prepared.as_ref().and_then(PreparedQuery::join_tree);
+            assert_eq!(tree, prepared.join_tree(), "{at}");
             if plan.strategy == Strategy::CqTreedec {
                 cq_plans += 1;
             }
@@ -296,6 +299,61 @@ fn planner_plan_agrees_with_prepared_plan() {
         } else {
             assert_eq!(cq_plans, 0, "{nodes} nodes");
         }
+    }
+}
+
+/// The compiled query's join tree is the planner's acyclicity test: on
+/// every served text and on random queries, `PreparedQuery::build` keeps
+/// exactly the tree `acyclic_join_tree` finds when it spans at least two
+/// merged atoms, and that is exactly when the large-database label is
+/// `Yannakakis`. The served-request benchmark's traced run labels plans
+/// by `acyclic_join_tree` of the optimized query, so the check also runs
+/// on the minimized, optimized form the compile step evaluates.
+#[test]
+fn compiled_join_tree_matches_the_acyclicity_test() {
+    use ecrpq::analyze::{acyclic_join_tree, analyze, minimize};
+    use ecrpq::eval::{optimize, Simplified};
+    use ecrpq::query::{Ecrpq, NodeVar};
+    let check = |label: &str, q: &Ecrpq| {
+        let prepared = PreparedQuery::build(q).expect("valid");
+        let expected = acyclic_join_tree(q).filter(|t| t.parent.len() >= 2);
+        assert_eq!(prepared.join_tree(), expected.as_ref(), "{label}");
+        assert_eq!(
+            planner::large_db_strategy(q) == Strategy::Yannakakis,
+            expected.is_some(),
+            "{label}"
+        );
+    };
+    let check_compiled = |label: &str, q: &Ecrpq| {
+        check(label, q);
+        if analyze(q).has_errors() {
+            return;
+        }
+        // the minimizer returns its input when no step applies
+        if let Ok(Simplified::Query(optimized)) = optimize(&minimize(q).query) {
+            check(&format!("{label} (optimized)"), &optimized);
+        }
+    };
+    let db = random_db(8, 1.5, 2, 0x7EE);
+    let mut trees = 0;
+    for text in served_texts() {
+        let mut alphabet = db.alphabet().clone();
+        let q = parse_query(&text, &mut alphabet, &RelationRegistry::new()).expect("parses");
+        check_compiled(&text, &q);
+        trees += usize::from(PreparedQuery::build(&q).unwrap().join_tree().is_some());
+    }
+    assert!(trees > 0, "no served text has a join tree");
+    let params = ecrpq::workloads::RandomQueryParams {
+        node_vars: 4,
+        path_atoms: 3,
+        rel_atoms: 3,
+        max_arity: 2,
+        num_symbols: 2,
+    };
+    for seed in 0..200u64 {
+        let mut q = ecrpq::workloads::random_ecrpq(&params, seed);
+        q.set_free(&[NodeVar(0)]);
+        check_compiled(&format!("random seed {seed}"), &q);
     }
 }
 

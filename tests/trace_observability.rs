@@ -195,13 +195,12 @@ const UNCHAINED_YANNAKAKIS_POPS: u64 = 220_836;
 #[test]
 fn yannakakis_sends_only_the_full_reducers_messages() {
     let (db, q, planted) = ecrpq::workloads::planted_acyclic_instance(20_000, 32, 1);
-    let tree = ecrpq::analyze::acyclic_join_tree(&q).expect("acyclic");
     let prepared = PreparedQuery::build(&q).expect("valid");
+    assert!(prepared.join_tree().is_some(), "acyclic");
     let tracer = CollectingTracer::new();
-    let o = engine::answers_yannakakis_governed_traced(
+    let o = engine::answers_product_governed_traced(
         &db,
         &prepared,
-        &tree,
         &EvalOptions::sequential(),
         &tracer,
     );
@@ -223,13 +222,12 @@ fn yannakakis_sends_only_the_full_reducers_messages() {
 fn yannakakis_sweep_pops_do_not_grow_with_the_decoys() {
     let pops = |n: usize| {
         let (db, q, planted) = ecrpq::workloads::planted_acyclic_instance(n, 32, 1);
-        let tree = ecrpq::analyze::acyclic_join_tree(&q).expect("acyclic");
         let prepared = PreparedQuery::build(&q).expect("valid");
+        assert!(prepared.join_tree().is_some(), "acyclic");
         let tracer = CollectingTracer::new();
-        let o = engine::answers_yannakakis_governed_traced(
+        let o = engine::answers_product_governed_traced(
             &db,
             &prepared,
-            &tree,
             &EvalOptions::sequential(),
             &tracer,
         );
