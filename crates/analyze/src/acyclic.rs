@@ -167,9 +167,10 @@ pub fn gyo_join_tree(edges: &[Vec<usize>]) -> Option<JoinTree> {
 }
 
 /// The hyperedges of the CQ reduction of `query`: one vertex set per
-/// merged relation component, mirroring `PreparedQuery::build` exactly
-/// (normalize, take the abstraction's `G^rel` components, collect the
-/// endpoint node variables of each component's path variables).
+/// merged relation component, in the merged-atom order of
+/// `PreparedQuery::build` (normalize, take the abstraction's `G^rel`
+/// components, collect the endpoint node variables of each component's
+/// path variables). The compiled query's join tree is built from these.
 pub fn cq_hyperedges(query: &Ecrpq) -> Vec<Vec<usize>> {
     let query = query.normalized();
     let abstraction = query.abstraction();

@@ -79,11 +79,6 @@ impl<S: Letter> Nfa<S> {
         self.transitions.len()
     }
 
-    /// Total number of (labelled) transitions.
-    pub fn num_transitions(&self) -> usize {
-        self.transitions.iter().map(Vec::len).sum()
-    }
-
     /// Marks `q` initial.
     pub fn set_initial(&mut self, q: StateId) {
         if !self.initial.contains(&q) {

@@ -69,14 +69,6 @@ impl Json {
         }
     }
 
-    /// The numeric value as a usize, if it is a non-negative integer.
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Json::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
     /// The array elements, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {

@@ -352,9 +352,11 @@ fn compile_with<T: Tracer>(db: &GraphDb, query: &Ecrpq, run_minimizer: bool, tra
         cc_hedge: Some(measures.cc_hedge),
         treewidth: Some(measures.treewidth),
     };
-    let (strategy, estimated_tuples) = choose_strategy(db, run, &measures);
-    // lint:allow(unwrap): the optimizer only emits valid queries
-    let prepared = optimized.map(|q| PreparedQuery::build(&q).expect("invalid query"));
+    let prepared = optimized.as_ref().map(|q| {
+        // lint:allow(unwrap): the optimizer only emits valid queries
+        PreparedQuery::build(q).expect("invalid query")
+    });
+    let (strategy, estimated_tuples) = choose_strategy(db, run, prepared.as_ref(), &measures);
     Plan {
         measures,
         combined: combined_regime(&bounds),
@@ -371,16 +373,27 @@ fn compile_with<T: Tracer>(db: &GraphDb, query: &Ecrpq, run_minimizer: bool, tra
 
 /// Strategy selection: the CQ pipeline materializes ≈ `|V|^{2k}` tuples
 /// per component — affordable under the tuple budget (the Theorem 3.2(3)
-/// pipeline). Over budget, the product search runs, labelled by
-/// [`large_db_strategy`].
-fn choose_strategy(db: &GraphDb, query: &Ecrpq, measures: &QueryMeasures) -> (Strategy, f64) {
+/// pipeline). Over budget, the product search runs, labelled by whether
+/// the compiled query has a join tree ([`large_db_strategy`] of `query`
+/// when compilation proved it unsatisfiable).
+fn choose_strategy(
+    db: &GraphDb,
+    query: &Ecrpq,
+    prepared: Option<&PreparedQuery>,
+    measures: &QueryMeasures,
+) -> (Strategy, f64) {
     const TUPLE_BUDGET: f64 = 5e7;
     let nv = db.num_nodes().max(1) as f64;
     let estimated_tuples = nv.powi(2 * measures.cc_vertex.max(1) as i32);
     if estimated_tuples <= TUPLE_BUDGET {
         return (Strategy::CqTreedec, estimated_tuples);
     }
-    (large_db_strategy(query), estimated_tuples)
+    let strategy = match prepared {
+        Some(p) if p.join_tree().is_some() => Strategy::Yannakakis,
+        Some(_) => Strategy::DirectProduct,
+        None => large_db_strategy(query),
+    };
+    (strategy, estimated_tuples)
 }
 
 /// The strategy the planner picks when the database is too large for the
@@ -392,9 +405,9 @@ fn choose_strategy(db: &GraphDb, query: &Ecrpq, measures: &QueryMeasures) -> (St
 /// has a join tree ([`PreparedQuery::join_tree`]), so the label names
 /// the domain program the product tables run.
 pub fn large_db_strategy(query: &Ecrpq) -> Strategy {
-    match ecrpq_analyze::acyclic_join_tree(query) {
-        Some(tree) if tree.parent.len() >= 2 => Strategy::Yannakakis,
-        _ => Strategy::DirectProduct,
+    match crate::prepare::reducer_join_tree(query) {
+        Some(_) => Strategy::Yannakakis,
+        None => Strategy::DirectProduct,
     }
 }
 
@@ -867,6 +880,12 @@ mod tests {
         assert_eq!(tree.parent.len(), 2);
         assert!(p.explain().contains("Yannakakis"), "{}", p.explain());
         assert!(p.explain().contains("join tree"), "{}", p.explain());
+        // the plan labelled Yannakakis executes, and its answers are the
+        // direct product route's
+        let direct = crate::product::answers_product(&db, p.prepared.as_ref().unwrap());
+        assert!(!direct.is_empty());
+        assert_eq!(answers(&db, &q), direct);
+        assert!(evaluate(&db, &q));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! hypergraph is α-acyclic with at least two atoms. Every product-family
 //! evaluation of the query then runs the full semijoin reducer over it.
 
-use ecrpq_analyze::{gyo_join_tree, JoinTree};
+use ecrpq_analyze::JoinTree;
 use ecrpq_query::{Ecrpq, NodeVar, PathVar, QueryError};
 
 use ecrpq_automata::SyncRel;
@@ -51,6 +51,15 @@ pub struct PreparedQuery {
     /// the independent semijoin sweeps). Private: it is a property of the
     /// atoms, so nothing but [`PreparedQuery::build`] sets it.
     join_tree: Option<JoinTree>,
+}
+
+/// The join tree the product route's full reducer runs over: the GYO
+/// tree of `query`'s CQ reduction ([`ecrpq_analyze::acyclic_join_tree`],
+/// whose atom indices are the merged atoms' of [`PreparedQuery::build`]),
+/// kept only with at least two atoms. [`PreparedQuery::build`] stores it
+/// and [`crate::planner::large_db_strategy`] labels by it.
+pub(crate) fn reducer_join_tree(query: &Ecrpq) -> Option<JoinTree> {
+    ecrpq_analyze::acyclic_join_tree(query).filter(|t| t.parent.len() >= 2)
 }
 
 impl PreparedQuery {
@@ -103,22 +112,12 @@ impl PreparedQuery {
                 source_atoms: member_atoms.iter().map(|a| a.name.clone()).collect(),
             });
         }
-        let hyperedges: Vec<Vec<usize>> = atoms
-            .iter()
-            .map(|a| {
-                a.endpoints
-                    .iter()
-                    .flat_map(|&(s, d)| [s.0 as usize, d.0 as usize])
-                    .collect()
-            })
-            .collect();
-        let join_tree = gyo_join_tree(&hyperedges).filter(|t| t.parent.len() >= 2);
         Ok(PreparedQuery {
             num_node_vars: query.num_node_vars(),
             free: query.free_vars().to_vec(),
             atoms,
             num_symbols: query.alphabet().len(),
-            join_tree,
+            join_tree: reducer_join_tree(&query),
         })
     }
 

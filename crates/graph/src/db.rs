@@ -187,12 +187,6 @@ impl GraphDb {
         self.csr.get().is_some()
     }
 
-    /// Adds a vertex with an auto-generated name, returning its id.
-    pub fn add_node_auto(&mut self) -> NodeId {
-        let name = format!("v{}", self.node_names.len());
-        self.add_node(&name)
-    }
-
     /// Adds `count` *anonymous* vertices in one call, returning the id of
     /// the first (ids are contiguous). Anonymous vertices carry an empty
     /// name and no name-index entry — [`Self::node`] will not find them

@@ -90,11 +90,6 @@ impl RelationalDb {
             .is_some_and(|r| r.tuples.contains(tuple))
     }
 
-    /// Iterates over relation names.
-    pub fn relation_names(&self) -> impl Iterator<Item = &str> {
-        self.relations.keys().map(String::as_str)
-    }
-
     /// Total number of tuples across relations.
     pub fn num_tuples(&self) -> usize {
         self.relations.values().map(|r| r.tuples.len()).sum()

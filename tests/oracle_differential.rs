@@ -37,6 +37,13 @@ fn converged(db: &ecrpq::graph::GraphDb, q: &Ecrpq, at_bound: &BTreeSet<Vec<Node
     oracle_answers(db, q, MAX_LEN - 2) == *at_bound
 }
 
+/// Every answer evaluator against the oracle: the product search at 1/2/4/8
+/// threads and both CQ evaluators of the Lemma 4.3 reduction. Queries from
+/// `seed + 4000` over databases from `seed·23 + 5` mix both domain programs
+/// of the product search (the full reducer on queries with a join tree,
+/// the independent sweeps on the rest); the first `CASES / 2` queries from
+/// `seed + 8000` that have a join tree, over databases from `seed·19 + 3`,
+/// add full-reducer cases.
 #[test]
 fn oracle_agrees_with_every_answer_evaluator() {
     let base = env_seed(0);
@@ -47,23 +54,41 @@ fn oracle_agrees_with_every_answer_evaluator() {
         max_arity: 2,
         num_symbols: 2,
     };
-    let (mut settled, mut trees) = (0usize, 0u64);
     const CASES: u64 = 15;
-    for case in 0..CASES {
-        let seed = base + case;
-        let mut q = random_ecrpq(&params, seed + 4000);
+    let compile = |seed: u64, db_seed: u64| {
+        let mut q = random_ecrpq(&params, seed);
         q.set_free(&[NodeVar(0), NodeVar(1)]);
-        let db = random_db(4, 1.5, 2, seed * 23 + 5);
         let prepared = PreparedQuery::build(&q).unwrap();
-        trees += u64::from(prepared.join_tree().is_some());
-        let truth = oracle_answers(&db, &q, MAX_LEN);
-        let exact = converged(&db, &q, &truth);
-        settled += exact as usize;
-
-        // the product search at every thread count
+        (seed, q, prepared, db_seed)
+    };
+    let mixed: Vec<_> = (base..base + CASES)
+        .map(|s| compile(s + 4000, s * 23 + 5))
+        .collect();
+    let trees = mixed.iter().filter(|c| c.2.join_tree().is_some()).count() as u64;
+    assert!(
+        (1..CASES).contains(&trees),
+        "{trees}/{CASES} cases with a join tree (base seed {base}) — workload drifted"
+    );
+    // about a quarter of these queries have a join tree
+    let reduced: Vec<_> = (base..base + 4 * CASES)
+        .map(|s| compile(s + 8000, s * 19 + 3))
+        .filter(|c| c.2.join_tree().is_some())
+        .take(CASES as usize / 2)
+        .collect();
+    assert_eq!(
+        reduced.len() as u64,
+        CASES / 2,
+        "too few queries with a join tree (base seed {base}) — workload drifted"
+    );
+    let mut settled = 0u64;
+    for (seed, q, prepared, db_seed) in mixed.iter().chain(&reduced) {
+        let db = random_db(4, 1.5, 2, *db_seed);
+        let truth = oracle_answers(&db, q, MAX_LEN);
+        let exact = converged(&db, q, &truth);
+        settled += u64::from(exact);
         for threads in [1usize, 2, 4, 8] {
             let opts = EvalOptions::with_threads(threads);
-            let got = common::product_answers(&db, &prepared, &opts);
+            let got = common::product_answers(&db, prepared, &opts);
             check(
                 &truth,
                 &got,
@@ -72,30 +97,17 @@ fn oracle_agrees_with_every_answer_evaluator() {
             );
         }
         // the Lemma 4.3 reduction, backtracking and treedec
-        let (cq, rdb, _) = ecrpq_to_cq(&db, &prepared);
-        check(
-            &truth,
-            &answers_cq(&rdb, &cq),
-            exact,
-            &format!("seed {seed}: CQ backtracking"),
-        );
-        check(
-            &truth,
-            &answers_cq_treedec(&rdb, &cq),
-            exact,
-            &format!("seed {seed}: CQ treedec"),
-        );
+        let (cq, rdb, _) = ecrpq_to_cq(&db, prepared);
+        let what = format!("seed {seed}: CQ backtracking");
+        check(&truth, &answers_cq(&rdb, &cq), exact, &what);
+        let what = format!("seed {seed}: CQ treedec");
+        check(&truth, &answers_cq_treedec(&rdb, &cq), exact, &what);
     }
+    let total = CASES + CASES / 2;
     assert!(
-        settled as u64 >= CASES - 3,
-        "oracle converged on only {settled}/{CASES} cases (base seed {base}) — \
+        settled >= total - 3,
+        "oracle converged on only {settled}/{total} cases (base seed {base}) — \
          raise MAX_LEN or shrink the instances"
-    );
-    // both domain programs of the product search: the Yannakakis one on
-    // queries with a join tree, the independent sweeps on the rest
-    assert!(
-        (1..CASES).contains(&trees),
-        "{trees}/{CASES} cases with a join tree (base seed {base}) — workload drifted"
     );
 }
 
