@@ -9,8 +9,7 @@
 use ecrpq_bench::{
     complete, fmt_duration, loglog_slope, product_answers_with_stats, time_median, Table,
 };
-use ecrpq_core::cq_eval::{eval_cq, eval_cq_treedec};
-use ecrpq_core::crpq::eval_crpq;
+use ecrpq_core::cq_eval::{eval_cq, ReducedCq};
 use ecrpq_core::product::eval_product_with_stats;
 use ecrpq_core::{ecrpq_to_cq, engine, eval_product, EvalOptions, PreparedQuery};
 use ecrpq_query::Ecrpq;
@@ -64,9 +63,6 @@ fn main() {
     }
     if want("E8") {
         e8_crossover();
-    }
-    if want("E9") {
-        e9_crpq_vs_ecrpq();
     }
     if want("E10") {
         e10_data_complexity();
@@ -444,8 +440,7 @@ fn e12_ablations() {
 /// materialization + tree-decomposition CQ evaluation).
 fn eval_pipeline(db: &ecrpq_graph::GraphDb, q: &Ecrpq) -> bool {
     let prepared = PreparedQuery::build(q).expect("valid query");
-    let (cq, rdb, _) = ecrpq_to_cq(db, &prepared);
-    eval_cq_treedec(&rdb, &cq)
+    ReducedCq::of_prepared(db, &prepared).is_satisfiable()
 }
 
 fn e1_tractable() {
@@ -741,30 +736,22 @@ fn e8_crossover() {
         big.set_free(&[ecrpq_query::NodeVar(0), ecrpq_query::NodeVar(1)]);
         let pc = PreparedQuery::build(&chain).unwrap();
         let pb = PreparedQuery::build(&big).unwrap();
-        use ecrpq_core::cq_eval::answers_cq_treedec;
         use ecrpq_core::product::answers_product;
-        let a1 = answers_product(&db, &pc);
-        let a2 = {
-            let (cq, rdb, _) = ecrpq_to_cq(&db, &pc);
-            answers_cq_treedec(&rdb, &cq)
-        };
-        assert_eq!(a1, a2, "strategies disagree on chain answers");
-        let b1 = answers_product(&db, &pb);
-        let b2 = {
-            let (cq, rdb, _) = ecrpq_to_cq(&db, &pb);
-            answers_cq_treedec(&rdb, &cq)
-        };
-        assert_eq!(b1, b2, "strategies disagree on component answers");
+        let pipeline = |p: &PreparedQuery| ReducedCq::of_prepared(&db, p).answers();
+        assert_eq!(
+            answers_product(&db, &pc),
+            pipeline(&pc),
+            "strategies disagree on chain answers"
+        );
+        assert_eq!(
+            answers_product(&db, &pb),
+            pipeline(&pb),
+            "strategies disagree on component answers"
+        );
         let d1 = time_median(1, || answers_product(&db, &pc));
-        let d2 = time_median(1, || {
-            let (cq, rdb, _) = ecrpq_to_cq(&db, &pc);
-            answers_cq_treedec(&rdb, &cq)
-        });
+        let d2 = time_median(1, || pipeline(&pc));
         let d3 = time_median(1, || answers_product(&db, &pb));
-        let d4 = time_median(1, || {
-            let (cq, rdb, _) = ecrpq_to_cq(&db, &pb);
-            answers_cq_treedec(&rdb, &cq)
-        });
+        let d4 = time_median(1, || pipeline(&pb));
         t.row(&[
             n.to_string(),
             fmt_duration(d1),
@@ -772,28 +759,6 @@ fn e8_crossover() {
             fmt_duration(d3),
             fmt_duration(d4),
         ]);
-    }
-    println!("{}", t.to_markdown());
-    println!();
-}
-
-fn e9_crpq_vs_ecrpq() {
-    println!("## E9 — Corollary 2.4: CRPQs stay in the CQ regime");
-    println!();
-    println!("A k=3 clique CRPQ evaluated (a) through the dedicated Corollary 2.4");
-    println!("pipeline and (b) through the general ECRPQ pipeline. Both are");
-    println!("polynomial; the general pipeline pays the synchronous-relation");
-    println!("machinery overhead.");
-    println!();
-    let mut t = Table::new(&["n", "CRPQ pipeline", "general ECRPQ pipeline"]);
-    for &n in &[16usize, 32, 48, 64] {
-        let db = random_db(n, 1.5, 2, 3);
-        let mut alphabet = db.alphabet().clone();
-        let q = clique_query(3, "(a|b)*", &mut alphabet);
-        let db = reconcile_alphabet(db, &alphabet);
-        let d1 = time_median(3, || eval_crpq(&db, &q));
-        let d2 = time_median(3, || eval_pipeline(&db, &q));
-        t.row(&[n.to_string(), fmt_duration(d1), fmt_duration(d2)]);
     }
     println!("{}", t.to_markdown());
     println!();

@@ -4,18 +4,21 @@
 //! bounded `cc_vertex`/`cc_hedge`/treewidth, the Lemma 4.3 reduction turns
 //! \#ECRPQ node-assignment counting into #CQ over a bounded-treewidth
 //! Gaifman graph, which the classical dynamic program over a tree
-//! decomposition solves in `n^{O(tw)}` time. This module implements that
-//! DP — count per bag tuple, multiply over children, sum over compatible
-//! child tuples — plus a brute-force baseline used for differential
-//! testing.
+//! decomposition solves in `n^{O(tw)}` time. That program is
+//! [`ReducedCq::count`]: a sum-product over the same semijoin-reduced bags
+//! the answer walk uses, built with every variable free. This module wraps
+//! it for the two inputs, plus a brute-force baseline used for
+//! differential testing.
 //!
 //! Counted objects are full assignments of the query's variables (the
 //! `f_N` of the paper), not answer projections: the count is well-defined
-//! without inclusion–exclusion and is the standard #CQ semantics.
+//! without inclusion–exclusion and is the standard #CQ semantics. Counts
+//! saturate at `u64::MAX`.
 
-use ecrpq_query::{Cq, RelationalDb};
-use ecrpq_structure::{treewidth_exact, treewidth_upper_bound};
-use std::collections::HashMap;
+use crate::cq_eval::ReducedCq;
+use crate::prepare::PreparedQuery;
+use ecrpq_graph::GraphDb;
+use ecrpq_query::{Cq, NodeVar, RelationalDb};
 
 /// Counts satisfying assignments by brute-force enumeration
 /// (`O(|domain|^{vars})`) — the differential-testing baseline.
@@ -37,290 +40,38 @@ pub fn count_cq_bruteforce(db: &RelationalDb, q: &Cq) -> u64 {
         }
         total
     }
-    if q.num_vars == 0 {
-        return u64::from(q.atoms.is_empty());
-    }
     rec(db, q, 0, &mut assignment, n)
 }
 
-/// Counts satisfying assignments via dynamic programming over a tree
-/// decomposition of the Gaifman graph — `n^{O(tw)}`, the counting engine
-/// of the tractable regime.
+/// Counts satisfying assignments through the tree-decomposition
+/// instance of `q` with every variable free — `n^{O(tw)}`, the counting
+/// engine of the tractable regime.
 pub fn count_cq_treedec(db: &RelationalDb, q: &Cq) -> u64 {
-    let g = q.gaifman();
-    let (_, dec) = if g.num_vertices() <= 64 {
-        treewidth_exact(&g)
-    } else {
-        treewidth_upper_bound(&g)
-    };
-    if dec.bags.is_empty() {
-        // no variables
-        return u64::from(q.atoms.is_empty());
-    }
-    // Assign each atom to one bag containing all its variables.
-    let mut atoms_of_bag: Vec<Vec<usize>> = vec![Vec::new(); dec.bags.len()];
-    for (ai, atom) in q.atoms.iter().enumerate() {
-        let home = dec
-            .bags
-            .iter()
-            .position(|bag| atom.vars.iter().all(|v| bag.contains(v)))
-            // lint:allow(unwrap): tree decomposition covers every atom clique by construction
-            .expect("atom variables form a clique, hence fit in a bag");
-        atoms_of_bag[home].push(ai);
-    }
-    // Rooted tree structure.
-    let nb = dec.bags.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    for &(a, b) in &dec.edges {
-        adj[a].push(b);
-        adj[b].push(a);
-    }
-    let mut parent: Vec<Option<usize>> = vec![None; nb];
-    let mut order = Vec::with_capacity(nb);
-    let mut visited = vec![false; nb];
-    let mut stack = vec![0usize];
-    visited[0] = true;
-    while let Some(b) = stack.pop() {
-        order.push(b);
-        for &c in &adj[b] {
-            if !visited[c] {
-                visited[c] = true;
-                parent[c] = Some(b);
-                stack.push(c);
-            }
-        }
-    }
-    let children: Vec<Vec<usize>> = {
-        let mut ch = vec![Vec::new(); nb];
-        for (c, p) in parent.iter().enumerate() {
-            if let Some(p) = p {
-                ch[*p].push(c);
-            }
-        }
-        ch
-    };
-
-    // Bag tuples: assignments of the bag's variables satisfying the bag's
-    // atoms (uncovered bag variables range over the domain).
-    let bag_tuples: Vec<Vec<Vec<u32>>> = (0..nb)
-        .map(|b| enumerate_bag(db, q, &dec.bags[b], &atoms_of_bag[b]))
-        .collect();
-
-    // DP bottom-up. count[b] maps a bag tuple (by index) to the number of
-    // assignments of the variables that occur in b's subtree but NOT in
-    // b's bag, consistent with the tuple.
-    //
-    // Recurrence: for child c of b, the contribution of c to a tuple t of
-    // b is Σ over c-tuples t' compatible with t of
-    //   count[c][t'] / (choices already fixed by t) — no division needed:
-    // variables shared between b and c are fixed by t; variables of c's
-    // bag *new* w.r.t. b are summed over via t'. By the connectedness
-    // property each variable below b that is not in b's bag is counted in
-    // exactly one child term.
-    let mut counts: Vec<Vec<u64>> = vec![Vec::new(); nb];
-    for &b in order.iter().rev() {
-        let vars_b = &dec.bags[b];
-        let mut my_counts = vec![1u64; bag_tuples[b].len()];
-        for &c in &children[b] {
-            let vars_c = &dec.bags[c];
-            // positions of shared variables in b-tuple and c-tuple order
-            let shared: Vec<(usize, usize)> = vars_b
-                .iter()
-                .enumerate()
-                .filter_map(|(i, v)| vars_c.iter().position(|w| w == v).map(|j| (i, j)))
-                .collect();
-            // group child sums by shared-projection key
-            let mut child_sum: HashMap<Vec<u32>, u64> = HashMap::new();
-            for (ti, t) in bag_tuples[c].iter().enumerate() {
-                let key: Vec<u32> = shared.iter().map(|&(_, j)| t[j]).collect();
-                *child_sum.entry(key).or_insert(0) += counts[c][ti];
-            }
-            for (ti, t) in bag_tuples[b].iter().enumerate() {
-                let key: Vec<u32> = shared.iter().map(|&(i, _)| t[i]).collect();
-                let s = child_sum.get(&key).copied().unwrap_or(0);
-                my_counts[ti] = my_counts[ti].saturating_mul(s);
-            }
-        }
-        counts[b] = my_counts;
-    }
-    // Subtle point: count[c][t'] as computed counts variables below c not
-    // in c's bag; summing over t' compatible with t additionally counts
-    // the variables of c's bag not in b's bag — which is exactly what the
-    // recurrence needs. Variables in both bags are fixed by t. The root
-    // sum then covers the root bag's variables themselves.
-    counts[0].iter().sum()
-}
-
-/// Enumerates satisfying assignments of a bag (join of its atoms,
-/// cartesian fill for uncovered variables).
-fn enumerate_bag(
-    db: &RelationalDb,
-    q: &Cq,
-    bag_vars: &[usize],
-    atom_ids: &[usize],
-) -> Vec<Vec<u32>> {
-    let n = db.domain_size() as u32;
-    let mut out = Vec::new();
-    let mut tuple = vec![0u32; bag_vars.len()];
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        db: &RelationalDb,
-        q: &Cq,
-        bag_vars: &[usize],
-        atom_ids: &[usize],
-        i: usize,
-        tuple: &mut Vec<u32>,
-        n: u32,
-        out: &mut Vec<Vec<u32>>,
-    ) {
-        if i == bag_vars.len() {
-            let assign = |v: usize| -> u32 {
-                // lint:allow(unwrap): bag_vars contains v: assign is only called on bag members
-                let p = bag_vars.iter().position(|&w| w == v).unwrap();
-                tuple[p]
-            };
-            let ok = atom_ids.iter().all(|&ai| {
-                let a = &q.atoms[ai];
-                let t: Vec<u32> = a.vars.iter().map(|&v| assign(v)).collect();
-                db.holds(&a.relation, &t)
-            });
-            if ok {
-                out.push(tuple.clone());
-            }
-            return;
-        }
-        for x in 0..n {
-            tuple[i] = x;
-            rec(db, q, bag_vars, atom_ids, i + 1, tuple, n, out);
-        }
-    }
-    if bag_vars.is_empty() {
-        return vec![Vec::new()];
-    }
-    rec(db, q, bag_vars, atom_ids, 0, &mut tuple, n, &mut out);
-    out
-}
-
-/// Counts satisfying assignments via dynamic programming over a **nice**
-/// tree decomposition (leaf/introduce/forget/join nodes) — a second,
-/// independent implementation of the `n^{O(tw)}` counting algorithm, used
-/// to cross-validate [`count_cq_treedec`].
-pub fn count_cq_nice(db: &RelationalDb, q: &Cq) -> u64 {
-    use ecrpq_structure::{to_nice, NiceKind};
-    let g = q.gaifman();
-    let (_, dec) = if g.num_vertices() <= 64 {
-        treewidth_exact(&g)
-    } else {
-        treewidth_upper_bound(&g)
-    };
-    if dec.bags.is_empty() {
-        return u64::from(q.atoms.is_empty());
-    }
-    let nice = to_nice(&dec);
-    debug_assert!(nice.validate().is_ok());
-    // assign each atom to one nice node whose bag covers it
-    let mut atoms_of_node: Vec<Vec<usize>> = vec![Vec::new(); nice.len()];
-    for (ai, atom) in q.atoms.iter().enumerate() {
-        let home = (0..nice.len())
-            .find(|&i| atom.vars.iter().all(|v| nice.bags[i].contains(v)))
-            // lint:allow(unwrap): nice decompositions keep the bag-cover invariant
-            .expect("atom variables fit in some bag");
-        atoms_of_node[home].push(ai);
-    }
-    let n = db.domain_size() as u32;
-    // bottom-up order: children before parents
-    let mut order = Vec::with_capacity(nice.len());
-    let mut stack = vec![nice.root];
-    while let Some(i) = stack.pop() {
-        order.push(i);
-        stack.extend_from_slice(&nice.children[i]);
-    }
-    let mut tables: Vec<HashMap<Vec<u32>, u64>> = vec![HashMap::new(); nice.len()];
-    for &i in order.iter().rev() {
-        let mut table: HashMap<Vec<u32>, u64> = match nice.kinds[i] {
-            NiceKind::Leaf => HashMap::from([(Vec::new(), 1u64)]),
-            NiceKind::Introduce(v) => {
-                let c = nice.children[i][0];
-                // lint:allow(unwrap): Introduce(v) nodes contain v by construction
-                let pos = nice.bags[i].iter().position(|&w| w == v).unwrap();
-                let mut t = HashMap::new();
-                for (tau, cnt) in &tables[c] {
-                    for x in 0..n {
-                        let mut tau2 = tau.clone();
-                        tau2.insert(pos, x);
-                        t.insert(tau2, *cnt);
-                    }
-                }
-                t
-            }
-            NiceKind::Forget(v) => {
-                let c = nice.children[i][0];
-                // lint:allow(unwrap): Forget(v) children contain v by construction
-                let pos = nice.bags[c].iter().position(|&w| w == v).unwrap();
-                let mut t: HashMap<Vec<u32>, u64> = HashMap::new();
-                for (tau, cnt) in &tables[c] {
-                    let mut tau2 = tau.clone();
-                    tau2.remove(pos);
-                    *t.entry(tau2).or_insert(0) += cnt;
-                }
-                t
-            }
-            NiceKind::Join => {
-                let (a, b) = (nice.children[i][0], nice.children[i][1]);
-                let mut t = HashMap::new();
-                for (tau, ca) in &tables[a] {
-                    if let Some(cb) = tables[b].get(tau) {
-                        let prod = ca.saturating_mul(*cb);
-                        if prod > 0 {
-                            t.insert(tau.clone(), prod);
-                        }
-                    }
-                }
-                t
-            }
-        };
-        // filter by the atoms assigned here
-        if !atoms_of_node[i].is_empty() {
-            let bag = &nice.bags[i];
-            table.retain(|tau, _| {
-                atoms_of_node[i].iter().all(|&ai| {
-                    let atom = &q.atoms[ai];
-                    let tuple: Vec<u32> = atom
-                        .vars
-                        .iter()
-                        .map(|v| {
-                            // lint:allow(unwrap): shared variables appear in both adjacent bags
-                            let p = bag.iter().position(|w| w == v).unwrap();
-                            tau[p]
-                        })
-                        .collect();
-                    db.holds(&atom.relation, &tuple)
-                })
-            });
-        }
-        // free children tables we no longer need
-        for &c in &nice.children[i] {
-            tables[c] = HashMap::new();
-        }
-        tables[i] = table;
-    }
-    tables[nice.root].get(&Vec::new()).copied().unwrap_or(0)
+    let mut all_free = q.clone();
+    all_free.free = (0..q.num_vars).collect();
+    ReducedCq::build(db, &all_free).count()
 }
 
 /// Counts the satisfying node assignments of an ECRPQ on a graph database
 /// (the `f_N` part of the paper's satisfying assignments), through the
-/// Lemma 4.3 reduction + the tree-decomposition counting DP.
-pub fn count_ecrpq_assignments(
-    db: &ecrpq_graph::GraphDb,
-    query: &crate::prepare::PreparedQuery,
-) -> u64 {
-    let (cq, rdb, _) = crate::to_cq::ecrpq_to_cq(db, query);
-    count_cq_treedec(&rdb, &cq)
+/// Lemma 4.3 reduction and [`ReducedCq::count`].
+pub fn count_ecrpq_assignments(db: &GraphDb, query: &PreparedQuery) -> u64 {
+    let mut all_free = query.clone();
+    all_free.free = (0..query.num_node_vars as u32).map(NodeVar).collect();
+    ReducedCq::of_prepared(db, &all_free).count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Adds the nullary atom `name()`, which `Cq::atom` refuses to build.
+    fn nullary(q: &mut Cq, name: &str) {
+        q.atoms.push(ecrpq_query::CqAtom {
+            relation: name.into(),
+            vars: Vec::new(),
+        });
+    }
 
     fn path_db(n: u32) -> RelationalDb {
         let mut db = RelationalDb::new(n as usize);
@@ -376,6 +127,40 @@ mod tests {
         assert_eq!(count_cq_treedec(&db, &q), 0);
     }
 
+    /// The edge cases both counting tests add to their inputs: a nullary
+    /// atom (true and false), a repeated variable `R(x, x)`, a variable in
+    /// no atom, an empty domain with variables, and an unsatisfiable query.
+    fn edge_instances() -> Vec<(RelationalDb, Cq)> {
+        let mut out = Vec::new();
+        let mut db = path_db(4);
+        db.insert("E", &[2, 2]);
+        db.insert("T", &[]);
+        db.declare("F", 0);
+        for name in ["T", "F"] {
+            let mut q = Cq::new(2);
+            q.atom("E", &[0, 1]);
+            nullary(&mut q, name);
+            out.push((db.clone(), q));
+            let mut q = Cq::new(0);
+            nullary(&mut q, name);
+            out.push((db.clone(), q));
+        }
+        let mut q = Cq::new(2);
+        q.atom("E", &[0, 0]);
+        q.atom("E", &[0, 1]);
+        out.push((db.clone(), q));
+        let mut q = Cq::new(3);
+        q.atom("E", &[0, 1]);
+        out.push((db.clone(), q));
+        out.push((RelationalDb::new(0), Cq::new(2)));
+        let mut q = Cq::new(3);
+        q.atom("E", &[0, 1]);
+        q.atom("E", &[1, 2]);
+        q.atom("E", &[2, 0]);
+        out.push((path_db(4), q));
+        out
+    }
+
     #[test]
     fn random_differential_counting() {
         use rand::rngs::SmallRng;
@@ -402,12 +187,26 @@ mod tests {
                 q.atom(name, &[u, v]);
             }
             let brute = count_cq_bruteforce(&db, &q);
+            assert_eq!(brute, count_cq_treedec(&db, &q), "seed {seed}: {q}");
+            // the same query with a true nullary atom and a variable in no
+            // atom: every assignment extends in n ways
+            db.insert("T", &[]);
+            let mut wide = q.clone();
+            wide.num_vars += 1;
+            nullary(&mut wide, "T");
+            assert_eq!(count_cq_bruteforce(&db, &wide), brute * n as u64);
             assert_eq!(
-                brute,
-                count_cq_treedec(&db, &q),
-                "treedec, seed {seed}: {q}"
+                brute * n as u64,
+                count_cq_treedec(&db, &wide),
+                "seed {seed}: {wide}"
             );
-            assert_eq!(brute, count_cq_nice(&db, &q), "nice, seed {seed}: {q}");
+        }
+        for (db, q) in edge_instances() {
+            assert_eq!(
+                count_cq_bruteforce(&db, &q),
+                count_cq_treedec(&db, &q),
+                "{q}"
+            );
         }
     }
 
@@ -417,17 +216,42 @@ mod tests {
         let mut q = Cq::new(3);
         q.atom("E", &[0, 1]);
         q.atom("E", &[1, 2]);
-        assert_eq!(count_cq_nice(&db, &q), 3);
+        assert_eq!(count_cq_treedec(&db, &q), 3);
         let mut q2 = Cq::new(2);
         q2.atom("E", &[0, 1]);
         q2.atom("E", &[1, 0]);
-        assert_eq!(count_cq_nice(&db, &q2), 0);
+        assert_eq!(count_cq_treedec(&db, &q2), 0);
         // unconstrained variable multiplies
         let mut db2 = RelationalDb::new(3);
         db2.insert("U", &[1]);
         let mut q3 = Cq::new(2);
         q3.atom("U", &[0]);
-        assert_eq!(count_cq_nice(&db2, &q3), 3);
+        assert_eq!(count_cq_treedec(&db2, &q3), 3);
+        for (db, q) in edge_instances() {
+            assert_eq!(
+                count_cq_treedec(&db, &q),
+                count_cq_bruteforce(&db, &q),
+                "{q}"
+            );
+        }
+        let expected = [4, 1, 0, 0, 2, 16, 0, 0];
+        let counts: Vec<u64> = edge_instances()
+            .iter()
+            .map(|(db, q)| count_cq_treedec(db, q))
+            .collect();
+        assert_eq!(counts, expected);
+    }
+
+    /// 40 variables in no atom over a 4-value domain have 4⁴⁰ > 2⁶⁴
+    /// assignments: every sum and product saturates instead of wrapping.
+    #[test]
+    fn counts_saturate_at_u64_max() {
+        let db = RelationalDb::new(4);
+        assert_eq!(count_cq_treedec(&db, &Cq::new(40)), u64::MAX);
+        // an empty relation still zeroes a count that would saturate
+        let mut q = Cq::new(41);
+        q.atom("Nope", &[40]);
+        assert_eq!(count_cq_treedec(&db, &q), 0);
     }
 
     #[test]

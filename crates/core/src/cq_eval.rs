@@ -14,12 +14,21 @@
 //!   the Gaifman graph, hence fit in some bag — then reduced by an upward
 //!   and a downward semijoin pass, all on flat `u32` columns. Answers come
 //!   from walking the reduced bags parents first, so a prepared plan that
-//!   keeps the instance pays only for the output on later requests.
+//!   keeps the instance pays only for the output on later requests, and
+//!   [`ReducedCq::count`] sums products over the same bags (#CQ).
+//!
+//! Flat columns are the one format of a relation here. The Lemma 4.3
+//! materialization writes each merged atom's `R′` straight into them
+//! ([`ReducedCq::of_prepared`]); a [`RelationalDb`] is snapshotted into
+//! them once per plan.
 
 use crate::enumerate::Odometer;
 use crate::fnv::{FnvHashMap, FnvHashSet};
 use crate::governor::{AnswerClaim, Claim, Governor, Pacer};
+use crate::prepare::PreparedQuery;
+use crate::to_cq::materialize;
 use crate::trace::{NoopTracer, Phase, PhaseSpan, Tracer};
+use ecrpq_graph::GraphDb;
 use ecrpq_query::{Cq, RelationalDb};
 use ecrpq_structure::{treewidth_exact, treewidth_upper_bound, TreeDecomposition};
 use std::cmp::Reverse;
@@ -54,11 +63,12 @@ pub(crate) struct CqJoin<'q> {
 impl<'q> CqJoin<'q> {
     pub(crate) fn new(db: &RelationalDb, q: &'q Cq) -> Self {
         let vars: Vec<usize> = (0..q.num_vars).collect();
+        let domain = db.domain_size();
         CqJoin {
             q,
-            domain: db.domain_size(),
-            plan: JoinPlan::new(db, q, [vars.as_slice()]),
-            vacuous: db.domain_size() == 0 && q.num_vars > 0,
+            domain,
+            plan: JoinPlan::new(FlatDb::of(db, q), q, [vars.as_slice()]),
+            vacuous: domain == 0 && q.num_vars > 0,
         }
     }
 
@@ -177,6 +187,10 @@ pub fn answers_cq_treedec(db: &RelationalDb, q: &Cq) -> BTreeSet<Vec<u32>> {
 /// each bag looking up its separator key and binding the variables it
 /// introduces, and offers the free tuple once the last bag is bound —
 /// no dead ends, so the walk costs the (pre-projection) output.
+///
+/// With every variable free, every bag is walked, and
+/// [`ReducedCq::count`] counts the satisfying assignments bottom-up over
+/// the same bags.
 pub struct ReducedCq {
     num_vars: usize,
     free: Vec<usize>,
@@ -192,6 +206,9 @@ struct WalkBag {
     /// The variables the bag shares with its parent (none at the root),
     /// in key order.
     sep: Vec<usize>,
+    /// The parent's position in the walk and its columns holding `sep`,
+    /// in key order; `None` at the root.
+    parent: Option<(usize, Vec<usize>)>,
     /// `(column, variable)` for every variable the bag introduces.
     introduces: Vec<(usize, usize)>,
     /// Separator key → the range of `tuples` holding it.
@@ -199,15 +216,17 @@ struct WalkBag {
 }
 
 impl WalkBag {
-    /// The walk bag of a reduced bag with parent `parent`: its tuples
-    /// grouped by separator key, and the index over them.
-    fn new(bag: &Bag, parent: Option<&Bag>) -> Self {
-        let (sep_cols, _) =
-            parent.map_or_else(Default::default, |p| shared_cols(&bag.vars, &p.vars));
+    /// The walk bag of a reduced bag whose parent is `bags[bag.parent]`:
+    /// its tuples grouped by separator key, and the index over them.
+    fn new(bag: &Bag, bags: &[Bag]) -> Self {
+        let (sep_cols, parent_cols) = bag
+            .parent
+            .map_or_else(Default::default, |p| shared_cols(&bag.vars, &bags[p].vars));
         let groups = Groups::build(&bag.tuples, &sep_cols);
         WalkBag {
             tuples: bag.tuples.permuted(&groups.ids),
             sep: sep_cols.iter().map(|&c| bag.vars[c]).collect(),
+            parent: bag.parent.map(|p| (p, parent_cols)),
             introduces: (0..bag.vars.len())
                 .filter(|c| !sep_cols.contains(c))
                 .map(|c| (c, bag.vars[c]))
@@ -226,20 +245,46 @@ impl ReducedCq {
     /// Builds the instance of `q` over `db`, sequentially and unbudgeted.
     pub fn build(db: &RelationalDb, q: &Cq) -> Self {
         // lint:allow(unwrap): no governor, so the build cannot stop
-        Self::build_governed(db, q, 1, None, &NoopTracer).expect("ungoverned build")
+        Self::build_governed(FlatDb::of(db, q), q, 1, None, &NoopTracer).expect("ungoverned build")
     }
 
-    /// Builds the instance under `governor`, populating bags with
-    /// `threads` workers (the instance does not depend on the thread
-    /// count). Population is paced and reported under
-    /// [`Phase::TreedecBags`], and every byte the instance keeps is
-    /// charged to the governor: the columns as bags are populated, the
-    /// separator indexes once built. `None` when the governor stopped:
-    /// semijoins only remove tuples, but a cut-short reduction is neither
-    /// complete nor consistent, so it must serve no answer and never be
-    /// kept.
+    /// Builds the instance of a prepared ECRPQ over a graph database,
+    /// sequentially and unbudgeted: the Lemma 4.3 reduction followed by
+    /// the tree-decomposition build. Its free variables are the query's.
+    ///
+    /// # Panics
+    /// Panics if the query and database alphabets disagree.
+    pub fn of_prepared(db: &GraphDb, query: &PreparedQuery) -> Self {
+        // lint:allow(unwrap): no governor, so the build cannot stop
+        Self::of_prepared_governed(db, query, 1, None, &NoopTracer).expect("ungoverned build")
+    }
+
+    /// The one constructor of a prepared query's instance: materializes
+    /// every merged atom's `R′` as flat columns, then builds on them as
+    /// [`ReducedCq::build_governed`] does. The materialization itself is
+    /// neither paced nor charged to the governor.
+    pub(crate) fn of_prepared_governed<T: Tracer>(
+        db: &GraphDb,
+        query: &PreparedQuery,
+        threads: usize,
+        governor: Option<&Governor>,
+        tracer: &T,
+    ) -> Option<Self> {
+        let (cq, rels, _) = materialize(db, query);
+        Self::build_governed(rels, &cq, threads, governor, tracer)
+    }
+
+    /// Builds the instance of `q` over the flat relations `db` under
+    /// `governor`, populating bags with `threads` workers (the instance
+    /// does not depend on the thread count). Population is paced and
+    /// reported under [`Phase::TreedecBags`], and every byte the instance
+    /// keeps is charged to the governor: the columns as bags are
+    /// populated, the separator indexes once built. `None` when the
+    /// governor stopped: semijoins only remove tuples, but a cut-short
+    /// reduction is neither complete nor consistent, so it must serve no
+    /// answer and never be kept.
     pub(crate) fn build_governed<T: Tracer>(
-        db: &RelationalDb,
+        db: FlatDb,
         q: &Cq,
         threads: usize,
         governor: Option<&Governor>,
@@ -251,8 +296,9 @@ impl ReducedCq {
             width,
             ..TreedecStats::default()
         };
+        let domain = db.domain;
         let plan = JoinPlan::new(db, q, bags.iter().map(|b| b.vars.as_slice()));
-        let populated = populate_all(&plan, db.domain_size(), threads, governor, tracer);
+        let populated = populate_all(&plan, domain, threads, governor, tracer);
         if stopped() {
             return None;
         }
@@ -286,10 +332,7 @@ impl ReducedCq {
         // so the query holds iff no reduced bag is empty
         let satisfiable = plan.homed && bags.iter().all(|b| b.tuples.len > 0);
         bags.truncate(if satisfiable { walk_len } else { 0 });
-        let walk: Vec<WalkBag> = bags
-            .iter()
-            .map(|b| WalkBag::new(b, b.parent.map(|p| &bags[p])))
-            .collect();
+        let walk: Vec<WalkBag> = bags.iter().map(|b| WalkBag::new(b, &bags)).collect();
         span.finish(tracer);
         if let Some(g) = governor {
             g.charge_memory(walk.iter().map(WalkBag::index_bytes).sum());
@@ -320,6 +363,57 @@ impl ReducedCq {
             .iter()
             .map(|b| 4 * b.tuples.data.len() as u64 + b.index_bytes())
             .sum()
+    }
+
+    /// The number of satisfying assignments of the query's variables
+    /// (#CQ), saturating at `u64::MAX`. A bottom-up sum-product over the
+    /// reduced bags: a tuple's count is the product, over its children, of
+    /// the summed counts of the child tuples that share its separator key,
+    /// and the root's counts sum to the total. Each variable is introduced
+    /// by exactly one bag, so each assignment is counted once; the bags
+    /// hold no duplicate tuples because the relations they join are sets.
+    ///
+    /// # Panics
+    /// Panics unless every variable is free: only then does the instance
+    /// keep every bag.
+    pub fn count(&self) -> u64 {
+        let mut free = vec![false; self.num_vars];
+        for &v in &self.free {
+            free[v] = true;
+        }
+        assert!(
+            free.iter().all(|&f| f),
+            "counting needs an instance built with every variable free"
+        );
+        if !self.satisfiable {
+            return 0;
+        }
+        // per walked bag and tuple: the assignments of the variables its
+        // subtree introduces below it
+        let mut counts: Vec<Vec<u64>> = self.walk.iter().map(|b| vec![1; b.tuples.len]).collect();
+        let mut key: Vec<u32> = Vec::new();
+        // children follow their parents, so a reverse pass is bottom-up
+        for (i, bag) in self.walk.iter().enumerate().rev() {
+            let Some((p, cols)) = &bag.parent else {
+                continue;
+            };
+            let (head, tail) = counts.split_at_mut(i);
+            let sums: FnvHashMap<&[u32], u64> = bag
+                .index
+                .iter()
+                .map(|(k, &(s, e))| (&**k, saturating_sum(&tail[0][s as usize..e as usize])))
+                .collect();
+            let parent = &self.walk[*p];
+            for (pt, count) in head[*p].iter_mut().enumerate() {
+                let t = parent.tuples.tuple(pt);
+                key.clear();
+                key.extend(cols.iter().map(|&c| t[c]));
+                let sum = sums.get(key.as_slice()).copied().unwrap_or(0);
+                *count = count.saturating_mul(sum);
+            }
+        }
+        // a satisfiable query without variables has one (empty) assignment
+        counts.first().map_or(1, |root| saturating_sum(root))
     }
 
     /// All answers, sequentially and unbudgeted.
@@ -397,19 +491,24 @@ impl ReducedCq {
     }
 }
 
+/// `Σ values`, saturating at `u64::MAX`.
+fn saturating_sum(values: &[u64]) -> u64 {
+    values.iter().fold(0, |a, &b| a.saturating_add(b))
+}
+
 /// A relation as flat `u32` columns: `arity` values per tuple, one tuple
 /// after the other.
 #[derive(Debug, Clone, Default)]
-struct Flat {
+pub(crate) struct Flat {
     arity: usize,
     /// The tuple count, kept apart from `data` because a nullary relation
     /// holds its one (empty) tuple in no values.
-    len: usize,
+    pub(crate) len: usize,
     data: Vec<u32>,
 }
 
 impl Flat {
-    fn new(arity: usize) -> Self {
+    pub(crate) fn new(arity: usize) -> Self {
         Flat {
             arity,
             ..Flat::default()
@@ -430,11 +529,11 @@ impl Flat {
     }
 
     #[inline]
-    fn tuple(&self, i: usize) -> &[u32] {
+    pub(crate) fn tuple(&self, i: usize) -> &[u32] {
         &self.data[i * self.arity..(i + 1) * self.arity]
     }
 
-    fn push(&mut self, t: &[u32]) {
+    pub(crate) fn push(&mut self, t: &[u32]) {
         self.data.extend_from_slice(t);
         self.len += 1;
     }
@@ -466,6 +565,39 @@ impl Flat {
             out.push(self.tuple(i as usize));
         }
         out
+    }
+}
+
+/// A CQ's database as flat columns: the domain size, the relations (each
+/// a set), and the relation each atom reads.
+pub(crate) struct FlatDb {
+    pub(crate) domain: usize,
+    pub(crate) rels: Vec<Flat>,
+    pub(crate) atom_rel: Vec<usize>,
+}
+
+impl FlatDb {
+    /// Snapshots the relations `q`'s atoms name in `db`: one per distinct
+    /// name and arity, empty when `db` has no such relation.
+    pub(crate) fn of(db: &RelationalDb, q: &Cq) -> Self {
+        let mut rel_of: FnvHashMap<(&str, usize), usize> = FnvHashMap::default();
+        let mut rels: Vec<Flat> = Vec::new();
+        let atom_rel = q
+            .atoms
+            .iter()
+            .map(|atom| {
+                let (name, arity) = (atom.relation.as_str(), atom.vars.len());
+                *rel_of.entry((name, arity)).or_insert_with(|| {
+                    rels.push(Flat::of(db, name, arity));
+                    rels.len() - 1
+                })
+            })
+            .collect();
+        FlatDb {
+            domain: db.domain_size(),
+            rels,
+            atom_rel,
+        }
     }
 }
 
@@ -728,9 +860,8 @@ fn contract(dec: TreeDecomposition) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
 /// per bag of a decomposition, or one over every variable for the
 /// backtracking join. A join binds its row atom by atom over every atom
 /// whose variables its slots hold, most-bound atom first (ties: the
-/// smaller relation). The relations are snapshotted as flat columns, and
-/// each step's candidates grouped by the slots bound before it, once for
-/// all joins.
+/// smaller relation). Each step's candidates are grouped by the slots
+/// bound before it, once for all joins.
 struct JoinPlan {
     rels: Vec<Flat>,
     groups: Vec<Groups>,
@@ -762,25 +893,10 @@ struct JoinStep {
 }
 
 impl JoinPlan {
-    /// Plans one join per slot list (each a list of ascending variables).
-    fn new<'s>(
-        db: &RelationalDb,
-        q: &Cq,
-        slot_lists: impl IntoIterator<Item = &'s [usize]>,
-    ) -> Self {
-        let mut rel_of: FnvHashMap<(&str, usize), usize> = FnvHashMap::default();
-        let mut rels: Vec<Flat> = Vec::new();
-        let atom_rel: Vec<usize> = q
-            .atoms
-            .iter()
-            .map(|atom| {
-                let (name, arity) = (atom.relation.as_str(), atom.vars.len());
-                *rel_of.entry((name, arity)).or_insert_with(|| {
-                    rels.push(Flat::of(db, name, arity));
-                    rels.len() - 1
-                })
-            })
-            .collect();
+    /// Plans one join per slot list (each a list of ascending variables)
+    /// over the relations of `db`.
+    fn new<'s>(db: FlatDb, q: &Cq, slot_lists: impl IntoIterator<Item = &'s [usize]>) -> Self {
+        let FlatDb { rels, atom_rel, .. } = db;
         let mut patterns: FnvHashMap<(usize, Vec<usize>), usize> = FnvHashMap::default();
         let mut groups: Vec<Groups> = Vec::new();
         let mut homed = vec![false; q.atoms.len()];

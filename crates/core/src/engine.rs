@@ -46,7 +46,7 @@
 //! [`crate::trace::NoopTracer`]. The `_prepared_` variants run over
 //! [`PreparedTables`] built once and reused.
 
-use crate::cq_eval::{CqJoin, ReducedCq};
+use crate::cq_eval::{CqJoin, FlatDb, ReducedCq};
 use crate::enumerate::{AnswerIter, SearchCursor};
 use crate::governor::{Governor, Outcome, ResourceBudget, Termination};
 use crate::prepare::PreparedQuery;
@@ -540,11 +540,22 @@ pub fn eval_cq_governed(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> Outcom
 /// completion, so a run cut short by the budget never returns `true` —
 /// `false` under a non-complete termination means "not proven".
 pub fn eval_cq_treedec_governed(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> Outcome<bool> {
+    let threads = opts.effective_threads();
+    eval_reduced_cq(
+        |governor| ReducedCq::build_governed(FlatDb::of(db, q), q, threads, governor, &NoopTracer),
+        opts,
+    )
+}
+
+/// The one Boolean tree-decomposition pipeline: the query holds iff the
+/// instance `build` makes under this run's fresh governor is satisfiable.
+pub(crate) fn eval_reduced_cq(
+    build: impl FnOnce(Option<&Governor>) -> Option<ReducedCq>,
+    opts: &EvalOptions,
+) -> Outcome<bool> {
     let governor = run_governor(&opts.budget);
     let governor = governor.as_ref();
-    let threads = opts.effective_threads();
-    let sat = ReducedCq::build_governed(db, q, threads, governor, &NoopTracer)
-        .is_some_and(|r| r.is_satisfiable());
+    let sat = build(governor).is_some_and(|r| r.is_satisfiable());
     boolean_outcome(sat, governed_cq_stats(governor), governor)
 }
 
@@ -595,7 +606,7 @@ pub fn answers_cq_treedec_governed_traced<T: Tracer>(
     let threads = opts.effective_threads();
     answers_reduced_cq_traced(
         &OnceLock::new(),
-        |governor| ReducedCq::build_governed(db, q, threads, governor, tracer),
+        |governor| ReducedCq::build_governed(FlatDb::of(db, q), q, threads, governor, tracer),
         opts,
         tracer,
     )

@@ -20,16 +20,17 @@
 //!    polynomial-time / FPT case of Theorems 3.1(3) and 3.2(3).
 //!
 //! [`planner`] classifies a query (or a class description) into the
-//! complexity regimes of Theorems 3.1 and 3.2 and picks the strategy;
-//! [`crpq`] implements the classical Corollary 2.4 pipeline for plain
-//! CRPQs. All evaluators agree — the integration suite differential-tests
-//! them — and the Boolean evaluators can produce full witnesses (node
-//! assignment plus one concrete path per path variable).
+//! complexity regimes of Theorems 3.1 and 3.2 and picks the strategy. A
+//! plain CRPQ takes the same route: Corollary 2.4's reduction is Lemma 4.3
+//! with unary relations. [`counting`] counts satisfying assignments over
+//! the same reduced instance. All evaluators agree — the integration
+//! suite differential-tests them — and the Boolean evaluators can produce
+//! full witnesses (node assignment plus one concrete path per path
+//! variable).
 
 mod bitbfs;
 pub mod counting;
 pub mod cq_eval;
-pub mod crpq;
 pub mod engine;
 pub mod enumerate;
 pub mod fnv;
@@ -45,7 +46,7 @@ pub mod to_cq;
 pub mod trace;
 pub mod ucrpq;
 
-pub use counting::{count_cq_nice, count_cq_treedec, count_ecrpq_assignments};
+pub use counting::{count_cq_treedec, count_ecrpq_assignments};
 pub use engine::{EvalOptions, PreparedTables};
 pub use enumerate::{AnswerIter, Enumerator};
 pub use fnv::{FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};

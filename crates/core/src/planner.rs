@@ -19,7 +19,6 @@ use crate::engine::{self, EvalOptions, PreparedTables};
 use crate::governor::{Governor, Outcome, ResourceBudget, Termination};
 use crate::prepare::PreparedQuery;
 use crate::product::{Layout, ProductStats};
-use crate::to_cq::ecrpq_to_cq;
 use crate::trace::{
     render_phase_table, CollectingTracer, Metrics, NoopTracer, Phase, PhaseSpan, Tracer,
 };
@@ -469,8 +468,7 @@ pub(crate) fn run_answers<T: Tracer>(
         Strategy::CqTreedec => {
             let threads = opts.effective_threads();
             let build = |governor: Option<&Governor>| {
-                let (cq, rdb, _) = ecrpq_to_cq(db, prepared);
-                ReducedCq::build_governed(&rdb, &cq, threads, governor, tracer)
+                ReducedCq::of_prepared_governed(db, prepared, threads, governor, tracer)
             };
             let fresh = OnceLock::new();
             let slot = reuse.map_or(&fresh, |r| &r.cq);
@@ -496,8 +494,13 @@ fn run_boolean(db: &GraphDb, plan: &Plan, opts: &EvalOptions) -> Outcome<bool> {
     };
     match plan.strategy {
         Strategy::CqTreedec => {
-            let (cq, rdb, _) = ecrpq_to_cq(db, prepared);
-            engine::eval_cq_treedec_governed(&rdb, &cq, opts)
+            let threads = opts.effective_threads();
+            engine::eval_reduced_cq(
+                |governor| {
+                    ReducedCq::of_prepared_governed(db, prepared, threads, governor, &NoopTracer)
+                },
+                opts,
+            )
         }
         Strategy::Yannakakis | Strategy::DirectProduct => {
             engine::eval_product_governed(db, prepared, opts)
@@ -645,7 +648,6 @@ pub fn answers_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cq_eval::eval_cq_treedec;
     use ecrpq_automata::relations;
     use std::sync::Arc;
 
@@ -726,8 +728,7 @@ mod tests {
         let (db, q) = small_db_and_query();
         let prepared = PreparedQuery::build(&q).unwrap();
         let direct = crate::product::eval_product(&db, &prepared);
-        let (cq, rdb, _) = ecrpq_to_cq(&db, &prepared);
-        let via_cq = eval_cq_treedec(&rdb, &cq);
+        let via_cq = ReducedCq::of_prepared(&db, &prepared).is_satisfiable();
         assert_eq!(direct, via_cq);
         assert!(direct);
     }

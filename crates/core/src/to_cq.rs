@@ -12,8 +12,15 @@
 //! tuples, polynomial when `cc_vertex` is constant, exactly the bound in
 //! the paper. The Gaifman graph of the produced CQ is `G^node`, so bounded
 //! treewidth of the query class transfers to the CQ and the classical
-//! `n^{tw+1}` algorithm applies (Theorem 3.2(3)).
+//! `n^{tw+1}` algorithm applies (Theorem 3.2(3)). A CRPQ is the case of
+//! unary relations (Corollary 2.4), so it takes the same route.
+//!
+//! Each `R′` is written once, as the flat `u32` columns the
+//! tree-decomposition engine joins
+//! ([`crate::cq_eval::ReducedCq::of_prepared`]); the public
+//! [`ecrpq_to_cq`] converts them into a [`RelationalDb`].
 
+use crate::cq_eval::{Flat, FlatDb};
 use crate::prepare::PreparedQuery;
 use ecrpq_automata::{StateId, Track};
 use ecrpq_graph::{GraphDb, NodeId};
@@ -74,11 +81,34 @@ pub struct MaterializeStats {
 }
 
 /// Performs the Lemma 4.3 reduction. Returns the CQ `q̂′`, the relational
-/// database `D′`, and work counters.
+/// database `D′` (relation `R{i}` for merged atom `i`), and work counters.
 ///
 /// # Panics
 /// Panics if the query and database alphabets disagree.
 pub fn ecrpq_to_cq(db: &GraphDb, query: &PreparedQuery) -> (Cq, RelationalDb, MaterializeStats) {
+    let (cq, flat, stats) = materialize(db, query);
+    let mut rdb = RelationalDb::new(flat.domain);
+    for (atom, rel) in cq.atoms.iter().zip(&flat.rels) {
+        rdb.declare(&atom.relation, atom.vars.len());
+        // lint:allow(unwrap): the relation was declared on the line above
+        let inst = rdb.relation_mut(&atom.relation).expect("declared above");
+        inst.tuples.reserve(rel.len);
+        inst.tuples
+            .extend((0..rel.len).map(|i| rel.tuple(i).to_vec()));
+    }
+    (cq, rdb, stats)
+}
+
+/// The Lemma 4.3 reduction into flat columns: the CQ `q̂′` (atom `i`
+/// reads relation `R{i}`), one `R′` per merged atom, and work counters.
+/// From each source tuple a product BFS over `(state, positions)`
+/// configurations reaches the end positions; each end tuple is written
+/// once per source, however many accepting states reach it, so every
+/// `R′` is a set.
+///
+/// # Panics
+/// Panics if the query and database alphabets disagree.
+pub(crate) fn materialize(db: &GraphDb, query: &PreparedQuery) -> (Cq, FlatDb, MaterializeStats) {
     assert_eq!(
         db.alphabet().len(),
         query.num_symbols,
@@ -87,34 +117,37 @@ pub fn ecrpq_to_cq(db: &GraphDb, query: &PreparedQuery) -> (Cq, RelationalDb, Ma
     let nv = db.num_nodes();
     let mut cq = Cq::new(query.num_node_vars);
     cq.free = query.free.iter().map(|&NodeVar(v)| v as usize).collect();
-    let mut rdb = RelationalDb::new(nv);
+    let mut rels = Vec::with_capacity(query.atoms.len());
     let mut stats = MaterializeStats::default();
 
     for (ai, atom) in query.atoms.iter().enumerate() {
-        let name = format!("R{ai}");
         let k = atom.rel.arity();
-        rdb.declare(&name, 2 * k);
         let mut vars = Vec::with_capacity(2 * k);
         for &(NodeVar(s), NodeVar(d)) in &atom.endpoints {
             vars.push(s as usize);
             vars.push(d as usize);
         }
-        cq.atom(&name, &vars);
+        cq.atom(&format!("R{ai}"), &vars);
+        let mut rel = Flat::new(2 * k);
 
         let nfa = atom.rel.nfa().remove_epsilon();
         if nv == 0 {
-            continue; // no source tuples at all
+            rels.push(rel); // no source tuples at all
+            continue;
         }
         let nq = nfa.num_states();
         // Flat configuration index: ((q · n + pos₀) · n + pos₁) ⋯ — with a
         // generation-stamped visited array reused across the |V|^k source
-        // tuples (the dominant cost of the reduction).
+        // tuples (the dominant cost of the reduction). The positions alone,
+        // `idx % n^k`, index a second stamped array: the end tuples already
+        // written for the current source.
         let space = (nv as u128).pow(k as u32) * nq as u128;
         assert!(
             space <= (1u128 << 31),
             "materialization space {space} too large; use the direct product evaluator"
         );
         let space = space as usize;
+        let ends = space / nq.max(1); // an automaton without states has no configuration
         let encode = |q: StateId, pos: &[NodeId]| -> usize {
             let mut idx = q as usize;
             for &p in pos {
@@ -123,11 +156,12 @@ pub fn ecrpq_to_cq(db: &GraphDb, query: &PreparedQuery) -> (Cq, RelationalDb, Ma
             idx
         };
         let mut seen: Vec<u32> = vec![0; space];
+        let mut written: Vec<u32> = vec![0; ends];
         let mut generation: u32 = 0;
         let mut queue: VecDeque<u32> = VecDeque::new();
         let mut pos = vec![0 as NodeId; k];
         let mut options: Vec<&[(u8, NodeId)]> = Vec::with_capacity(k);
-        let mut tuples: Vec<Vec<u32>> = Vec::new();
+        let mut tuple = vec![0 as NodeId; 2 * k];
 
         // Enumerate all source tuples in V^k.
         let mut starts = vec![0 as NodeId; k];
@@ -151,13 +185,14 @@ pub fn ecrpq_to_cq(db: &GraphDb, query: &PreparedQuery) -> (Cq, RelationalDb, Ma
                     rem /= nv;
                 }
                 let q = rem as StateId;
-                if nfa.is_final(q) {
-                    let mut tuple = Vec::with_capacity(2 * k);
+                let end = cidx as usize % ends;
+                if nfa.is_final(q) && written[end] != generation {
+                    written[end] = generation;
                     for i in 0..k {
-                        tuple.push(starts[i]);
-                        tuple.push(pos[i]);
+                        tuple[2 * i] = starts[i];
+                        tuple[2 * i + 1] = pos[i];
                     }
-                    tuples.push(tuple);
+                    rel.push(&tuple);
                 }
                 'rows: for (row, q2) in nfa.transitions_from(q) {
                     // per-track successor slices (pads reuse a sentinel)
@@ -216,21 +251,25 @@ pub fn ecrpq_to_cq(db: &GraphDb, query: &PreparedQuery) -> (Cq, RelationalDb, Ma
                 break;
             }
         }
-        // lint:allow(unwrap): the relation was declared in the preceding loop
-        let inst = rdb.relation_mut(&name).expect("declared above");
-        inst.tuples.reserve(tuples.len());
-        inst.tuples.extend(tuples);
+        stats.tuples += rel.len;
+        rels.push(rel);
     }
-    stats.tuples = rdb.num_tuples();
-    (cq, rdb, stats)
+    let atom_rel = (0..rels.len()).collect();
+    let flat = FlatDb {
+        domain: nv,
+        rels,
+        atom_rel,
+    };
+    (cq, flat, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cq_eval::ReducedCq;
     use crate::prepare::PreparedQuery;
     use crate::product::eval_product;
-    use ecrpq_automata::{relations, Alphabet};
+    use ecrpq_automata::{relations, Alphabet, Regex};
     use ecrpq_query::Ecrpq;
     use std::sync::Arc;
 
@@ -335,6 +374,96 @@ mod tests {
             assert_eq!(holds, expect);
             let _ = cq;
         }
+    }
+
+    /// Corollary 2.4 as Lemma 4.3 with unary relations: the CRPQ's
+    /// answers through the reduced instance of its prepared query.
+    fn crpq_answers(db: &GraphDb, q: &Ecrpq) -> std::collections::BTreeSet<Vec<u32>> {
+        ReducedCq::of_prepared(db, &PreparedQuery::build(q).unwrap()).answers()
+    }
+
+    fn sample_db() -> GraphDb {
+        // u -a-> v -b-> w ; u -b-> w ; w -a-> u
+        let mut g = GraphDb::new();
+        let [u, v, w] = ["u", "v", "w"].map(|n| g.add_node(n));
+        g.add_edge(u, 'a', v);
+        g.add_edge(v, 'b', w);
+        g.add_edge(u, 'b', w);
+        g.add_edge(w, 'a', u);
+        g
+    }
+
+    #[test]
+    fn example_1_1_on_database() {
+        // q1(x) = ∃y x -(a*b)-> y ∧ x -((a|b)*)-> y
+        let mut db = sample_db();
+        let l1 = Regex::compile_str("a*b", db.alphabet_mut()).unwrap();
+        let l2 = Regex::compile_str("(a|b)*", db.alphabet_mut()).unwrap();
+        let mut q = Ecrpq::new(db.alphabet().clone());
+        let x = q.node_var("x");
+        let y = q.node_var("y");
+        q.crpq_atom(x, &l1, "a*b", y);
+        q.crpq_atom(x, &l2, "any", y);
+        q.set_free(&[x]);
+        // u: paths b and ab both reach w; v: path b reaches w;
+        // w: path ab (w→u→v) is in a*b, and the same path works for (a|b)*.
+        assert_eq!(crpq_answers(&db, &q).len(), 3);
+    }
+
+    #[test]
+    fn boolean_crpq() {
+        let mut db = sample_db();
+        for (re, expect) in [("aba", true), ("bb", false)] {
+            let l = Regex::compile_str(re, db.alphabet_mut()).unwrap();
+            let mut q = Ecrpq::new(db.alphabet().clone());
+            let x = q.node_var("x");
+            let y = q.node_var("y");
+            q.crpq_atom(x, &l, re, y);
+            // aba: u -a-> v -b-> w -a-> u
+            assert_eq!(!crpq_answers(&db, &q).is_empty(), expect, "{re}");
+        }
+    }
+
+    #[test]
+    fn unconstrained_path_var_is_reachability() {
+        let db = sample_db();
+        let mut q = Ecrpq::new(db.alphabet().clone());
+        let x = q.node_var("x");
+        let y = q.node_var("y");
+        q.path_atom(x, "p", y);
+        q.set_free(&[x, y]);
+        // the db is strongly connected through u→v→w→u, so all 9 pairs
+        assert_eq!(crpq_answers(&db, &q).len(), 9);
+    }
+
+    /// Two accepting states reach the same end vertex from one source.
+    /// Counting relies on `R′` being a set, so the tuple is written once.
+    #[test]
+    fn r_prime_is_a_set() {
+        use crate::counting::{count_cq_bruteforce, count_ecrpq_assignments};
+        use ecrpq_automata::{Nfa, SyncRel};
+        let db = chain_db(3);
+        // 0 -a-> 1 and 0 -a-> 2, both accepting: `a` is accepted twice
+        let mut nfa = Nfa::with_states(3);
+        nfa.set_initial(0);
+        for q in [1, 2] {
+            nfa.add_transition(0, vec![Track::Sym(0)], q);
+            nfa.set_final(q);
+        }
+        let mut q = Ecrpq::new(db.alphabet().clone());
+        let x = q.node_var("x");
+        let y = q.node_var("y");
+        let p = q.path_atom(x, "p", y);
+        q.rel_atom("a2", Arc::new(SyncRel::from_nfa_unchecked(1, 1, nfa)), &[p]);
+        let prepared = PreparedQuery::build(&q).unwrap();
+        assert_eq!(prepared.atoms[0].rel.nfa().remove_epsilon().num_states(), 3);
+        let (cq, rdb, stats) = ecrpq_to_cq(&db, &prepared);
+        assert_eq!(stats.tuples, rdb.num_tuples());
+        assert_eq!(stats.tuples, 2); // (v0, v1) and (v1, v2)
+        assert_eq!(
+            count_ecrpq_assignments(&db, &prepared),
+            count_cq_bruteforce(&rdb, &cq)
+        );
     }
 
     #[test]

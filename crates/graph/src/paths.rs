@@ -158,42 +158,6 @@ pub fn shortest_path_in_language(
     Some(Path::from_edges(src, edges))
 }
 
-/// The relation `R_L = {(v, v′) : some path from v to v′ has label in L}`
-/// (Corollary 2.4), computed in polynomial time for all pairs: for each
-/// source vertex, a product-graph BFS.
-pub fn language_reachability(db: &GraphDb, lang: &Nfa<Symbol>) -> Vec<(NodeId, NodeId)> {
-    let nfa = lang.remove_epsilon();
-    let nq = nfa.num_states();
-    let nv = db.num_nodes();
-    let mut pairs = Vec::new();
-    for src in 0..nv as NodeId {
-        let mut seen = BitSet::new(nv * nq);
-        let mut stack: Vec<(NodeId, u32)> = Vec::new();
-        for &q in nfa.initial_states() {
-            if seen.insert(src as usize * nq + q as usize) {
-                stack.push((src, q));
-            }
-        }
-        let mut targets = BitSet::new(nv);
-        while let Some((v, q)) = stack.pop() {
-            if nfa.is_final(q) {
-                targets.insert(v as usize);
-            }
-            for &(label, t) in db.out_edges(v) {
-                for (s, q2) in nfa.transitions_from(q) {
-                    if *s == label && seen.insert(t as usize * nq + *q2 as usize) {
-                        stack.push((t, *q2));
-                    }
-                }
-            }
-        }
-        for t in targets.iter() {
-            pairs.push((src, t as NodeId));
-        }
-    }
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,20 +254,5 @@ mod tests {
         let lang3 = Regex::compile_str("(ab)?", g.alphabet_mut()).unwrap();
         let p3 = shortest_path_in_language(&g, 0, 0, &lang3).unwrap();
         assert!(p3.is_empty());
-    }
-
-    #[test]
-    fn language_reachability_pairs() {
-        let mut g = line();
-        let lang = Regex::compile_str("a|b", g.alphabet_mut()).unwrap();
-        let mut pairs = language_reachability(&g, &lang);
-        pairs.sort();
-        assert_eq!(pairs, vec![(0, 1), (0, 2), (1, 2), (2, 3)]);
-        // star includes self-pairs
-        let star = Regex::compile_str("(a|b)*", g.alphabet_mut()).unwrap();
-        let pairs = language_reachability(&g, &star);
-        assert!(pairs.contains(&(0, 0)));
-        assert!(pairs.contains(&(0, 3)));
-        assert!(!pairs.contains(&(3, 0)));
     }
 }

@@ -23,12 +23,10 @@
 
 pub mod graphs;
 pub mod lemma52;
-pub mod nice;
 pub mod treewidth;
 pub mod twolevel;
 
 pub use graphs::{Graph, MultiGraph};
 pub use lemma52::{lemma52_bound, node_decomposition_from_collapse};
-pub use nice::{to_nice, NiceDecomposition, NiceKind};
 pub use treewidth::{treewidth_exact, treewidth_upper_bound, TreeDecomposition};
 pub use twolevel::{RelComponents, TwoLevelGraph};

@@ -91,10 +91,9 @@ echo "== analyze --trace (per-query phase tables) =="
 cargo run -q --release --offline -p ecrpq-bench --bin analyze -- queries/*.ecrpq --trace > /dev/null
 
 echo "== cargo doc (deny warnings) =="
-# own crates only: the vendored shims (rand/proptest) mirror
-# upstream doc comments and are not held to this repo's doc standard
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --quiet --no-deps \
-  -p ecrpq -p ecrpq-automata -p ecrpq-graph -p ecrpq-structure -p ecrpq-query \
-  -p ecrpq-analyze -p ecrpq-core -p ecrpq-reductions -p ecrpq-workloads -p ecrpq-bench
+# every crate of the workspace, the vendored shims (rand/proptest)
+# included: deleting a public item must not leave a dangling intra-doc
+# link anywhere
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "All checks passed."

@@ -120,8 +120,9 @@ fn synchronous_closure_properties() {
 }
 
 /// The paper's remark that ECRPQ = CRPQ + synchronous relations collapses
-/// to CRPQ expressiveness when every relation is unary: the general
-/// pipeline and the Corollary 2.4 pipeline agree on CRPQs.
+/// to CRPQ expressiveness when every relation is unary: the planner, the
+/// product search and the Corollary 2.4 reduction (Lemma 4.3 with unary
+/// relations) agree on CRPQs.
 #[test]
 fn crpq_pipelines_agree() {
     let db = parse_graph(
@@ -140,8 +141,11 @@ fn crpq_pipelines_agree() {
         q.crpq_atom(x, &lang, re, y);
         q.set_free(&[x, y]);
         let general = planner::answers(&db, &q);
-        let crpq = ecrpq::eval::crpq::answers_crpq(&db, &q);
+        let prepared = ecrpq::eval::PreparedQuery::build(&q).unwrap();
+        let crpq = ecrpq::eval::cq_eval::ReducedCq::of_prepared(&db, &prepared).answers();
         assert_eq!(general, crpq, "regex {re}");
+        let product = ecrpq::eval::product::answers_product(&db, &prepared);
+        assert_eq!(general, product, "regex {re}");
     }
 }
 

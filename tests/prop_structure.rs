@@ -137,30 +137,6 @@ proptest! {
         prop_assert!(ndec.width() <= lemma52_bound(tw_col, n));
     }
 
-    /// Nice decompositions: valid shape, same width, edges still covered.
-    #[test]
-    fn nice_decomposition_properties(g in arb_graph()) {
-        use ecrpq::structure::to_nice;
-        let (w, dec) = treewidth_exact(&g);
-        let nice = to_nice(&dec);
-        nice.validate().map_err(TestCaseError::fail)?;
-        prop_assert_eq!(nice.width(), w);
-        for (u, v) in g.edges() {
-            prop_assert!(
-                nice.bags.iter().any(|b| b.contains(&u) && b.contains(&v)),
-                "edge ({}, {}) uncovered", u, v
-            );
-        }
-        // every vertex gets forgotten exactly where its subtree tops out —
-        // at least once overall
-        for v in 0..g.num_vertices() {
-            prop_assert!(nice
-                .kinds
-                .iter()
-                .any(|k| matches!(k, ecrpq::structure::NiceKind::Forget(w) if *w == v)));
-        }
-    }
-
     /// The collapse multigraph has exactly 2 edge-endpoints per 2L edge.
     #[test]
     fn collapse_edge_count(g in arb_2l()) {
