@@ -233,3 +233,34 @@ fn reduced_walk_matches_backtracking_on_random_cqs() {
         "unsat {unsat}, projected {projected}"
     );
 }
+
+/// `count_cq_treedec` — the sum-product over the reduced bags — against
+/// both brute-force counts (the one in `counting` and the answer set of
+/// the query with every variable free) on the random CQs above: repeated
+/// variables, variables in no atom, an unknown relation, an empty domain
+/// and zero counts all occur, and the run checks that each did.
+#[test]
+fn treedec_counting_matches_bruteforce_on_random_cqs() {
+    use ecrpq::eval::count_cq_treedec;
+    use ecrpq::eval::counting::count_cq_bruteforce;
+    let mut seen = CqShape::default();
+    let (mut zero, mut many, mut unused_var) = (0, 0, false);
+    for seed in 0..400u64 {
+        let (db, mut q, shape) = random_cq_instance(seed);
+        q.free = (0..q.num_vars).collect();
+        let expected = brute_force_cq_answers(&db, &q).len() as u64;
+        assert_eq!(count_cq_bruteforce(&db, &q), expected, "seed {seed}: {q:?}");
+        assert_eq!(count_cq_treedec(&db, &q), expected, "seed {seed}: {q:?}");
+        seen.repeated_var |= shape.repeated_var;
+        seen.unknown_relation |= shape.unknown_relation;
+        seen.empty_domain |= shape.empty_domain;
+        unused_var |= (0..q.num_vars).any(|v| q.atoms.iter().all(|a| !a.vars.contains(&v)));
+        zero += usize::from(expected == 0);
+        many += usize::from(expected > 1);
+    }
+    assert!(
+        seen.repeated_var && seen.unknown_relation && seen.empty_domain && unused_var,
+        "{seen:?}, variable in no atom: {unused_var}"
+    );
+    assert!(zero > 20 && many > 50, "zero {zero}, many {many}");
+}
